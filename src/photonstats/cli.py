@@ -26,6 +26,7 @@ from .coherence import (
     InterferenceConfig,
     PreselectionNetwork,
     ThermalSplitterState,
+    _detected_vacuum_sum,
     classical_envelope_oracle,
     conditional_g2_map,
     detected_vacuum_probability,
@@ -43,17 +44,15 @@ from .imaging import (
     acquire,
     binary_phantom,
     cs_reconstruct,
-    image_snr,
     joint_pmf_noisy,
     random_sensing_matrix,
     scale_scene_to_projection,
 )
 from .montecarlo import RngSeed
-from .pgm import read_pgm, write_pgm
+from .pgm import write_pgm
 from .scatter import ScatterConfig, detected_pmf, g2_vs_angle, p_function_convolution_check
 from .sensing import (
     PUBLISHED_SUBTRACTION_TABLE,
-    conditional_mean,
     phase_uncertainty,
     preset,
     snr,
@@ -68,7 +67,8 @@ __all__ = ["main"]
 # Config plumbing
 # ===================================================================
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, subcommand: str) -> dict:
+    """Overrides from a JSON object, or from a manifest of the same subcommand."""
     if path is None:
         return {}
     p = Path(path)
@@ -78,42 +78,23 @@ def _load_config(path: str | None) -> dict:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if isinstance(data, dict) and "subcommand" in data:
+        if data["subcommand"] != subcommand:
+            raise ConfigError(f"manifest is for {data['subcommand']!r}, not {subcommand!r}")
+        data = data.get("config")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return data
 
 
-def _resolve(args: argparse.Namespace, parser_keys: set[str]) -> dict:
-    """Merge defaults, config file, and explicit flags into one parameter map."""
-    config = _load_config(args.config)
-    unknown = set(config) - parser_keys
+def _resolve(args: argparse.Namespace) -> dict:
+    """Defaults, overridden by the config file, overridden by explicit flags."""
+    config = _load_config(args.config, args.subcommand)
+    unknown = set(config) - set(args._defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
-    for key in parser_keys:
-        if key in args.explicit:
-            resolved[key] = getattr(args, key)
-        elif key in config:
-            resolved[key] = config[key]
-        else:
-            resolved[key] = getattr(args, key)
-    return resolved
-
-
-class _TrackingParser(argparse.ArgumentParser):
-    """Records which destinations were set on the command line, so flag
-    overrides can be distinguished from argparse defaults."""
-
-    def parse_args(self, argv=None, namespace=None):  # type: ignore[override]
-        ns = super().parse_args(argv, namespace)
-        explicit = set()
-        tokens = list(argv if argv is not None else sys.argv[1:])
-        for action in getattr(ns, "_actions_ref", []):
-            for opt in action.option_strings:
-                if any(t == opt or t.startswith(opt + "=") for t in tokens):
-                    explicit.add(action.dest)
-        ns.explicit = explicit
-        return ns
+    explicit = {k: v for k, v in vars(args).items() if k in args._defaults}
+    return {**args._defaults, **config, **explicit}
 
 
 def _jsonify(value):
@@ -324,6 +305,8 @@ def _cmd_image_sim(params: dict, out: Path) -> dict:
 
 
 def _cmd_reconstruct(params: dict, out: Path) -> dict:
+    if params["input"] is None:
+        raise ConfigError("reconstruct needs --input (measurement CSV)")
     y_path = Path(params["input"])
     masks_path = Path(params["masks"])
     for p in (y_path, masks_path):
@@ -386,6 +369,11 @@ def _cmd_oracle_check(params: dict, out: Path) -> dict:
     err = abs(total - 1.0)
     checks.append(("noisy_joint_normalization", err <= 1e-8, err))
 
+    net = PreselectionNetwork(_PRESELECT_ANGLES, 0.3)
+    oracle = _detected_vacuum_sum(net)
+    err = abs(detected_vacuum_probability(net) - oracle) / oracle
+    checks.append(("vacuum_closed_form_vs_sum", err <= 1e-9, err))
+
     path = out / "oracle-check.csv"
     _write_rows(path, "check,passed,error", [(name, int(ok), float(e)) for name, ok, e in checks])
     if not all(ok for _, ok, _ in checks):
@@ -397,6 +385,8 @@ def _cmd_oracle_check(params: dict, out: Path) -> dict:
 # ===================================================================
 # Parser assembly
 # ===================================================================
+
+_PRESELECT_ANGLES = (0.3, 0.7, 0.4, 0.6, 0.5)
 
 _HANDLERS = {
     "g2-scan": _cmd_g2_scan,
@@ -417,12 +407,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="JSON file with parameter overrides")
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed (u64)")
     sub.add_argument("--out", default=".", help="output directory for artifacts")
-    sub.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="tabular output format")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _TrackingParser(prog="photonstats", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="photonstats", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"photonstats {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -466,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dk-count", dest="dk_count", type=int, default=129)
 
     p = subs.add_parser("preselect", help="five-splitter vacuum preselection")
-    p.add_argument("--angles", type=float, nargs=5, default=(0.3, 0.7, 0.4, 0.6, 0.5))
+    p.add_argument("--angles", type=float, nargs=5, default=_PRESELECT_ANGLES)
     p.add_argument("--mean", type=float, default=1.2)
 
     p = subs.add_parser("sensing-snr", help="phase-sensing SNR and uncertainty table")
@@ -491,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=20000, help="0 = exact statistics")
 
     p = subs.add_parser("reconstruct", help="TV-regularized reconstruction from measurements")
-    p.add_argument("--input", required=True, help="measurement CSV (one y column)")
+    p.add_argument("--input", default=None, help="measurement CSV (one y column)")
     p.add_argument("--masks", default="image-sim-masks.csv", help="sensing-matrix CSV of 0/1")
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--height", type=int, default=32)
@@ -504,37 +492,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, sub in subs.choices.items():
         _add_common(sub)
-        sub.set_defaults(_handler=_HANDLERS[name])
+        params = [a for a in sub._actions if a.dest not in ("help", "config", "out")]
+        sub.set_defaults(_handler=_HANDLERS[name], _defaults={a.dest: a.default for a in params})
+        for action in params:
+            action.default = argparse.SUPPRESS
     return parser
-
-
-_GLOBAL_KEYS = {"config", "seed", "out", "threads", "format", "subcommand", "explicit", "_handler", "_actions_ref"}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    # expose per-subparser actions for explicit-flag tracking
-    for sub in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-        sub.set_defaults(_actions_ref=sub._actions)
     try:
         args = parser.parse_args(argv)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        keys = {
-            a.dest
-            for a in args._actions_ref
-            if a.dest not in _GLOBAL_KEYS and hasattr(args, a.dest)
-        }
-        params = _resolve(args, keys)
-        params["seed"] = args.seed
+        params = _resolve(args)
         summary = args._handler(params, out_dir)
         artifacts = summary.pop("artifacts", [])
-        manifest = _write_manifest(
-            out_dir,
-            args.subcommand,
-            {**params, "threads": args.threads, "format": args.format},
-            artifacts,
-        )
+        manifest = _write_manifest(out_dir, args.subcommand, params, artifacts)
         _emit(
             {
                 "subcommand": args.subcommand,

@@ -16,6 +16,11 @@ slit:
   direct quadrature over the two slits, used to validate the fringe frequency
   and the envelope shape without any photon-number reasoning;
 * vacuum preselection probabilities of a five-splitter routing network.
+
+Primary routes and their oracles: far-field fringes vs
+``classical_envelope_oracle``; the "factored" vs "gamma-sum" forms of
+``preselection_distribution``; the closed-form ``detected_vacuum_probability``
+vs ``_detected_vacuum_sum``, which sums the factored law over the loss modes.
 """
 
 from __future__ import annotations
@@ -490,22 +495,23 @@ def preselection_distribution(
     return float(math.exp(log_p))
 
 
-def detected_vacuum_probability(
-    net: PreselectionNetwork, cutoff: int | None = None
-) -> float:
-    """Probability that all three detected modes are empty, summing the joint
-    distribution over the loss modes up to ``cutoff`` total photons.
+def detected_vacuum_probability(net: PreselectionNetwork) -> float:
+    """Probability that all three detected modes are empty, in closed form:
+    Σ_n BE(n) (p₄+p₅+p₆)^n = 1/(1 + n̄(p₁+p₂+p₃)).
 
     This is the preselected vacuum rate; it exceeds the unconditional vacuum
     probability exactly when the loss arms carry weight.
     """
-    if cutoff is None:
-        cutoff = default_cutoff(net.mean)
-    total = 0.0
-    for n4 in range(cutoff + 1):
-        for n5 in range(cutoff + 1 - n4):
-            for n6 in range(cutoff + 1 - n4 - n5):
-                total += preselection_distribution(
-                    net, (0, 0, 0, n4, n5, n6), method="factored"
-                )
-    return total
+    return 1.0 / (1.0 + net.mean * sum(mode_probabilities(net)[:3]))
+
+
+def _detected_vacuum_sum(net: PreselectionNetwork) -> float:
+    """Oracle for :func:`detected_vacuum_probability`: the factored joint
+    distribution summed over the loss modes up to the default cutoff."""
+    cutoff = default_cutoff(net.mean)
+    return sum(
+        preselection_distribution(net, (0, 0, 0, n4, n5, n6), method="factored")
+        for n4 in range(cutoff + 1)
+        for n5 in range(cutoff + 1 - n4)
+        for n6 in range(cutoff + 1 - n4 - n5)
+    )

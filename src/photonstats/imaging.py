@@ -15,13 +15,18 @@ reduces to a product of dark-count Poissonians). Post-selecting N-photon
 events or conditioning arm a on an N-count in arm b boosts the signal against
 the dark-count floor; measurement vectors y from any of the three modes feed
 a total-variation-regularized least-squares reconstruction.
+
+``joint_pmf_noisy`` is that double sum cell by cell: the oracle. The primaries,
+vectorized over projections, are ``_post_probability`` (``arm_a_marginal``,
+``snr_post``, exact post(N)) and ``_conditional_mean`` (``snr_sub``, exact
+subtract(N)).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -279,62 +284,84 @@ def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n: int, m: int) -> float:
     return float(math.exp(log_p))
 
 
-def arm_a_marginal(
-    n_t: float, arms: TwoArmDetection, n: int, m_cutoff: int | None = None
-) -> float:
-    """Marginal probability of n counts in arm a, summing the joint law over
-    the other arm's outcomes."""
-    if m_cutoff is None:
-        c2, s2 = arms.arm_fractions
-        m_cutoff = default_cutoff(
-            arms.det_b.efficiency * s2 * n_t + arms.det_b.dark_rate
-        )
-    return sum(joint_pmf_noisy(n_t, arms, n, m) for m in range(m_cutoff + 1))
+def _projections(n_t, big_n: int) -> np.ndarray:
+    """n̄_t as a 1-D array, once it and the count N are checked."""
+    if not isinstance(big_n, (int, np.integer)) or big_n < 0:
+        raise DomainError(f"N must be a non-negative integer, got {big_n!r}")
+    arr = np.atleast_1d(np.asarray(n_t, dtype=float))
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise DomainError(f"n_t must be finite and >= 0, got {n_t!r}")
+    return arr
 
 
-def _poisson_pmf(rate: float, count: int) -> float:
-    if rate == 0.0:
-        return 1.0 if count == 0 else 0.0
-    return float(math.exp(count * math.log(rate) - rate - special.gammaln(count + 1)))
+def _post_probability(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
+    """P(N counts in arm a) for each projection n̄_t: the thinned thermal
+    signal BE(i; A_t), A_t = η_a cos²θ n̄_t, convolved with the dark counts
+    Poisson(N−i; ν_a)."""
+    c2, _ = arms.arm_fractions
+    signal = arms.det_a.efficiency * c2 * _projections(n_t, big_n)[:, None]
+    nu_a = arms.det_a.dark_rate
+    i = np.arange(big_n + 1)
+    log_terms = (
+        special.xlogy(i, signal) - (i + 1) * np.log1p(signal)
+        + special.xlogy(big_n - i, nu_a) - nu_a - special.gammaln(big_n - i + 1)
+    )
+    return np.exp(log_terms).sum(axis=1)
+
+
+def _conditional_mean(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
+    """E[counts in arm a | N counts in arm b] for each projection n̄_t: ν_a
+    plus the mean of arm a's signal i under the clean split-thermal law
+    C(i+j,i)·A^i·B^j/(1+A+B)^(i+j+1) weighted by Poisson(N−j; ν_b). Given j,
+    i is negative binomial with mean at most A(N+1); the i sum stops at twice
+    the default cutoff of that mean, which leaves out less than 1e-17."""
+    n_t = _projections(n_t, big_n)
+    c2, s2 = arms.arm_fractions
+    a = (arms.det_a.efficiency * c2 * n_t)[:, None, None]
+    b = (arms.det_b.efficiency * s2 * n_t)[:, None, None]
+    nu_b = arms.det_b.dark_rate
+    i = np.arange(2 * default_cutoff(float(a.max()) * (big_n + 1)) + 1)[:, None]
+    j = np.arange(big_n + 1)[None, :]
+    log_terms = (
+        special.gammaln(i + j + 1) - special.gammaln(i + 1) - special.gammaln(j + 1)
+        + special.xlogy(i, a) + special.xlogy(j, b) - (i + j + 1) * np.log1p(a + b)
+        + special.xlogy(big_n - j, nu_b) - nu_b - special.gammaln(big_n - j + 1)
+    )
+    weights = np.exp(log_terms).sum(axis=2)
+    total = weights.sum(axis=1)
+    if np.any(total <= 0.0):
+        row = int(np.argmax(total <= 0.0))
+        raise DomainError(f"conditioning on {big_n} counts in arm b has zero probability at row {row}")
+    return arms.det_a.dark_rate + (weights @ i[:, 0]) / total
+
+
+def arm_a_marginal(n_t: float, arms: TwoArmDetection, n: int) -> float:
+    """Marginal probability of n counts in arm a (the joint law summed over
+    arm b): thinned thermal signal convolved with Poisson dark counts."""
+    return float(_post_probability(n_t, arms, n)[0])
 
 
 def snr_post(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
     """Post-selected signal-to-noise: probability of an N-count in arm a
     relative to the dark-count-only Poisson probability of the same count."""
-    if not isinstance(big_n, (int, np.integer)) or big_n < 0:
-        raise DomainError(f"N must be a non-negative integer, got {big_n!r}")
-    noise = _poisson_pmf(arms.det_a.dark_rate, big_n)
+    signal, noise = _post_probability(np.array([n_t, 0.0]), arms, big_n)
     if noise == 0.0:
         raise SaturationError(
             "noise floor is zero (no dark counts); post-selected SNR saturates"
         )
-    return arm_a_marginal(n_t, arms, big_n) / noise
+    return float(signal / noise)
 
 
-def snr_sub(
-    n_t: float, arms: TwoArmDetection, big_n: int, n_cutoff: int | None = None
-) -> float:
+def snr_sub(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
     """Subtraction-mode signal-to-noise: conditional mean count in arm a
     given an N-count in arm b, relative to the noise-only conditional mean
     (which is just the dark rate, arms being independent without signal)."""
-    if not isinstance(big_n, (int, np.integer)) or big_n < 0:
-        raise DomainError(f"N must be a non-negative integer, got {big_n!r}")
     nu_a = arms.det_a.dark_rate
     if nu_a == 0.0:
         raise SaturationError(
             "noise-only conditional mean is zero; subtraction SNR saturates"
         )
-    if n_cutoff is None:
-        c2, _ = arms.arm_fractions
-        n_cutoff = default_cutoff(arms.det_a.efficiency * c2 * n_t + nu_a)
-    joint = np.array(
-        [joint_pmf_noisy(n_t, arms, n, big_n) for n in range(n_cutoff + 1)]
-    )
-    weight = float(joint.sum())
-    if weight <= 0.0:
-        raise DomainError(f"conditioning on {big_n} counts in arm b has zero probability")
-    conditional_mean = float(np.dot(np.arange(n_cutoff + 1), joint)) / weight
-    return conditional_mean / nu_a
+    return float(_conditional_mean(n_t, arms, big_n)[0]) / nu_a
 
 
 # ===================================================================
@@ -383,34 +410,20 @@ def acquire(
     if isinstance(seed, int):
         seed = RngSeed(seed)
 
-    y = np.empty(projections.size)
     if shots is None:
+        if kind == "post":
+            return _post_probability(projections, arms, big_n)
+        if kind == "subtract":
+            return _conditional_mean(projections, arms, big_n)
         c2, _ = arms.arm_fractions
-        for t, n_t in enumerate(projections):
-            n_t = float(n_t)
-            if kind == "intensity":
-                y[t] = arms.det_a.efficiency * c2 * n_t + arms.det_a.dark_rate
-            elif kind == "post":
-                y[t] = arm_a_marginal(n_t, arms, big_n)
-            else:
-                nu_a = arms.det_a.dark_rate
-                n_cut = default_cutoff(arms.det_a.efficiency * c2 * n_t + nu_a)
-                joint = np.array(
-                    [joint_pmf_noisy(n_t, arms, n, big_n) for n in range(n_cut + 1)]
-                )
-                weight = float(joint.sum())
-                if weight <= 0.0:
-                    raise DomainError(
-                        f"conditioning on {big_n} counts has zero probability at row {t}"
-                    )
-                y[t] = float(np.dot(np.arange(n_cut + 1), joint)) / weight
-        return y
+        return arms.det_a.efficiency * c2 * projections + arms.det_a.dark_rate
 
     if shots < 1:
         raise DomainError("shots must be >= 1")
     c2, s2 = arms.arm_fractions
     network = SplitterNetwork((c2, s2))
     detectors = (arms.det_a, arms.det_b)
+    y = np.empty(projections.size)
     for t, n_t in enumerate(projections):
         source_seed = RngSeed(seed.seed, seed.stream_id + 2 * t)
         detect_seed = RngSeed(seed.seed, seed.stream_id + 2 * t + 1)

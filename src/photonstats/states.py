@@ -60,6 +60,8 @@ DEFAULT_TAIL_TARGET = 1e-10
 # Numerical slack for "sums to one": accumulated float error over ~1e3 terms.
 _SUM_SLACK = 1e-12
 
+_THIN_BLOCK = 128  # kernel rows per block in binomial_thin
+
 
 # ===================================================================
 # Value types
@@ -272,10 +274,14 @@ def binomial_thin(
         probs = np.zeros(size)
         probs[0] = float(dist.probs.sum())
         return PhotonNumberDistribution(probs, dist.tail_bound)
-    k = np.arange(size)[:, None]
-    n = np.arange(size)[None, :]
-    kernel = stats.binom.pmf(k, n, efficiency)
-    return PhotonNumberDistribution(kernel @ dist.probs, dist.tail_bound)
+    # Kernel rows C(n,k) η^k (1−η)^(n−k) in blocks, only for n ≥ k: linear memory.
+    n = np.arange(size)
+    probs = np.empty(size)
+    for start in range(0, size, _THIN_BLOCK):
+        k = n[start : start + _THIN_BLOCK, None]
+        kernel = stats.binom.pmf(k, n[None, start:], efficiency)
+        probs[start : start + _THIN_BLOCK] = kernel @ dist.probs[start:]
+    return PhotonNumberDistribution(probs, dist.tail_bound)
 
 
 def visibility(intensity_samples: Iterable[Sequence[float]]) -> float:

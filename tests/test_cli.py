@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from photonstats import read_pgm
-from photonstats.cli import main
+from photonstats.cli import _HANDLERS, main
 
 
 def run(capsys, *argv):
@@ -53,6 +53,30 @@ class TestConfigPrecedence:
         assert manifest["config"]["n_s"] == 0.7  # flag wins
         assert manifest["config"]["theta_count"] == 5  # config beats default
 
+    def test_abbreviated_flag_beats_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"theta_count": 5}))
+        rc, _, _ = run(
+            capsys, "g2-scan", "--config", str(cfg), "--theta-c", "7",
+            "--out", str(tmp_path),
+        )
+        assert rc == 0
+        manifest = json.loads((tmp_path / "g2-scan-manifest.json").read_text())
+        assert manifest["config"]["theta_count"] == 7
+
+    def test_seed_comes_from_config_and_the_flag_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        small = ("--width", "8", "--height", "8", "--measurements", "8", "--shots", "200")
+        assert run(capsys, "image-sim", *small, "--config", str(cfg), "--out", str(tmp_path / "a"))[0] == 0
+        assert run(capsys, "image-sim", *small, "--seed", "5", "--out", str(tmp_path / "b"))[0] == 0
+        assert run(capsys, "image-sim", *small, "--config", str(cfg), "--seed", "6",
+                   "--out", str(tmp_path / "c"))[0] == 0
+        y = {d: (tmp_path / d / "image-sim-measurements.csv").read_bytes() for d in "abc"}
+        assert y["a"] == y["b"] != y["c"]
+        manifest = json.loads((tmp_path / "c" / "image-sim-manifest.json").read_text())
+        assert manifest["config"]["seed"] == 6
+
     def test_unknown_config_key_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n_q": 1.0}))
@@ -65,6 +89,51 @@ class TestConfigPrecedence:
         cfg.write_text("{not json")
         rc, _, _ = run(capsys, "g2-scan", "--config", str(cfg), "--out", str(tmp_path))
         assert rc == 2
+
+
+# Small sizes for every subcommand; reconstruct reads what image-sim wrote.
+SMALL = {
+    "g2-scan": ["--theta-count", "7"],
+    "scatter": [],
+    "coherence-map": ["--k-count", "5"],
+    "gtilde-table": ["--n-max", "3"],
+    "envelope-oracle": ["--dk-count", "33"],
+    "preselect": ["--mean", "0.3"],
+    "sensing-snr": ["--phi-count", "3"],
+    "subtract-table": [],
+    "image-sim": ["--width", "8", "--height", "8", "--measurements", "16", "--shots", "200", "--seed", "4"],
+    "reconstruct": ["--width", "8", "--height", "8", "--max-iter", "30"],
+    "oracle-check": [],
+}
+
+
+class TestManifestReplay:
+    def test_every_subcommand_is_covered(self):
+        assert sorted(SMALL) == sorted(_HANDLERS)
+
+    @pytest.mark.parametrize("sub", sorted(SMALL))
+    def test_replay_reproduces_the_run_byte_for_byte(self, sub, tmp_path, capsys):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        argv = [sub, "--out", str(first), *SMALL[sub]]
+        if sub == "reconstruct":
+            assert run(capsys, "image-sim", "--out", str(first), *SMALL["image-sim"])[0] == 0
+            argv += ["--input", str(first / "image-sim-measurements.csv"),
+                     "--masks", str(first / "image-sim-masks.csv")]
+        assert run(capsys, *argv)[0] == 0
+        manifest = first / f"{sub}-manifest.json"
+        rc, _, err = run(capsys, sub, "--config", str(manifest), "--out", str(replay))
+        assert rc == 0, err
+        for name in json.loads(manifest.read_text())["artifacts"] + [manifest.name]:
+            assert (replay / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_manifest_of_another_subcommand_is_rejected(self, tmp_path, capsys):
+        assert run(capsys, "g2-scan", "--theta-count", "3", "--out", str(tmp_path))[0] == 0
+        rc, _, err = run(
+            capsys, "scatter", "--config", str(tmp_path / "g2-scan-manifest.json"),
+            "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "g2-scan" in err
 
 
 class TestSubtractTable:
@@ -169,6 +238,11 @@ class TestReconstructRoundTrip:
         )
         assert rc == 2
         assert "not found" in err
+
+    def test_input_is_required_after_config_merge(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "reconstruct", "--out", str(tmp_path))
+        assert rc == 2
+        assert "--input" in err
 
 
 class TestArgumentErrors:

@@ -26,6 +26,7 @@ from photonstats import (
     thermal,
     visibility,
 )
+from photonstats.coherence import _detected_vacuum_sum
 
 BALANCED = ThermalSplitterState(1.0, math.pi / 4.0)
 
@@ -299,6 +300,13 @@ class TestPreselection:
 
     def test_loss_raises_the_conditioned_vacuum_rate(self):
         assert detected_vacuum_probability(NET) > 1.0 / (1.0 + NET.mean)
+
+    @pytest.mark.parametrize(
+        "net", [NET, PreselectionNetwork((0.3, 0.7, 0.4, 0.6, 0.5), mean=0.3)]
+    )
+    def test_closed_form_vacuum_matches_the_truncated_sum(self, net):
+        oracle = _detected_vacuum_sum(net)
+        assert abs(detected_vacuum_probability(net) - oracle) <= 1e-9 * oracle
 
 
 def _compositions(total, parts):

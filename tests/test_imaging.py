@@ -189,6 +189,71 @@ class TestAcquire:
             acquire(scene, masks, NOISY, mode="subtract(40)", shots=50, seed=1)
 
 
+class TestPrimariesAgainstTheJointLaw:
+    """The vectorized primaries against sums of the cell-by-cell oracle."""
+
+    NOISY_FLOOR = TwoArmDetection(
+        math.pi / 4.0, DetectorModel(0.55, 0.8), DetectorModel(0.55, 0.8)
+    )
+    # At these means (n̄_t < 1) a count above 20 in either arm carries less
+    # than 1e-13 of the mass, also given the other arm's count.
+    CUT = 20
+
+    def test_exact_rows_on_the_256_row_scene(self):
+        masks = random_sensing_matrix(256, 1024, seed=7)
+        scene = scale_scene_to_projection(binary_phantom(32, 32), masks, 0.8)
+        arms = self.NOISY_FLOOR
+        counts = np.arange(self.CUT + 1)
+        post, sub = [], []
+        for n_t in masks.matrix @ scene.values:
+            n_t = float(n_t)
+            post.append(sum(joint_pmf_noisy(n_t, arms, 3, m) for m in counts))
+            column = np.array([joint_pmf_noisy(n_t, arms, n, 1) for n in counts])
+            sub.append(float(counts @ column) / float(column.sum()))
+        got_post = acquire(scene, masks, arms, mode="post(3)")
+        got_sub = acquire(scene, masks, arms, mode="subtract(1)")
+        assert np.max(np.abs(got_post - post) / np.array(post)) <= 1e-12
+        assert np.max(np.abs(got_sub - sub) / np.array(sub)) <= 1e-12
+
+    def test_snr_figures(self):
+        arms = TestSnrModes.ARMS_POST
+        counts = np.arange(self.CUT + 1)
+        for big_n in range(8):
+            signal = sum(joint_pmf_noisy(0.8, arms, big_n, m) for m in counts)
+            noise = stats.poisson.pmf(big_n, arms.det_a.dark_rate)
+            assert snr_post(0.8, arms, big_n) == pytest.approx(signal / noise, rel=1e-12)
+        for big_n in range(4):
+            column = np.array([joint_pmf_noisy(0.08, NOISY, n, big_n) for n in counts])
+            mean = float(counts @ column) / float(column.sum())
+            assert snr_sub(0.08, NOISY, big_n) == pytest.approx(mean / 0.05, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: arm_a_marginal(0.5, NOISY, -1),
+            lambda: arm_a_marginal(0.5, NOISY, 1.0),
+            lambda: arm_a_marginal(-0.1, NOISY, 1),
+            lambda: arm_a_marginal(math.inf, NOISY, 1),
+            lambda: snr_post(0.5, NOISY, -2),
+            lambda: snr_post(math.nan, NOISY, 2),
+            lambda: snr_sub(0.5, NOISY, 1.5),
+            lambda: snr_sub(-1.0, NOISY, 1),
+        ],
+    )
+    def test_bad_counts_and_means_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_impossible_condition_names_the_row(self):
+        blind_b = TwoArmDetection(
+            math.pi / 4.0, DetectorModel(0.5, 0.1), DetectorModel(0.0, 0.0)
+        )
+        scene = binary_phantom(8, 8)
+        masks = random_sensing_matrix(3, 64, seed=0)
+        with pytest.raises(DomainError, match="row 0"):
+            acquire(scene, masks, blind_b, mode="subtract(2)")
+
+
 class TestTvMachinery:
     def test_gradient_adjoint_identity(self):
         rng = np.random.default_rng(0)

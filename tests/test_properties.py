@@ -1,0 +1,97 @@
+"""Property tests: the vectorized counting-law primaries against the
+cell-by-cell joint law, and the mass/tail contract of truncated pmfs, over
+random parameters rather than frozen points."""
+
+import math
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from photonstats import (
+    DetectorModel,
+    TwoArmDetection,
+    coherent,
+    default_cutoff,
+    fock,
+    joint_pmf_noisy,
+    pmf,
+    thermal,
+)
+from photonstats.imaging import _conditional_mean, _post_probability
+
+# Derandomized so a failure reproduces bit for bit, like the frozen Monte
+# Carlo seeds elsewhere in the suite.
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+means = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+rates = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+efficiencies = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.01, 1.0))
+
+
+@st.composite
+def two_arms(draw):
+    return TwoArmDetection(
+        draw(st.floats(0.0, math.pi / 2.0)),
+        DetectorModel(draw(efficiencies), draw(rates)),
+        DetectorModel(draw(efficiencies), draw(rates)),
+    )
+
+
+def _arm_means(n_t, arms):
+    c2, s2 = arms.arm_fractions
+    return arms.det_a.efficiency * c2 * n_t, arms.det_b.efficiency * s2 * n_t
+
+
+@SETTINGS
+@given(n_t=means, arms=two_arms(), big_n=st.integers(0, 6))
+def test_post_probability_is_the_marginal_of_the_joint_law(n_t, arms, big_n):
+    _, b = _arm_means(n_t, arms)
+    # Given N counts in arm a, arm b's signal is negative binomial with mean at
+    # most (N+1)·B; twice the default cutoff leaves out less than 1e-17.
+    cut = 2 * default_cutoff((big_n + 1) * b + arms.det_b.dark_rate)
+    oracle = sum(joint_pmf_noisy(n_t, arms, big_n, m) for m in range(cut + 1))
+    got = _post_probability(n_t, arms, big_n)[0]
+    assert np.isclose(got, oracle, rtol=1e-10, atol=1e-300)
+
+
+@SETTINGS
+@given(n_t=means, arms=two_arms(), big_n=st.integers(0, 6))
+# A bright arm a: a cutoff of default_cutoff(A) alone would be off by ~1e-9.
+@example(
+    n_t=3.0,
+    arms=TwoArmDetection(0.0, DetectorModel(1.0, 1.0), DetectorModel(0.0, 0.0)),
+    big_n=0,
+)
+def test_conditional_mean_is_the_joint_law_conditioned(n_t, arms, big_n):
+    a, b = _arm_means(n_t, arms)
+    assume(big_n == 0 or b > 0.0 or arms.det_b.dark_rate > 0.0)
+    # Likewise for arm a's signal given N counts in arm b.
+    cut = 2 * default_cutoff((big_n + 1) * a + arms.det_a.dark_rate)
+    counts = np.arange(cut + 1)
+    column = np.array([joint_pmf_noisy(n_t, arms, int(n), big_n) for n in counts])
+    oracle = float(counts @ column) / float(column.sum())
+    got = _conditional_mean(n_t, arms, big_n)[0]
+    assert np.isclose(got, oracle, rtol=1e-10, atol=1e-300)
+
+
+@SETTINGS
+@given(n_t=st.lists(means, min_size=1, max_size=8), arms=two_arms(), big_n=st.integers(0, 40))
+def test_post_probabilities_lie_in_the_unit_interval(n_t, arms, big_n):
+    probs = _post_probability(np.array(n_t), arms, big_n)
+    assert probs.shape == (len(n_t),)
+    assert np.all((probs >= 0.0) & (probs <= 1.0))
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from([thermal, coherent, fock]),
+    mean=st.floats(0.0, 50.0),
+    tail_target=st.floats(1e-14, 1e-3),
+)
+def test_pmf_mass_honors_the_tail_bound(kind, mean, tail_target):
+    dist = pmf(kind(round(mean) if kind is fock else mean), tail_target=tail_target)
+    total = float(dist.probs.sum())
+    assert dist.tail_bound <= tail_target
+    # 1e-12 is the float slack the distribution type allows on "sums to one".
+    assert 1.0 - dist.tail_bound - 1e-12 <= total <= 1.0 + 1e-12

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,26 @@ class TestCombinators:
         blocked = binomial_thin(base, 0.0)
         assert blocked.probs[0] == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(binomial_thin(base, 1.0).probs, base.probs)
+
+    def test_blocked_thinning_matches_the_dense_kernel(self):
+        source = pmf(coherent(40.0))  # support spans several kernel blocks
+        n = np.arange(source.probs.size)
+        dense = stats.binom.pmf(n[:, None], n[None, :], 0.3) @ source.probs
+        thinned = binomial_thin(source, 0.3)
+        assert np.allclose(thinned.probs, dense, rtol=1e-12, atol=1e-300)
+
+    def test_thinning_memory_is_linear_in_the_support(self):
+        source = pmf(thermal(100.0))
+        dense_kernel_bytes = 8 * source.probs.size**2
+        tracemalloc.start()
+        try:
+            thinned = binomial_thin(source, 0.55)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_kernel_bytes / 2
+        ref = pmf(thermal(55.0), cutoff=thinned.n_max).probs
+        assert np.max(np.abs(thinned.probs - ref)) < 1e-12
 
     def test_bad_efficiency_rejected(self):
         with pytest.raises(DomainError, match="efficiency"):

@@ -184,23 +184,16 @@ def joint_pmf(state: ThermalSplitterState, big_n: int, big_m: int) -> float:
     _validate_counts(big_n, big_m)
     n_bar = state.mean_total
     c2 = math.cos(state.split_angle) ** 2
-    s2 = 1.0 - c2
-    if n_bar == 0.0:
-        return 1.0 if big_n == big_m == 0 else 0.0
-    if (c2 == 0.0 and big_n > 0) or (s2 == 0.0 and big_m > 0):
-        return 0.0
     total = big_n + big_m
     log_p = (
         special.gammaln(total + 1)
         - special.gammaln(big_n + 1)
         - special.gammaln(big_m + 1)
-        + total * math.log(n_bar)
+        + special.xlogy(total, n_bar)
         - (total + 1) * math.log1p(n_bar)
+        + special.xlogy(big_n, c2)
+        + special.xlogy(big_m, 1.0 - c2)
     )
-    if big_n > 0:
-        log_p += big_n * math.log(c2)
-    if big_m > 0:
-        log_p += big_m * math.log(s2)
     return float(math.exp(log_p))
 
 
@@ -451,12 +444,6 @@ def gamma_sum(n: int) -> float:
     return float(np.exp(special.logsumexp(log_terms)))
 
 
-def _log_be(n: int, mean: float) -> float:
-    if mean == 0.0:
-        return 0.0 if n == 0 else -math.inf
-    return n * (math.log(mean) - math.log1p(mean)) - math.log1p(mean)
-
-
 def preselection_distribution(
     net: PreselectionNetwork,
     counts: tuple[int, int, int, int, int, int],
@@ -479,15 +466,13 @@ def preselection_distribution(
     if method not in ("gamma-sum", "factored"):
         raise DomainError(f"unknown method {method!r}")
     probs = mode_probabilities(net)
-    n = int(sum(counts))
-    log_p = _log_be(n, net.mean)
-    if log_p == -math.inf:
-        return 0.0
-    for n_i, p_i in zip(counts, probs):
-        if n_i > 0:
-            if p_i == 0.0:
-                return 0.0
-            log_p += n_i * math.log(p_i) - special.gammaln(n_i + 1)
+    per_mode = np.asarray(counts)
+    n = int(per_mode.sum())
+    log_p = (
+        special.xlogy(n, net.mean / (1.0 + net.mean))
+        - math.log1p(net.mean)
+        + float(np.sum(special.xlogy(per_mode, probs) - special.gammaln(per_mode + 1)))
+    )
     if method == "gamma-sum":
         log_p += math.log(gamma_sum(n))
     else:

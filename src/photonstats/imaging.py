@@ -223,16 +223,6 @@ def scale_scene_to_projection(
 # Joint detected-count law and SNR figures
 # ===================================================================
 
-def _log_factor(count: int, rate: float) -> np.ndarray:
-    """log rate^(count−i) over i = 0..count, with 0^0 = 1 handled as 0."""
-    i = np.arange(count + 1)
-    if rate == 0.0:
-        out = np.full(count + 1, -np.inf)
-        out[count] = 0.0  # only the i = count term survives (rate^0)
-        return out
-    return (count - i) * math.log(rate)
-
-
 def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n: int, m: int) -> float:
     """Probability of detecting (n, m) photons in arms (a, b) for one
     thermal projection of mean n̄_t behind the splitter and noisy detectors."""
@@ -245,43 +235,21 @@ def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n: int, m: int) -> float:
     eta_a, nu_a = arms.det_a.efficiency, arms.det_a.dark_rate
     eta_b, nu_b = arms.det_b.efficiency, arms.det_b.dark_rate
     denom_rate = eta_a * c2 + eta_b * s2
-
-    # Per-index signal factors (η cos²θ n̄_t)^i and (η sin²θ n̄_t)^j in logs;
-    # a vanishing factor keeps only index 0.
-    def signal_logs(count: int, strength: float) -> np.ndarray:
-        idx = np.arange(count + 1)
-        if strength == 0.0:
-            out = np.full(count + 1, -np.inf)
-            out[0] = 0.0
-            return out
-        return idx * math.log(strength)
-
-    sig_a = signal_logs(n, eta_a * c2 * n_t)
-    sig_b = signal_logs(m, eta_b * s2 * n_t)
     i = np.arange(n + 1)[:, None]
     j = np.arange(m + 1)[None, :]
+    # C(n,i)·C(m,j)/(n!·m!) = 1/(i!(n−i)!·j!(m−j)!); with the dark-count
+    # exponentials folded in, each term is a probability ≤ 1.
     log_terms = (
-        special.gammaln(n + 1)
+        special.gammaln(i + j + 1)
         - special.gammaln(i + 1)
-        - special.gammaln(n - i + 1)
-        + special.gammaln(m + 1)
         - special.gammaln(j + 1)
-        - special.gammaln(m - j + 1)
-        + special.gammaln(i + j + 1)
-        + sig_a[:, None]
-        + sig_b[None, :]
-        + _log_factor(n, nu_a)[:, None]
-        + _log_factor(m, nu_b)[None, :]
+        + special.xlogy(i, eta_a * c2 * n_t)
+        + special.xlogy(j, eta_b * s2 * n_t)
         - (1.0 + i + j) * math.log1p(n_t * denom_rate)
+        + special.xlogy(n - i, nu_a) - nu_a - special.gammaln(n - i + 1)
+        + special.xlogy(m - j, nu_b) - nu_b - special.gammaln(m - j + 1)
     )
-    log_p = (
-        -nu_a
-        - nu_b
-        - special.gammaln(n + 1)
-        - special.gammaln(m + 1)
-        + special.logsumexp(log_terms)
-    )
-    return float(math.exp(log_p))
+    return float(np.exp(log_terms).sum())
 
 
 def _projections(n_t, big_n: int) -> np.ndarray:

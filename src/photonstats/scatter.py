@@ -10,7 +10,8 @@ geometric sum
 
 which is exactly the convolution of two Bose–Einstein pmfs; keeping the
 summed form as the primary evaluation path lets tests check it independently
-against the convolution of `states.pmf` results.
+against the convolution of `states.pmf` results. Both laws here are truncated
+by the policy stated in `photonstats.states`.
 
 The resulting g2 runs between 2 (single thermal mode) and 1.5 (two equal
 thermal modes), the classic bunching reduction of incoherent mode mixing.
@@ -18,6 +19,7 @@ thermal modes), the classic bunching reduction of incoherent mode mixing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +30,12 @@ from .errors import AccuracyError, DomainError
 from .states import (
     DEFAULT_TAIL_TARGET,
     PhotonNumberDistribution,
+    _grow_cutoff,
+    _thermal_tail,
     default_cutoff,
     g2_from_pmf,
+    pmf,
+    thermal,
 )
 
 __all__ = [
@@ -71,46 +77,31 @@ class ScatterConfig:
         )
 
 
-def _geometric_terms(mean: float, n_max: int) -> np.ndarray:
-    """t[j] = mean^j / (mean+1)^(j+1), the Bose–Einstein weights."""
-    if mean == 0.0:
-        t = np.zeros(n_max + 1)
-        t[0] = 1.0
-        return t
-    j = np.arange(n_max + 1)
-    return np.exp(j * (math.log(mean) - math.log1p(mean)) - math.log1p(mean))
-
-
 def detected_pmf(
     cfg: ScatterConfig, tail_target: float = DEFAULT_TAIL_TARGET
 ) -> PhotonNumberDistribution:
     """Detected photon-number distribution of the mixed field.
 
-    Every entry of the double geometric sum is exact, so the missing mass
-    past the cutoff is exactly 1 minus the accumulated total; the cutoff
-    grows until that deficiency meets ``tail_target``.
+    The mass past the cutoff is exact: P(X+Y > n) = A·p_det(n) + r_B^(n+1),
+    with r_B = B/(1+B), because P(X > n−m) = A·BE_A(n−m) turns the tail's
+    sum over m into A times the double geometric sum at n.
     """
     a, b = cfg.mode_means
 
-    def evaluate(n_max: int) -> np.ndarray:
-        term_a = _geometric_terms(a, n_max)
-        term_b = _geometric_terms(b, n_max)
-        probs = np.empty(n_max + 1)
-        for n in range(n_max + 1):
-            probs[n] = float(np.dot(term_a[n::-1], term_b[: n + 1]))
-        return probs
+    @functools.cache  # the accepted cutoff is not evaluated twice
+    def terms(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+        return pmf(thermal(a), cutoff=n_max).probs, pmf(thermal(b), cutoff=n_max).probs
 
-    n_max = default_cutoff(a + b)
-    for _ in range(64):
-        probs = evaluate(n_max)
-        tail = max(0.0, 1.0 - float(probs.sum()))
-        if tail <= tail_target:
-            return PhotonNumberDistribution(probs, tail)
-        n_max = math.ceil(n_max * 1.25) + 8
-    raise AccuracyError(
-        f"could not push the truncated mass below {tail_target:g} "
-        f"(A={a:g}, B={b:g})"
-    )
+    def tail(n_max: int) -> float:
+        term_a, term_b = terms(n_max)
+        return a * float(np.dot(term_a[::-1], term_b)) + _thermal_tail(b, n_max)
+
+    n_max, tail_bound = _grow_cutoff(default_cutoff(a + b), tail, tail_target)
+    term_a, term_b = terms(n_max)
+    probs = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        probs[n] = float(np.dot(term_a[n::-1], term_b[: n + 1]))
+    return PhotonNumberDistribution(probs, tail_bound)
 
 
 def g2_vs_angle(
@@ -157,13 +148,9 @@ def p_function_convolution_check(
         if not (math.isfinite(m) and m >= 0.0):
             raise DomainError(f"{label} must be >= 0, got {m!r}")
     combined = mean_1 + mean_2
-    n_max = default_cutoff(combined)
-    if combined == 0.0:
-        probs = np.zeros(n_max + 1)
-        probs[0] = 1.0
-        return PhotonNumberDistribution(probs, 0.0)
-    while math.exp((n_max + 1) * (math.log(combined) - math.log1p(combined))) > tail_target:
-        n_max = math.ceil(n_max * 1.25) + 8
+    n_max, tail = _grow_cutoff(
+        default_cutoff(combined), lambda c: _thermal_tail(combined, c), tail_target
+    )
 
     order = n_max // 2 + 8
     nodes, weights = special.roots_laguerre(order)
@@ -177,17 +164,17 @@ def p_function_convolution_check(
         log_w[None, :] + n[:, None] * log_t[None, :], axis=1
     )
     log_thermal_scale = (
-        n * (math.log(combined) - math.log1p(combined))
+        special.xlogy(n, combined / (1.0 + combined))
         - math.log1p(combined)
         - special.gammaln(n + 1.0)
     )
     probs = np.exp(log_gamma_integral + log_thermal_scale)
 
-    tail = math.exp((n_max + 1) * (math.log(combined) - math.log1p(combined)))
     total = float(probs.sum())
     if abs(total - (1.0 - tail)) > 1e-9:
         raise AccuracyError(
             f"quadrature mass {total} deviates from 1 - tail = {1.0 - tail}"
         )
     np.clip(probs, 0.0, None, out=probs)
-    return PhotonNumberDistribution(probs, tail + 1e-9)
+    # The truncated mass is `tail`; a quadrature that lost more reports that.
+    return PhotonNumberDistribution(probs, max(tail, 1.0 - total))

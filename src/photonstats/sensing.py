@@ -14,6 +14,9 @@ L quanta in the subtraction arm (efficiency η_pl) conditions the kept arm
 * closed forms for the conditional mean, its standard deviation, the
   signal-to-noise ratio and the phase uncertainty Δφ = Δn/|d⟨n⟩/dφ|.
 
+The subtracted and conditional pmfs are truncated by the policy stated in
+`photonstats.states`.
+
 Two phase conventions coexist deliberately: the subtraction arm's success
 probability carries sin²(φ/2) while the kept arm's conditional moments carry
 cos²(φ/2). Each formula keeps the convention of the branch it describes.
@@ -21,16 +24,18 @@ cos²(φ/2). Each formula keeps the convention of the branch it describes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
 
-from .errors import AccuracyError, DomainError, SingularPointError
+from .errors import DomainError, SingularPointError
 from .states import (
     DEFAULT_TAIL_TARGET,
     PhotonNumberDistribution,
+    _grow_cutoff,
     binomial_thin,
     default_cutoff,
     moments,
@@ -140,29 +145,22 @@ def subtracted_pmf(
     _validate_subtraction_order(level)
     if not (math.isfinite(mean) and mean >= 0.0):
         raise DomainError(f"mean must be >= 0, got {mean!r}")
-    if mean == 0.0:
-        probs = np.zeros(17)
-        probs[0] = 1.0
-        return PhotonNumberDistribution(probs, 0.0)
-
     success = 1.0 / (1.0 + mean)
-
-    def tail(n_max: int) -> float:
-        return float(stats.nbinom.sf(n_max, level + 1, success))
-
-    n_max = default_cutoff((level + 1) * mean)
-    while tail(n_max) > tail_target:
-        n_max = math.ceil(n_max * 1.25) + 8
+    n_max, tail = _grow_cutoff(
+        default_cutoff((level + 1) * mean),
+        lambda c: float(stats.nbinom.sf(c, level + 1, success)),
+        tail_target,
+    )
 
     n = np.arange(n_max + 1)
     log_p = (
         special.gammaln(n + level + 1)
         - special.gammaln(n + 1)
         - special.gammaln(level + 1)
-        + n * math.log(mean)
+        + special.xlogy(n, mean)
         - (level + 1 + n) * math.log1p(mean)
     )
-    return PhotonNumberDistribution(np.exp(log_p), tail(n_max))
+    return PhotonNumberDistribution(np.exp(log_p), tail)
 
 
 def g2_subtracted(level: int) -> float:
@@ -186,13 +184,7 @@ def subtraction_success_probability(cfg: SensorConfig, level: int) -> float:
         * cfg.eta_pl
         * math.sin(cfg.phase / 2.0) ** 2
     )
-    if mean_d == 0.0:
-        return 1.0 if level == 0 else 0.0
-    return float(
-        math.exp(
-            level * math.log(mean_d) - (level + 1) * math.log1p(mean_d)
-        )
-    )
+    return math.exp(special.xlogy(level, mean_d) - (level + 1) * math.log1p(mean_d))
 
 
 # ===================================================================
@@ -218,7 +210,8 @@ def conditional_state_pmf(
     with ñ the kept-branch thermal mean; the normalizer is the thermal
     L-count probability of the subtraction mode (mean ñ(1−ξ)η_pl). The
     detected distribution is the η_ph binomial thinning of w/normalizer.
-    Truncation mass above ``tail_target`` raises AccuracyError.
+    The cutoff follows the `photonstats.states` policy with the mass deficit
+    as the tail.
     """
     _validate_subtraction_order(level)
     tilde_n = _kept_branch_mean(cfg, cfg.phase)
@@ -227,53 +220,35 @@ def conditional_state_pmf(
         raise DomainError(
             "conditioning on L > 0 has probability zero for this configuration"
         )
-    if tilde_n == 0.0:
-        probs = np.zeros(17)
-        probs[0] = 1.0
-        return PhotonNumberDistribution(probs, 0.0)
-    log_norm = level * math.log(mean_d) - (level + 1) * math.log1p(mean_d) if mean_d else 0.0
+    log_norm = special.xlogy(level, mean_d) - (level + 1) * math.log1p(mean_d)
 
-    n_cut = default_cutoff((level + 1) * (tilde_n + 1.0))
-    for _ in range(5):
+    @functools.cache  # the accepted cutoff is not evaluated twice
+    def weights(n_cut: int) -> np.ndarray:
         m = np.arange(level, n_cut + 1, dtype=float)[:, None]
         n = np.arange(0, n_cut + 1, dtype=float)[None, :]
         log_w = (
             special.gammaln(m + 1)
             - special.gammaln(level + 1)
             - special.gammaln(m - level + 1)
-            + (m + n) * (math.log(tilde_n) - math.log1p(tilde_n))
+            + special.xlogy(m + n, tilde_n / (1.0 + tilde_n))
             - math.log1p(tilde_n)
             + special.gammaln(m + n + 1)
             - special.gammaln(m + 1)
             - special.gammaln(n + 1)
+            + special.xlogy(level, cfg.eta_pl)
+            + special.xlog1py(m - level, -cfg.eta_pl)
+            + special.xlogy(n, cfg.xi)
+            + special.xlog1py(m, -cfg.xi)
         )
-        if cfg.eta_pl > 0.0:
-            log_w += level * math.log(cfg.eta_pl)
-        if cfg.eta_pl < 1.0:
-            log_w += (m - level) * math.log1p(-cfg.eta_pl)
-        else:
-            log_w = np.where(m - level > 0, -np.inf, log_w)
-        if cfg.xi > 0.0:
-            log_w += n * math.log(cfg.xi)
-        else:
-            log_w = np.where(n > 0, -np.inf, log_w)
-        if cfg.xi < 1.0:
-            log_w += m * math.log1p(-cfg.xi)
-        else:
-            log_w = np.where(m > 0, -np.inf, log_w)
+        return np.exp(special.logsumexp(log_w, axis=0) - log_norm)
 
-        log_probs = special.logsumexp(log_w, axis=0) - log_norm
-        probs = np.exp(log_probs)
-        deficiency = 1.0 - float(probs.sum())
-        if deficiency <= tail_target:
-            break
-        n_cut = n_cut * 2
-    else:
-        raise AccuracyError(
-            f"conditional-state truncation tail {deficiency} exceeds {tail_target}"
-        )
-    pre_detection = PhotonNumberDistribution(probs, max(deficiency, 0.0) + 1e-15)
-    return binomial_thin(pre_detection, cfg.eta_ph)
+    # The tail is the mass deficit, plus float slack for its ~1e2-term sum.
+    n_cut, tail = _grow_cutoff(
+        default_cutoff((level + 1) * (tilde_n + 1.0)),
+        lambda c: max(0.0, 1.0 - float(weights(c).sum())) + 1e-15,
+        tail_target,
+    )
+    return binomial_thin(PhotonNumberDistribution(weights(n_cut), tail), cfg.eta_ph)
 
 
 def conditional_mean(cfg: SensorConfig, level: int, phase: float | None = None) -> float:
@@ -335,20 +310,16 @@ def conditional_mean_phase_derivative(
 
 
 def phase_uncertainty(
-    cfg: SensorConfig, level: int, phase: float | None = None, step: float = 1e-4
+    cfg: SensorConfig, level: int, phase: float | None = None
 ) -> float:
     """Phase estimation error Δφ = Δn / |d⟨n⟩/dφ| at the working point.
 
-    The derivative is a central difference with step 1e-4 rad; a vanishing
-    slope (φ near 0 or π, where the fringe is stationary) raises
+    The slope is ``conditional_mean_phase_derivative``; a vanishing slope
+    (φ near 0 or π, where the fringe is stationary) raises
     SingularPointError rather than returning a divergent number.
     """
-    _validate_subtraction_order(level)
     phi = cfg.phase if phase is None else phase
-    derivative = (
-        conditional_mean(cfg, level, phi + step)
-        - conditional_mean(cfg, level, phi - step)
-    ) / (2.0 * step)
+    derivative = conditional_mean_phase_derivative(cfg, level, phi)
     if abs(derivative) < 1e-12:
         raise SingularPointError(
             f"conditional mean is stationary at phase {phi}; uncertainty diverges"

@@ -11,10 +11,21 @@ the conventions once:
   p(n) = n̄^n / (1+n̄)^(n+1));
 * g2 is the single-mode zero-delay form 1 + (⟨(Δn)²⟩ − ⟨n⟩)/⟨n⟩².
 
-Truncation policy: the baseline cutoff is max(16, ceil(20·(n̄+1))). Where the
-exact tail of the source is known (geometric, Poisson survival functions) the
-cutoff is extended until the truncated mass is at or below ``tail_target``, so
-the default construction honors tail_bound ≤ 1e-10 without silent rescaling.
+Truncation policy, shared by every truncated law in the package (``pmf``
+here, the scatter law, the P-function quadrature and the subtracted and
+heralded sensing states): start at a baseline cutoff, by default
+max(16, ceil(20·(n̄+1))) for the law's total mean, and grow it to
+ceil(1.25·n_max) + 8 until the mass past the cutoff is at or below
+``tail_target``. Each law supplies that tail: exactly where it is known
+(geometric and Poisson survival functions), otherwise as the mass deficit
+1 − Σp. A NaN or negative target raises DomainError before any work. A
+growth step that does not lower the tail (a deficit has hit its float floor)
+or 64 growth steps short of the target raise AccuracyError, so
+non-convergence is never silent and never slow. The default construction
+honors tail_bound ≤ 1e-10 without silent rescaling.
+
+Zero means and vanishing factors need no branches: log-space terms use
+``special.xlogy`` / ``special.xlog1py``, so 0·log 0 = 0 and 0⁰ = 1.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Literal, Sequence
+from typing import IO, Callable, Iterable, Literal, Sequence
 
 import numpy as np
 from scipy import special, stats
@@ -153,17 +164,46 @@ def default_cutoff(mean_total: float) -> int:
     return max(16, math.ceil(20.0 * (mean_total + 1.0)))
 
 
+def _grow_cutoff(
+    n_max: int, tail: Callable[[int], float], tail_target: float
+) -> tuple[int, float]:
+    """The truncation loop of every truncated law (see the module docstring):
+    grow ``n_max`` until ``tail(n_max)`` ≤ ``tail_target``; return the cutoff
+    and its tail."""
+    if not tail_target >= 0.0:
+        raise DomainError(f"tail_target must be >= 0, got {tail_target!r}")
+    current = tail(n_max)
+    steps = 0
+    while not current <= tail_target:
+        if steps == 64:
+            raise AccuracyError(
+                f"truncated mass {current:g} still above tail_target {tail_target:g} "
+                f"after 64 cutoff increases (cutoff {n_max})"
+            )
+        n_max = math.ceil(n_max * 1.25) + 8
+        steps += 1
+        previous, current = current, tail(n_max)
+        if not current < previous:
+            raise AccuracyError(
+                f"truncated mass stalled at {current:g} above tail_target "
+                f"{tail_target:g} (cutoff {n_max})"
+            )
+    return n_max, current
+
+
 def _thermal_tail(mean: float, n_max: int) -> float:
     # Geometric tail: sum_{n > n_max} n̄^n/(1+n̄)^(n+1) = (n̄/(1+n̄))^(n_max+1).
-    if mean == 0.0:
-        return 0.0
-    return math.exp((n_max + 1) * (math.log(mean) - math.log1p(mean)))
+    return math.exp(special.xlogy(n_max + 1, mean / (1.0 + mean)))
 
 
 def _coherent_tail(mean: float, n_max: int) -> float:
-    if mean == 0.0:
-        return 0.0
     return float(stats.poisson.sf(n_max, mean))
+
+
+def _deficit_bound(probs: np.ndarray) -> float:
+    """Tail bound of a pmf read back without one: its mass deficit plus the
+    float slack of the sum, kept below 1."""
+    return min(max(0.0, 1.0 - float(probs.sum())) + _SUM_SLACK, 1.0 - 1e-15)
 
 
 def pmf(
@@ -192,36 +232,20 @@ def pmf(
 
     tail_of = _thermal_tail if source.kind == "thermal" else _coherent_tail
     if cutoff is None:
-        n_max = default_cutoff(mean)
-        for _ in range(64):
-            if tail_of(mean, n_max) <= tail_target:
-                break
-            n_max = math.ceil(n_max * 1.25) + 8
-        else:
-            raise AccuracyError(
-                f"could not reach tail {tail_target} for {source.kind}({mean})"
-            )
+        n_max, tail = _grow_cutoff(
+            default_cutoff(mean), lambda c: tail_of(mean, c), tail_target
+        )
     else:
-        n_max = cutoff
+        n_max, tail = cutoff, tail_of(mean, cutoff)
 
     n = np.arange(n_max + 1)
     if source.kind == "thermal":
-        if mean == 0.0:
-            probs = np.zeros(n_max + 1)
-            probs[0] = 1.0
-        else:
-            # p(n) = r^n/(1+n̄) with r = n̄/(1+n̄), evaluated in log space so
-            # deep geometric tails underflow to 0 instead of losing digits.
-            log_r = math.log(mean) - math.log1p(mean)
-            probs = np.exp(n * log_r - math.log1p(mean))
+        # p(n) = r^n/(1+n̄) with r = n̄/(1+n̄), evaluated in log space so
+        # deep geometric tails underflow to 0 instead of losing digits.
+        probs = np.exp(special.xlogy(n, mean / (1.0 + mean)) - math.log1p(mean))
     else:  # coherent
-        if mean == 0.0:
-            probs = np.zeros(n_max + 1)
-            probs[0] = 1.0
-        else:
-            probs = np.exp(n * math.log(mean) - mean - special.gammaln(n + 1.0))
-
-    return PhotonNumberDistribution(probs, tail_of(mean, n_max))
+        probs = np.exp(special.xlogy(n, mean) - mean - special.gammaln(n + 1.0))
+    return PhotonNumberDistribution(probs, tail)
 
 
 # ===================================================================
@@ -349,8 +373,7 @@ def read_csv(src: str | IO[str]) -> PhotonNumberDistribution:
         if own:
             fh.close()
     probs = np.asarray(values)
-    deficit = max(0.0, 1.0 - float(probs.sum()))
-    return PhotonNumberDistribution(probs, min(deficit + _SUM_SLACK, 1.0 - 1e-15))
+    return PhotonNumberDistribution(probs, _deficit_bound(probs))
 
 
 def to_json_array(dist: PhotonNumberDistribution) -> str:
@@ -363,5 +386,4 @@ def from_json_array(text: str) -> PhotonNumberDistribution:
     if not isinstance(values, list) or not values:
         raise ContractError("expected a non-empty JSON array")
     probs = np.asarray([float(v) for v in values])
-    deficit = max(0.0, 1.0 - float(probs.sum()))
-    return PhotonNumberDistribution(probs, min(deficit + _SUM_SLACK, 1.0 - 1e-15))
+    return PhotonNumberDistribution(probs, _deficit_bound(probs))

@@ -256,3 +256,16 @@ class TestArgumentErrors:
             capsys, "scatter", "--theta-deg", "120", "--out", str(tmp_path)
         )
         assert rc == 2
+
+
+class TestTailTarget:
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_nan_or_negative_tail_target_exits_two(self, tmp_path, capsys, value):
+        rc, _, err = run(capsys, "scatter", f"--tail-target={value}", "--out", str(tmp_path))
+        assert rc == 2
+        assert "tail_target" in err
+
+    def test_tiny_tail_target_returns(self, tmp_path, capsys):
+        rc, summary, _ = run(capsys, "scatter", "--tail-target", "1e-20", "--out", str(tmp_path))
+        assert rc == 0
+        assert summary["n_max"] > 0

@@ -3,19 +3,30 @@ cell-by-cell joint law, and the mass/tail contract of truncated pmfs, over
 random parameters rather than frozen points."""
 
 import math
+import time
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from photonstats import (
+    AccuracyError,
     DetectorModel,
+    DomainError,
+    ScatterConfig,
+    SensorConfig,
     TwoArmDetection,
     coherent,
+    conditional_state_pmf,
     default_cutoff,
+    detected_pmf,
     fock,
     joint_pmf_noisy,
+    p_function_convolution_check,
     pmf,
+    preset,
+    subtracted_pmf,
     thermal,
 )
 from photonstats.imaging import _conditional_mean, _post_probability
@@ -95,3 +106,88 @@ def test_pmf_mass_honors_the_tail_bound(kind, mean, tail_target):
     assert dist.tail_bound <= tail_target
     # 1e-12 is the float slack the distribution type allows on "sums to one".
     assert 1.0 - dist.tail_bound - 1e-12 <= total <= 1.0 + 1e-12
+
+
+# The other truncating constructors: every one grows its cutoff by the shared
+# rule in `states`, so each must honor the same mass/tail contract.
+
+tail_targets = st.floats(1e-14, 1e-3)
+
+
+def _assert_mass_honors_the_tail_bound(dist, tail_target):
+    assert dist.tail_bound <= tail_target
+    assert float(dist.probs.sum()) >= 1.0 - dist.tail_bound - 1e-12
+
+
+@SETTINGS
+@given(mean=st.floats(0.0, 20.0), level=st.integers(0, 4), tail_target=tail_targets)
+def test_subtracted_pmf_mass_honors_the_tail_bound(mean, level, tail_target):
+    dist = subtracted_pmf(mean, level, tail_target=tail_target)
+    _assert_mass_honors_the_tail_bound(dist, tail_target)
+
+
+@SETTINGS
+@given(
+    mean_source=st.floats(0.0, 10.0),
+    mean_plasmon=st.floats(0.0, 10.0),
+    theta=st.floats(0.0, 90.0),
+    tail_target=tail_targets,
+)
+def test_detected_pmf_mass_honors_the_tail_bound(mean_source, mean_plasmon, theta, tail_target):
+    dist = detected_pmf(ScatterConfig(mean_source, mean_plasmon, theta), tail_target=tail_target)
+    _assert_mass_honors_the_tail_bound(dist, tail_target)
+
+
+@SETTINGS
+@given(mean_1=st.floats(0.0, 10.0), mean_2=st.floats(0.0, 10.0), tail_target=tail_targets)
+def test_p_function_mass_honors_the_tail_bound(mean_1, mean_2, tail_target):
+    dist = p_function_convolution_check(mean_1, mean_2, tail_target=tail_target)
+    _assert_mass_honors_the_tail_bound(dist, tail_target)
+
+
+# Zero, one and values clear of subnormals, as for the detector strategies.
+fractions = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1.0))
+
+
+@SETTINGS
+@given(
+    cfg=st.builds(
+        SensorConfig,
+        st.one_of(st.just(0.0), st.floats(1e-3, 20.0)),
+        st.floats(0.0, 2.0 * math.pi),
+        fractions, fractions, fractions, fractions,
+    ),
+    level=st.integers(0, 3),
+    # The tail is a mass deficit, so targets stay well above its float floor.
+    tail_target=st.floats(1e-11, 1e-3),
+)
+def test_conditional_state_pmf_mass_honors_the_tail_bound(cfg, level, tail_target):
+    mean_d = cfg.mean * cfg.gamma_loss * math.cos(cfg.phase / 2.0) ** 2 * (1.0 - cfg.xi) * cfg.eta_pl
+    assume(level == 0 or mean_d > 0.0)
+    dist = conditional_state_pmf(cfg, level, tail_target=tail_target)
+    _assert_mass_honors_the_tail_bound(dist, tail_target)
+
+
+TRUNCATING_CONSTRUCTORS = {
+    "pmf": lambda t: pmf(thermal(1.0), tail_target=t),
+    "subtracted_pmf": lambda t: subtracted_pmf(1.0, 1, tail_target=t),
+    "detected_pmf": lambda t: detected_pmf(ScatterConfig(1.0, 1.0, 45.0), tail_target=t),
+    "p_function_convolution_check": lambda t: p_function_convolution_check(0.7, 1.4, tail_target=t),
+    "conditional_state_pmf": lambda t: conditional_state_pmf(preset("thesis-ch5"), 1, tail_target=t),
+}
+
+
+@pytest.mark.parametrize("tail_target", [-1.0, math.nan])
+@pytest.mark.parametrize("name", sorted(TRUNCATING_CONSTRUCTORS))
+def test_bad_tail_target_is_a_domain_error(name, tail_target):
+    with pytest.raises(DomainError, match="tail_target"):
+        TRUNCATING_CONSTRUCTORS[name](tail_target)
+
+
+def test_unreachable_deficit_target_fails_fast():
+    # A mass deficit cannot fall below its float floor (~1e-15): the cutoff
+    # stops growing as soon as a step fails to lower it.
+    start = time.perf_counter()
+    with pytest.raises(AccuracyError):
+        conditional_state_pmf(preset("thesis-ch5"), 1, tail_target=1e-20)
+    assert time.perf_counter() - start < 1.0

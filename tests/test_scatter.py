@@ -1,5 +1,7 @@
 """Mixed source-plus-scatter photon statistics."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,19 @@ class TestPFunctionConvolution:
     def test_negative_mean_rejected(self):
         with pytest.raises(DomainError):
             p_function_convolution_check(-1.0, 0.5)
+
+
+class TestTinyTailTarget:
+    def test_exact_tail_reaches_a_target_below_float_resolution(self):
+        # A tail taken as 1 − Σp cannot go below ~1e-16; the exact tail can.
+        start = time.perf_counter()
+        d = detected_pmf(ScatterConfig(1.0, 1.0, 45.0), tail_target=1e-20)
+        assert time.perf_counter() - start < 1.0
+        assert d.tail_bound <= 1e-20
+        # P(X+Y > n) = Σ_{m≤n} BE_B(m)·r_A^(n−m+1) + r_B^(n+1), r = n̄/(1+n̄)
+        a, b = ScatterConfig(1.0, 1.0, 45.0).mode_means
+        r_a, r_b = a / (1.0 + a), b / (1.0 + b)
+        m = np.arange(d.n_max + 1)
+        be_b = pmf(thermal(b), cutoff=d.n_max).probs
+        exact = float(np.sum(be_b * r_a ** (d.n_max - m + 1))) + r_b ** (d.n_max + 1)
+        assert d.tail_bound == pytest.approx(exact, rel=1e-12)

@@ -3,7 +3,9 @@
 Every subcommand resolves its parameters from defaults, an optional JSON
 config file, and explicit flags (flags win), writes its numeric artifacts
 as CSV/JSON/PGM into the output directory, and drops a manifest echoing the
-fully resolved configuration so the run can be repeated byte for byte.
+fully resolved configuration so the run can be repeated byte for byte. The
+manifest also records the run's summary (for `reconstruct`: iterations,
+residual and stop_reason), which is deterministic like the artifacts.
 Floats are printed with 17 significant digits for exact round-trips.
 
 Exit codes: 0 success, 2 configuration or domain error, 3 accuracy or
@@ -111,11 +113,14 @@ def _jsonify(value):
     return value
 
 
-def _write_manifest(out_dir: Path, name: str, params: dict, artifacts: list[str]) -> Path:
+def _write_manifest(
+    out_dir: Path, name: str, params: dict, artifacts: list[str], summary: dict
+) -> Path:
     manifest = {
         "subcommand": name,
         "config": _jsonify(params),
         "artifacts": sorted(artifacts),
+        "summary": _jsonify(summary),
         "version": __version__,
     }
     path = out_dir / f"{name}-manifest.json"
@@ -336,6 +341,7 @@ def _cmd_reconstruct(params: dict, out: Path) -> dict:
         "artifacts": [img_path.name, trace_path.name],
         "iterations": result.iterations,
         "residual": result.residual,
+        "stop_reason": result.stop_reason,
     }
 
 
@@ -508,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         params = _resolve(args)
         summary = args._handler(params, out_dir)
         artifacts = summary.pop("artifacts", [])
-        manifest = _write_manifest(out_dir, args.subcommand, params, artifacts)
+        manifest = _write_manifest(out_dir, args.subcommand, params, artifacts, summary)
         _emit(
             {
                 "subcommand": args.subcommand,

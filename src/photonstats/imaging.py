@@ -146,14 +146,24 @@ class TwoArmDetection:
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Solver output; the objective trace must not increase once the first
-    few iterations have settled (1e-9 slack, scaled problem)."""
+    few iterations have settled (1e-9 slack, scaled problem).
+
+    stop_reason is "converged" (the objective stalled within tol, or there
+    was nothing to solve) or "max_iter" (the iteration budget ran out); a
+    result built without one does not claim convergence.
+    """
 
     s_hat: np.ndarray
     iterations: int
     objective_trace: np.ndarray
     residual: float
+    stop_reason: str = "max_iter"
 
     def __post_init__(self) -> None:
+        if self.stop_reason not in ("converged", "max_iter"):
+            raise ContractError(
+                f"stop_reason must be 'converged' or 'max_iter', got {self.stop_reason!r}"
+            )
         s = np.array(self.s_hat, dtype=float, copy=True)
         trace = np.array(self.objective_trace, dtype=float, copy=True)
         if s.ndim != 1 or trace.ndim != 1:
@@ -426,6 +436,8 @@ def _grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grad_adjoint(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Gᵀ of `_grad`; with it, the textbook prox sweep the tests compare
+    `_TvWorkspace.prox` against."""
     out = np.zeros_like(gx)
     out[:, :-1] -= gx[:, :-1]
     out[:, 1:] += gx[:, :-1]
@@ -437,6 +449,63 @@ def _grad_adjoint(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
 def _tv(u: np.ndarray) -> float:
     gx, gy = _grad(u)
     return float(np.abs(gx).sum() + np.abs(gy).sum())
+
+
+class _TvWorkspace:
+    """The buffers of the TV prox on one (H, W) float64 grid, made once per
+    solve; the dual is carried from one prox call to the next.
+
+    The dual lives in one flat buffer laid out as W zeros, then py, then px
+    (row-major). Gᵀ never reads px's last column or py's last row, and the
+    workspace holds both at 0: its slope there is always 0, as in `_grad`.
+    Then "py one row up" and "px one entry left" are plain shifted slices of
+    the buffer with zeros where `_grad_adjoint` adds nothing, and every sweep
+    is a handful of whole-array operations with ``out=``.
+    """
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        height, width = shape
+        n = height * width
+        self._flat = np.zeros(width + 2 * n)
+        self.dual = self._flat[width:].reshape(2, height, width)  # (py, px)
+        self.py, self.px = self.dual
+        # py[i−1, j] with 0 on the first row; px[i, j−1] with 0 at j = 0
+        self._py_above = self._flat[:n].reshape(height, width)
+        self._px_left = self._flat[width + n - 1 : -1].reshape(height, width)
+        self.slope = np.zeros((2, height, width))  # (step·gy, step·gx)
+        self._adjoint = np.empty((height, width))
+
+    def _primal(self, v: np.ndarray, weight: float, out: np.ndarray) -> None:
+        """out = v − weight·Gᵀp, with Gᵀp summed in `_grad_adjoint`'s order."""
+        adj = self._adjoint
+        np.subtract(self._px_left, self.px, out=adj)
+        np.subtract(adj, self.py, out=adj)
+        np.add(adj, self._py_above, out=adj)
+        np.multiply(weight, adj, out=adj)
+        np.subtract(v, adj, out=out)
+
+    def prox(self, v: np.ndarray, weight: float, n_inner: int, out: np.ndarray) -> None:
+        """`tv_prox` in place: advances the dual by n_inner sweeps and writes
+        u into `out`, a C-contiguous array that overlaps neither v nor the
+        workspace."""
+        width = self.px.shape[1]
+        step = 1.0 / (8.0 * weight)
+        u = out.reshape(-1)
+        gy, gx = self.slope
+        flat_gy, flat_gx = self.slope.reshape(2, -1)
+        self._primal(v, weight, out)
+        for _ in range(n_inner):
+            np.subtract(u[width:], u[:-width], out=flat_gy[: u.size - width])
+            np.subtract(u[1:], u[:-1], out=flat_gx[:-1])
+            np.multiply(step, self.slope, out=self.slope)
+            # `_grad`'s zero slopes: gx[:, -1] now holds the differences that
+            # wrap from one row to the next, and step·0 is NaN if step = inf.
+            gx[:, -1] = 0.0
+            gy[-1] = 0.0
+            np.add(self.dual, self.slope, out=self.dual)
+            np.maximum(self.dual, -1.0, out=self.dual)
+            np.minimum(self.dual, 1.0, out=self.dual)
+            self._primal(v, weight, out)
 
 
 def tv_prox(
@@ -451,22 +520,31 @@ def tv_prox(
     operator, iterate p ← clamp(p + G(v − weight·Gᵀp)/(8·weight), [−1,1])
     and return u = v − weight·Gᵀp. The dual variables can be warm-started
     across outer iterations of a solver.
+
+    The sweeps run in place in a `_TvWorkspace` (float64) made for this
+    call; neither v nor warm_dual is written to. Each sweep performs the
+    textbook sweep's floating-point operations in the same order on the same
+    operands, so u and the returned dual equal those of the sweep written
+    with `_grad` and `_grad_adjoint`, bit for bit (the tests compare them).
     """
     if weight < 0.0:
         raise DomainError("prox weight must be >= 0")
     if weight == 0.0:
         return v.copy(), (np.zeros_like(v), np.zeros_like(v))
-    if warm_dual is None:
-        px, py = np.zeros_like(v), np.zeros_like(v)
-    else:
-        px, py = warm_dual[0].copy(), warm_dual[1].copy()
-    step = 1.0 / (8.0 * weight)
-    for _ in range(n_inner):
-        u = v - weight * _grad_adjoint(px, py)
-        gx, gy = _grad(u)
-        px = np.clip(px + step * gx, -1.0, 1.0)
-        py = np.clip(py + step * gy, -1.0, 1.0)
-    return v - weight * _grad_adjoint(px, py), (px, py)
+    work = _TvWorkspace(v.shape)
+    if warm_dual is not None:
+        work.px[...], work.py[...] = warm_dual
+    # Gᵀ ignores px's last column and py's last row: the workspace holds them
+    # at 0, and each sweep would only clamp them after adding step·0.
+    edges = np.concatenate([work.px[:, -1], work.py[-1]])
+    work.px[:, -1] = 0.0
+    work.py[-1] = 0.0
+    u = np.empty(v.shape)
+    work.prox(v, weight, n_inner, u)
+    if n_inner > 0:  # a second sweep changes them no further
+        edges = np.minimum(np.maximum(edges + (1.0 / (8.0 * weight)) * 0.0, -1.0), 1.0)
+    work.px[:, -1], work.py[-1] = edges[: v.shape[0]], edges[v.shape[0] :]
+    return u, (work.px, work.py)
 
 
 def _spectral_norm_sq(q: np.ndarray, n_steps: int = 50) -> float:
@@ -503,6 +581,14 @@ def cs_reconstruct(
     never rises. Plain gradient steps stall here because binary masks carry
     a dominant all-ones component (λmax far above the informative spectrum).
     Measurements are scaled to max 1 before solving and scaled back.
+
+    A solve allocates its buffers once: one `_TvWorkspace`, whose dual is
+    carried from each prox call to the next, and a few image-sized arrays
+    updated with ``out=``. The iterates, objective trace and iteration count
+    equal, bit for bit, those of the same loop written with fresh arrays and
+    the textbook `tv_prox` sweep (the tests keep that loop as the oracle).
+    stop_reason is "converged" when the objective has stalled within tol
+    for 5 steps in a row and "max_iter" when max_iter steps ran out first.
     """
     q = masks.matrix if isinstance(masks, SensingMatrix) else np.asarray(masks, float)
     y = np.asarray(y, dtype=float)
@@ -528,7 +614,9 @@ def cs_reconstruct(
     scale = float(np.max(np.abs(y)))
     if scale == 0.0:
         zeros = np.zeros(n_pixels)
-        return ReconstructionResult(zeros, 0, np.array([0.0]), float(np.linalg.norm(y)))
+        return ReconstructionResult(
+            zeros, 0, np.array([0.0]), float(np.linalg.norm(y)), "converged"
+        )
     y_scaled = y / scale
 
     lip = mu * _spectral_norm_sq(q)
@@ -540,18 +628,30 @@ def cs_reconstruct(
         resid = q @ s_img.ravel() - y_scaled
         return _tv(s_img) + 0.5 * mu * float(resid @ resid)
 
+    # One workspace per solve. `s` and `candidate` swap buffers when a
+    # candidate is accepted, so no iterate is overwritten while in use.
+    work = _TvWorkspace(shape)
     s = np.zeros(shape)
-    momentum = s
-    dual = (np.zeros(shape), np.zeros(shape))
+    candidate = np.empty(shape)
+    momentum = np.zeros(shape)
+    spare = np.empty(shape)
+    moved = np.empty(shape)  # the gradient, then the gradient-step point
+    data_resid = np.empty(q.shape[0])
     t_k = 1.0
     trace = [objective(s)]
     iterations = 0
     stall = 0
+    stop_reason = "max_iter"
     for _ in range(max_iter):
-        gradient = (mu * (q.T @ (q @ momentum.ravel() - y_scaled))).reshape(shape)
-        candidate, dual = tv_prox(momentum - base_step * gradient, base_step, warm_dual=dual)
+        np.matmul(q, momentum.ravel(), out=data_resid)
+        np.subtract(data_resid, y_scaled, out=data_resid)
+        np.matmul(q.T, data_resid, out=moved.ravel())
+        np.multiply(mu, moved, out=moved)
+        np.multiply(base_step, moved, out=moved)
+        np.subtract(momentum, moved, out=moved)
+        work.prox(moved, base_step, 20, candidate)
         if nonneg:
-            np.clip(candidate, 0.0, None, out=candidate)
+            np.maximum(candidate, 0.0, out=candidate)
         value = objective(candidate)
         previous = trace[-1]
         if value <= previous:  # monotone guard: extrapolation may overshoot
@@ -561,22 +661,30 @@ def cs_reconstruct(
             s_next = s
             accepted_value = previous
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-        momentum = s_next + (t_k / t_next) * (candidate - s_next) + (
-            (t_k - 1.0) / t_next
-        ) * (s_next - s)
-        s, t_k = s_next, t_next
+        # momentum = s_next + (t_k / t_next)·(candidate − s_next)
+        #            + ((t_k − 1) / t_next)·(s_next − s), in that order
+        np.subtract(candidate, s_next, out=momentum)
+        np.multiply(t_k / t_next, momentum, out=momentum)
+        np.add(s_next, momentum, out=momentum)
+        np.subtract(s_next, s, out=spare)
+        np.multiply((t_k - 1.0) / t_next, spare, out=spare)
+        np.add(momentum, spare, out=momentum)
+        if s_next is candidate:
+            s, candidate = candidate, s
+        t_k = t_next
         iterations += 1
         trace.append(accepted_value)
         if abs(previous - accepted_value) <= tol * max(abs(previous), 1e-300):
             stall += 1
             if stall >= 5:  # momentum can pause progress for a step or two
+                stop_reason = "converged"
                 break
         else:
             stall = 0
 
     s_hat = s.ravel() * scale
     residual = float(np.linalg.norm(q @ s_hat - y))
-    return ReconstructionResult(s_hat, iterations, np.asarray(trace), residual)
+    return ReconstructionResult(s_hat, iterations, np.asarray(trace), residual, stop_reason)
 
 
 def image_snr(s_hat: np.ndarray, object_mask: np.ndarray) -> float:

@@ -215,12 +215,20 @@ def conditional_state_pmf(
     """
     _validate_subtraction_order(level)
     tilde_n = _kept_branch_mean(cfg, cfg.phase)
-    mean_d = tilde_n * (1.0 - cfg.xi) * cfg.eta_pl
-    if mean_d == 0.0 and level > 0:
+    if level > 0 and (tilde_n == 0.0 or cfg.xi == 1.0 or cfg.eta_pl == 0.0):
         raise DomainError(
             "conditioning on L > 0 has probability zero for this configuration"
         )
-    log_norm = special.xlogy(level, mean_d) - (level + 1) * math.log1p(mean_d)
+    # L·log(mean_d) from the logs of its factors: the product itself can
+    # round (or underflow) in the subnormal range while the weights below
+    # use the same factors in log space.
+    mean_d = tilde_n * (1.0 - cfg.xi) * cfg.eta_pl
+    log_norm = (
+        special.xlogy(level, tilde_n)
+        + special.xlog1py(level, -cfg.xi)
+        + special.xlogy(level, cfg.eta_pl)
+        - (level + 1) * math.log1p(mean_d)
+    )
 
     @functools.cache  # the accepted cutoff is not evaluated twice
     def weights(n_cut: int) -> np.ndarray:

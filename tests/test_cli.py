@@ -231,6 +231,26 @@ class TestReconstructRoundTrip:
         assert np.all(np.diff(settled) <= 1e-9 * np.maximum(1.0, settled[:-1]))
         assert summary["residual"] < 0.1
 
+    def test_stop_reason_in_summary_and_manifest(self, tmp_path, capsys):
+        rc, _, _ = run(
+            capsys, "image-sim", "--width", "8", "--height", "8",
+            "--measurements", "40", "--shots", "0", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        rc, summary, _ = run(
+            capsys, "reconstruct",
+            "--input", str(tmp_path / "image-sim-measurements.csv"),
+            "--masks", str(tmp_path / "image-sim-masks.csv"),
+            "--width", "8", "--height", "8", "--max-iter", "3", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        assert summary["iterations"] == 3
+        assert summary["stop_reason"] == "max_iter"
+        manifest = json.loads((tmp_path / "reconstruct-manifest.json").read_text())
+        assert manifest["summary"] == {
+            key: summary[key] for key in ("iterations", "residual", "stop_reason")
+        }
+
     def test_missing_input_is_a_config_error(self, tmp_path, capsys):
         rc, _, err = run(
             capsys, "reconstruct", "--input", str(tmp_path / "nope.csv"),

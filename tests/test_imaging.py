@@ -337,6 +337,155 @@ class TestReconstruction:
             )
 
 
+def _textbook_prox(v, weight, n_inner=20, warm_dual=None):
+    """The dual projected-gradient prox written with `_grad` and
+    `_grad_adjoint`, fresh arrays every sweep: the reference for `tv_prox`."""
+    if weight == 0.0:
+        return v.copy(), (np.zeros_like(v), np.zeros_like(v))
+    if warm_dual is None:
+        px, py = np.zeros_like(v), np.zeros_like(v)
+    else:
+        px, py = warm_dual[0].copy(), warm_dual[1].copy()
+    step = 1.0 / (8.0 * weight)
+    for _ in range(n_inner):
+        u = v - weight * _grad_adjoint(px, py)
+        gx, gy = _grad(u)
+        px = np.clip(px + step * gx, -1.0, 1.0)
+        py = np.clip(py + step * gy, -1.0, 1.0)
+    return v - weight * _grad_adjoint(px, py), (px, py)
+
+
+def _textbook_mfista(q, y, mu, shape, max_iter=2000, tol=1e-9, nonneg=True):
+    """Monotone FISTA around `_textbook_prox`, allocating as it goes: the
+    reference for `cs_reconstruct`."""
+    scale = float(np.max(np.abs(y)))
+    y_scaled = y / scale
+    base_step = 1.0 / (mu * _spectral_norm_sq(q))
+
+    def objective(s_img):
+        resid = q @ s_img.ravel() - y_scaled
+        return _tv(s_img) + 0.5 * mu * float(resid @ resid)
+
+    s = np.zeros(shape)
+    momentum = s
+    dual = (np.zeros(shape), np.zeros(shape))
+    t_k = 1.0
+    trace = [objective(s)]
+    stall = 0
+    for _ in range(max_iter):
+        gradient = (mu * (q.T @ (q @ momentum.ravel() - y_scaled))).reshape(shape)
+        candidate, dual = _textbook_prox(momentum - base_step * gradient, base_step, warm_dual=dual)
+        if nonneg:
+            np.clip(candidate, 0.0, None, out=candidate)
+        value = objective(candidate)
+        previous = trace[-1]
+        s_next, accepted = (candidate, value) if value <= previous else (s, previous)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+        momentum = s_next + (t_k / t_next) * (candidate - s_next) + (
+            (t_k - 1.0) / t_next
+        ) * (s_next - s)
+        s, t_k = s_next, t_next
+        trace.append(accepted)
+        if abs(previous - accepted) <= tol * max(abs(previous), 1e-300):
+            stall += 1
+            if stall >= 5:
+                break
+        else:
+            stall = 0
+    return s.ravel() * scale, np.asarray(trace), len(trace) - 1
+
+
+class TestBitForBitAgainstTheTextbook:
+    """The in-place prox and solver do the textbook loops' floating-point
+    operations in the same order: results must be equal, not close."""
+
+    @pytest.mark.parametrize("shape", [(32, 32), (7, 5), (1, 6), (6, 1)])
+    # At 1e-310 the step 1/(8·weight) overflows: step·0 is NaN in the dual
+    # entries Gᵀ ignores, and u must still match.
+    @pytest.mark.parametrize("weight", [0.0, 1e-310, 1e-6, 0.3, 10.0])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_prox_equals_the_textbook_sweep(self, shape, weight):
+        rng = np.random.default_rng(17)
+        v = rng.normal(size=shape)
+        # Warm duals past the clamp, with a non-zero last row and column,
+        # which Gᵀ must ignore.
+        warm = (rng.uniform(-1.5, 1.5, size=shape), rng.uniform(-1.5, 1.5, size=shape))
+        assert np.all(warm[0][:, -1] != 0.0) and np.all(warm[1][-1] != 0.0)
+        for warm_dual in (None, warm):
+            for n_inner in (0, 1, 20):
+                u, (px, py) = tv_prox(v, weight, n_inner=n_inner, warm_dual=warm_dual)
+                u_ref, (px_ref, py_ref) = _textbook_prox(v, weight, n_inner, warm_dual)
+                assert np.array_equal(u, u_ref)
+                assert np.array_equal(px, px_ref, equal_nan=True)
+                assert np.array_equal(py, py_ref, equal_nan=True)
+
+    def test_prox_writes_to_no_input_and_shares_no_memory(self):
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=(9, 11))
+        warm = (rng.uniform(-1, 1, size=(9, 11)), rng.uniform(-1, 1, size=(9, 11)))
+        kept = (v.copy(), warm[0].copy(), warm[1].copy())
+        first = tv_prox(v, 0.2, warm_dual=warm)
+        second = tv_prox(v, 0.2, warm_dual=warm)
+        for before, after in zip(kept, (v, *warm)):
+            assert np.array_equal(before, after)
+        arrays_1 = [first[0], *first[1]]
+        arrays_2 = [second[0], *second[1]]
+        for a in arrays_1:
+            assert not np.shares_memory(a, v)
+            assert not any(np.shares_memory(a, w) for w in warm)
+            assert not any(np.shares_memory(a, b) for b in arrays_2)
+
+    @pytest.mark.parametrize(
+        "nonneg, max_iter, stop_reason", [(True, 2000, "converged"), (False, 150, "max_iter")]
+    )
+    def test_solver_equals_the_textbook_loop(self, nonneg, max_iter, stop_reason):
+        # The test_compressed_phantom_recovery problem.
+        scene = binary_phantom(16, 16)
+        masks = random_sensing_matrix(154, 256, seed=3)
+        q = masks.matrix.copy()
+        y = acquire(scene, masks, IDEAL, mode="intensity")
+        kept = (q.copy(), y.copy())
+        res = cs_reconstruct(q, y, mu=100.0, max_iter=max_iter, nonneg=nonneg, shape=(16, 16))
+        s_ref, trace_ref, iterations_ref = _textbook_mfista(
+            kept[0], kept[1], 100.0, (16, 16), max_iter=max_iter, nonneg=nonneg
+        )
+        assert np.array_equal(res.s_hat, s_ref)
+        assert np.array_equal(res.objective_trace, trace_ref)
+        assert res.iterations == iterations_ref
+        assert res.stop_reason == stop_reason
+        assert np.array_equal(q, kept[0]) and np.array_equal(y, kept[1])
+        again = cs_reconstruct(q, y, mu=100.0, max_iter=max_iter, nonneg=nonneg, shape=(16, 16))
+        assert np.array_equal(again.s_hat, res.s_hat)
+        assert not np.shares_memory(again.s_hat, res.s_hat)
+        assert not np.shares_memory(again.objective_trace, res.objective_trace)
+
+
+class TestStopReason:
+    def test_zero_measurements_count_as_converged(self):
+        masks = SensingMatrix(np.eye(16), RngSeed(0), 0.5)
+        res = cs_reconstruct(masks, np.zeros(16), mu=10.0, shape=(4, 4))
+        assert res.iterations == 0
+        assert res.stop_reason == "converged"
+
+    def test_exhausted_budget_is_reported(self):
+        scene = binary_phantom(8, 8)
+        masks = random_sensing_matrix(40, 64, seed=8)
+        y = acquire(scene, masks, IDEAL, mode="intensity")
+        res = cs_reconstruct(masks, y, mu=50.0, max_iter=3, shape=(8, 8))
+        assert res.iterations == 3
+        assert res.stop_reason == "max_iter"
+
+    def test_unknown_reason_rejected(self):
+        with pytest.raises(ContractError, match="stop_reason"):
+            ReconstructionResult(np.zeros(4), 1, np.array([1.0, 0.5]), 0.1, "stalled")
+
+    def test_default_does_not_claim_convergence(self):
+        res = ReconstructionResult(s_hat=np.zeros(4), iterations=1,
+                                   objective_trace=np.array([1.0, 0.5]), residual=0.1)
+        assert res.stop_reason == "max_iter"
+
+
 class TestImageSnr:
     def test_contrast_ratio(self):
         img = np.zeros(16)

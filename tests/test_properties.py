@@ -145,8 +145,11 @@ def test_p_function_mass_honors_the_tail_bound(mean_1, mean_2, tail_target):
     _assert_mass_honors_the_tail_bound(dist, tail_target)
 
 
-# Zero, one and values clear of subnormals, as for the detector strategies.
-fractions = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1.0))
+# Zero, one, tiny and subnormal values: the normalizer of a vanishing
+# subtraction-mode mean is where precision is lost first.
+fractions = st.one_of(
+    st.just(0.0), st.just(1.0), st.floats(0.0, 1e-300), st.floats(0.0, 1.0)
+)
 
 
 @SETTINGS
@@ -161,9 +164,11 @@ fractions = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1.0))
     # The tail is a mass deficit, so targets stay well above its float floor.
     tail_target=st.floats(1e-11, 1e-3),
 )
+# A subnormal subtraction-mode mean ñ(1−ξ)η_pl ≈ 6.6e-316 from a tiny loss.
+@example(cfg=SensorConfig(1.0, 0.0, 0.0, 3e-300, 0.0, 2.2e-16), level=1, tail_target=1e-8)
 def test_conditional_state_pmf_mass_honors_the_tail_bound(cfg, level, tail_target):
-    mean_d = cfg.mean * cfg.gamma_loss * math.cos(cfg.phase / 2.0) ** 2 * (1.0 - cfg.xi) * cfg.eta_pl
-    assume(level == 0 or mean_d > 0.0)
+    tilde_n = cfg.mean * cfg.gamma_loss * math.cos(cfg.phase / 2.0) ** 2
+    assume(level == 0 or (tilde_n > 0.0 and cfg.xi < 1.0 and cfg.eta_pl > 0.0))
     dist = conditional_state_pmf(cfg, level, tail_target=tail_target)
     _assert_mass_honors_the_tail_bound(dist, tail_target)
 

@@ -154,6 +154,20 @@ class TestConditionalState:
         d = conditional_state_pmf(cfg, 0)
         assert d.probs[0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("eta_ph", [0.0, 1.0])
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize(
+        "mean, eta_pl",
+        [(3e-300, 2.2e-16), (1e-300, 1e-20), (1e-300, 1e-17), (1e-300, 1e-300)],
+    )
+    def test_subnormal_subtraction_mode_mean(self, mean, eta_pl, level, eta_ph):
+        # ñ(1−ξ)η_pl is subnormal (or underflows to 0) while every factor is
+        # positive: the normalizer must come from the factors' logs.
+        cfg = SensorConfig(mean, 0.0, 0.0, 1.0, eta_ph, eta_pl)
+        d = conditional_state_pmf(cfg, level, tail_target=1e-8)
+        assert float(d.probs.sum()) <= 1.0
+        assert d.tail_bound <= 1e-8
+
 
 class TestSnr:
     def test_dark_port_phase(self):

@@ -89,12 +89,32 @@ def _load_config(path: str | None, subcommand: str) -> dict:
     return data
 
 
+def _from_config(key: str, value, action: argparse.Action, default):
+    """A config value converted as argparse converts the flag's text: each
+    JSON scalar through its JSON text, a list for a flag taking several
+    values, null only where the default is None."""
+    if value is None and default is None:
+        return None
+    values = value if action.nargs and isinstance(value, list) else [value]
+    convert = action.type or str
+    try:
+        if len(values) != (action.nargs or 1):
+            raise ValueError
+        converted = [convert(v if isinstance(v, str) else json.dumps(v)) for v in values]
+    except ValueError:
+        raise ConfigError(
+            f"config key {key!r}: invalid value {value!r} for {action.option_strings[0]}"
+        ) from None
+    return converted if action.nargs else converted[0]
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Defaults, overridden by the config file, overridden by explicit flags."""
     config = _load_config(args.config, args.subcommand)
     unknown = set(config) - set(args._defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    config = {k: _from_config(k, v, args._actions[k], args._defaults[k]) for k, v in config.items()}
     explicit = {k: v for k, v in vars(args).items() if k in args._defaults}
     return {**args._defaults, **config, **explicit}
 
@@ -144,15 +164,15 @@ def _emit(summary: dict) -> None:
 # ===================================================================
 
 def _cmd_g2_scan(params: dict, out: Path) -> dict:
-    n_s = float(params["n_s"])
+    n_s = params["n_s"]
     if params["n_pl"] is not None:
-        n_pl = float(params["n_pl"])
+        n_pl = params["n_pl"]
     else:
-        ratio = float(params["n_pl_ratio"])
+        ratio = params["n_pl_ratio"]
         if ratio <= 0.0:
             raise ConfigError("n_pl_ratio must be > 0")
         n_pl = n_s / ratio
-    grid = np.linspace(float(params["theta_start"]), float(params["theta_stop"]), int(params["theta_count"]))
+    grid = np.linspace(params["theta_start"], params["theta_stop"], params["theta_count"])
     curve = g2_vs_angle(n_s, n_pl, grid)
     path = out / "g2-scan.csv"
     _write_rows(path, "theta_deg,g2", [(float(t), float(g)) for t, g in curve])
@@ -160,24 +180,25 @@ def _cmd_g2_scan(params: dict, out: Path) -> dict:
 
 
 def _cmd_scatter(params: dict, out: Path) -> dict:
-    cfg = ScatterConfig(float(params["n_s"]), float(params["n_pl"]), float(params["theta_deg"]))
-    dist = detected_pmf(cfg, tail_target=float(params["tail_target"]))
+    cfg = ScatterConfig(params["n_s"], params["n_pl"], params["theta_deg"])
+    dist = detected_pmf(cfg, tail_target=params["tail_target"])
     path = out / "scatter-pmf.csv"
     write_csv(dist, str(path))
-    return {"artifacts": [path.name], "g2": g2_from_pmf(dist), "n_max": dist.n_max}
+    return {"artifacts": [path.name], "g2": g2_from_pmf(dist), "n_max": dist.n_max,
+            "tail_bound": dist.tail_bound}
 
 
 def _cmd_coherence_map(params: dict, out: Path) -> dict:
     cfg = InterferenceConfig(
-        mean_h=float(params["mean_h"]),
-        mean_v=float(params["mean_v"]),
-        psi=float(params["psi"]),
-        zeta=float(params["zeta"]),
+        mean_h=params["mean_h"],
+        mean_v=params["mean_v"],
+        psi=params["psi"],
+        zeta=params["zeta"],
     )
-    state = ThermalSplitterState(float(params["mean"]), float(params["split_angle"]))
+    state = ThermalSplitterState(params["mean"], params["split_angle"])
     half = 2.0 * math.pi / cfg.beta
-    grid = np.linspace(-half, half, int(params["k_count"]))
-    n1, n2 = int(params["n1"]), int(params["n2"])
+    grid = np.linspace(-half, half, params["k_count"])
+    n1, n2 = params["n1"], params["n2"]
     rows = []
     for k1 in grid:
         for k2 in grid:
@@ -188,8 +209,8 @@ def _cmd_coherence_map(params: dict, out: Path) -> dict:
 
 
 def _cmd_gtilde_table(params: dict, out: Path) -> dict:
-    state = ThermalSplitterState(float(params["mean"]), float(params["split_angle"]))
-    n_top = int(params["n_max"])
+    state = ThermalSplitterState(params["mean"], params["split_angle"])
+    n_top = params["n_max"]
     rows = []
     for big_n in range(n_top + 1):
         for big_m in range(n_top + 1):
@@ -202,15 +223,15 @@ def _cmd_gtilde_table(params: dict, out: Path) -> dict:
 
 def _cmd_envelope_oracle(params: dict, out: Path) -> dict:
     cfg = InterferenceConfig(
-        mean_h=float(params["mean_h"]),
-        mean_v=float(params["mean_v"]),
-        psi=float(params["psi"]),
+        mean_h=params["mean_h"],
+        mean_v=params["mean_v"],
+        psi=params["psi"],
     )
-    scale = float(params["coherence_scale"])
+    scale = params["coherence_scale"]
     if scale <= 0.0:
         scale = (cfg.slit_width / 8.0) ** 2
     period = math.pi / cfg.beta
-    dks = np.linspace(0.0, float(params["periods"]) * period, int(params["dk_count"]))
+    dks = np.linspace(0.0, params["periods"] * period, params["dk_count"])
     g2 = np.array([classical_envelope_oracle(cfg, scale, -dk / 2.0, dk / 2.0) for dk in dks])
     path = out / "envelope-oracle.csv"
     _write_rows(path, "dk,g2", [(float(a), float(b)) for a, b in zip(dks, g2)])
@@ -224,8 +245,7 @@ def _cmd_envelope_oracle(params: dict, out: Path) -> dict:
 
 
 def _cmd_preselect(params: dict, out: Path) -> dict:
-    angles = tuple(float(a) for a in params["angles"])
-    net = PreselectionNetwork(angles, float(params["mean"]))
+    net = PreselectionNetwork(tuple(params["angles"]), params["mean"])
     probs = mode_probabilities(net)
     path = out / "preselect-modes.csv"
     _write_rows(path, "mode,probability", [(i + 1, float(p)) for i, p in enumerate(probs)])
@@ -239,8 +259,8 @@ def _cmd_preselect(params: dict, out: Path) -> dict:
 
 
 def _cmd_sensing_snr(params: dict, out: Path) -> dict:
-    cfg = preset(params["preset"], mean=float(params["mean"])) if params["mean"] is not None else preset(params["preset"])
-    count = int(params["phi_count"])
+    cfg = preset(params["preset"], mean=params["mean"]) if params["mean"] is not None else preset(params["preset"])
+    count = params["phi_count"]
     phis = np.linspace(math.pi / 16.0, 15.0 * math.pi / 16.0, count)
     rows = []
     for phi in phis:
@@ -259,7 +279,7 @@ def _cmd_sensing_snr(params: dict, out: Path) -> dict:
 
 
 def _cmd_subtract_table(params: dict, out: Path) -> dict:
-    phase = float(params["phase"])
+    phase = params["phase"]
     rows = []
     worst = 0.0
     for mean, published_row in PUBLISHED_SUBTRACTION_TABLE.items():
@@ -275,22 +295,21 @@ def _cmd_subtract_table(params: dict, out: Path) -> dict:
 
 
 def _cmd_image_sim(params: dict, out: Path) -> dict:
-    seed = RngSeed(int(params["seed"]))
-    scene = binary_phantom(int(params["width"]), int(params["height"]))
+    seed = RngSeed(params["seed"])
+    scene = binary_phantom(params["width"], params["height"])
     masks = random_sensing_matrix(
-        int(params["measurements"]),
+        params["measurements"],
         scene.values.size,
-        float(params["fill"]),
+        params["fill"],
         seed,
     )
-    scene = scale_scene_to_projection(scene, masks, float(params["projection_mean"]))
+    scene = scale_scene_to_projection(scene, masks, params["projection_mean"])
     arms = TwoArmDetection(
-        float(params["split_angle"]),
-        DetectorModel(float(params["efficiency"]), float(params["dark_rate"])),
-        DetectorModel(float(params["efficiency"]), float(params["dark_rate"])),
+        params["split_angle"],
+        DetectorModel(params["efficiency"], params["dark_rate"]),
+        DetectorModel(params["efficiency"], params["dark_rate"]),
     )
-    shots = None if int(params["shots"]) == 0 else int(params["shots"])
-    y = acquire(scene, masks, arms, params["mode"], shots=shots, seed=RngSeed(seed.seed, 1))
+    y = acquire(scene, masks, arms, params["mode"], shots=params["shots"] or None, seed=RngSeed(seed.seed, 1))
 
     img = scene.as_image()
     top = float(img.max())
@@ -320,14 +339,14 @@ def _cmd_reconstruct(params: dict, out: Path) -> dict:
     y = np.loadtxt(y_path, delimiter=",", skiprows=1, ndmin=1)
     matrix = np.loadtxt(masks_path, delimiter=",", skiprows=1, ndmin=2)
     masks = SensingMatrix(matrix, RngSeed(0), 0.5)
-    width, height = int(params["width"]), int(params["height"])
+    width, height = params["width"], params["height"]
     result = cs_reconstruct(
         masks,
         y,
-        mu=float(params["mu"]),
-        max_iter=int(params["max_iter"]),
-        tol=float(params["tol"]),
-        nonneg=bool(params["nonneg"]),
+        mu=params["mu"],
+        max_iter=params["max_iter"],
+        tol=params["tol"],
+        nonneg=params["nonneg"],
         shape=(height, width),
     )
     img = result.s_hat.reshape(height, width)
@@ -394,6 +413,14 @@ def _cmd_oracle_check(params: dict, out: Path) -> dict:
 
 _PRESELECT_ANGLES = (0.3, 0.7, 0.4, 0.6, 0.5)
 
+
+def non_negative_int(text: str) -> int:
+    """Type of the grid-size flags."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
 _HANDLERS = {
     "g2-scan": _cmd_g2_scan,
     "scatter": _cmd_scatter,
@@ -426,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-pl-ratio", dest="n_pl_ratio", type=float, default=3.0)
     p.add_argument("--theta-start", dest="theta_start", type=float, default=0.0)
     p.add_argument("--theta-stop", dest="theta_stop", type=float, default=90.0)
-    p.add_argument("--theta-count", dest="theta_count", type=int, default=91)
+    p.add_argument("--theta-count", dest="theta_count", type=non_negative_int, default=91)
 
     p = subs.add_parser("scatter", help="detected photon-number distribution")
     p.add_argument("--n-s", dest="n_s", type=float, default=1.0)
@@ -443,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=float, default=0.9)
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--n2", type=int, default=1)
-    p.add_argument("--k-count", dest="k_count", type=int, default=33)
+    p.add_argument("--k-count", dest="k_count", type=non_negative_int, default=33)
 
     p = subs.add_parser("gtilde-table", help="wavepacket correlation table")
     p.add_argument("--mean", type=float, default=1.0)
@@ -457,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coherence-scale", dest="coherence_scale", type=float, default=0.0,
                    help="squared coherence length; 0 picks (slit width / 8)^2")
     p.add_argument("--periods", type=float, default=4.0)
-    p.add_argument("--dk-count", dest="dk_count", type=int, default=129)
+    p.add_argument("--dk-count", dest="dk_count", type=non_negative_int, default=129)
 
     p = subs.add_parser("preselect", help="five-splitter vacuum preselection")
     p.add_argument("--angles", type=float, nargs=5, default=_PRESELECT_ANGLES)
@@ -466,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sensing-snr", help="phase-sensing SNR and uncertainty table")
     p.add_argument("--preset", default="thesis-ch5")
     p.add_argument("--mean", type=float, default=None)
-    p.add_argument("--phi-count", dest="phi_count", type=int, default=15)
+    p.add_argument("--phi-count", dest="phi_count", type=non_negative_int, default=15)
 
     p = subs.add_parser("subtract-table", help="subtraction success probabilities vs published values")
     p.add_argument("--preset", default="thesis-ch5")
@@ -499,7 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, sub in subs.choices.items():
         _add_common(sub)
         params = [a for a in sub._actions if a.dest not in ("help", "config", "out")]
-        sub.set_defaults(_handler=_HANDLERS[name], _defaults={a.dest: a.default for a in params})
+        defaults = {a.dest: a.default for a in params}
+        sub.set_defaults(_handler=_HANDLERS[name], _defaults=defaults, _actions={a.dest: a for a in params})
         for action in params:
             action.default = argparse.SUPPRESS
     return parser

@@ -28,6 +28,7 @@ from scipy import special
 
 from .errors import AccuracyError, DomainError
 from .states import (
+    _SUM_SLACK,
     DEFAULT_TAIL_TARGET,
     PhotonNumberDistribution,
     _grow_cutoff,
@@ -171,10 +172,12 @@ def p_function_convolution_check(
     probs = np.exp(log_gamma_integral + log_thermal_scale)
 
     total = float(probs.sum())
-    if abs(total - (1.0 - tail)) > 1e-9:
+    # Quadrature round-off is not truncation: the tail stays the exact
+    # geometric one, and a mass off 1 − tail by more than the float slack of
+    # the distribution type is a quadrature failure.
+    if not abs(total - (1.0 - tail)) <= _SUM_SLACK:
         raise AccuracyError(
             f"quadrature mass {total} deviates from 1 - tail = {1.0 - tail}"
         )
     np.clip(probs, 0.0, None, out=probs)
-    # The truncated mass is `tail`; a quadrature that lost more reports that.
-    return PhotonNumberDistribution(probs, max(tail, 1.0 - total))
+    return PhotonNumberDistribution(probs, tail)

@@ -7,12 +7,15 @@ L quanta in the subtraction arm (efficiency η_pl) conditions the kept arm
 (efficiency η_ph) on an L-subtracted state:
 
 * ideal L-subtracted thermal statistics follow the negative-binomial law
-  p(n) = (n+L)! n̄ⁿ / (n! L! (1+n̄)^(L+1+n)) with mean (L+1)n̄ and
+  p(n) = C(n+L, n) n̄ⁿ / (1+n̄)^(n+L+1) with mean (L+1)n̄ and
   g² = (L+2)/(L+1);
-* the realistic conditional state takes the coupler and both detector
-  efficiencies into account (``conditional_state_pmf``);
-* closed forms for the conditional mean, its standard deviation, the
-  signal-to-noise ratio and the phase uncertainty Δφ = Δn/|d⟨n⟩/dφ|.
+* the realistic conditional state is that same law at the detected mean
+  μ = Kc/(1+Bc), with K = n̄γ_loss ξ η_ph, B = n̄γ_loss (1−ξ) η_pl and
+  c = cos²(φ/2): summing the split thermal light over the undetected
+  subtraction-arm photons and thinning the kept arm by η_ph leaves a
+  negative binomial (``conditional_state_pmf``);
+* closed forms for its mean (L+1)μ, standard deviation, signal-to-noise
+  ratio and the phase uncertainty Δφ = Δn/|d⟨n⟩/dφ|.
 
 The subtracted and conditional pmfs are truncated by the policy stated in
 `photonstats.states`.
@@ -24,19 +27,17 @@ cos²(φ/2). Each formula keeps the convention of the branch it describes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import DomainError, SingularPointError
 from .states import (
     DEFAULT_TAIL_TARGET,
     PhotonNumberDistribution,
     _grow_cutoff,
-    binomial_thin,
     default_cutoff,
     moments,
 )
@@ -135,6 +136,19 @@ def _validate_subtraction_order(level: int) -> None:
         raise DomainError(f"subtraction order must be a non-negative integer, got {level!r}")
 
 
+def _subtracted_tail(mean: float, level: int, n_max: int) -> float:
+    """Mass past ``n_max``: fewer than L+1 successes of probability 1/(1+n̄)
+    in n_max+L+1 trials. The (L+1)-term sum is exact to rounding, unlike the
+    incomplete beta behind ``stats.nbinom.sf`` (off by up to ~1e-7 relative
+    at small means); at L = 0 it is the geometric tail of `states`."""
+    trials = n_max + level + 1
+    j = np.arange(level + 1)
+    terms = special.binom(trials, j) * np.exp(
+        special.xlogy(trials - j, mean / (1.0 + mean)) - j * math.log1p(mean)
+    )
+    return float(terms.sum())
+
+
 def subtracted_pmf(
     mean: float, level: int, tail_target: float = DEFAULT_TAIL_TARGET
 ) -> PhotonNumberDistribution:
@@ -145,10 +159,9 @@ def subtracted_pmf(
     _validate_subtraction_order(level)
     if not (math.isfinite(mean) and mean >= 0.0):
         raise DomainError(f"mean must be >= 0, got {mean!r}")
-    success = 1.0 / (1.0 + mean)
     n_max, tail = _grow_cutoff(
         default_cutoff((level + 1) * mean),
-        lambda c: float(stats.nbinom.sf(c, level + 1, success)),
+        lambda c: _subtracted_tail(mean, level, c),
         tail_target,
     )
 
@@ -172,18 +185,12 @@ def g2_subtracted(level: int) -> float:
 def subtraction_success_probability(cfg: SensorConfig, level: int) -> float:
     """Probability of registering exactly L quanta in the subtraction arm.
 
-    The arm stays thermal with mean
-    n̄_d = n̄ · γ_loss · (1−ξ) · η_pl · sin²(φ/2), so the probability is the
-    Bose–Einstein weight n̄_d^L/(1+n̄_d)^(L+1).
+    The arm stays thermal with mean n̄_d = B sin²(φ/2), B = n̄γ_loss(1−ξ)η_pl,
+    so the probability is the Bose–Einstein weight n̄_d^L/(1+n̄_d)^(L+1).
     """
     _validate_subtraction_order(level)
-    mean_d = (
-        cfg.mean
-        * cfg.gamma_loss
-        * (1.0 - cfg.xi)
-        * cfg.eta_pl
-        * math.sin(cfg.phase / 2.0) ** 2
-    )
+    _, big_b, _ = _kept_arm(cfg, cfg.phase)
+    mean_d = big_b * math.sin(cfg.phase / 2.0) ** 2
     return math.exp(special.xlogy(level, mean_d) - (level + 1) * math.log1p(mean_d))
 
 
@@ -191,97 +198,44 @@ def subtraction_success_probability(cfg: SensorConfig, level: int) -> float:
 # Realistic conditional state
 # ===================================================================
 
-def _kept_branch_mean(cfg: SensorConfig, phase: float) -> float:
-    """Thermal mean entering the coupler stage of the kept branch."""
-    return cfg.mean * cfg.gamma_loss * math.cos(phase / 2.0) ** 2
+def _kept_arm(cfg: SensorConfig, phase: float) -> tuple[float, float, float]:
+    """(K, B, c): detected kept-arm and subtraction-arm means per unit c, and
+    the fringe factor c = cos²(φ/2)."""
+    big_k = cfg.mean * cfg.gamma_loss * cfg.xi * cfg.eta_ph
+    big_b = cfg.mean * cfg.gamma_loss * (1.0 - cfg.xi) * cfg.eta_pl
+    return big_k, big_b, math.cos(phase / 2.0) ** 2
 
 
 def conditional_state_pmf(
-    cfg: SensorConfig, level: int, tail_target: float = 1e-8
+    cfg: SensorConfig, level: int, tail_target: float = DEFAULT_TAIL_TARGET
 ) -> PhotonNumberDistribution:
     """Kept-arm photon statistics conditioned on an L-count in the
-    subtraction arm, including coupler split and both efficiencies.
-
-    The unnormalized weight of n kept photons is
-
-        w(n) = Σ_m C(m,L) η_pl^L (1−η_pl)^(m−L) · p_th(m+n; ñ)
-                    · C(m+n, m) ξ^n (1−ξ)^m,
-
-    with ñ the kept-branch thermal mean; the normalizer is the thermal
-    L-count probability of the subtraction mode (mean ñ(1−ξ)η_pl). The
-    detected distribution is the η_ph binomial thinning of w/normalizer.
-    The cutoff follows the `photonstats.states` policy with the mass deficit
-    as the tail.
-    """
+    subtraction arm, including coupler split and both efficiencies: the
+    negative binomial ``subtracted_pmf(μ, L)`` with μ = Kc/(1+Bc)."""
     _validate_subtraction_order(level)
-    tilde_n = _kept_branch_mean(cfg, cfg.phase)
-    if level > 0 and (tilde_n == 0.0 or cfg.xi == 1.0 or cfg.eta_pl == 0.0):
+    big_k, big_b, c = _kept_arm(cfg, cfg.phase)
+    # The factors, not B·c: that product can underflow while each is positive.
+    if level > 0 and 0.0 in (cfg.mean * cfg.gamma_loss * c, 1.0 - cfg.xi, cfg.eta_pl):
         raise DomainError(
             "conditioning on L > 0 has probability zero for this configuration"
         )
-    # L·log(mean_d) from the logs of its factors: the product itself can
-    # round (or underflow) in the subnormal range while the weights below
-    # use the same factors in log space.
-    mean_d = tilde_n * (1.0 - cfg.xi) * cfg.eta_pl
-    log_norm = (
-        special.xlogy(level, tilde_n)
-        + special.xlog1py(level, -cfg.xi)
-        + special.xlogy(level, cfg.eta_pl)
-        - (level + 1) * math.log1p(mean_d)
-    )
-
-    @functools.cache  # the accepted cutoff is not evaluated twice
-    def weights(n_cut: int) -> np.ndarray:
-        m = np.arange(level, n_cut + 1, dtype=float)[:, None]
-        n = np.arange(0, n_cut + 1, dtype=float)[None, :]
-        log_w = (
-            special.gammaln(m + 1)
-            - special.gammaln(level + 1)
-            - special.gammaln(m - level + 1)
-            + special.xlogy(m + n, tilde_n / (1.0 + tilde_n))
-            - math.log1p(tilde_n)
-            + special.gammaln(m + n + 1)
-            - special.gammaln(m + 1)
-            - special.gammaln(n + 1)
-            + special.xlogy(level, cfg.eta_pl)
-            + special.xlog1py(m - level, -cfg.eta_pl)
-            + special.xlogy(n, cfg.xi)
-            + special.xlog1py(m, -cfg.xi)
-        )
-        return np.exp(special.logsumexp(log_w, axis=0) - log_norm)
-
-    # The tail is the mass deficit, plus float slack for its ~1e2-term sum.
-    n_cut, tail = _grow_cutoff(
-        default_cutoff((level + 1) * (tilde_n + 1.0)),
-        lambda c: max(0.0, 1.0 - float(weights(c).sum())) + 1e-15,
-        tail_target,
-    )
-    return binomial_thin(PhotonNumberDistribution(weights(n_cut), tail), cfg.eta_ph)
+    return subtracted_pmf(big_k * c / (1.0 + big_b * c), level, tail_target)
 
 
 def conditional_mean(cfg: SensorConfig, level: int, phase: float | None = None) -> float:
-    """Closed-form mean of the detected conditional state:
-    n̄ γ ξ η_ph cos²(φ/2) (L+1) / (1 + n̄ γ (1−ξ) η_pl cos²(φ/2))."""
+    """Closed-form mean of the detected conditional state, (L+1)μ =
+    (L+1) K c / (1 + B c)."""
     _validate_subtraction_order(level)
-    phi = cfg.phase if phase is None else phase
-    c = math.cos(phi / 2.0) ** 2
-    numer = cfg.mean * cfg.gamma_loss * cfg.xi * cfg.eta_ph * c * (level + 1)
-    denom = 1.0 + cfg.mean * cfg.gamma_loss * (1.0 - cfg.xi) * cfg.eta_pl * c
-    return numer / denom
+    big_k, big_b, c = _kept_arm(cfg, cfg.phase if phase is None else phase)
+    return big_k * c * (level + 1) / (1.0 + big_b * c)
 
 
 def snr(cfg: SensorConfig, level: int, phase: float | None = None) -> float:
-    """Closed-form conditional signal-to-noise ratio:
-    sqrt((1+L) n̄ γ η_ph ξ cos²(φ/2) / (1 + n̄ γ (ξη_ph + (1−ξ)η_pl) cos²(φ/2))).
-    """
+    """Closed-form conditional signal-to-noise ratio, mean/std of the
+    negative binomial: sqrt((L+1) K c / (1 + (K+B) c))."""
     _validate_subtraction_order(level)
-    phi = cfg.phase if phase is None else phase
-    c = math.cos(phi / 2.0) ** 2
-    numer = (1 + level) * cfg.mean * cfg.gamma_loss * cfg.eta_ph * cfg.xi * c
-    denom = 1.0 + cfg.mean * cfg.gamma_loss * (
-        cfg.xi * cfg.eta_ph + (1.0 - cfg.xi) * cfg.eta_pl
-    ) * c
-    return math.sqrt(numer / denom)
+    big_k, big_b, c = _kept_arm(cfg, cfg.phase if phase is None else phase)
+    return math.sqrt((level + 1) * big_k * c / (1.0 + (big_k + big_b) * c))
 
 
 def conditional_std(cfg: SensorConfig, level: int, phase: float | None = None) -> float:
@@ -304,16 +258,11 @@ def snr_from_pmf(cfg: SensorConfig, level: int) -> float:
 def conditional_mean_phase_derivative(
     cfg: SensorConfig, level: int, phase: float | None = None
 ) -> float:
-    """Analytic d⟨n⟩/dφ of the conditional mean.
-
-    With K = n̄γξη_ph, B = n̄γ(1−ξ)η_pl and c = cos²(φ/2):
-    d/dφ [K c (L+1)/(1+Bc)] = −K (L+1) sin(φ) / (2 (1+Bc)²).
-    """
+    """Analytic d⟨n⟩/dφ of the conditional mean:
+    d/dφ [K c (L+1)/(1+Bc)] = −K (L+1) sin(φ) / (2 (1+Bc)²)."""
     _validate_subtraction_order(level)
     phi = cfg.phase if phase is None else phase
-    big_k = cfg.mean * cfg.gamma_loss * cfg.xi * cfg.eta_ph
-    big_b = cfg.mean * cfg.gamma_loss * (1.0 - cfg.xi) * cfg.eta_pl
-    c = math.cos(phi / 2.0) ** 2
+    big_k, big_b, c = _kept_arm(cfg, phi)
     return -big_k * (level + 1) * math.sin(phi) / (2.0 * (1.0 + big_b * c) ** 2)
 
 

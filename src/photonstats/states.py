@@ -16,13 +16,14 @@ here, the scatter law, the P-function quadrature and the subtracted and
 heralded sensing states): start at a baseline cutoff, by default
 max(16, ceil(20·(n̄+1))) for the law's total mean, and grow it to
 ceil(1.25·n_max) + 8 until the mass past the cutoff is at or below
-``tail_target``. Each law supplies that tail: exactly where it is known
-(geometric and Poisson survival functions), otherwise as the mass deficit
-1 − Σp. A NaN or negative target raises DomainError before any work. A
-growth step that does not lower the tail (a deficit has hit its float floor)
-or 64 growth steps short of the target raise AccuracyError, so
-non-convergence is never silent and never slow. The default construction
-honors tail_bound ≤ 1e-10 without silent rescaling.
+``tail_target``. Each law supplies that tail exactly, as a closed form
+(geometric, Poisson and negative-binomial survival functions, the scatter
+law's own identity), never as a mass deficit 1 − Σp, so rounding in the sum
+is not booked as truncation. A NaN or negative target raises DomainError
+before any work. A growth step that does not lower the tail (a guard for a
+tail that stops falling) or 64 growth steps short of the target raise
+AccuracyError, so non-convergence is never silent and never slow. The
+default construction honors tail_bound ≤ 1e-10 without silent rescaling.
 
 Zero means and vanishing factors need no branches: log-space terms use
 ``special.xlogy`` / ``special.xlog1py``, so 0·log 0 = 0 and 0⁰ = 1.

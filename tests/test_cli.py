@@ -91,6 +91,53 @@ class TestConfigPrecedence:
         assert rc == 2
 
 
+class TestConfigValueTypes:
+    """Config values go through the flag's own type and arity."""
+
+    @pytest.mark.parametrize(
+        "sub,config",
+        [
+            ("g2-scan", {"theta_count": "abc"}),
+            ("g2-scan", {"theta_count": 19.7}),
+            ("g2-scan", {"theta_count": -1}),
+            ("g2-scan", {"n_s": [1.0]}),
+            ("g2-scan", {"seed": True}),
+            ("scatter", {"n_pl": None}),
+            ("preselect", {"angles": 0.5}),
+            ("preselect", {"angles": [0.3, 0.7, 0.4, 0.6]}),
+            ("preselect", {"angles": [0.3, 0.7, 0.4, 0.6, "x"]}),
+        ],
+    )
+    def test_bad_value_is_a_config_error_naming_the_key(self, sub, config, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        rc, _, err = run(capsys, sub, "--config", str(path), "--out", str(tmp_path))
+        assert rc == 2
+        assert next(iter(config)) in err
+        assert not (tmp_path / f"{sub}-manifest.json").exists()
+
+    def test_values_are_converted_like_flag_text(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"angles": [0.3, 0.7, 0.4, 0.6, 1], "mean": 1, "seed": "3"}))
+        rc, _, _ = run(capsys, "preselect", "--config", str(path), "--out", str(tmp_path))
+        assert rc == 0
+        config = json.loads((tmp_path / "preselect-manifest.json").read_text())["config"]
+        assert config["angles"] == [0.3, 0.7, 0.4, 0.6, 1.0]
+        assert isinstance(config["angles"][-1], float)
+        assert isinstance(config["mean"], float) and config["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "sub,flag",
+        [("g2-scan", "--theta-count"), ("coherence-map", "--k-count"),
+         ("envelope-oracle", "--dk-count"), ("sensing-snr", "--phi-count")],
+    )
+    def test_negative_grid_count_exits_two(self, sub, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, flag, "-1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 # Small sizes for every subcommand; reconstruct reads what image-sim wrote.
 SMALL = {
     "g2-scan": ["--theta-count", "7"],
@@ -289,3 +336,11 @@ class TestTailTarget:
         rc, summary, _ = run(capsys, "scatter", "--tail-target", "1e-20", "--out", str(tmp_path))
         assert rc == 0
         assert summary["n_max"] > 0
+
+    def test_tail_bound_in_summary_and_manifest(self, tmp_path, capsys):
+        rc, summary, _ = run(capsys, "scatter", "--tail-target", "1e-12", "--out", str(tmp_path))
+        assert rc == 0
+        assert 0.0 < summary["tail_bound"] <= 1e-12
+        manifest = json.loads((tmp_path / "scatter-manifest.json").read_text())
+        assert manifest["summary"]["tail_bound"] == summary["tail_bound"]
+        assert manifest["summary"]["n_max"] == summary["n_max"]

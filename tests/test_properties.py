@@ -30,6 +30,7 @@ from photonstats import (
     thermal,
 )
 from photonstats.imaging import _conditional_mean, _post_probability
+from photonstats.states import _grow_cutoff
 
 # Derandomized so a failure reproduces bit for bit, like the frozen Monte
 # Carlo seeds elsewhere in the suite.
@@ -140,6 +141,8 @@ def test_detected_pmf_mass_honors_the_tail_bound(mean_source, mean_plasmon, thet
 
 @SETTINGS
 @given(mean_1=st.floats(0.0, 10.0), mean_2=st.floats(0.0, 10.0), tail_target=tail_targets)
+# ~1.5e-14 of quadrature round-off once counted as truncated mass here.
+@example(mean_1=0.0, mean_2=6.0, tail_target=1e-14)
 def test_p_function_mass_honors_the_tail_bound(mean_1, mean_2, tail_target):
     dist = p_function_convolution_check(mean_1, mean_2, tail_target=tail_target)
     _assert_mass_honors_the_tail_bound(dist, tail_target)
@@ -161,8 +164,7 @@ fractions = st.one_of(
         fractions, fractions, fractions, fractions,
     ),
     level=st.integers(0, 3),
-    # The tail is a mass deficit, so targets stay well above its float floor.
-    tail_target=st.floats(1e-11, 1e-3),
+    tail_target=tail_targets,
 )
 # A subnormal subtraction-mode mean ñ(1−ξ)η_pl ≈ 6.6e-316 from a tiny loss.
 @example(cfg=SensorConfig(1.0, 0.0, 0.0, 3e-300, 0.0, 2.2e-16), level=1, tail_target=1e-8)
@@ -190,9 +192,26 @@ def test_bad_tail_target_is_a_domain_error(name, tail_target):
 
 
 def test_unreachable_deficit_target_fails_fast():
-    # A mass deficit cannot fall below its float floor (~1e-15): the cutoff
-    # stops growing as soon as a step fails to lower it.
+    # A mass deficit stuck at its float floor (~1e-15): the cutoff stops
+    # growing as soon as a step fails to lower the tail.
     start = time.perf_counter()
-    with pytest.raises(AccuracyError):
-        conditional_state_pmf(preset("thesis-ch5"), 1, tail_target=1e-20)
+    with pytest.raises(AccuracyError, match="stalled"):
+        _grow_cutoff(16, lambda n_max: 1e-15, 1e-20)
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_tail_that_falls_too_slowly_stops_after_64_steps():
+    cutoffs = []
+
+    def tail(n_max):
+        cutoffs.append(n_max)
+        return 1.0 / n_max
+
+    with pytest.raises(AccuracyError, match="64 cutoff increases"):
+        _grow_cutoff(16, tail, 0.0)
+    assert len(cutoffs) == 65
+
+
+def test_heralded_state_meets_a_target_below_float_epsilon():
+    dist = conditional_state_pmf(preset("thesis-ch5"), 1, tail_target=1e-20)
+    assert dist.tail_bound <= 1e-20

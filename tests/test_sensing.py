@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from photonstats import (
+    DetectorModel,
     DomainError,
     PUBLISHED_SUBTRACTION_TABLE,
+    RngSeed,
     SensorConfig,
     SingularPointError,
+    SplitterNetwork,
     conditional_mean,
     conditional_mean_phase_derivative,
     conditional_state_pmf,
@@ -20,8 +24,10 @@ from photonstats import (
     phase_uncertainty,
     pmf,
     preset,
+    sample_source,
     snr,
     snr_from_pmf,
+    split_and_detect,
     subtracted_pmf,
     subtraction_success_probability,
     thermal,
@@ -77,6 +83,23 @@ class TestSubtractedPmf:
             for mean in (0.5, 1.0, 2.0, 4.0):
                 d = subtracted_pmf(mean, level)
                 assert d.probs.sum() + d.tail_bound >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize(
+        "mean,level", [(1e-8, 3), (4.89e-5, 1), (0.3, 2), (2.5, 3), (20.0, 0)]
+    )
+    def test_tail_bound_is_the_mass_past_the_cutoff(self, mean, level):
+        # Summed term by term from the pmf formula; the incomplete beta of
+        # stats.nbinom.sf misses this by up to ~1e-7 relative at small means.
+        d = subtracted_pmf(mean, level, tail_target=1e-12)
+        ratio = mean / (1.0 + mean)
+        n = d.n_max + 1
+        term = math.comb(n + level, n) * ratio**n / (1.0 + mean) ** (level + 1)
+        terms = []
+        while term > 1e-18 * d.tail_bound:
+            terms.append(term)
+            term *= (n + level + 1) / (n + 1) * ratio
+            n += 1
+        assert d.tail_bound == pytest.approx(math.fsum(terms), rel=1e-12, abs=0.0)
 
     def test_vacuum_input(self):
         d = subtracted_pmf(0.0, 2)
@@ -162,11 +185,55 @@ class TestConditionalState:
     )
     def test_subnormal_subtraction_mode_mean(self, mean, eta_pl, level, eta_ph):
         # ñ(1−ξ)η_pl is subnormal (or underflows to 0) while every factor is
-        # positive: the normalizer must come from the factors' logs.
+        # positive: the conditioning is possible and the law stays normalized.
         cfg = SensorConfig(mean, 0.0, 0.0, 1.0, eta_ph, eta_pl)
         d = conditional_state_pmf(cfg, level, tail_target=1e-8)
         assert float(d.probs.sum()) <= 1.0
         assert d.tail_bound <= 1e-8
+
+
+def _chi2_statistic(samples, probs):
+    """Pearson statistic of a histogram against a pmf and its degrees of
+    freedom: single bins while each expects at least 5 counts and leaves at
+    least 5 above it, then one bin for the rest."""
+    shots = samples.size
+    expected = shots * probs
+    above = shots - np.cumsum(expected)
+    k = int(np.argmax((expected < 5.0) | (above < 5.0)))
+    observed = np.bincount(samples, minlength=k + 1)[: k + 1].astype(float)
+    observed[k] = shots - observed[:k].sum()
+    want = np.append(expected[:k], shots - expected[:k].sum())
+    return float(((observed - want) ** 2 / want).sum()), k
+
+
+class TestConditionalStateMonteCarloTwin:
+    """The heralded law against shot-by-shot sampling: thermal light of the
+    kept-branch mean n̄γcos²(φ/2) split ξ : 1−ξ, the kept arm read with
+    efficiency η_ph and the herald with η_pl, shots kept where the herald
+    reads L. The acceptance band comes from the chi-square law itself."""
+
+    CHI2_TAIL = 1e-9  # two-sided tail probability of the band
+
+    @pytest.mark.parametrize("phase", [0.0, 2.0])
+    def test_heralded_histogram_follows_the_law(self, phase):
+        cfg = SensorConfig(5.0, phase, 0.5, 1.0, 0.7, 0.6)
+        photons = sample_source(
+            thermal(cfg.mean * cfg.gamma_loss * math.cos(phase / 2.0) ** 2),
+            1_000_000,
+            RngSeed(5),
+        )
+        counts = split_and_detect(
+            photons,
+            SplitterNetwork((cfg.xi, 1.0 - cfg.xi)),
+            (DetectorModel(cfg.eta_ph), DetectorModel(cfg.eta_pl)),
+            RngSeed(5, 1),
+        )
+        for level in range(4):
+            kept = counts[counts[:, 1] == level, 0]
+            stat, dof = _chi2_statistic(kept, conditional_state_pmf(cfg, level).probs)
+            assert dof >= 3
+            low, high = stats.chi2.ppf(self.CHI2_TAIL, dof), stats.chi2.isf(self.CHI2_TAIL, dof)
+            assert low <= stat <= high, (level, stat, dof)
 
 
 class TestSnr:

@@ -421,6 +421,15 @@ def non_negative_int(text: str) -> int:
         raise ValueError(text)
     return value
 
+
+def zero_or_one(text: str) -> int:
+    """Type of `--nonneg`: 0 or 1."""
+    value = int(text)
+    if value not in (0, 1):
+        raise ValueError(text)
+    return value
+
+
 _HANDLERS = {
     "g2-scan": _cmd_g2_scan,
     "scatter": _cmd_scatter,
@@ -519,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=100.0)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--nonneg", type=int, default=1)
+    p.add_argument("--nonneg", type=zero_or_one, default=1)
 
     p = subs.add_parser("oracle-check", help="fast dual-route self checks")
 

@@ -145,8 +145,9 @@ class TwoArmDetection:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Solver output; the objective trace must not increase once the first
-    few iterations have settled (1e-9 slack, scaled problem).
+    """Solver output; the objective trace must be finite and must not
+    increase once the first few iterations have settled (1e-9 slack, scaled
+    problem).
 
     stop_reason is "converged" (the objective stalled within tol, or there
     was nothing to solve) or "max_iter" (the iteration budget ran out); a
@@ -170,6 +171,8 @@ class ReconstructionResult:
             raise ContractError("s_hat and objective_trace must be 1-D")
         if self.iterations < 0 or not math.isfinite(self.residual):
             raise ContractError("iterations must be >= 0 and residual finite")
+        if not np.all(np.isfinite(trace)):
+            raise ContractError("objective_trace must be finite")
         settled = trace[5:]
         if settled.size >= 2:
             rises = np.diff(settled)
@@ -527,8 +530,8 @@ def tv_prox(
     operands, so u and the returned dual equal those of the sweep written
     with `_grad` and `_grad_adjoint`, bit for bit (the tests compare them).
     """
-    if weight < 0.0:
-        raise DomainError("prox weight must be >= 0")
+    if not (math.isfinite(weight) and weight >= 0.0):
+        raise DomainError(f"prox weight must be finite and >= 0, got {weight!r}")
     if weight == 0.0:
         return v.copy(), (np.zeros_like(v), np.zeros_like(v))
     work = _TvWorkspace(v.shape)
@@ -545,6 +548,11 @@ def tv_prox(
         edges = np.minimum(np.maximum(edges + (1.0 / (8.0 * weight)) * 0.0, -1.0), 1.0)
     work.px[:, -1], work.py[-1] = edges[: v.shape[0]], edges[v.shape[0] :]
     return u, (work.px, work.py)
+
+
+# Dual sweeps per prox inside `cs_reconstruct` (see its docstring). A
+# standalone `tv_prox` starts cold and keeps its default of 20.
+_SOLVER_SWEEPS = 5
 
 
 def _spectral_norm_sq(q: np.ndarray, n_steps: int = 50) -> float:
@@ -574,13 +582,18 @@ def cs_reconstruct(
 
     The data term is smooth with Lipschitz constant L = μ·λmax(QᵀQ) (power
     iteration); each step takes a 1/L gradient move at the momentum point
-    followed by the anisotropic TV proximal map (20 dual ascent sweeps,
-    warm-started) and an optional projection onto s ≥ 0. The momentum
-    sequence is the monotone FISTA variant: an extrapolated candidate is
-    kept only if it does not increase the objective, so the recorded trace
-    never rises. Plain gradient steps stall here because binary masks carry
-    a dominant all-ones component (λmax far above the informative spectrum).
-    Measurements are scaled to max 1 before solving and scaled back.
+    followed by the anisotropic TV proximal map and an optional projection
+    onto s ≥ 0. The prox is inexact: 5 dual ascent sweeps, warm-started from
+    the previous step's dual. That suffices because consecutive prox inputs
+    differ less and less, so the warm dual starts ever nearer its fixed point
+    and the prox error shrinks along the run, which is what an accelerated
+    method needs to keep its rate (Schmidt, Le Roux & Bach, NIPS 2011); a
+    cold `tv_prox` uses 20. The momentum sequence is the monotone FISTA
+    variant: an extrapolated candidate is kept only if it does not increase
+    the objective, so the recorded trace never rises. Plain gradient steps
+    stall here because binary masks carry a dominant all-ones component
+    (λmax far above the informative spectrum). Measurements are scaled to
+    max 1 before solving and scaled back.
 
     A solve allocates its buffers once: one `_TvWorkspace`, whose dual is
     carried from each prox call to the next, and a few image-sized arrays
@@ -588,7 +601,8 @@ def cs_reconstruct(
     equal, bit for bit, those of the same loop written with fresh arrays and
     the textbook `tv_prox` sweep (the tests keep that loop as the oracle).
     stop_reason is "converged" when the objective has stalled within tol
-    for 5 steps in a row and "max_iter" when max_iter steps ran out first.
+    for 5 steps in a row (a rejected candidate counts as a stall) and
+    "max_iter" when max_iter steps ran out first. mu and tol must be finite.
     """
     q = masks.matrix if isinstance(masks, SensingMatrix) else np.asarray(masks, float)
     y = np.asarray(y, dtype=float)
@@ -598,8 +612,10 @@ def cs_reconstruct(
         )
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(y))):
         raise DomainError("Q and y must be finite")
-    if mu <= 0.0 or tol < 0.0 or max_iter < 1:
-        raise DomainError("need mu > 0, tol >= 0, max_iter >= 1")
+    if not (math.isfinite(mu) and mu > 0.0 and math.isfinite(tol) and tol >= 0.0
+            and max_iter >= 1):
+        raise DomainError(f"need finite mu > 0 and tol >= 0, max_iter >= 1; got "
+                          f"mu={mu!r}, tol={tol!r}, max_iter={max_iter!r}")
     n_pixels = q.shape[1]
     if shape is None:
         side = math.isqrt(n_pixels)
@@ -649,7 +665,7 @@ def cs_reconstruct(
         np.multiply(mu, moved, out=moved)
         np.multiply(base_step, moved, out=moved)
         np.subtract(momentum, moved, out=moved)
-        work.prox(moved, base_step, 20, candidate)
+        work.prox(moved, base_step, _SOLVER_SWEEPS, candidate)
         if nonneg:
             np.maximum(candidate, 0.0, out=candidate)
         value = objective(candidate)

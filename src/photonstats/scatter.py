@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, UndefinedCoherenceError
 from .states import (
     _SUM_SLACK,
     DEFAULT_TAIL_TARGET,
@@ -34,7 +34,6 @@ from .states import (
     _grow_cutoff,
     _thermal_tail,
     default_cutoff,
-    g2_from_pmf,
     pmf,
     thermal,
 )
@@ -111,7 +110,12 @@ def g2_vs_angle(
     theta_grid_deg: np.ndarray | list[float],
 ) -> np.ndarray:
     """g2 of the detected field per polarization angle; rows (theta_deg, g2)
-    sorted by angle."""
+    sorted by angle.
+
+    Two independent thermal modes of means A and B give the closed form
+    g2 = 1 + (A² + B²)/(A + B)², evaluated on each angle's mode means; the
+    tests check it against `g2_from_pmf(detected_pmf(cfg))`.
+    """
     grid = np.asarray(theta_grid_deg, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("theta grid must be a non-empty 1-D array")
@@ -120,9 +124,10 @@ def g2_vs_angle(
     grid = np.sort(grid)
     out = np.empty((grid.size, 2))
     for i, theta in enumerate(grid):
-        cfg = ScatterConfig(mean_source, mean_plasmon, float(theta))
-        out[i, 0] = theta
-        out[i, 1] = g2_from_pmf(detected_pmf(cfg))
+        a, b = ScatterConfig(mean_source, mean_plasmon, float(theta)).mode_means
+        if a + b <= 0.0:
+            raise UndefinedCoherenceError("g2 undefined for a zero-mean distribution")
+        out[i] = theta, 1.0 + (a * a + b * b) / (a + b) ** 2
     return out
 
 

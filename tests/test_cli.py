@@ -298,6 +298,45 @@ class TestReconstructRoundTrip:
             key: summary[key] for key in ("iterations", "residual", "stop_reason")
         }
 
+    @pytest.fixture
+    def small_run(self, tmp_path, capsys):
+        rc, _, _ = run(
+            capsys, "image-sim", "--width", "8", "--height", "8",
+            "--measurements", "40", "--shots", "0", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        return [
+            "reconstruct", "--input", str(tmp_path / "image-sim-measurements.csv"),
+            "--masks", str(tmp_path / "image-sim-masks.csv"), "--width", "8",
+            "--height", "8", "--max-iter", "3", "--out", str(tmp_path),
+        ]
+
+    @pytest.mark.parametrize("flag", ["--mu=nan", "--mu=inf", "--tol=nan", "--tol=inf"])
+    def test_non_finite_solver_setting_exits_two(self, small_run, flag, tmp_path, capsys):
+        rc, _, err = run(capsys, *small_run, flag)
+        assert rc == 2
+        assert "finite" in err
+        assert not (tmp_path / "reconstruct-manifest.json").exists()
+
+    @pytest.mark.parametrize("value", ["5", "-1"])
+    def test_nonneg_flag_takes_only_zero_or_one(self, small_run, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*small_run, "--nonneg", value])
+        assert exc.value.code == 2
+        assert "--nonneg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, rc", [(0, 0), (1, 0), (5, 2), (-1, 2), (True, 2)])
+    def test_nonneg_config_takes_only_zero_or_one(self, small_run, value, rc, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"nonneg": value}))
+        got, _, err = run(capsys, *small_run, "--config", str(path))
+        assert got == rc
+        manifest = tmp_path / "reconstruct-manifest.json"
+        if rc == 0:
+            assert json.loads(manifest.read_text())["config"]["nonneg"] == value
+        else:
+            assert "nonneg" in err and not manifest.exists()
+
     def test_missing_input_is_a_config_error(self, tmp_path, capsys):
         rc, _, err = run(
             capsys, "reconstruct", "--input", str(tmp_path / "nope.csv"),

@@ -31,7 +31,13 @@ from photonstats import (
     thermal,
     tv_prox,
 )
-from photonstats.imaging import _grad, _grad_adjoint, _spectral_norm_sq, _tv
+from photonstats.imaging import (
+    _SOLVER_SWEEPS,
+    _grad,
+    _grad_adjoint,
+    _spectral_norm_sq,
+    _tv,
+)
 
 IDEAL = TwoArmDetection(0.0, DetectorModel(1.0, 0.0), DetectorModel(1.0, 0.0))
 NOISY = TwoArmDetection(
@@ -285,6 +291,11 @@ class TestTvMachinery:
         assert objective(out) < objective(v)
         assert _tv(out) < _tv(v)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -0.1])
+    def test_bad_prox_weight_rejected(self, weight):
+        with pytest.raises(DomainError):
+            tv_prox(np.ones((4, 4)), weight)
+
     def test_spectral_norm_matches_eigensolver(self):
         rng = np.random.default_rng(1)
         q = rng.integers(0, 2, size=(20, 30)).astype(float)
@@ -327,6 +338,21 @@ class TestReconstruction:
         with pytest.raises(ContractError):
             cs_reconstruct(masks, np.zeros(9), shape=(4, 4))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"mu": math.nan}, {"mu": math.inf}, {"mu": -1.0}, {"tol": math.nan},
+         {"tol": math.inf}, {"tol": -1e-9}, {"max_iter": 0}],
+    )
+    def test_bad_solver_settings_rejected(self, kwargs):
+        masks = random_sensing_matrix(10, 16, seed=0)
+        with pytest.raises(DomainError):
+            cs_reconstruct(masks, np.ones(10), shape=(4, 4), **kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trace_rejected(self, value):
+        with pytest.raises(ContractError, match="finite"):
+            ReconstructionResult(np.zeros(4), 2, np.array([1.0, value, 0.5]), 0.1)
+
     def test_rising_trace_rejected(self):
         with pytest.raises(ContractError, match="trace"):
             ReconstructionResult(
@@ -355,9 +381,11 @@ def _textbook_prox(v, weight, n_inner=20, warm_dual=None):
     return v - weight * _grad_adjoint(px, py), (px, py)
 
 
-def _textbook_mfista(q, y, mu, shape, max_iter=2000, tol=1e-9, nonneg=True):
-    """Monotone FISTA around `_textbook_prox`, allocating as it goes: the
-    reference for `cs_reconstruct`."""
+def _textbook_mfista(
+    q, y, mu, shape, max_iter=2000, tol=1e-9, nonneg=True, n_inner=_SOLVER_SWEEPS
+):
+    """Monotone FISTA around `_textbook_prox` with n_inner warm-started
+    sweeps, allocating as it goes: the reference for `cs_reconstruct`."""
     scale = float(np.max(np.abs(y)))
     y_scaled = y / scale
     base_step = 1.0 / (mu * _spectral_norm_sq(q))
@@ -374,7 +402,9 @@ def _textbook_mfista(q, y, mu, shape, max_iter=2000, tol=1e-9, nonneg=True):
     stall = 0
     for _ in range(max_iter):
         gradient = (mu * (q.T @ (q @ momentum.ravel() - y_scaled))).reshape(shape)
-        candidate, dual = _textbook_prox(momentum - base_step * gradient, base_step, warm_dual=dual)
+        candidate, dual = _textbook_prox(
+            momentum - base_step * gradient, base_step, n_inner, warm_dual=dual
+        )
         if nonneg:
             np.clip(candidate, 0.0, None, out=candidate)
         value = objective(candidate)
@@ -459,6 +489,22 @@ class TestBitForBitAgainstTheTextbook:
         assert np.array_equal(again.s_hat, res.s_hat)
         assert not np.shares_memory(again.s_hat, res.s_hat)
         assert not np.shares_memory(again.objective_trace, res.objective_trace)
+
+
+class TestInexactProxAccuracy:
+    def test_default_solve_is_near_a_tight_reference(self):
+        # The test_compressed_phantom_recovery problem, against the textbook
+        # loop with 50 sweeps per prox run until it stalls exactly (tol 0).
+        scene = binary_phantom(16, 16)
+        masks = random_sensing_matrix(154, 256, seed=3)
+        y = acquire(scene, masks, IDEAL, mode="intensity")
+        res = cs_reconstruct(masks, y, mu=100.0, shape=(16, 16))
+        _, trace_ref, _ = _textbook_mfista(
+            masks.matrix, y, 100.0, (16, 16), max_iter=20000, tol=0.0, n_inner=50
+        )
+        reference = trace_ref[-1]
+        assert res.stop_reason == "converged"
+        assert abs(res.objective_trace[-1] - reference) <= 1e-4 * reference
 
 
 class TestStopReason:

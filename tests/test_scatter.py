@@ -8,6 +8,7 @@ import pytest
 from photonstats import (
     DomainError,
     ScatterConfig,
+    UndefinedCoherenceError,
     detected_pmf,
     g2_from_pmf,
     g2_vs_angle,
@@ -100,6 +101,25 @@ class TestG2Scan:
         rows = g2_vs_angle(1.0, 0.3, np.linspace(0.0, 90.0, 19))
         assert rows[0, 1] == pytest.approx(2.0, rel=1e-6)
         assert rows[:, 1].min() < 2.0 - 0.05
+
+    @pytest.mark.parametrize(
+        "source,plasmon", [(1.0, 1.0 / 3.0), (1.4, 0.5), (0.0, 0.7), (2.0, 0.0), (0.05, 0.01)]
+    )
+    def test_closed_form_matches_the_pmf_route(self, source, plasmon):
+        # The oracle is the detected pmf's own g2, cut with a tail far below
+        # the 1e-12 gate so that truncation does not enter.
+        grid = np.linspace(0.0, 90.0, 19)
+        rows = g2_vs_angle(source, plasmon, grid)
+        oracle = [
+            g2_from_pmf(detected_pmf(ScatterConfig(source, plasmon, float(t)), tail_target=1e-20))
+            for t in grid
+        ]
+        assert rows[0, 0] == 0.0 and rows[-1, 0] == 90.0
+        assert np.max(np.abs(rows[:, 1] - oracle) / oracle) <= 1e-12
+
+    def test_zero_mean_field_has_no_g2(self):
+        with pytest.raises(UndefinedCoherenceError):
+            g2_vs_angle(0.0, 0.0, [0.0, 45.0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):

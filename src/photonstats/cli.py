@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ from .sensing import (
     snr,
     subtraction_success_probability,
 )
-from .states import format_float, g2_from_pmf, pmf, thermal, write_csv
+from .states import convolve, format_float, g2_from_pmf, pmf, thermal, write_csv
 
 __all__ = ["main"]
 
@@ -264,15 +265,9 @@ def _cmd_sensing_snr(params: dict, out: Path) -> dict:
     phis = np.linspace(math.pi / 16.0, 15.0 * math.pi / 16.0, count)
     rows = []
     for phi in phis:
+        at_phi = replace(cfg, phase=float(phi))
         for level in range(4):
-            rows.append(
-                (
-                    float(phi),
-                    level,
-                    snr(cfg, level, phase=float(phi)),
-                    phase_uncertainty(cfg, level, phase=float(phi)),
-                )
-            )
+            rows.append((float(phi), level, snr(at_phi, level), phase_uncertainty(at_phi, level)))
     path = out / "sensing-snr.csv"
     _write_rows(path, "phi,L,snr,delta_phi", rows)
     return {"artifacts": [path.name], "levels": 4, "phi_count": count}
@@ -338,7 +333,7 @@ def _cmd_reconstruct(params: dict, out: Path) -> dict:
             raise ConfigError(f"input file not found: {p}")
     y = np.loadtxt(y_path, delimiter=",", skiprows=1, ndmin=1)
     matrix = np.loadtxt(masks_path, delimiter=",", skiprows=1, ndmin=2)
-    masks = SensingMatrix(matrix, RngSeed(0), 0.5)
+    masks = SensingMatrix(matrix)
     width, height = params["width"], params["height"]
     result = cs_reconstruct(
         masks,
@@ -375,8 +370,6 @@ def _cmd_oracle_check(params: dict, out: Path) -> dict:
     cfg = ScatterConfig(1.0, 1.0 / 3.0, 45.0)
     d = detected_pmf(cfg)
     a, b = cfg.mode_means
-    from .states import convolve
-
     conv = convolve(pmf(thermal(a), cutoff=d.n_max), pmf(thermal(b), cutoff=d.n_max))
     err = float(np.max(np.abs(d.probs - conv.probs[: d.n_max + 1])))
     checks.append(("scatter_vs_convolution", err <= 1e-12, err))
@@ -447,7 +440,6 @@ _HANDLERS = {
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="JSON file with parameter overrides")
-    sub.add_argument("--seed", type=int, default=0, help="base RNG seed (u64)")
     sub.add_argument("--out", default=".", help="output directory for artifacts")
 
 
@@ -519,6 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dark-rate", dest="dark_rate", type=float, default=0.8)
     p.add_argument("--mode", default="intensity")
     p.add_argument("--shots", type=int, default=20000, help="0 = exact statistics")
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed (u64)")
 
     p = subs.add_parser("reconstruct", help="TV-regularized reconstruction from measurements")
     p.add_argument("--input", default=None, help="measurement CSV (one y column)")

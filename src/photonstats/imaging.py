@@ -100,8 +100,6 @@ class SensingMatrix:
     """Binary projection masks, one scene-sized row per measurement."""
 
     matrix: np.ndarray
-    seed: RngSeed
-    fill_fraction: float
 
     def __post_init__(self) -> None:
         arr = np.array(self.matrix, dtype=float, copy=True)
@@ -109,8 +107,6 @@ class SensingMatrix:
             raise ContractError("matrix must be a non-empty 2-D array")
         if not np.all((arr == 0.0) | (arr == 1.0)):
             raise DomainError("sensing matrix entries must be 0 or 1")
-        if not (0.0 < self.fill_fraction < 1.0):
-            raise DomainError(f"fill_fraction must lie in (0, 1), got {self.fill_fraction!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -207,14 +203,14 @@ def random_sensing_matrix(
     fill_fraction: float = 0.5,
     seed: RngSeed | int = 0,
 ) -> SensingMatrix:
-    """Independent Bernoulli(fill_fraction) masks from a seeded stream."""
+    """Independent Bernoulli(fill_fraction) masks from a seeded stream;
+    fill_fraction must lie in (0, 1)."""
     if n_measurements < 1 or n_pixels < 1:
         raise ContractError("matrix dimensions must be positive")
-    if isinstance(seed, int):
-        seed = RngSeed(seed)
+    if not (0.0 < fill_fraction < 1.0):
+        raise DomainError(f"fill_fraction must lie in (0, 1), got {fill_fraction!r}")
     rng = make_generator(seed)
-    masks = (rng.random((n_measurements, n_pixels)) < fill_fraction).astype(float)
-    return SensingMatrix(masks, seed, fill_fraction)
+    return SensingMatrix((rng.random((n_measurements, n_pixels)) < fill_fraction).astype(float))
 
 
 def scale_scene_to_projection(
@@ -511,43 +507,28 @@ class _TvWorkspace:
             self._primal(v, weight, out)
 
 
-def tv_prox(
-    v: np.ndarray,
-    weight: float,
-    n_inner: int = 20,
-    warm_dual: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def tv_prox(v: np.ndarray, weight: float, n_inner: int = 20) -> np.ndarray:
     """Approximate argmin_u weight·TV(u) + ½‖u−v‖² (anisotropic TV).
 
-    Projected gradient ascent on the dual: with G the forward-difference
-    operator, iterate p ← clamp(p + G(v − weight·Gᵀp)/(8·weight), [−1,1])
-    and return u = v − weight·Gᵀp. The dual variables can be warm-started
-    across outer iterations of a solver.
+    Projected gradient ascent on the dual from p = 0: with G the
+    forward-difference operator, iterate
+    p ← clamp(p + G(v − weight·Gᵀp)/(8·weight), [−1,1]) and return
+    u = v − weight·Gᵀp. `cs_reconstruct` carries the dual from one prox to
+    the next in its own `_TvWorkspace`.
 
     The sweeps run in place in a `_TvWorkspace` (float64) made for this
-    call; neither v nor warm_dual is written to. Each sweep performs the
-    textbook sweep's floating-point operations in the same order on the same
-    operands, so u and the returned dual equal those of the sweep written
-    with `_grad` and `_grad_adjoint`, bit for bit (the tests compare them).
+    call; v is not written to. Each sweep performs the textbook sweep's
+    floating-point operations in the same order on the same operands, so u
+    equals that of the sweep written with `_grad` and `_grad_adjoint`, bit
+    for bit (the tests compare them).
     """
     if not (math.isfinite(weight) and weight >= 0.0):
         raise DomainError(f"prox weight must be finite and >= 0, got {weight!r}")
     if weight == 0.0:
-        return v.copy(), (np.zeros_like(v), np.zeros_like(v))
-    work = _TvWorkspace(v.shape)
-    if warm_dual is not None:
-        work.px[...], work.py[...] = warm_dual
-    # Gᵀ ignores px's last column and py's last row: the workspace holds them
-    # at 0, and each sweep would only clamp them after adding step·0.
-    edges = np.concatenate([work.px[:, -1], work.py[-1]])
-    work.px[:, -1] = 0.0
-    work.py[-1] = 0.0
+        return v.copy()
     u = np.empty(v.shape)
-    work.prox(v, weight, n_inner, u)
-    if n_inner > 0:  # a second sweep changes them no further
-        edges = np.minimum(np.maximum(edges + (1.0 / (8.0 * weight)) * 0.0, -1.0), 1.0)
-    work.px[:, -1], work.py[-1] = edges[: v.shape[0]], edges[v.shape[0] :]
-    return u, (work.px, work.py)
+    _TvWorkspace(v.shape).prox(v, weight, n_inner, u)
+    return u
 
 
 # Dual sweeps per prox inside `cs_reconstruct` (see its docstring). A

@@ -8,10 +8,12 @@ geometric sum
 
     p_det(n) = Σ_{m=0}^{n} A^(n−m) B^m / ((A+1)^(n−m+1) (B+1)^(m+1)),
 
-which is exactly the convolution of two Bose–Einstein pmfs; keeping the
-summed form as the primary evaluation path lets tests check it independently
-against the convolution of `states.pmf` results. Both laws here are truncated
-by the policy stated in `photonstats.states`.
+which is exactly the convolution of two Bose–Einstein pmfs. Summing the
+geometric series gives the primary evaluation path, the closed form
+p_det(n) = (r_A^(n+1) − r_B^(n+1))/(A − B) with r = n̄/(1+n̄); the tests and
+`oracle-check` compare it with the convolution of `states.pmf` results, the
+independent route. Both laws here are truncated by the policy stated in
+`photonstats.states`.
 
 The resulting g2 runs between 2 (single thermal mode) and 1.5 (two equal
 thermal modes), the classic bunching reduction of incoherent mode mixing.
@@ -19,7 +21,6 @@ thermal modes), the classic bunching reduction of incoherent mode mixing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,8 +35,6 @@ from .states import (
     _grow_cutoff,
     _thermal_tail,
     default_cutoff,
-    pmf,
-    thermal,
 )
 
 __all__ = [
@@ -77,31 +76,48 @@ class ScatterConfig:
         )
 
 
+def _log_ratio(mean: float) -> float:
+    """log r = log(n̄/(1+n̄)), without rounding r first; −inf at n̄ = 0."""
+    if mean == 0.0:
+        return -math.inf
+    return math.log(mean) - math.log1p(mean) if mean < 1.0 else -math.log1p(1.0 / mean)
+
+
 def detected_pmf(
     cfg: ScatterConfig, tail_target: float = DEFAULT_TAIL_TARGET
 ) -> PhotonNumberDistribution:
     """Detected photon-number distribution of the mixed field.
 
-    The mass past the cutoff is exact: P(X+Y > n) = A·p_det(n) + r_B^(n+1),
-    with r_B = B/(1+B), because P(X > n−m) = A·BE_A(n−m) turns the tail's
-    sum over m into A times the double geometric sum at n.
+    With r = n̄/(1+n̄) per mode and A ≥ B (the law is symmetric),
+    p(n) = (r_A^(n+1) − r_B^(n+1))/(A − B), evaluated as
+    r_A^(n+1)·(−expm1((n+1)·log(r_B/r_A)))/(A − B); two equal modes give
+    (n+1)·r^n/(1+A)². The mass past the cutoff is exact:
+    P(X+Y > n) = A·p_det(n) + r_B^(n+1), because P(X > n−m) = A·BE_A(n−m)
+    turns the tail's sum over m into A times the double geometric sum at n.
     """
-    a, b = cfg.mode_means
+    big_b, big_a = sorted(cfg.mode_means)
+    log_ra = _log_ratio(big_a)
+    if big_a == big_b:
 
-    @functools.cache  # the accepted cutoff is not evaluated twice
-    def terms(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-        return pmf(thermal(a), cutoff=n_max).probs, pmf(thermal(b), cutoff=n_max).probs
+        def law(n: np.ndarray) -> np.ndarray:
+            power = np.multiply(n, log_ra, out=np.zeros(n.shape), where=n > 0)  # r⁰ = 1
+            return (n + 1) * np.exp(power - 2.0 * math.log1p(big_a))
+    else:
+        # log(r_B/r_A) = log1p(x); as x nears −1 that loses digits and the
+        # difference of the logs does not (−inf at B = 0).
+        x = (big_b - big_a) / (big_a * (1.0 + big_b))
+        log_q = math.log1p(x) if x > -0.5 else _log_ratio(big_b) - log_ra
 
-    def tail(n_max: int) -> float:
-        term_a, term_b = terms(n_max)
-        return a * float(np.dot(term_a[::-1], term_b)) + _thermal_tail(b, n_max)
+        def law(n: np.ndarray) -> np.ndarray:
+            m = n + 1.0
+            return np.exp(m * log_ra) / (big_a - big_b) * -np.expm1(m * log_q)
 
-    n_max, tail_bound = _grow_cutoff(default_cutoff(a + b), tail, tail_target)
-    term_a, term_b = terms(n_max)
-    probs = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        probs[n] = float(np.dot(term_a[n::-1], term_b[: n + 1]))
-    return PhotonNumberDistribution(probs, tail_bound)
+    n_max, tail_bound = _grow_cutoff(
+        default_cutoff(big_a + big_b),
+        lambda c: big_a * float(law(np.array([c]))[0]) + _thermal_tail(big_b, c),
+        tail_target,
+    )
+    return PhotonNumberDistribution(law(np.arange(n_max + 1)), tail_bound)
 
 
 def g2_vs_angle(

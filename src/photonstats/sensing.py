@@ -23,6 +23,10 @@ The subtracted and conditional pmfs are truncated by the policy stated in
 Two phase conventions coexist deliberately: the subtraction arm's success
 probability carries sin²(φ/2) while the kept arm's conditional moments carry
 cos²(φ/2). Each formula keeps the convention of the branch it describes.
+
+Every law reads φ from its `SensorConfig`. To evaluate at another phase,
+pass ``dataclasses.replace(cfg, phase=φ)``, so the new phase goes through
+the config's [0, 2π] check.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def subtraction_success_probability(cfg: SensorConfig, level: int) -> float:
     so the probability is the Bose–Einstein weight n̄_d^L/(1+n̄_d)^(L+1).
     """
     _validate_subtraction_order(level)
-    _, big_b, _ = _kept_arm(cfg, cfg.phase)
+    _, big_b, _ = _kept_arm(cfg)
     mean_d = big_b * math.sin(cfg.phase / 2.0) ** 2
     return math.exp(special.xlogy(level, mean_d) - (level + 1) * math.log1p(mean_d))
 
@@ -198,12 +202,12 @@ def subtraction_success_probability(cfg: SensorConfig, level: int) -> float:
 # Realistic conditional state
 # ===================================================================
 
-def _kept_arm(cfg: SensorConfig, phase: float) -> tuple[float, float, float]:
+def _kept_arm(cfg: SensorConfig) -> tuple[float, float, float]:
     """(K, B, c): detected kept-arm and subtraction-arm means per unit c, and
     the fringe factor c = cos²(φ/2)."""
     big_k = cfg.mean * cfg.gamma_loss * cfg.xi * cfg.eta_ph
     big_b = cfg.mean * cfg.gamma_loss * (1.0 - cfg.xi) * cfg.eta_pl
-    return big_k, big_b, math.cos(phase / 2.0) ** 2
+    return big_k, big_b, math.cos(cfg.phase / 2.0) ** 2
 
 
 def conditional_state_pmf(
@@ -213,7 +217,7 @@ def conditional_state_pmf(
     subtraction arm, including coupler split and both efficiencies: the
     negative binomial ``subtracted_pmf(μ, L)`` with μ = Kc/(1+Bc)."""
     _validate_subtraction_order(level)
-    big_k, big_b, c = _kept_arm(cfg, cfg.phase)
+    big_k, big_b, c = _kept_arm(cfg)
     # The factors, not B·c: that product can underflow while each is positive.
     if level > 0 and 0.0 in (cfg.mean * cfg.gamma_loss * c, 1.0 - cfg.xi, cfg.eta_pl):
         raise DomainError(
@@ -222,28 +226,28 @@ def conditional_state_pmf(
     return subtracted_pmf(big_k * c / (1.0 + big_b * c), level, tail_target)
 
 
-def conditional_mean(cfg: SensorConfig, level: int, phase: float | None = None) -> float:
+def conditional_mean(cfg: SensorConfig, level: int) -> float:
     """Closed-form mean of the detected conditional state, (L+1)μ =
     (L+1) K c / (1 + B c)."""
     _validate_subtraction_order(level)
-    big_k, big_b, c = _kept_arm(cfg, cfg.phase if phase is None else phase)
+    big_k, big_b, c = _kept_arm(cfg)
     return big_k * c * (level + 1) / (1.0 + big_b * c)
 
 
-def snr(cfg: SensorConfig, level: int, phase: float | None = None) -> float:
+def snr(cfg: SensorConfig, level: int) -> float:
     """Closed-form conditional signal-to-noise ratio, mean/std of the
     negative binomial: sqrt((L+1) K c / (1 + (K+B) c))."""
     _validate_subtraction_order(level)
-    big_k, big_b, c = _kept_arm(cfg, cfg.phase if phase is None else phase)
+    big_k, big_b, c = _kept_arm(cfg)
     return math.sqrt((level + 1) * big_k * c / (1.0 + (big_k + big_b) * c))
 
 
-def conditional_std(cfg: SensorConfig, level: int, phase: float | None = None) -> float:
+def conditional_std(cfg: SensorConfig, level: int) -> float:
     """Standard deviation of the detected conditional count, mean/SNR."""
-    value = snr(cfg, level, phase)
+    value = snr(cfg, level)
     if value == 0.0:
         return 0.0
-    return conditional_mean(cfg, level, phase) / value
+    return conditional_mean(cfg, level) / value
 
 
 def snr_from_pmf(cfg: SensorConfig, level: int) -> float:
@@ -255,30 +259,24 @@ def snr_from_pmf(cfg: SensorConfig, level: int) -> float:
     return mean / math.sqrt(var)
 
 
-def conditional_mean_phase_derivative(
-    cfg: SensorConfig, level: int, phase: float | None = None
-) -> float:
+def conditional_mean_phase_derivative(cfg: SensorConfig, level: int) -> float:
     """Analytic d⟨n⟩/dφ of the conditional mean:
     d/dφ [K c (L+1)/(1+Bc)] = −K (L+1) sin(φ) / (2 (1+Bc)²)."""
     _validate_subtraction_order(level)
-    phi = cfg.phase if phase is None else phase
-    big_k, big_b, c = _kept_arm(cfg, phi)
-    return -big_k * (level + 1) * math.sin(phi) / (2.0 * (1.0 + big_b * c) ** 2)
+    big_k, big_b, c = _kept_arm(cfg)
+    return -big_k * (level + 1) * math.sin(cfg.phase) / (2.0 * (1.0 + big_b * c) ** 2)
 
 
-def phase_uncertainty(
-    cfg: SensorConfig, level: int, phase: float | None = None
-) -> float:
+def phase_uncertainty(cfg: SensorConfig, level: int) -> float:
     """Phase estimation error Δφ = Δn / |d⟨n⟩/dφ| at the working point.
 
     The slope is ``conditional_mean_phase_derivative``; a vanishing slope
     (φ near 0 or π, where the fringe is stationary) raises
     SingularPointError rather than returning a divergent number.
     """
-    phi = cfg.phase if phase is None else phase
-    derivative = conditional_mean_phase_derivative(cfg, level, phi)
+    derivative = conditional_mean_phase_derivative(cfg, level)
     if abs(derivative) < 1e-12:
         raise SingularPointError(
-            f"conditional mean is stationary at phase {phi}; uncertainty diverges"
+            f"conditional mean is stationary at phase {cfg.phase}; uncertainty diverges"
         )
-    return conditional_std(cfg, level, phi) / abs(derivative)
+    return conditional_std(cfg, level) / abs(derivative)

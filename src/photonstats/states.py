@@ -9,7 +9,8 @@ the conventions once:
 * the three canonical sources are Fock (unit mass at n), coherent
   (Poissonian, p(n) = e^(-n̄) n̄^n / n!) and thermal (Bose–Einstein,
   p(n) = n̄^n / (1+n̄)^(n+1));
-* g2 is the single-mode zero-delay form 1 + (⟨(Δn)²⟩ − ⟨n⟩)/⟨n⟩².
+* g2 is the single-mode zero-delay form ⟨n(n−1)⟩/⟨n⟩², which equals
+  1 + (⟨(Δn)²⟩ − ⟨n⟩)/⟨n⟩².
 
 Truncation policy, shared by every truncated law in the package (``pmf``
 here, the scatter law, the P-function quadrature and the subtracted and
@@ -262,11 +263,14 @@ def moments(dist: PhotonNumberDistribution) -> tuple[float, float]:
 
 
 def g2_from_pmf(dist: PhotonNumberDistribution) -> float:
-    """Zero-delay second-order coherence 1 + (var − mean)/mean²."""
-    mean, var = moments(dist)
+    """Zero-delay second-order coherence ⟨n(n−1)⟩/⟨n⟩², which equals
+    1 + (var − mean)/mean² but keeps its digits at small means, where the
+    moment form cancels."""
+    n = dist.support()
+    mean = float(np.dot(n, dist.probs))
     if mean <= 0.0:
         raise UndefinedCoherenceError("g2 undefined for a zero-mean distribution")
-    return 1.0 + (var - mean) / (mean * mean)
+    return float(np.dot(n * (n - 1), dist.probs)) / (mean * mean)
 
 
 def convolve(

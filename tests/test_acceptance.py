@@ -9,6 +9,7 @@ stated runtime budgets are asserted where a criterion carries one.
 import contextlib
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -316,8 +317,8 @@ def test_10_sensing_snr_and_phase_error():
         step = 1e-4
         for level in range(4):
             fd = (
-                conditional_mean(cfg, level, cfg.phase + step)
-                - conditional_mean(cfg, level, cfg.phase - step)
+                conditional_mean(replace(cfg, phase=cfg.phase + step), level)
+                - conditional_mean(replace(cfg, phase=cfg.phase - step), level)
             ) / (2.0 * step)
             analytic = conditional_mean_phase_derivative(cfg, level)
             assert abs(fd - analytic) <= 1e-6 * abs(analytic)

@@ -101,11 +101,12 @@ class TestConfigValueTypes:
             ("g2-scan", {"theta_count": 19.7}),
             ("g2-scan", {"theta_count": -1}),
             ("g2-scan", {"n_s": [1.0]}),
-            ("g2-scan", {"seed": True}),
+            ("g2-scan", {"theta_start": True}),
             ("scatter", {"n_pl": None}),
             ("preselect", {"angles": 0.5}),
             ("preselect", {"angles": [0.3, 0.7, 0.4, 0.6]}),
             ("preselect", {"angles": [0.3, 0.7, 0.4, 0.6, "x"]}),
+            ("image-sim", {"seed": True}),
         ],
     )
     def test_bad_value_is_a_config_error_naming_the_key(self, sub, config, tmp_path, capsys):
@@ -118,13 +119,13 @@ class TestConfigValueTypes:
 
     def test_values_are_converted_like_flag_text(self, tmp_path, capsys):
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"angles": [0.3, 0.7, 0.4, 0.6, 1], "mean": 1, "seed": "3"}))
+        path.write_text(json.dumps({"angles": [0.3, 0.7, 0.4, 0.6, 1], "mean": 1}))
         rc, _, _ = run(capsys, "preselect", "--config", str(path), "--out", str(tmp_path))
         assert rc == 0
         config = json.loads((tmp_path / "preselect-manifest.json").read_text())["config"]
         assert config["angles"] == [0.3, 0.7, 0.4, 0.6, 1.0]
         assert isinstance(config["angles"][-1], float)
-        assert isinstance(config["mean"], float) and config["seed"] == 3
+        assert isinstance(config["mean"], float)
 
     @pytest.mark.parametrize(
         "sub,flag",
@@ -356,6 +357,16 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["g2-scan", "--bogus", "1", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_seed_exists_only_where_numbers_are_drawn(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["g2-scan", "--seed", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": 3}))
+        rc, _, err = run(capsys, "preselect", "--config", str(path), "--out", str(tmp_path))
+        assert rc == 2
+        assert "seed" in err
 
     def test_domain_error_exits_two(self, tmp_path, capsys):
         rc, _, _ = run(

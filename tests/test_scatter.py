@@ -40,7 +40,7 @@ class TestScatterConfig:
 
 class TestDetectedPmf:
     def test_matches_thermal_convolution(self):
-        """The summed form and the convolution of two Bose-Einstein pmfs are
+        """The closed form and the convolution of two Bose-Einstein pmfs are
         the same distribution; both routes must agree to near machine level."""
         cfg = ScatterConfig(1.2, 0.4, 30.0)
         d = detected_pmf(cfg)
@@ -50,6 +50,18 @@ class TestDetectedPmf:
             pmf(thermal(b), cutoff=d.probs.size - 1).probs,
         )[: d.probs.size]
         assert np.max(np.abs(d.probs - ref)) < 1e-12
+
+    def test_closed_form_matches_the_convolution_at_large_means(self):
+        cfg = ScatterConfig(120.0, 40.0, 30.0)
+        start = time.perf_counter()
+        d = detected_pmf(cfg)
+        assert time.perf_counter() - start < 1.0
+        a, b = cfg.mode_means
+        assert a + b >= 100.0
+        ref = np.convolve(
+            pmf(thermal(a), cutoff=d.n_max).probs, pmf(thermal(b), cutoff=d.n_max).probs
+        )[: d.n_max + 1]
+        assert np.max(np.abs(d.probs - ref)) <= 1e-12
 
     def test_tail_target_is_honored(self):
         d = detected_pmf(ScatterConfig(2.0, 1.5, 45.0), tail_target=1e-10)

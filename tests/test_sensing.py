@@ -1,6 +1,7 @@
 """Plasmon-subtraction sensing: conditional statistics, SNR, phase error."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,11 @@ class TestPreset:
         cfg = preset("thesis-ch5", mean=1.5, phase=math.pi)
         assert cfg.mean == 1.5
         assert cfg.phase == math.pi
+
+    @pytest.mark.parametrize("phase", [math.nan, -0.1, 7.0])
+    def test_phase_override_is_validated(self, phase):
+        with pytest.raises(DomainError, match="phase"):
+            preset("thesis-ch5", phase=phase)
 
     def test_unknown_name(self):
         with pytest.raises(DomainError, match="preset"):
@@ -273,15 +279,15 @@ class TestPhaseUncertainty:
     def test_mirror_symmetry(self):
         cfg = preset("thesis-ch5")
         phi = 2.0
-        assert phase_uncertainty(cfg, 1, phi) == pytest.approx(
-            phase_uncertainty(cfg, 1, 2.0 * math.pi - phi), rel=1e-9
+        assert phase_uncertainty(replace(cfg, phase=phi), 1) == pytest.approx(
+            phase_uncertainty(replace(cfg, phase=2.0 * math.pi - phi), 1), rel=1e-9
         )
 
     @pytest.mark.parametrize("phi", [0.0, math.pi])
     def test_stationary_points_are_singular(self, phi):
         cfg = preset("thesis-ch5")
         with pytest.raises(SingularPointError):
-            phase_uncertainty(cfg, 1, phi)
+            phase_uncertainty(replace(cfg, phase=phi), 1)
 
     def test_finite_difference_matches_analytic_slope(self):
         cfg = preset("thesis-ch5")
@@ -289,8 +295,8 @@ class TestPhaseUncertainty:
         for level in (0, 3):
             for phi in (0.8, math.pi / 2.0, 2.4):
                 fd = (
-                    conditional_mean(cfg, level, phi + step)
-                    - conditional_mean(cfg, level, phi - step)
+                    conditional_mean(replace(cfg, phase=phi + step), level)
+                    - conditional_mean(replace(cfg, phase=phi - step), level)
                 ) / (2.0 * step)
-                analytic = conditional_mean_phase_derivative(cfg, level, phi)
+                analytic = conditional_mean_phase_derivative(replace(cfg, phase=phi), level)
                 assert fd == pytest.approx(analytic, rel=1e-6)

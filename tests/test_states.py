@@ -91,6 +91,12 @@ class TestMomentsAndCoherence:
         assert g2_from_pmf(pmf(coherent(1.1), tail_target=1e-13)) == pytest.approx(1.0, abs=1e-12)
         assert g2_from_pmf(pmf(fock(5))) == pytest.approx(1.0 - 1.0 / 5.0, abs=1e-15)
 
+    def test_g2_keeps_its_digits_at_small_means(self):
+        # 1 + (var − mean)/mean² cancels to ~1e-16/mean here; ⟨n(n−1)⟩/⟨n⟩² does not
+        for mean in (1e-6, 1e-9):
+            assert abs(g2_from_pmf(pmf(thermal(mean), tail_target=1e-20)) - 2.0) <= 1e-12
+        assert abs(g2_from_pmf(pmf(coherent(1e-6), tail_target=1e-20)) - 1.0) <= 1e-12
+
     def test_g2_of_vacuum_is_undefined(self):
         with pytest.raises(UndefinedCoherenceError):
             g2_from_pmf(pmf(fock(0)))

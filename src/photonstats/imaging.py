@@ -375,8 +375,11 @@ def acquire(
     mean detected count in arm a (intensity), the probability of an N-count
     in arm a (post(N)), or the conditional mean of arm a given an N-count in
     arm b (subtract(N)). With finite ``shots`` each row is sampled through
-    the Monte Carlo pipeline on its own RNG substream, reducing to the
-    empirical counterpart of the same quantity.
+    the Monte Carlo pipeline on its own RNG substreams, reducing to the
+    empirical counterpart of the same quantity. intensity and post(N) draw
+    arm a alone: a one-mode network of routing probability c² read by det_a,
+    so each shot is Binomial(n, c²η_a) + Poisson(ν_a) and det_b does not
+    enter. subtract(N) draws both arms.
     """
     if masks.n_pixels != scene.values.size:
         raise ContractError(
@@ -398,21 +401,23 @@ def acquire(
     if shots < 1:
         raise DomainError("shots must be >= 1")
     c2, s2 = arms.arm_fractions
-    network = SplitterNetwork((c2, s2))
-    detectors = (arms.det_a, arms.det_b)
+    if kind == "subtract":
+        network, detectors = SplitterNetwork((c2, s2)), (arms.det_a, arms.det_b)
+    else:
+        network, detectors = SplitterNetwork((c2,)), (arms.det_a,)
     y = np.empty(projections.size)
     for t, n_t in enumerate(projections):
         source_seed = RngSeed(seed.seed, seed.stream_id + 2 * t)
         detect_seed = RngSeed(seed.seed, seed.stream_id + 2 * t + 1)
         counts = sample_source(thermal(float(n_t)), shots, source_seed)
         detected = split_and_detect(counts, network, detectors, detect_seed)
-        arm_a, arm_b = detected[:, 0], detected[:, 1]
+        arm_a = detected[:, 0]
         if kind == "intensity":
             y[t] = float(arm_a.mean())
         elif kind == "post":
             y[t] = float(np.mean(arm_a == big_n))
         else:
-            hits = arm_b == big_n
+            hits = detected[:, 1] == big_n
             if not np.any(hits):
                 raise AccuracyError(
                     f"no {big_n}-count events in arm b at row {t}; increase shots"
@@ -520,10 +525,12 @@ def tv_prox(v: np.ndarray, weight: float, n_inner: int = 20) -> np.ndarray:
     call; v is not written to. Each sweep performs the textbook sweep's
     floating-point operations in the same order on the same operands, so u
     equals that of the sweep written with `_grad` and `_grad_adjoint`, bit
-    for bit (the tests compare them).
+    for bit (the tests compare them). n_inner must be an int >= 1.
     """
     if not (math.isfinite(weight) and weight >= 0.0):
         raise DomainError(f"prox weight must be finite and >= 0, got {weight!r}")
+    if not (isinstance(n_inner, int) and n_inner >= 1):
+        raise DomainError(f"n_inner must be an int >= 1, got {n_inner!r}")
     if weight == 0.0:
         return v.copy()
     u = np.empty(v.shape)

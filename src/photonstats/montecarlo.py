@@ -1,10 +1,13 @@
 """Brute-force sampling oracle: sources through splitters and noisy detectors.
 
 Every closed form in the package can be cross-checked by drawing photon
-numbers from the source law, routing each photon multinomially through a
-lossy splitter network, thinning per detector efficiency and adding Poisson
-dark counts. No amplitude-level interference is simulated here; wherever the
-physics needs amplitudes the analytic modules handle it and this module only
+numbers from the source law, routing each photon through a lossy splitter
+network into detectors of efficiency η and adding Poisson dark counts. A
+photon reaches mode i with probability pᵢ and is then kept with probability
+ηᵢ, independently, so routing and detection are one multinomial draw over
+(p₁η₁, …, p_mη_m, loss); the loss category is left out when nothing is lost.
+No amplitude-level interference is simulated here; wherever the physics
+needs amplitudes the analytic modules handle it and this module only
 validates their photon-number predictions.
 
 Reproducibility contract: generators are counter-based (Philox) keyed by
@@ -130,14 +133,18 @@ def split_and_detect(
     detectors: tuple[DetectorModel, ...] | list[DetectorModel],
     seed: RngSeed | int,
 ) -> np.ndarray:
-    """Route, thin and add dark counts; returns shape (n_samples, mode_count).
+    """Route, detect and add dark counts; returns shape (n_samples, mode_count).
 
     Each input photon independently picks output mode i with probability
-    routing_probs[i] (or is lost with the leftover probability); mode i keeps
-    each arrival with probability η_i and adds Poisson(ν_i) dark counts.
+    routing_probs[i] (or is lost with the leftover probability) and mode i
+    keeps each arrival with probability η_i. Both steps are one multinomial
+    per shot over (p_iη_i for every mode, 1 − Σ p_iη_i); the last, loss,
+    category is left out of the draw when it is exactly 0 (a lossless
+    network read by perfect detectors). Mode i then adds Poisson(ν_i) dark
+    counts when ν_i > 0. counts must have an integer dtype.
     """
     counts = np.asarray(counts)
-    if counts.ndim != 1 or counts.size == 0:
+    if counts.ndim != 1 or counts.size == 0 or not np.issubdtype(counts.dtype, np.integer):
         raise ContractError("counts must be a non-empty 1-D integer vector")
     if np.any(counts < 0):
         raise DomainError("photon counts must be >= 0")
@@ -146,19 +153,14 @@ def split_and_detect(
             f"{len(detectors)} detectors for {network.mode_count} output modes"
         )
     rng = make_generator(seed)
-    pvals = np.asarray(network.routing_probs + (network.loss_probability,))
-    # Guard float drift: multinomial demands an exact simplex.
-    pvals = np.clip(pvals, 0.0, None)
-    pvals[-1] = max(0.0, 1.0 - pvals[:-1].sum())
-    routed = rng.multinomial(counts.astype(np.int64), pvals)[:, : network.mode_count]
-    out = np.empty_like(routed)
+    pvals = [p * det.efficiency for p, det in zip(network.routing_probs, detectors)]
+    loss = 1.0 - sum(pvals)
+    if loss > 0.0:
+        pvals.append(loss)
+    out = rng.multinomial(counts.astype(np.int64, copy=False), pvals)[:, : network.mode_count]
     for i, det in enumerate(detectors):
-        kept = routed[:, i]
-        if det.efficiency < 1.0:
-            kept = rng.binomial(kept, det.efficiency)
         if det.dark_rate > 0.0:
-            kept = kept + rng.poisson(det.dark_rate, size=kept.shape)
-        out[:, i] = kept
+            out[:, i] += rng.poisson(det.dark_rate, size=counts.size)
     return out
 
 

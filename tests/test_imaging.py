@@ -198,6 +198,19 @@ class TestAcquire:
         with pytest.raises(AccuracyError, match="increase shots"):
             acquire(scene, masks, NOISY, mode="subtract(40)", shots=50, seed=1)
 
+    def test_arm_b_is_drawn_only_when_subtracting(self):
+        scene = binary_phantom(8, 8)
+        masks = random_sensing_matrix(4, 64, seed=9)
+        # With η_a = 1 a two-arm draw over a lossless splitter would drop its
+        # loss category for the perfect det_b only, which moves arm a's stream.
+        det_a = DetectorModel(1.0, 0.05)
+        perfect_b = TwoArmDetection(math.pi / 4.0, det_a, DetectorModel(1.0, 0.0))
+        noisy_b = TwoArmDetection(math.pi / 4.0, det_a, DetectorModel(0.3, 2.0))
+        for mode, same in (("intensity", True), ("post(2)", True), ("subtract(1)", False)):
+            a = acquire(scene, masks, perfect_b, mode=mode, shots=2000, seed=3)
+            b = acquire(scene, masks, noisy_b, mode=mode, shots=2000, seed=3)
+            assert (a.tobytes() == b.tobytes()) is same, mode
+
 
 class TestPrimariesAgainstTheJointLaw:
     """The vectorized primaries against sums of the cell-by-cell oracle."""
@@ -299,6 +312,11 @@ class TestTvMachinery:
     def test_bad_prox_weight_rejected(self, weight):
         with pytest.raises(DomainError):
             tv_prox(np.ones((4, 4)), weight)
+
+    @pytest.mark.parametrize("n_inner", [-3, 0, 2.0])
+    def test_bad_sweep_count_rejected(self, n_inner):
+        with pytest.raises(DomainError, match="n_inner"):
+            tv_prox(np.ones((4, 4)), 0.3, n_inner=n_inner)
 
     def test_spectral_norm_matches_eigensolver(self):
         rng = np.random.default_rng(1)
@@ -442,7 +460,7 @@ class TestBitForBitAgainstTheTextbook:
     def test_prox_equals_the_textbook_sweep(self, shape, weight):
         rng = np.random.default_rng(17)
         v = rng.normal(size=shape)
-        for n_inner in (0, 1, 20):
+        for n_inner in (1, 20):
             u_ref, _ = _textbook_prox(v, weight, n_inner)
             assert np.array_equal(tv_prox(v, weight, n_inner=n_inner), u_ref)
 

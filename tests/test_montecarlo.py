@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from photonstats import (
     ContractError,
@@ -118,6 +119,39 @@ class TestSplitAndDetect:
         a = split_and_detect(counts, net, dets, RngSeed(3, 7))
         b = split_and_detect(counts, net, dets, RngSeed(3, 7))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "counts", [np.array([1.7, 2.9, 0.5]), np.array([True, False, True])]
+    )
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(ContractError, match="integer"):
+            split_and_detect(counts, SplitterNetwork((1.0,)), (DetectorModel(),), RngSeed(0))
+
+    def test_folded_draw_gives_independent_poisson_arms(self):
+        """Coherent light split and read by lossy, noisy detectors: arm i
+        is Poisson(n̄·pᵢ·ηᵢ + νᵢ), independently of the other arm. Pearson
+        chi-square over the joint cells expecting at least 100 counts plus
+        one cell for the rest, inside a two-sided 1e-9 band."""
+        shots = 1_000_000
+        counts = sample_source(coherent(2.0), shots, RngSeed(21))
+        detected = split_and_detect(
+            counts,
+            SplitterNetwork((0.3, 0.5)),
+            (DetectorModel(0.6, 0.2), DetectorModel(0.9, 0.0)),
+            RngSeed(21, 1),
+        )
+        size = int(detected.max()) + 1
+        cells = np.arange(size)
+        expected = shots * np.outer(stats.poisson.pmf(cells, 0.56), stats.poisson.pmf(cells, 0.9)).ravel()
+        observed = np.bincount(detected[:, 0] * size + detected[:, 1], minlength=expected.size)
+        kept = expected >= 100.0
+        want = np.append(expected[kept], shots - expected[kept].sum())
+        got = np.append(observed[kept], shots - observed[kept].sum())
+        stat = float(((got - want) ** 2 / want).sum())
+        dof = int(kept.sum())
+        assert dof >= 10
+        tail = 1e-9
+        assert stats.chi2.ppf(tail, dof) <= stat <= stats.chi2.isf(tail, dof), (stat, dof)
 
     def test_detector_count_must_match_modes(self):
         counts = np.zeros(10, dtype=np.int64)

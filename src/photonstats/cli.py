@@ -156,6 +156,14 @@ def _write_rows(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _gray_levels(img: np.ndarray) -> np.ndarray:
+    """8-bit levels: negatives clipped, the maximum at 255, all 0 if it is <= 0."""
+    top = float(img.max())
+    if top <= 0.0:
+        return np.zeros(img.shape, dtype=np.uint8)
+    return np.round(np.clip(img, 0.0, None) / top * 255.0).astype(np.uint8)
+
+
 def _emit(summary: dict) -> None:
     sys.stdout.write(json.dumps(_jsonify(summary), sort_keys=True) + "\n")
 
@@ -199,25 +207,21 @@ def _cmd_coherence_map(params: dict, out: Path) -> dict:
     state = ThermalSplitterState(params["mean"], params["split_angle"])
     half = 2.0 * math.pi / cfg.beta
     grid = np.linspace(-half, half, params["k_count"])
+    k1, k2 = np.meshgrid(grid, grid, indexing="ij")
     n1, n2 = params["n1"], params["n2"]
-    rows = []
-    for k1 in grid:
-        for k2 in grid:
-            rows.append((float(k1), float(k2), conditional_g2_map(cfg, state, n1, n2, float(k1), float(k2))))
+    g2 = conditional_g2_map(cfg, state, n1, n2, k1, k2)
     path = out / "coherence-map.csv"
-    _write_rows(path, "k1,k2,g2", rows)
+    _write_rows(path, "k1,k2,g2", zip(k1.ravel().tolist(), k2.ravel().tolist(), g2.ravel().tolist()))
     return {"artifacts": [path.name], "conditioned_on": [n1, n2], "k_span": 2.0 * half}
 
 
 def _cmd_gtilde_table(params: dict, out: Path) -> dict:
     state = ThermalSplitterState(params["mean"], params["split_angle"])
     n_top = params["n_max"]
-    rows = []
-    for big_n in range(n_top + 1):
-        for big_m in range(n_top + 1):
-            rows.append((big_n, big_m, gtilde2_thermal(state, big_n, big_m)))
+    big_n, big_m = np.indices((n_top + 1, n_top + 1)).reshape(2, -1)
+    g = gtilde2_thermal(state, big_n, big_m)
     path = out / "gtilde-table.csv"
-    _write_rows(path, "N,M,gtilde2", rows)
+    _write_rows(path, "N,M,gtilde2", zip(big_n.tolist(), big_m.tolist(), g.tolist()))
     diag = gtilde2_thermal(state, n_top, n_top)
     return {"artifacts": [path.name], "diagonal_max": diag}
 
@@ -229,13 +233,12 @@ def _cmd_envelope_oracle(params: dict, out: Path) -> dict:
         psi=params["psi"],
     )
     scale = params["coherence_scale"]
-    if scale <= 0.0:
-        scale = (cfg.slit_width / 8.0) ** 2
+    scale = (cfg.slit_width / 8.0) ** 2 if scale is None else scale
     period = math.pi / cfg.beta
     dks = np.linspace(0.0, params["periods"] * period, params["dk_count"])
-    g2 = np.array([classical_envelope_oracle(cfg, scale, -dk / 2.0, dk / 2.0) for dk in dks])
+    g2 = classical_envelope_oracle(cfg, scale, -dks / 2.0, dks / 2.0)
     path = out / "envelope-oracle.csv"
-    _write_rows(path, "dk,g2", [(float(a), float(b)) for a, b in zip(dks, g2)])
+    _write_rows(path, "dk,g2", zip(dks.tolist(), g2.tolist()))
     omega = modulation_frequency(dks, g2)
     return {
         "artifacts": [path.name],
@@ -306,11 +309,8 @@ def _cmd_image_sim(params: dict, out: Path) -> dict:
     )
     y = acquire(scene, masks, arms, params["mode"], shots=params["shots"] or None, seed=RngSeed(seed.seed, 1))
 
-    img = scene.as_image()
-    top = float(img.max())
-    scaled = np.zeros_like(img, dtype=np.uint8) if top == 0.0 else np.round(img / top * 255.0).astype(np.uint8)
     scene_path = out / "image-sim-scene.pgm"
-    write_pgm(scene_path, scaled)
+    write_pgm(scene_path, _gray_levels(scene.as_image()))
     masks_path = out / "image-sim-masks.csv"
     _write_rows(masks_path, ",".join(f"p{i}" for i in range(masks.n_pixels)),
                 [tuple(int(v) for v in row) for row in masks.matrix])
@@ -326,17 +326,18 @@ def _cmd_image_sim(params: dict, out: Path) -> dict:
 def _cmd_reconstruct(params: dict, out: Path) -> dict:
     if params["input"] is None:
         raise ConfigError("reconstruct needs --input (measurement CSV)")
-    y_path = Path(params["input"])
-    masks_path = Path(params["masks"])
-    for p in (y_path, masks_path):
+    tables = []
+    for p, ndmin in ((Path(params["input"]), 1), (Path(params["masks"]), 2)):
         if not p.is_file():
             raise ConfigError(f"input file not found: {p}")
-    y = np.loadtxt(y_path, delimiter=",", skiprows=1, ndmin=1)
-    matrix = np.loadtxt(masks_path, delimiter=",", skiprows=1, ndmin=2)
-    masks = SensingMatrix(matrix)
+        try:
+            tables.append(np.loadtxt(p, delimiter=",", skiprows=1, ndmin=ndmin))
+        except ValueError as exc:
+            raise ConfigError(f"cannot read {p}: {exc}") from None
+    y, matrix = tables
     width, height = params["width"], params["height"]
     result = cs_reconstruct(
-        masks,
+        SensingMatrix(matrix),
         y,
         mu=params["mu"],
         max_iter=params["max_iter"],
@@ -344,11 +345,8 @@ def _cmd_reconstruct(params: dict, out: Path) -> dict:
         nonneg=params["nonneg"],
         shape=(height, width),
     )
-    img = result.s_hat.reshape(height, width)
-    top = float(img.max())
-    scaled = np.zeros_like(img, dtype=np.uint8) if top <= 0.0 else np.round(np.clip(img, 0.0, None) / top * 255.0).astype(np.uint8)
     img_path = out / "reconstruct.pgm"
-    write_pgm(img_path, scaled)
+    write_pgm(img_path, _gray_levels(result.s_hat.reshape(height, width)))
     trace_path = out / "reconstruct-trace.csv"
     _write_rows(trace_path, "iteration,objective", [(i, float(v)) for i, v in enumerate(result.objective_trace)])
     return {
@@ -378,7 +376,7 @@ def _cmd_oracle_check(params: dict, out: Path) -> dict:
     checks.append(("gamma_sum_identity", err <= 1e-9, err))
 
     st = ThermalSplitterState(1.0, math.pi / 4.0)
-    total = sum(joint_pmf(st, n, m) for n in range(60) for m in range(60))
+    total = float(joint_pmf(st, *np.indices((60, 60))).sum())
     err = abs(total - 1.0)
     checks.append(("joint_pmf_normalization", err <= 1e-8, err))
 
@@ -482,8 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-h", dest="mean_h", type=float, default=1.0)
     p.add_argument("--mean-v", dest="mean_v", type=float, default=0.5)
     p.add_argument("--psi", type=float, default=math.pi / 4.0)
-    p.add_argument("--coherence-scale", dest="coherence_scale", type=float, default=0.0,
-                   help="squared coherence length; 0 picks (slit width / 8)^2")
+    p.add_argument("--coherence-scale", dest="coherence_scale", type=float, default=None,
+                   help="squared coherence length, > 0; default (slit width / 8)^2")
     p.add_argument("--periods", type=float, default=4.0)
     p.add_argument("--dk-count", dest="dk_count", type=non_negative_int, default=129)
 

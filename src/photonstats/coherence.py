@@ -17,6 +17,9 @@ slit:
   and the envelope shape without any photon-number reasoning;
 * vacuum preselection probabilities of a five-splitter routing network.
 
+The split-thermal laws, the conditional map and the classical oracle take
+whole grids: counts and positions broadcast, and scalars give ``np.float64``.
+
 Primary routes and their oracles: far-field fringes vs
 ``classical_envelope_oracle``; the "factored" vs "gamma-sum" forms of
 ``preselection_distribution``; the closed-form ``detected_vacuum_probability``
@@ -169,19 +172,21 @@ class PreselectionNetwork:
 # Split thermal light: joint statistics and wavepacket correlation
 # ===================================================================
 
-def _validate_counts(*counts: int) -> None:
-    for c in counts:
-        if not isinstance(c, (int, np.integer)) or c < 0:
-            raise DomainError(f"photon counts must be non-negative integers, got {c!r}")
+def _counts(*counts) -> list[np.ndarray]:
+    """The counts as arrays, each checked to hold non-negative integers."""
+    arrays = [np.asarray(c) for c in counts]
+    if any(a.dtype.kind not in "iu" or np.any(a < 0) for a in arrays):
+        raise DomainError(f"photon counts must be non-negative integers, got {counts!r}")
+    return arrays
 
 
-def joint_pmf(state: ThermalSplitterState, big_n: int, big_m: int) -> float:
+def joint_pmf(state: ThermalSplitterState, big_n, big_m):
     """Probability of seeing exactly (N, M) photons in arms (a, b).
 
     Closed form: C(N+M, N) n̄^(N+M) cos^(2N)θ sin^(2M)θ / (1+n̄)^(N+M+1).
-    Marginals are thermal with the arm means.
+    Marginals are thermal with the arm means. N and M broadcast.
     """
-    _validate_counts(big_n, big_m)
+    big_n, big_m = _counts(big_n, big_m)
     n_bar = state.mean_total
     c2 = math.cos(state.split_angle) ** 2
     total = big_n + big_m
@@ -194,28 +199,31 @@ def joint_pmf(state: ThermalSplitterState, big_n: int, big_m: int) -> float:
         + special.xlogy(big_n, c2)
         + special.xlogy(big_m, 1.0 - c2)
     )
-    return float(math.exp(log_p))
+    return np.exp(log_p)
 
 
-def gtilde2_thermal(state: ThermalSplitterState, big_n: int, big_m: int) -> float:
-    """Wavepacket correlation of the split thermal field.
-
-    g̃²(N,M) = C(N+M,N) (1+n̄cos²θ)^(N+1) (1+n̄sin²θ)^(M+1) / (1+n̄)^(N+M+1),
-    equal to joint_pmf / (marginal_a(N)·marginal_b(M)). It exceeds 1 near the
-    diagonal N=M and drops below 1 when N and M differ strongly.
-    """
-    _validate_counts(big_n, big_m)
-    n_bar = state.mean_total
-    mean_a, mean_b = state.arm_means
+def _gtilde2(big_n, big_m, mean_a, mean_b, n_bar):
+    """g̃²(N,M) from the arm means and the total mean, all broadcasting."""
     log_g = (
         special.gammaln(big_n + big_m + 1)
         - special.gammaln(big_n + 1)
         - special.gammaln(big_m + 1)
-        + (big_n + 1) * math.log1p(mean_a)
-        + (big_m + 1) * math.log1p(mean_b)
-        - (big_n + big_m + 1) * math.log1p(n_bar)
+        + (big_n + 1) * np.log1p(mean_a)
+        + (big_m + 1) * np.log1p(mean_b)
+        - (big_n + big_m + 1) * np.log1p(n_bar)
     )
-    return float(math.exp(log_g))
+    return np.exp(log_g)
+
+
+def gtilde2_thermal(state: ThermalSplitterState, big_n, big_m):
+    """Wavepacket correlation of the split thermal field.
+
+    g̃²(N,M) = C(N+M,N) (1+n̄cos²θ)^(N+1) (1+n̄sin²θ)^(M+1) / (1+n̄)^(N+M+1),
+    equal to joint_pmf / (marginal_a(N)·marginal_b(M)). It exceeds 1 near the
+    diagonal N=M and drops below 1 when N and M differ strongly. N and M
+    broadcast.
+    """
+    return _gtilde2(*_counts(big_n, big_m), *state.arm_means, state.mean_total)
 
 
 # ===================================================================
@@ -264,35 +272,30 @@ def farfield_g2(cfg: InterferenceConfig, k1, k2):
 
 
 def conditional_g2_map(
-    cfg: InterferenceConfig,
-    state_params: ThermalSplitterState | None,
-    n1: int,
-    n2: int,
-    k1: float,
-    k2: float,
-) -> float:
+    cfg: InterferenceConfig, state_params: ThermalSplitterState | None, n1, n2, k1, k2
+):
     """Spatial wavepacket correlation conditioned on counts (n₁, n₂) at
     detector positions (k₁, k₂).
 
     sinc²((k₁−k₂+k′)/σ) · (1 + (1−ζ sin²(β(k₁−k₂))) [g̃²(n₁,n₂) − 1]).
 
-    With ``state_params=None`` the effective (n̄, θ) are read off the detector
-    intensities: n̄cos²θ = ⟨n̂(k₁)⟩, n̄sin²θ = ⟨n̂(k₂)⟩.
+    With ``state_params=None`` the arm means are read off the detector
+    intensities: n̄cos²θ = ⟨n̂(k₁)⟩, n̄sin²θ = ⟨n̂(k₂)⟩. n₁, n₂, k₁ and k₂
+    broadcast.
     """
-    _validate_counts(n1, n2)
+    n1, n2 = _counts(n1, n2)
     if state_params is None:
         mean_a = farfield_intensity(cfg, k1)
         mean_b = farfield_intensity(cfg, k2)
         total = mean_a + mean_b
-        if total <= 0.0:
+        if np.any(total <= 0.0):
             raise DomainError("cannot derive splitter state from zero intensities")
-        state_params = ThermalSplitterState(
-            total, math.atan2(math.sqrt(mean_b), math.sqrt(mean_a))
-        )
-    g_th = gtilde2_thermal(state_params, n1, n2)
+        g_th = _gtilde2(n1, n2, mean_a, mean_b, total)
+    else:
+        g_th = _gtilde2(n1, n2, *state_params.arm_means, state_params.mean_total)
     delta = k1 - k2
-    envelope = float(_sinc((delta + cfg.envelope_offset) / cfg.sigma_env)) ** 2
-    modulation = 1.0 - cfg.zeta * math.sin(cfg.beta * delta) ** 2
+    envelope = _sinc((delta + cfg.envelope_offset) / cfg.sigma_env) ** 2
+    modulation = 1.0 - cfg.zeta * np.sin(cfg.beta * delta) ** 2
     return envelope * (1.0 + modulation * (g_th - 1.0))
 
 
@@ -301,33 +304,28 @@ def conditional_g2_map(
 # ===================================================================
 
 def _slit_integrals(
-    cfg: InterferenceConfig,
-    coherence_scale: float,
-    pairs: list[tuple[float, float]],
-    order: int,
+    cfg: InterferenceConfig, coherence_scale: float, k_a: np.ndarray, k_b: np.ndarray, order: int
 ) -> np.ndarray:
     """q_j(k_a, k_b) = ∫∫_slit_j exp(i κ(k_b x' − k_a x)) exp(−(x−x')²/s) dx dx'
-    for j in {photonic slit at +d/2, plasmonic slit at −d/2}; returns an array
-    of shape (len(pairs), 2), normalized by the slit area w²."""
+    for j in {photonic slit at +d/2, plasmonic slit at −d/2} and each pair of
+    the 1-D arrays k_a, k_b; returns an array of shape (len(k_a), 2),
+    normalized by the slit area w²."""
     nodes, weights = special.roots_legendre(order)
     half = cfg.slit_width / 2.0
     kappa = 2.0 * math.pi / (cfg.wavelength * cfg.distance)
-    out = np.empty((len(pairs), 2), dtype=complex)
+    out = np.empty((k_a.size, 2), dtype=complex)
     for j, center in enumerate((cfg.slit_separation / 2.0, -cfg.slit_separation / 2.0)):
         x = center + half * nodes
         diff = x[:, None] - x[None, :]
         kernel = np.exp(-(diff * diff) / coherence_scale)
-        for p, (ka, kb) in enumerate(pairs):
-            u = weights * np.exp(-1j * kappa * ka * x)
-            v = weights * np.exp(1j * kappa * kb * x)
-            # (half²) from both substitutions; normalize by w² = (2·half)².
-            out[p, j] = (u @ kernel @ v) * 0.25
+        u = weights * np.exp(-1j * kappa * k_a[:, None] * x)
+        v = weights * np.exp(1j * kappa * k_b[:, None] * x)
+        # (half²) from both substitutions; normalize by w² = (2·half)².
+        out[:, j] = ((u @ kernel) * v).sum(axis=1) * 0.25
     return out
 
 
-def classical_envelope_oracle(
-    cfg: InterferenceConfig, coherence_scale: float, k1: float, k2: float
-) -> float:
+def classical_envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k1, k2):
     """Two-point correlation of a classical Gaussian field behind the slits.
 
     The field has correlation exp(−(x−x')²/s) across the slit plane
@@ -338,9 +336,10 @@ def classical_envelope_oracle(
         cross(k_a,k_b) = q₁·(cos²θ_pl cos²ψ + sin²θ_pl) + q₂·cos²θ_pl sin²ψ
         g²(k₁,k₂) = 1 + |cross(k₁,k₂)|² / (cross(k₁,k₁)·cross(k₂,k₂)).
 
-    Gauss–Legendre order starts at 64 per slit axis and doubles until every
-    slit integral is stable to 1e-6 relative; failing to stabilize by order
-    1024 raises AccuracyError.
+    k₁ and k₂ broadcast. Gauss–Legendre order starts at 64 per slit axis and
+    doubles, once for the whole grid, until every slit integral at every
+    point is stable to 1e-6 relative; failing to stabilize by order 1024
+    raises AccuracyError.
     """
     if not (math.isfinite(coherence_scale) and coherence_scale > 0.0):
         raise DomainError(f"coherence_scale must be > 0, got {coherence_scale!r}")
@@ -352,26 +351,27 @@ def classical_envelope_oracle(
     if w_photonic + w_plasmonic <= 0.0:
         raise DomainError("slit weights vanish; no field reaches the screen")
 
-    pairs = [(k1, k2), (k1, k1), (k2, k2)]
+    k1, k2 = np.broadcast_arrays(k1, k2)
+    # rows: the cross pairs (k₁, k₂), then the autos (k₁, k₁) and (k₂, k₂)
+    k_a = np.concatenate((k1, k1, k2), axis=None)
+    k_b = np.concatenate((k2, k1, k2), axis=None)
     order = 64
-    prev = _slit_integrals(cfg, coherence_scale, pairs, order)
+    prev = _slit_integrals(cfg, coherence_scale, k_a, k_b, order)
     while True:
         order *= 2
         if order > 1024:
             raise AccuracyError("slit quadrature did not stabilize by order 1024")
-        cur = _slit_integrals(cfg, coherence_scale, pairs, order)
+        cur = _slit_integrals(cfg, coherence_scale, k_a, k_b, order)
         scale = np.abs(prev)
         if np.all(np.abs(cur - prev) <= 1e-6 * np.maximum(scale, 1e-300)):
             break
         prev = cur
 
-    cross, auto1, auto2 = (
-        w_photonic * cur[i, 0] + w_plasmonic * cur[i, 1] for i in range(3)
-    )
+    cross, auto1, auto2 = (w_photonic * cur[:, 0] + w_plasmonic * cur[:, 1]).reshape(3, -1)
     denom = auto1.real * auto2.real
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise AccuracyError("non-positive autocorrelation from quadrature")
-    return 1.0 + float(abs(cross) ** 2 / denom)
+    return (1.0 + np.abs(cross) ** 2 / denom).reshape(k1.shape)[()]
 
 
 def modulation_frequency(x: np.ndarray, y: np.ndarray) -> float:
@@ -462,11 +462,10 @@ def preselection_distribution(
     """
     if len(counts) != 6:
         raise ContractError("counts must have exactly six entries")
-    _validate_counts(*counts)
+    (per_mode,) = _counts(counts)
     if method not in ("gamma-sum", "factored"):
         raise DomainError(f"unknown method {method!r}")
     probs = mode_probabilities(net)
-    per_mode = np.asarray(counts)
     n = int(per_mode.sum())
     log_p = (
         special.xlogy(n, net.mean / (1.0 + net.mean))

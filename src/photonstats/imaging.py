@@ -45,7 +45,7 @@ from .montecarlo import (
     sample_source,
     split_and_detect,
 )
-from .states import default_cutoff, thermal
+from .states import thermal
 
 __all__ = [
     "SensingScene",
@@ -271,45 +271,42 @@ def _projections(n_t, big_n: int) -> np.ndarray:
     return arr
 
 
+def _count_weights(signal: np.ndarray, dark_rate: float, big_n: int) -> np.ndarray:
+    """The (rows, N+1) matrix BE(i; s)·Poisson(N−i; ν): i signal counts (thermal
+    mean s, one per row) and N − i dark counts (rate ν) in one arm."""
+    i = np.arange(big_n + 1)
+    log_terms = (
+        special.xlogy(i, signal[:, None]) - (i + 1) * np.log1p(signal[:, None])
+        + special.xlogy(big_n - i, dark_rate) - dark_rate - special.gammaln(big_n - i + 1)
+    )
+    return np.exp(log_terms)
+
+
 def _post_probability(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
     """P(N counts in arm a) for each projection n̄_t: the thinned thermal
     signal BE(i; A_t), A_t = η_a cos²θ n̄_t, convolved with the dark counts
     Poisson(N−i; ν_a)."""
     c2, _ = arms.arm_fractions
-    signal = arms.det_a.efficiency * c2 * _projections(n_t, big_n)[:, None]
-    nu_a = arms.det_a.dark_rate
-    i = np.arange(big_n + 1)
-    log_terms = (
-        special.xlogy(i, signal) - (i + 1) * np.log1p(signal)
-        + special.xlogy(big_n - i, nu_a) - nu_a - special.gammaln(big_n - i + 1)
-    )
-    return np.exp(log_terms).sum(axis=1)
+    signal = arms.det_a.efficiency * c2 * _projections(n_t, big_n)
+    return _count_weights(signal, arms.det_a.dark_rate, big_n).sum(axis=1)
 
 
 def _conditional_mean(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
-    """E[counts in arm a | N counts in arm b] for each projection n̄_t: ν_a
-    plus the mean of arm a's signal i under the clean split-thermal law
-    C(i+j,i)·A^i·B^j/(1+A+B)^(i+j+1) weighted by Poisson(N−j; ν_b). Given j,
-    i is negative binomial with mean at most A(N+1); the i sum stops at twice
-    the default cutoff of that mean, which leaves out less than 1e-17."""
+    """E[counts in arm a | N counts in arm b] for each projection n̄_t. Given
+    j signal counts in arm b, arm a's signal is negative binomial with mean
+    (j+1)·A/(1+B), A and B the detected signal means (a negative multinomial
+    conditioned), so the mean is ν_a + A/(1+B)·(1 + E[j | N]) under arm b's
+    weights BE(j; B)·Poisson(N−j; ν_b): a sum over j ≤ N, truncating nothing."""
     n_t = _projections(n_t, big_n)
     c2, s2 = arms.arm_fractions
-    a = (arms.det_a.efficiency * c2 * n_t)[:, None, None]
-    b = (arms.det_b.efficiency * s2 * n_t)[:, None, None]
-    nu_b = arms.det_b.dark_rate
-    i = np.arange(2 * default_cutoff(float(a.max()) * (big_n + 1)) + 1)[:, None]
-    j = np.arange(big_n + 1)[None, :]
-    log_terms = (
-        special.gammaln(i + j + 1) - special.gammaln(i + 1) - special.gammaln(j + 1)
-        + special.xlogy(i, a) + special.xlogy(j, b) - (i + j + 1) * np.log1p(a + b)
-        + special.xlogy(big_n - j, nu_b) - nu_b - special.gammaln(big_n - j + 1)
-    )
-    weights = np.exp(log_terms).sum(axis=2)
+    a = arms.det_a.efficiency * c2 * n_t
+    b = arms.det_b.efficiency * s2 * n_t
+    weights = _count_weights(b, arms.det_b.dark_rate, big_n)
     total = weights.sum(axis=1)
     if np.any(total <= 0.0):
         row = int(np.argmax(total <= 0.0))
         raise DomainError(f"conditioning on {big_n} counts in arm b has zero probability at row {row}")
-    return arms.det_a.dark_rate + (weights @ i[:, 0]) / total
+    return arms.det_a.dark_rate + a / (1.0 + b) * (1.0 + weights @ np.arange(big_n + 1) / total)
 
 
 def arm_a_marginal(n_t: float, arms: TwoArmDetection, n: int) -> float:
@@ -590,7 +587,8 @@ def cs_reconstruct(
     the textbook `tv_prox` sweep (the tests keep that loop as the oracle).
     stop_reason is "converged" when the objective has stalled within tol
     for 5 steps in a row (a rejected candidate counts as a stall) and
-    "max_iter" when max_iter steps ran out first. mu and tol must be finite.
+    "max_iter" when max_iter steps ran out first. mu and tol must be finite
+    and max_iter an int (not a bool).
     """
     q = masks.matrix if isinstance(masks, SensingMatrix) else np.asarray(masks, float)
     y = np.asarray(y, dtype=float)
@@ -601,8 +599,9 @@ def cs_reconstruct(
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(y))):
         raise DomainError("Q and y must be finite")
     if not (math.isfinite(mu) and mu > 0.0 and math.isfinite(tol) and tol >= 0.0
+            and isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
             and max_iter >= 1):
-        raise DomainError(f"need finite mu > 0 and tol >= 0, max_iter >= 1; got "
+        raise DomainError(f"need finite mu > 0 and tol >= 0, an int max_iter >= 1; got "
                           f"mu={mu!r}, tol={tol!r}, max_iter={max_iter!r}")
     n_pixels = q.shape[1]
     if shape is None:

@@ -338,6 +338,20 @@ class TestReconstructRoundTrip:
         else:
             assert "nonneg" in err and not manifest.exists()
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--input", "y\n1.0\nabc\n"), ("--masks", "p0,p1\n0,1\n1,abc\n")],
+        ids=["input", "masks"],
+    )
+    def test_non_numeric_cell_is_a_config_error_naming_the_file(
+        self, small_run, flag, text, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        rc, _, err = run(capsys, *small_run, flag, str(bad))
+        assert rc == 2
+        assert str(bad) in err
+
     def test_missing_input_is_a_config_error(self, tmp_path, capsys):
         rc, _, err = run(
             capsys, "reconstruct", "--input", str(tmp_path / "nope.csv"),
@@ -373,6 +387,32 @@ class TestArgumentErrors:
             capsys, "scatter", "--theta-deg", "120", "--out", str(tmp_path)
         )
         assert rc == 2
+
+
+class TestEnvelopeOracle:
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_non_positive_coherence_scale_exits_two(self, tmp_path, capsys, value):
+        rc, _, err = run(
+            capsys, "envelope-oracle", "--coherence-scale", value, "--dk-count", "9",
+            "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "coherence_scale" in err
+        assert not (tmp_path / "envelope-oracle-manifest.json").exists()
+
+    def test_default_scale_is_recorded_as_null(self, tmp_path, capsys):
+        default, explicit = tmp_path / "default", tmp_path / "explicit"
+        assert run(capsys, "envelope-oracle", "--dk-count", "33", "--out", str(default))[0] == 0
+        manifest = json.loads((default / "envelope-oracle-manifest.json").read_text())
+        assert manifest["config"]["coherence_scale"] is None
+        # the default is (slit width / 8)^2 with the 200 nm slit
+        rc, _, _ = run(
+            capsys, "envelope-oracle", "--dk-count", "33",
+            "--coherence-scale", repr((200e-9 / 8.0) ** 2), "--out", str(explicit),
+        )
+        assert rc == 0
+        name = "envelope-oracle.csv"
+        assert (default / name).read_bytes() == (explicit / name).read_bytes()
 
 
 class TestTailTarget:

@@ -91,6 +91,64 @@ class TestWavepacketCorrelation:
         assert gtilde2_thermal(BALANCED, 0, 3) < 1.0
 
 
+class TestWholeGrids:
+    """Each law called on a grid equals its cell-by-cell scalar calls."""
+
+    STATE = ThermalSplitterState(1.3, 0.6)
+
+    def test_joint_pmf_and_gtilde2_on_an_index_grid(self):
+        big_n, big_m = np.indices((7, 9))
+        for law in (joint_pmf, gtilde2_thermal):
+            grid = law(self.STATE, big_n, big_m)
+            cells = np.array(
+                [[law(self.STATE, n, m) for m in range(9)] for n in range(7)]
+            )
+            assert grid.shape == (7, 9)
+            assert np.array_equal(grid, cells)
+            assert type(law(self.STATE, 2, 3)) is np.float64
+
+    @pytest.mark.parametrize("state", [None, STATE])
+    def test_conditional_map_on_a_position_grid(self, state):
+        cfg = InterferenceConfig(mean_h=0.6, mean_v=0.4, psi=math.pi / 3.0, zeta=0.9)
+        ks = np.linspace(-2.0 * math.pi / cfg.beta, 2.0 * math.pi / cfg.beta, 11)
+        k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+        grid = conditional_g2_map(cfg, state, 2, 1, k1, k2)
+        cells = np.array(
+            [[conditional_g2_map(cfg, state, 2, 1, float(a), float(b)) for b in ks] for a in ks]
+        )
+        assert np.array_equal(grid, cells)
+
+    def test_envelope_oracle_on_a_separation_grid(self):
+        cfg = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
+        scale = (cfg.slit_width / 8.0) ** 2
+        dks = np.linspace(0.0, 4.0 * math.pi / cfg.beta, 17)
+        grid = classical_envelope_oracle(cfg, scale, -dks / 2.0, dks / 2.0)
+        cells = np.array(
+            [classical_envelope_oracle(cfg, scale, -dk / 2.0, dk / 2.0) for dk in dks]
+        )
+        assert grid.shape == dks.shape
+        assert np.max(np.abs(grid - cells) / cells) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "counts", [np.array([0, 3, -1]), np.array([1.0, 2.0]), np.array([True, False])]
+    )
+    def test_a_bad_count_inside_an_array_is_rejected(self, counts):
+        cfg = InterferenceConfig(mean_h=0.6, mean_v=0.4, psi=0.3)
+        for call in (
+            lambda: joint_pmf(self.STATE, counts, 0),
+            lambda: gtilde2_thermal(self.STATE, 1, counts),
+            lambda: conditional_g2_map(cfg, self.STATE, counts, 0, 0.0, 0.0),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_preselection_rejects_a_bad_count_among_six(self):
+        net = PreselectionNetwork((0.3, 0.7, 0.4, 0.6, 0.5), 0.5)
+        for counts in ((0, 1, 2, -1, 0, 0), (0, 1, 2, 1.0, 0, 0)):
+            with pytest.raises(DomainError):
+                preselection_distribution(net, counts)
+
+
 class TestFarField:
     def make_cfg(self, **kw):
         base = dict(mean_h=0.4, mean_v=0.2, psi=math.pi / 4.0)

@@ -1,6 +1,7 @@
 """Single-pixel acquisition model and TV-regularized reconstruction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from photonstats import (
 )
 from photonstats.imaging import (
     _SOLVER_SWEEPS,
+    _conditional_mean,
     _grad,
     _grad_adjoint,
     _spectral_norm_sq,
@@ -238,6 +240,25 @@ class TestPrimariesAgainstTheJointLaw:
         assert np.max(np.abs(got_post - post) / np.array(post)) <= 1e-12
         assert np.max(np.abs(got_sub - sub) / np.array(sub)) <= 1e-12
 
+    def test_bright_subtraction_mean_is_small_and_exact(self):
+        # Arm a's mean reaches 275 here, but given N = 3 counts in arm b its
+        # conditional mean stays below (N+1)·A/(1+B) + ν_a < 5, so 120
+        # counts carry all but ~1e-30 of the conditional mass.
+        arms = self.NOISY_FLOOR
+        n_t = np.linspace(62.5, 1000.0, 16)
+        tracemalloc.start()
+        try:
+            got = _conditional_mean(n_t, arms, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        counts = np.arange(121)
+        for row, mean in zip(n_t, got):
+            column = np.array([joint_pmf_noisy(float(row), arms, int(n), 3) for n in counts])
+            assert column[-1] < 1e-30 * column.max()
+            assert mean == pytest.approx(float(counts @ column) / float(column.sum()), rel=1e-12)
+
     def test_snr_figures(self):
         arms = TestSnrModes.ARMS_POST
         counts = np.arange(self.CUT + 1)
@@ -363,7 +384,8 @@ class TestReconstruction:
     @pytest.mark.parametrize(
         "kwargs",
         [{"mu": math.nan}, {"mu": math.inf}, {"mu": -1.0}, {"tol": math.nan},
-         {"tol": math.inf}, {"tol": -1e-9}, {"max_iter": 0}],
+         {"tol": math.inf}, {"tol": -1e-9}, {"max_iter": 0}, {"max_iter": 2.5},
+         {"max_iter": True}],
     )
     def test_bad_solver_settings_rejected(self, kwargs):
         masks = random_sensing_matrix(10, 16, seed=0)

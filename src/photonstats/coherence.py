@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import AccuracyError, ContractError, DomainError
+from .errors import AccuracyError, ContractError, DomainError, _count
 from .states import default_cutoff
 
 __all__ = [
@@ -172,21 +172,13 @@ class PreselectionNetwork:
 # Split thermal light: joint statistics and wavepacket correlation
 # ===================================================================
 
-def _counts(*counts) -> list[np.ndarray]:
-    """The counts as arrays, each checked to hold non-negative integers."""
-    arrays = [np.asarray(c) for c in counts]
-    if any(a.dtype.kind not in "iu" or np.any(a < 0) for a in arrays):
-        raise DomainError(f"photon counts must be non-negative integers, got {counts!r}")
-    return arrays
-
-
 def joint_pmf(state: ThermalSplitterState, big_n, big_m):
     """Probability of seeing exactly (N, M) photons in arms (a, b).
 
     Closed form: C(N+M, N) n̄^(N+M) cos^(2N)θ sin^(2M)θ / (1+n̄)^(N+M+1).
     Marginals are thermal with the arm means. N and M broadcast.
     """
-    big_n, big_m = _counts(big_n, big_m)
+    big_n, big_m = _count(big_n, "big_n", grid=True), _count(big_m, "big_m", grid=True)
     n_bar = state.mean_total
     c2 = math.cos(state.split_angle) ** 2
     total = big_n + big_m
@@ -223,7 +215,8 @@ def gtilde2_thermal(state: ThermalSplitterState, big_n, big_m):
     diagonal N=M and drops below 1 when N and M differ strongly. N and M
     broadcast.
     """
-    return _gtilde2(*_counts(big_n, big_m), *state.arm_means, state.mean_total)
+    big_n, big_m = _count(big_n, "big_n", grid=True), _count(big_m, "big_m", grid=True)
+    return _gtilde2(big_n, big_m, *state.arm_means, state.mean_total)
 
 
 # ===================================================================
@@ -283,7 +276,7 @@ def conditional_g2_map(
     intensities: n̄cos²θ = ⟨n̂(k₁)⟩, n̄sin²θ = ⟨n̂(k₂)⟩. n₁, n₂, k₁ and k₂
     broadcast.
     """
-    n1, n2 = _counts(n1, n2)
+    n1, n2 = _count(n1, "n1", grid=True), _count(n2, "n2", grid=True)
     if state_params is None:
         mean_a = farfield_intensity(cfg, k1)
         mean_b = farfield_intensity(cfg, k2)
@@ -430,8 +423,7 @@ def gamma_sum(n: int) -> float:
     what reduces the routed multiparticle distribution to a Bose–Einstein
     weight times a multinomial.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
+    n = _count(n, "n")
     k = np.arange(n + 1)
     log_terms = (
         special.gammaln(n + 1)
@@ -462,7 +454,7 @@ def preselection_distribution(
     """
     if len(counts) != 6:
         raise ContractError("counts must have exactly six entries")
-    (per_mode,) = _counts(counts)
+    per_mode = np.array([_count(c, "counts") for c in counts])
     if method not in ("gamma-sum", "factored"):
         raise DomainError(f"unknown method {method!r}")
     probs = mode_probabilities(net)

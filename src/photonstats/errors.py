@@ -4,9 +4,16 @@ The split mirrors how failures should be handled at the command line:
 value/usage problems (DomainError and friends, ConfigError) are the caller's
 to fix, while AccuracyError means a numerical guarantee could not be met and
 the run must not be trusted.
+
+Every integer argument (counts, orders, shots, sizes, budgets, cutoffs, seeds)
+obeys `_count`: a Python or NumPy integer, never a bool or a float, at or above
+its lower bound, and entry by entry an integer array where a law broadcasts.
+Anything else raises DomainError naming the parameter.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "PhotonStatsError",
@@ -50,3 +57,16 @@ class AccuracyError(PhotonStatsError, ArithmeticError):
 
 class ConfigError(PhotonStatsError, ValueError):
     """Malformed run configuration (unknown keys, missing files, bad values)."""
+
+
+def _count(value, name: str, low: int = 0, *, grid: bool = False):
+    """The integer rule above: ``value`` as an int, or with ``grid=True``
+    also as an integer array."""
+    if type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if value >= low:
+            return int(value)
+    elif grid:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "iu" and not np.any(arr < low):
+            return arr
+    raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")

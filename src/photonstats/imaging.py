@@ -36,6 +36,7 @@ from .errors import (
     ContractError,
     DomainError,
     SaturationError,
+    _count,
 )
 from .montecarlo import (
     DetectorModel,
@@ -80,9 +81,7 @@ class SensingScene:
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=float, copy=True).ravel()
-        if self.width < 1 or self.height < 1:
-            raise ContractError("scene dimensions must be positive")
-        if arr.size != self.width * self.height:
+        if arr.size != _count(self.width, "width", 1) * _count(self.height, "height", 1):
             raise ContractError(
                 f"{arr.size} pixel values for a {self.width}x{self.height} grid"
             )
@@ -188,8 +187,7 @@ class ReconstructionResult:
 def binary_phantom(width: int = 32, height: int = 32) -> SensingScene:
     """Piecewise-constant test target: three axis-aligned blocks covering
     roughly a quarter of the frame."""
-    if width < 8 or height < 8:
-        raise DomainError("phantom needs at least an 8x8 grid")
+    width, height = _count(width, "width", 8), _count(height, "height", 8)
     img = np.zeros((height, width))
     img[height // 5 : 2 * height // 5, width // 5 : 4 * width // 5] = 1.0
     img[3 * height // 5 : 4 * height // 5, width // 5 : 2 * width // 5] = 1.0
@@ -205,8 +203,8 @@ def random_sensing_matrix(
 ) -> SensingMatrix:
     """Independent Bernoulli(fill_fraction) masks from a seeded stream;
     fill_fraction must lie in (0, 1)."""
-    if n_measurements < 1 or n_pixels < 1:
-        raise ContractError("matrix dimensions must be positive")
+    n_measurements = _count(n_measurements, "n_measurements", 1)
+    n_pixels = _count(n_pixels, "n_pixels", 1)
     if not (0.0 < fill_fraction < 1.0):
         raise DomainError(f"fill_fraction must lie in (0, 1), got {fill_fraction!r}")
     rng = make_generator(seed)
@@ -235,9 +233,7 @@ def scale_scene_to_projection(
 def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n: int, m: int) -> float:
     """Probability of detecting (n, m) photons in arms (a, b) for one
     thermal projection of mean n̄_t behind the splitter and noisy detectors."""
-    for label, c in (("n", n), ("m", m)):
-        if not isinstance(c, (int, np.integer)) or c < 0:
-            raise DomainError(f"{label} must be a non-negative integer, got {c!r}")
+    n, m = _count(n, "n"), _count(m, "m")
     if not (math.isfinite(n_t) and n_t >= 0.0):
         raise DomainError(f"n_t must be >= 0, got {n_t!r}")
     c2, s2 = arms.arm_fractions
@@ -261,10 +257,8 @@ def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n: int, m: int) -> float:
     return float(np.exp(log_terms).sum())
 
 
-def _projections(n_t, big_n: int) -> np.ndarray:
-    """n̄_t as a 1-D array, once it and the count N are checked."""
-    if not isinstance(big_n, (int, np.integer)) or big_n < 0:
-        raise DomainError(f"N must be a non-negative integer, got {big_n!r}")
+def _projections(n_t) -> np.ndarray:
+    """n̄_t as a 1-D array, once it is checked."""
     arr = np.atleast_1d(np.asarray(n_t, dtype=float))
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         raise DomainError(f"n_t must be finite and >= 0, got {n_t!r}")
@@ -287,7 +281,7 @@ def _post_probability(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
     signal BE(i; A_t), A_t = η_a cos²θ n̄_t, convolved with the dark counts
     Poisson(N−i; ν_a)."""
     c2, _ = arms.arm_fractions
-    signal = arms.det_a.efficiency * c2 * _projections(n_t, big_n)
+    signal = arms.det_a.efficiency * c2 * _projections(n_t)
     return _count_weights(signal, arms.det_a.dark_rate, big_n).sum(axis=1)
 
 
@@ -297,7 +291,7 @@ def _conditional_mean(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
     (j+1)·A/(1+B), A and B the detected signal means (a negative multinomial
     conditioned), so the mean is ν_a + A/(1+B)·(1 + E[j | N]) under arm b's
     weights BE(j; B)·Poisson(N−j; ν_b): a sum over j ≤ N, truncating nothing."""
-    n_t = _projections(n_t, big_n)
+    n_t = _projections(n_t)
     c2, s2 = arms.arm_fractions
     a = arms.det_a.efficiency * c2 * n_t
     b = arms.det_b.efficiency * s2 * n_t
@@ -312,13 +306,13 @@ def _conditional_mean(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
 def arm_a_marginal(n_t: float, arms: TwoArmDetection, n: int) -> float:
     """Marginal probability of n counts in arm a (the joint law summed over
     arm b): thinned thermal signal convolved with Poisson dark counts."""
-    return float(_post_probability(n_t, arms, n)[0])
+    return float(_post_probability(n_t, arms, _count(n, "n"))[0])
 
 
 def snr_post(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
     """Post-selected signal-to-noise: probability of an N-count in arm a
     relative to the dark-count-only Poisson probability of the same count."""
-    signal, noise = _post_probability(np.array([n_t, 0.0]), arms, big_n)
+    signal, noise = _post_probability(np.array([n_t, 0.0]), arms, _count(big_n, "big_n"))
     if noise == 0.0:
         raise SaturationError(
             "noise floor is zero (no dark counts); post-selected SNR saturates"
@@ -330,6 +324,7 @@ def snr_sub(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
     """Subtraction-mode signal-to-noise: conditional mean count in arm a
     given an N-count in arm b, relative to the noise-only conditional mean
     (which is just the dark rate, arms being independent without signal)."""
+    big_n = _count(big_n, "big_n")
     nu_a = arms.det_a.dark_rate
     if nu_a == 0.0:
         raise SaturationError(
@@ -384,7 +379,7 @@ def acquire(
         )
     kind, big_n = _parse_mode(mode)
     projections = masks.matrix @ scene.values
-    if isinstance(seed, int):
+    if not isinstance(seed, RngSeed):
         seed = RngSeed(seed)
 
     if shots is None:
@@ -395,8 +390,7 @@ def acquire(
         c2, _ = arms.arm_fractions
         return arms.det_a.efficiency * c2 * projections + arms.det_a.dark_rate
 
-    if shots < 1:
-        raise DomainError("shots must be >= 1")
+    shots = _count(shots, "shots", 1)
     c2, s2 = arms.arm_fractions
     if kind == "subtract":
         network, detectors = SplitterNetwork((c2, s2)), (arms.det_a, arms.det_b)
@@ -526,8 +520,7 @@ def tv_prox(v: np.ndarray, weight: float, n_inner: int = 20) -> np.ndarray:
     """
     if not (math.isfinite(weight) and weight >= 0.0):
         raise DomainError(f"prox weight must be finite and >= 0, got {weight!r}")
-    if not (isinstance(n_inner, int) and n_inner >= 1):
-        raise DomainError(f"n_inner must be an int >= 1, got {n_inner!r}")
+    n_inner = _count(n_inner, "n_inner", 1)
     if weight == 0.0:
         return v.copy()
     u = np.empty(v.shape)
@@ -598,11 +591,9 @@ def cs_reconstruct(
         )
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(y))):
         raise DomainError("Q and y must be finite")
-    if not (math.isfinite(mu) and mu > 0.0 and math.isfinite(tol) and tol >= 0.0
-            and isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
-            and max_iter >= 1):
-        raise DomainError(f"need finite mu > 0 and tol >= 0, an int max_iter >= 1; got "
-                          f"mu={mu!r}, tol={tol!r}, max_iter={max_iter!r}")
+    if not (math.isfinite(mu) and mu > 0.0 and math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"need finite mu > 0 and tol >= 0, got mu={mu!r}, tol={tol!r}")
+    max_iter = _count(max_iter, "max_iter", 1)
     n_pixels = q.shape[1]
     if shape is None:
         side = math.isqrt(n_pixels)
@@ -611,7 +602,7 @@ def cs_reconstruct(
                 f"{n_pixels} pixels is not square; pass shape=(height, width)"
             )
         shape = (side, side)
-    if shape[0] * shape[1] != n_pixels:
+    if _count(shape[0], "shape", 1) * _count(shape[1], "shape", 1) != n_pixels:
         raise ContractError(f"shape {shape} does not cover {n_pixels} pixels")
 
     scale = float(np.max(np.abs(y)))

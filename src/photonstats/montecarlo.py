@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, UndefinedCoherenceError
+from .errors import ContractError, DomainError, UndefinedCoherenceError, _count
 from .states import PhotonNumberDistribution, SourceSpec
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
     "empirical_g2",
 ]
 
-_U64 = 1 << 64
-
-
 @dataclass(frozen=True)
 class RngSeed:
     """Reproducible stream address: (seed, stream_id) -> one Philox key."""
@@ -49,9 +46,10 @@ class RngSeed:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or not (0 <= value < _U64):
-                raise DomainError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+            value = _count(getattr(self, name), name)
+            if value >= 2**64:
+                raise DomainError(f"{name} must be below 2**64, got {value!r}")
+            object.__setattr__(self, name, value)
 
     def key(self) -> int:
         return self.seed + (self.stream_id << 64)
@@ -101,7 +99,7 @@ class DetectorModel:
 
 def make_generator(seed: RngSeed | int) -> np.random.Generator:
     """Philox generator for the given stream address."""
-    if isinstance(seed, int):
+    if not isinstance(seed, RngSeed):
         seed = RngSeed(seed)
     return np.random.Generator(np.random.Philox(key=seed.key()))
 
@@ -113,8 +111,7 @@ def sample_source(source: SourceSpec, n_samples: int, seed: RngSeed | int) -> np
     probability 1/(1+n̄) on {1,2,...}, then G−1 is Bose–Einstein with mean n̄.
     Coherent light is Poisson; Fock is deterministic.
     """
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
+    n_samples = _count(n_samples, "n_samples", 1)
     rng = make_generator(seed)
     mean = source.mean
     if source.kind == "fock":
@@ -125,6 +122,15 @@ def sample_source(source: SourceSpec, n_samples: int, seed: RngSeed | int) -> np
     if mean == 0.0:
         return np.zeros(n_samples, dtype=np.int64)
     return (rng.geometric(1.0 / (1.0 + mean), size=n_samples) - 1).astype(np.int64)
+
+
+def _photon_counts(counts, name: str) -> np.ndarray:
+    """Photon numbers drawn per shot, as `split_and_detect` and `estimate_pmf`
+    take them: a non-empty 1-D vector of integer dtype, entries >= 0."""
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.size == 0 or not np.issubdtype(counts.dtype, np.integer):
+        raise ContractError(f"{name} must be a non-empty 1-D integer vector")
+    return _count(counts, name, grid=True)
 
 
 def split_and_detect(
@@ -143,11 +149,7 @@ def split_and_detect(
     network read by perfect detectors). Mode i then adds Poisson(ν_i) dark
     counts when ν_i > 0. counts must have an integer dtype.
     """
-    counts = np.asarray(counts)
-    if counts.ndim != 1 or counts.size == 0 or not np.issubdtype(counts.dtype, np.integer):
-        raise ContractError("counts must be a non-empty 1-D integer vector")
-    if np.any(counts < 0):
-        raise DomainError("photon counts must be >= 0")
+    counts = _photon_counts(counts, "counts")
     if len(detectors) != network.mode_count:
         raise ContractError(
             f"{len(detectors)} detectors for {network.mode_count} output modes"
@@ -166,11 +168,7 @@ def split_and_detect(
 
 def estimate_pmf(samples: np.ndarray) -> tuple[PhotonNumberDistribution, np.ndarray]:
     """Empirical pmf with per-bin binomial standard errors sqrt(p(1−p)/N)."""
-    samples = np.asarray(samples)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ContractError("need at least one sample")
-    if np.any(samples < 0):
-        raise DomainError("photon counts must be >= 0")
+    samples = _photon_counts(samples, "samples")
     n = samples.size
     freqs = np.bincount(samples.astype(np.int64)) / n
     se = np.sqrt(freqs * (1.0 - freqs) / n)

@@ -51,7 +51,8 @@ def _tokens(data: bytes):
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read P2 or P5 into a 2-D uint8 array."""
+    """Read P2 or P5 into a 2-D uint8 array; a sample that is not an integer
+    in [0, maxval] raises ContractError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     reader = _tokens(data)
@@ -77,7 +78,10 @@ def read_pgm(path: str) -> np.ndarray:
         values = payload.split()
         if len(values) < width * height:
             raise ContractError(f"{path}: not enough pixel values")
-        pixels = np.array([int(v) for v in values[: width * height]], dtype=np.uint8)
-    if pixels.size != width * height:
-        raise ContractError(f"{path}: pixel payload truncated")
-    return pixels.reshape(height, width)
+        try:
+            pixels = np.array([int(v) for v in values[: width * height]])
+        except ValueError:
+            raise ContractError(f"{path}: a pixel value is not an integer") from None
+    if pixels.min() < 0 or pixels.max() > maxval:
+        raise ContractError(f"{path}: pixel values must lie in [0, maxval = {maxval}]")
+    return pixels.astype(np.uint8, copy=False).reshape(height, width)

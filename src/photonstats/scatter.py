@@ -135,16 +135,15 @@ def g2_vs_angle(
     grid = np.asarray(theta_grid_deg, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("theta grid must be a non-empty 1-D array")
-    if np.any(grid < 0.0) or np.any(grid > 90.0):
+    if not np.all((grid >= 0.0) & (grid <= 90.0)):
         raise DomainError("theta grid must lie within [0, 90] degrees")
+    ScatterConfig(mean_source, mean_plasmon, 0.0)  # checks both means
+    if mean_source + mean_plasmon <= 0.0:  # A + B at every angle
+        raise UndefinedCoherenceError("g2 undefined for a zero-mean distribution")
     grid = np.sort(grid)
-    out = np.empty((grid.size, 2))
-    for i, theta in enumerate(grid):
-        a, b = ScatterConfig(mean_source, mean_plasmon, float(theta)).mode_means
-        if a + b <= 0.0:
-            raise UndefinedCoherenceError("g2 undefined for a zero-mean distribution")
-        out[i] = theta, 1.0 + (a * a + b * b) / (a + b) ** 2
-    return out
+    eta = np.cos(np.radians(grid)) ** 2
+    a, b = mean_plasmon + eta * mean_source, (1.0 - eta) * mean_source
+    return np.column_stack((grid, 1.0 + (a * a + b * b) / (a + b) ** 2))
 
 
 def p_function_convolution_check(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, SingularPointError
+from .errors import DomainError, SingularPointError, _count
 from .states import (
     DEFAULT_TAIL_TARGET,
     PhotonNumberDistribution,
@@ -135,11 +135,6 @@ def preset(name: str, **overrides) -> SensorConfig:
 # Ideal L-subtracted thermal statistics
 # ===================================================================
 
-def _validate_subtraction_order(level: int) -> None:
-    if not isinstance(level, (int, np.integer)) or level < 0:
-        raise DomainError(f"subtraction order must be a non-negative integer, got {level!r}")
-
-
 def _subtracted_tail(mean: float, level: int, n_max: int) -> float:
     """Mass past ``n_max``: fewer than L+1 successes of probability 1/(1+n̄)
     in n_max+L+1 trials. The (L+1)-term sum is exact to rounding, unlike the
@@ -160,7 +155,7 @@ def subtracted_pmf(
     field of mean n̄: p(n) = (n+L)! n̄ⁿ / (n! L! (1+n̄)^(L+1+n)).
 
     Negative-binomial with mean (L+1)n̄ and variance (L+1)n̄(1+n̄)."""
-    _validate_subtraction_order(level)
+    level = _count(level, "level")
     if not (math.isfinite(mean) and mean >= 0.0):
         raise DomainError(f"mean must be >= 0, got {mean!r}")
     n_max, tail = _grow_cutoff(
@@ -182,7 +177,7 @@ def subtracted_pmf(
 
 def g2_subtracted(level: int) -> float:
     """Second-order coherence after L-quantum subtraction: (L+2)/(L+1)."""
-    _validate_subtraction_order(level)
+    level = _count(level, "level")
     return (level + 2.0) / (level + 1.0)
 
 
@@ -192,7 +187,7 @@ def subtraction_success_probability(cfg: SensorConfig, level: int) -> float:
     The arm stays thermal with mean n̄_d = B sin²(φ/2), B = n̄γ_loss(1−ξ)η_pl,
     so the probability is the Bose–Einstein weight n̄_d^L/(1+n̄_d)^(L+1).
     """
-    _validate_subtraction_order(level)
+    level = _count(level, "level")
     _, big_b, _ = _kept_arm(cfg)
     mean_d = big_b * math.sin(cfg.phase / 2.0) ** 2
     return math.exp(special.xlogy(level, mean_d) - (level + 1) * math.log1p(mean_d))
@@ -216,7 +211,7 @@ def conditional_state_pmf(
     """Kept-arm photon statistics conditioned on an L-count in the
     subtraction arm, including coupler split and both efficiencies: the
     negative binomial ``subtracted_pmf(μ, L)`` with μ = Kc/(1+Bc)."""
-    _validate_subtraction_order(level)
+    level = _count(level, "level")
     big_k, big_b, c = _kept_arm(cfg)
     # The factors, not B·c: that product can underflow while each is positive.
     if level > 0 and 0.0 in (cfg.mean * cfg.gamma_loss * c, 1.0 - cfg.xi, cfg.eta_pl):
@@ -229,7 +224,7 @@ def conditional_state_pmf(
 def conditional_mean(cfg: SensorConfig, level: int) -> float:
     """Closed-form mean of the detected conditional state, (L+1)μ =
     (L+1) K c / (1 + B c)."""
-    _validate_subtraction_order(level)
+    level = _count(level, "level")
     big_k, big_b, c = _kept_arm(cfg)
     return big_k * c * (level + 1) / (1.0 + big_b * c)
 
@@ -237,7 +232,7 @@ def conditional_mean(cfg: SensorConfig, level: int) -> float:
 def snr(cfg: SensorConfig, level: int) -> float:
     """Closed-form conditional signal-to-noise ratio, mean/std of the
     negative binomial: sqrt((L+1) K c / (1 + (K+B) c))."""
-    _validate_subtraction_order(level)
+    level = _count(level, "level")
     big_k, big_b, c = _kept_arm(cfg)
     return math.sqrt((level + 1) * big_k * c / (1.0 + (big_k + big_b) * c))
 
@@ -262,7 +257,7 @@ def snr_from_pmf(cfg: SensorConfig, level: int) -> float:
 def conditional_mean_phase_derivative(cfg: SensorConfig, level: int) -> float:
     """Analytic d⟨n⟩/dφ of the conditional mean:
     d/dφ [K c (L+1)/(1+Bc)] = −K (L+1) sin(φ) / (2 (1+Bc)²)."""
-    _validate_subtraction_order(level)
+    level = _count(level, "level")
     big_k, big_b, c = _kept_arm(cfg)
     return -big_k * (level + 1) * math.sin(cfg.phase) / (2.0 * (1.0 + big_b * c) ** 2)
 

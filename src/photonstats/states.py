@@ -45,6 +45,7 @@ from .errors import (
     ContractError,
     DomainError,
     UndefinedCoherenceError,
+    _count,
 )
 
 __all__ = [
@@ -142,7 +143,7 @@ class SourceSpec:
 
 def fock(n: int) -> SourceSpec:
     """Number state with exactly n photons."""
-    return SourceSpec("fock", float(n))
+    return SourceSpec("fock", float(_count(n, "n")))
 
 
 def coherent(mean: float) -> SourceSpec:
@@ -219,8 +220,8 @@ def pmf(
     exact tail mass drops to ``tail_target`` or below. An explicit ``cutoff``
     is honored verbatim, with the true tail recorded in the result.
     """
-    if cutoff is not None and cutoff < 0:
-        raise DomainError("cutoff must be >= 0")
+    if cutoff is not None:
+        cutoff = _count(cutoff, "cutoff")
     mean = source.mean
 
     if source.kind == "fock":

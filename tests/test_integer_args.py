@@ -1,0 +1,153 @@
+"""One rule for integer arguments: a Python or NumPy integer, never a bool or
+a float, at or above the parameter's lower bound; anything else raises
+DomainError naming the parameter."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from photonstats import (
+    DetectorModel,
+    DomainError,
+    InterferenceConfig,
+    PreselectionNetwork,
+    RngSeed,
+    SensingScene,
+    ThermalSplitterState,
+    TwoArmDetection,
+    acquire,
+    arm_a_marginal,
+    binary_phantom,
+    conditional_g2_map,
+    cs_reconstruct,
+    fock,
+    gamma_sum,
+    gtilde2_thermal,
+    joint_pmf,
+    joint_pmf_noisy,
+    make_generator,
+    pmf,
+    preselection_distribution,
+    random_sensing_matrix,
+    sample_source,
+    snr_post,
+    snr_sub,
+    thermal,
+    tv_prox,
+)
+from photonstats.sensing import (
+    conditional_mean,
+    conditional_mean_phase_derivative,
+    conditional_state_pmf,
+    conditional_std,
+    g2_subtracted,
+    phase_uncertainty,
+    preset,
+    snr,
+    snr_from_pmf,
+    subtracted_pmf,
+    subtraction_success_probability,
+)
+
+STATE = ThermalSplitterState(1.0, math.pi / 4.0)
+FRINGE = InterferenceConfig(mean_h=0.6, mean_v=0.4, psi=0.3)
+NET = PreselectionNetwork((0.3, 0.7, 0.4, 0.6, 0.5), 0.5)
+ARMS = TwoArmDetection(math.pi / 4.0, DetectorModel(0.55, 0.3), DetectorModel(0.55, 0.3))
+SENSOR = preset("thesis-ch5")
+SCENE = binary_phantom(8, 8)
+MASKS = random_sensing_matrix(3, 64, seed=0)
+
+# (call taking the integer under test, parameter name, lower bound)
+TABLE = [
+    (lambda v: fock(v), "n", 0),
+    (lambda v: pmf(thermal(1.0), cutoff=v), "cutoff", 0),
+    (lambda v: RngSeed(v).key(), "seed", 0),
+    (lambda v: RngSeed(3, v).key(), "stream_id", 0),
+    (lambda v: make_generator(v).random(3), "seed", 0),
+    (lambda v: sample_source(thermal(1.0), v, 4), "n_samples", 1),
+    (lambda v: sample_source(thermal(1.0), 5, v), "seed", 0),
+    (lambda v: joint_pmf(STATE, v, 1), "big_n", 0),
+    (lambda v: joint_pmf(STATE, 1, v), "big_m", 0),
+    (lambda v: gtilde2_thermal(STATE, v, 1), "big_n", 0),
+    (lambda v: gtilde2_thermal(STATE, 1, v), "big_m", 0),
+    (lambda v: conditional_g2_map(FRINGE, STATE, v, 1, 0.0, 1e-6), "n1", 0),
+    (lambda v: conditional_g2_map(FRINGE, None, 1, v, 0.0, 1e-6), "n2", 0),
+    (lambda v: gamma_sum(v), "n", 0),
+    (lambda v: preselection_distribution(NET, (0, 1, 0, v, 0, 2)), "counts", 0),
+    (lambda v: subtracted_pmf(1.0, v), "level", 0),
+    (lambda v: g2_subtracted(v), "level", 0),
+    (lambda v: subtraction_success_probability(SENSOR, v), "level", 0),
+    (lambda v: conditional_state_pmf(SENSOR, v), "level", 0),
+    (lambda v: conditional_mean(SENSOR, v), "level", 0),
+    (lambda v: conditional_std(SENSOR, v), "level", 0),
+    (lambda v: snr(SENSOR, v), "level", 0),
+    (lambda v: snr_from_pmf(SENSOR, v), "level", 0),
+    (lambda v: conditional_mean_phase_derivative(SENSOR, v), "level", 0),
+    (lambda v: phase_uncertainty(SENSOR, v), "level", 0),
+    (lambda v: joint_pmf_noisy(0.8, ARMS, v, 1), "n", 0),
+    (lambda v: joint_pmf_noisy(0.8, ARMS, 1, v), "m", 0),
+    (lambda v: arm_a_marginal(0.8, ARMS, v), "n", 0),
+    (lambda v: snr_post(0.8, ARMS, v), "big_n", 0),
+    (lambda v: snr_sub(0.8, ARMS, v), "big_n", 0),
+    (lambda v: SensingScene(np.ones(int(v)), v, 1), "width", 1),
+    (lambda v: SensingScene(np.ones(int(v)), 1, v), "height", 1),
+    (lambda v: binary_phantom(v, 8), "width", 8),
+    (lambda v: binary_phantom(8, v), "height", 8),
+    (lambda v: random_sensing_matrix(v, 4, seed=1), "n_measurements", 1),
+    (lambda v: random_sensing_matrix(3, v, seed=1), "n_pixels", 1),
+    (lambda v: random_sensing_matrix(3, 4, seed=v), "seed", 0),
+    (lambda v: acquire(SCENE, MASKS, ARMS, shots=v, seed=2), "shots", 1),
+    (lambda v: acquire(SCENE, MASKS, ARMS, shots=5, seed=v), "seed", 0),
+    (lambda v: tv_prox(np.arange(16.0).reshape(4, 4), 0.3, n_inner=v), "n_inner", 1),
+    (lambda v: cs_reconstruct(MASKS, np.ones(3), max_iter=v), "max_iter", 1),
+    (lambda v: cs_reconstruct(np.eye(2, 2 * int(v)), np.ones(2), max_iter=3, shape=(2, v)), "shape", 1),
+]
+IDS = [f"{i}-{name}" for i, (_, name, _) in enumerate(TABLE)]
+
+
+def _same(a, b) -> bool:
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("call, name, low", TABLE, ids=IDS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_integer_argument_rule(call, name, low, data):
+    bad = data.draw(
+        st.sampled_from([True, False, low - 1, np.int64(low - 1)])
+        | st.floats(min_value=low - 1, max_value=low + 20)
+    )
+    with pytest.raises(DomainError, match=rf"^{name} must be an integer >= {low}, got "):
+        call(bad)
+    value = data.draw(st.integers(min_value=low, max_value=low + 12))
+    assert _same(call(np.int64(value)), call(value))
+
+
+def test_seed_keys_do_not_depend_on_the_integer_type():
+    big = 2**64 - 1
+    assert RngSeed(np.uint64(big), np.uint64(big)) == RngSeed(big, big)
+    assert type(RngSeed(np.int64(3)).seed) is int
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gamma_sum(np.array(3)),
+        lambda: snr(SENSOR, np.array([1, 2])),
+        lambda: RngSeed(np.array(3)),
+        lambda: pmf(thermal(1.0), cutoff=np.array(5)),
+        lambda: tv_prox(np.ones((4, 4)), 0.3, n_inner=np.array([2])),
+        lambda: joint_pmf_noisy(0.8, ARMS, np.array([1, 2]), 0),
+    ],
+)
+def test_scalar_parameters_reject_arrays(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()

@@ -70,6 +70,12 @@ def test_estimate_pmf_frequencies():
     assert abs(dist.probs[0] - expected0) < 4.0 * se[0]
 
 
+@pytest.mark.parametrize("samples", [[1.5, 2.7], np.array([True, False, True]), []])
+def test_estimate_pmf_takes_only_integer_samples(samples):
+    with pytest.raises(ContractError, match="integer"):
+        estimate_pmf(samples)
+
+
 class TestSplitterNetwork:
     def test_loss_probability(self):
         net = SplitterNetwork((0.5, 0.3))

@@ -60,3 +60,21 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(ContractError):
         read_pgm(str(path))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"P2\n2 1\n255\n7 x\n",  # not a number
+        b"P2\n2 1\n255\n7 1.5\n",  # not an integer
+        b"P2\n2 1\n255\n7 -3\n",  # negative
+        b"P2\n2 1\n255\n7 256\n",  # past 8 bits
+        b"P2\n2 1\n100\n7 101\n",  # past the header's maxval
+        b"P5\n2 1\n100\n\x07\x65",  # past the header's maxval, raw
+    ],
+)
+def test_bad_samples_rejected_naming_the_file(tmp_path, payload):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(ContractError, match="bad.pgm"):
+        read_pgm(str(path))

@@ -141,6 +141,23 @@ class TestG2Scan:
         with pytest.raises(DomainError):
             g2_vs_angle(1.0, 0.3, [0.0, 95.0])
 
+    def test_nan_angle_rejected_by_the_grid_check(self):
+        with pytest.raises(DomainError, match="theta grid"):
+            g2_vs_angle(1.0, 0.3, [0.0, np.nan])
+
+    def test_whole_grid_matches_the_per_angle_loop(self):
+        """Reference: the closed form on each angle's `ScatterConfig` mode
+        means. Squaring cos θ as x·x or as pow(x, 2) may round apart by an
+        ulp, so the gate is 1e-15 relative."""
+        grid = np.random.default_rng(4).uniform(0.0, 90.0, 400)
+        rows = g2_vs_angle(1.3, 0.45, grid)
+        loop = []
+        for theta in np.sort(grid):
+            a, b = ScatterConfig(1.3, 0.45, float(theta)).mode_means
+            loop.append(1.0 + (a * a + b * b) / (a + b) ** 2)
+        assert np.array_equal(rows[:, 0], np.sort(grid))
+        assert np.max(np.abs(rows[:, 1] - loop) / loop) <= 1e-15
+
 
 class TestPFunctionConvolution:
     def test_equal_means_vacuum_weight(self):

@@ -7,8 +7,9 @@ the run must not be trusted.
 
 Every integer argument (counts, orders, shots, sizes, budgets, cutoffs, seeds)
 obeys `_count`: a Python or NumPy integer, never a bool or a float, at or above
-its lower bound, and entry by entry an integer array where a law broadcasts.
-Anything else raises DomainError naming the parameter.
+its lower bound, and entry by entry an integer array (or a list or tuple of
+such integers) where a law broadcasts. Anything else raises DomainError naming
+the parameter.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ def _count(value, name: str, low: int = 0, *, grid: bool = False):
             return int(value)
     elif grid:
         arr = np.asarray(value)
-        if arr.dtype.kind in "iu" and not np.any(arr < low):
+        # np.asarray turns a bool among the ints of a list into an int
+        mixed = isinstance(value, (list, tuple)) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
+        )
+        if arr.dtype.kind in "iu" and not mixed and not np.any(arr < low):
             return arr
     raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")

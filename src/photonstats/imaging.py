@@ -42,6 +42,7 @@ from .montecarlo import (
     DetectorModel,
     RngSeed,
     SplitterNetwork,
+    _thermal_total,
     make_generator,
     sample_source,
     split_and_detect,
@@ -371,7 +372,11 @@ def acquire(
     empirical counterpart of the same quantity. intensity and post(N) draw
     arm a alone: a one-mode network of routing probability c² read by det_a,
     so each shot is Binomial(n, c²η_a) + Poisson(ν_a) and det_b does not
-    enter. subtract(N) draws both arms.
+    enter. subtract(N) draws both arms. An intensity row reads only its
+    total over the S shots, so it draws that total and no shots: Σn ~
+    NegBin(S, 1/(1+n̄_t)) on substream 2t, then one Binomial(Σn, c²η_a) +
+    Poisson(S·ν_a) on substream 2t+1, and y_t is the count over S. Its cost
+    does not depend on S. post(N) and subtract(N) rows draw every shot.
     """
     if masks.n_pixels != scene.values.size:
         raise ContractError(
@@ -394,18 +399,23 @@ def acquire(
     c2, s2 = arms.arm_fractions
     if kind == "subtract":
         network, detectors = SplitterNetwork((c2, s2)), (arms.det_a, arms.det_b)
-    else:
+    elif kind == "post":
         network, detectors = SplitterNetwork((c2,)), (arms.det_a,)
+    else:
+        det_a = DetectorModel(arms.det_a.efficiency, shots * arms.det_a.dark_rate)
+        network, detectors = SplitterNetwork((c2,)), (det_a,)
     y = np.empty(projections.size)
     for t, n_t in enumerate(projections):
         source_seed = RngSeed(seed.seed, seed.stream_id + 2 * t)
         detect_seed = RngSeed(seed.seed, seed.stream_id + 2 * t + 1)
+        if kind == "intensity":
+            total = _thermal_total(float(n_t), shots, source_seed)
+            y[t] = split_and_detect([total], network, detectors, detect_seed)[0, 0] / shots
+            continue
         counts = sample_source(thermal(float(n_t)), shots, source_seed)
         detected = split_and_detect(counts, network, detectors, detect_seed)
         arm_a = detected[:, 0]
-        if kind == "intensity":
-            y[t] = float(arm_a.mean())
-        elif kind == "post":
+        if kind == "post":
             y[t] = float(np.mean(arm_a == big_n))
         else:
             hits = detected[:, 1] == big_n

@@ -10,6 +10,14 @@ No amplitude-level interference is simulated here; wherever the physics
 needs amplitudes the analytic modules handle it and this module only
 validates their photon-number predictions.
 
+Where a caller reads only the total over S thermal shots, the private
+`_thermal_total` draws that total in one step from its composition law:
+S thermal(n̄) shots sum to NegBin(S, 1/(1+n̄)). Passed through
+`split_and_detect` as one shot, the total is thinned by one
+Binomial(Σn, pη) and takes one Poisson(S·ν) of dark counts, because a sum of
+independent binomials with a common p is binomial and a sum of Poissons is
+Poisson. `sample_source` and `split_and_detect` per shot stay the oracle.
+
 Reproducibility contract: generators are counter-based (Philox) keyed by
 (seed, stream_id), so identical seeds give identical samples on every
 platform and distinct stream_ids give provably disjoint streams for parallel
@@ -124,11 +132,20 @@ def sample_source(source: SourceSpec, n_samples: int, seed: RngSeed | int) -> np
     return (rng.geometric(1.0 / (1.0 + mean), size=n_samples) - 1).astype(np.int64)
 
 
+def _thermal_total(mean: float, n_samples: int, seed: RngSeed) -> int:
+    """Σn over ``n_samples`` thermal(``mean``) shots of `sample_source`,
+    drawn as one number: the failures before the S-th success of a
+    1/(1+n̄) coin, NegBin(S, 1/(1+n̄)), as a sum of S geometric draws."""
+    if mean == 0.0:
+        return 0
+    return int(make_generator(seed).negative_binomial(n_samples, 1.0 / (1.0 + mean)))
+
+
 def _photon_counts(counts, name: str) -> np.ndarray:
     """Photon numbers drawn per shot, as `split_and_detect` and `estimate_pmf`
     take them: a non-empty 1-D vector of integer dtype, entries >= 0."""
-    counts = np.asarray(counts)
-    if counts.ndim != 1 or counts.size == 0 or not np.issubdtype(counts.dtype, np.integer):
+    arr = np.asarray(counts)
+    if arr.ndim != 1 or arr.size == 0 or not np.issubdtype(arr.dtype, np.integer):
         raise ContractError(f"{name} must be a non-empty 1-D integer vector")
     return _count(counts, name, grid=True)
 

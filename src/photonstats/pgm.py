@@ -51,8 +51,8 @@ def _tokens(data: bytes):
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read P2 or P5 into a 2-D uint8 array; a sample that is not an integer
-    in [0, maxval] raises ContractError naming the file."""
+    """Read P2 or P5 into a 2-D uint8 array; a header field or a sample that
+    is not an integer in range raises ContractError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     reader = _tokens(data)
@@ -63,7 +63,10 @@ def read_pgm(path: str) -> np.ndarray:
         raise ContractError(f"{path}: truncated header") from None
     if magic not in (b"P2", b"P5"):
         raise ContractError(f"{path}: not a PGM file (magic {magic!r})")
-    width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+    try:
+        width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+    except ValueError:
+        raise ContractError(f"{path}: width, height and maxval must be integers") from None
     if width <= 0 or height <= 0 or not (0 < maxval <= 255):
         raise ContractError(f"{path}: unsupported PGM dimensions or depth")
     if magic == b"P5":

@@ -360,21 +360,31 @@ def write_csv(dist: PhotonNumberDistribution, dest: str | IO[str]) -> None:
 
 
 def read_csv(src: str | IO[str]) -> PhotonNumberDistribution:
+    """Read `n,prob` rows written by `write_csv`; a bad header, a row that is
+    not an integer and a number, or a gapped index raises ContractError
+    naming the source (the path, or the stream's name) and the data row."""
     own = isinstance(src, str)
     fh: IO[str] = open(src, "r", encoding="ascii") if own else src
+    name = src if own else getattr(src, "name", "<stream>")
     try:
         header = fh.readline().strip()
         if header != "n,prob":
-            raise ContractError(f"expected header 'n,prob', got {header!r}")
+            raise ContractError(f"{name}: expected header 'n,prob', got {header!r}")
         values: list[float] = []
         for line_no, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
-            n_str, p_str = line.split(",")
-            if int(n_str) != len(values):
-                raise ContractError(f"non-contiguous index at data row {line_no}")
-            values.append(float(p_str))
+            try:
+                n_str, p_str = line.split(",")
+                n, p = int(n_str), float(p_str)
+            except ValueError:
+                raise ContractError(
+                    f"{name}: data row {line_no} is not 'n,prob': {line!r}"
+                ) from None
+            if n != len(values):
+                raise ContractError(f"{name}: non-contiguous index at data row {line_no}")
+            values.append(p)
     finally:
         if own:
             fh.close()

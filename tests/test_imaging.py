@@ -1,6 +1,7 @@
 """Single-pixel acquisition model and TV-regularized reconstruction."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,9 +14,11 @@ from photonstats import (
     DetectorModel,
     DomainError,
     ReconstructionResult,
+    RngSeed,
     SaturationError,
     SensingMatrix,
     SensingScene,
+    SplitterNetwork,
     TwoArmDetection,
     acquire,
     arm_a_marginal,
@@ -25,9 +28,11 @@ from photonstats import (
     joint_pmf_noisy,
     pmf,
     random_sensing_matrix,
+    sample_source,
     scale_scene_to_projection,
     snr_post,
     snr_sub,
+    split_and_detect,
     thermal,
     tv_prox,
 )
@@ -168,11 +173,86 @@ class TestAcquire:
         assert np.allclose(y, ref, rtol=1e-12)
 
     def test_sampled_intensity_converges_to_exact(self):
+        """Seeds 0..199 at 200k shots: each row's error over its exact
+        standard error, sqrt((m(1+m) + ν_a)/S) with m = c²η_a·n̄_t, is a
+        standard normal z. The mean z over all 1200 rows and over each row's
+        200 seeds lies within 5 standard errors of 0, and the Pearson
+        chi-square Σz² inside a two-sided 1e-9 band."""
         scene = binary_phantom(8, 8)
         masks = random_sensing_matrix(6, 64, seed=9)
+        shots, seeds = 200_000, 200
         exact = acquire(scene, masks, NOISY, mode="intensity")
-        sampled = acquire(scene, masks, NOISY, mode="intensity", shots=200_000, seed=12)
-        assert np.max(np.abs(sampled - exact)) < 0.02
+        c2, _ = NOISY.arm_fractions
+        m = c2 * NOISY.det_a.efficiency * (masks.matrix @ scene.values)
+        se = np.sqrt((m * (1.0 + m) + NOISY.det_a.dark_rate) / shots)
+        z = np.array([
+            (acquire(scene, masks, NOISY, mode="intensity", shots=shots, seed=seed) - exact) / se
+            for seed in range(seeds)
+        ])
+        assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
+        assert np.all(np.abs(z.mean(axis=0)) <= 5.0 / math.sqrt(seeds))
+        stat, dof, tail = float((z**2).sum()), z.size, 1e-9
+        assert stats.chi2.ppf(tail, dof) <= stat <= stats.chi2.isf(tail, dof), stat
+
+    def test_intensity_rows_match_the_per_shot_pipeline(self):
+        """Rows drawn from their totals against rows averaged shot by shot
+        from `sample_source` and `split_and_detect` (one-mode network c²,
+        det_a), 200 seeds each (200..399 for the per-shot route, so the
+        streams are disjoint) at 2000 shots. Per row, both routes' means
+        are counted in 5 bins cut at the pooled quantiles; the two-sample
+        Pearson chi-square over all rows lies inside a two-sided 1e-9 band."""
+        scene = binary_phantom(8, 8)
+        masks = random_sensing_matrix(6, 64, seed=9)
+        shots, seeds, n_bins = 2000, 200, 5
+        c2, _ = NOISY.arm_fractions
+        network = SplitterNetwork((c2,))
+        projections = masks.matrix @ scene.values
+        totals = np.array([
+            acquire(scene, masks, NOISY, mode="intensity", shots=shots, seed=seed)
+            for seed in range(seeds)
+        ])
+        per_shot = np.array([
+            [
+                split_and_detect(
+                    sample_source(thermal(float(n_t)), shots, RngSeed(seeds + seed, 2 * t)),
+                    network,
+                    (NOISY.det_a,),
+                    RngSeed(seeds + seed, 2 * t + 1),
+                )[:, 0].mean()
+                for t, n_t in enumerate(projections)
+            ]
+            for seed in range(seeds)
+        ])
+        stat = 0.0
+        for a, b in zip(totals.T, per_shot.T):
+            edges = np.quantile(np.concatenate([a, b]), np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+            in_a = np.bincount(np.searchsorted(edges, a), minlength=n_bins)
+            in_b = np.bincount(np.searchsorted(edges, b), minlength=n_bins)
+            stat += float(((in_a - in_b) ** 2 / (in_a + in_b)).sum())
+        dof, tail = projections.size * (n_bins - 1), 1e-9
+        assert stats.chi2.ppf(tail, dof) <= stat <= stats.chi2.isf(tail, dof), stat
+
+    def test_intensity_cost_does_not_depend_on_shots(self):
+        scene = binary_phantom(8, 8)
+        masks = random_sensing_matrix(6, 64, seed=9)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            y = acquire(scene, masks, NOISY, mode="intensity", shots=10**12, seed=1)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(y))
+        assert elapsed < 1.0
+        assert peak < 2**20
+
+    def test_dark_free_zero_projection_row_is_exactly_zero(self):
+        scene = SensingScene(np.zeros(4), width=2, height=2)
+        masks = random_sensing_matrix(3, 4, seed=1)
+        arms = TwoArmDetection(math.pi / 4.0, DetectorModel(0.55, 0.0), NOISY.det_b)
+        y = acquire(scene, masks, arms, mode="intensity", shots=20_000, seed=4)
+        assert np.array_equal(y, np.zeros(3))
 
     def test_sampled_path_reproducible(self):
         scene = binary_phantom(8, 8)

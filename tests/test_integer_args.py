@@ -17,6 +17,7 @@ from photonstats import (
     PreselectionNetwork,
     RngSeed,
     SensingScene,
+    SplitterNetwork,
     ThermalSplitterState,
     TwoArmDetection,
     acquire,
@@ -24,6 +25,7 @@ from photonstats import (
     binary_phantom,
     conditional_g2_map,
     cs_reconstruct,
+    estimate_pmf,
     fock,
     gamma_sum,
     gtilde2_thermal,
@@ -36,6 +38,7 @@ from photonstats import (
     sample_source,
     snr_post,
     snr_sub,
+    split_and_detect,
     thermal,
     tv_prox,
 )
@@ -129,6 +132,35 @@ def test_integer_argument_rule(call, name, low, data):
         call(bad)
     value = data.draw(st.integers(min_value=low, max_value=low + 12))
     assert _same(call(np.int64(value)), call(value))
+
+
+# (call taking a list of counts, parameter name) for the laws that broadcast
+GRID_TABLE = [
+    (lambda v: joint_pmf(STATE, v, 1), "big_n"),
+    (lambda v: joint_pmf(STATE, 1, v), "big_m"),
+    (lambda v: gtilde2_thermal(STATE, v, 1), "big_n"),
+    (lambda v: gtilde2_thermal(STATE, 1, v), "big_m"),
+    (lambda v: conditional_g2_map(FRINGE, STATE, v, 1, 0.0, 1e-6), "n1"),
+    (lambda v: conditional_g2_map(FRINGE, None, 1, v, 0.0, 1e-6), "n2"),
+    (lambda v: split_and_detect(v, SplitterNetwork((0.5,)), (DetectorModel(),), 3), "counts"),
+    (lambda v: estimate_pmf(v)[0], "samples"),
+]
+GRID_IDS = [f"{i}-{name}" for i, (_, name) in enumerate(GRID_TABLE)]
+
+
+@pytest.mark.parametrize("call, name", GRID_TABLE, ids=GRID_IDS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_count_lists_reject_bools_among_ints(call, name, data):
+    ints = data.draw(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4))
+    at = data.draw(st.integers(min_value=0, max_value=len(ints)))
+    flag = data.draw(st.sampled_from([True, False, np.True_, np.False_]))
+    mixed = ints[:at] + [flag] + ints[at:]
+    for bad in (mixed, tuple(mixed)):
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer >= 0, got "):
+            call(bad)
+    assert _same(call(ints), call(np.array(ints)))
+    assert _same(call(tuple(ints)), call(np.array(ints)))
 
 
 def test_seed_keys_do_not_depend_on_the_integer_type():

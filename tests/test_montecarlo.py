@@ -22,6 +22,7 @@ from photonstats import (
     split_and_detect,
     thermal,
 )
+from photonstats.montecarlo import _thermal_total
 
 SHOTS = 200_000
 
@@ -60,6 +61,28 @@ def test_sample_source_moments(source, mean, var):
 def test_fock_source_is_deterministic():
     counts = sample_source(fock(3), 100, RngSeed(0))
     assert np.all(counts == 3)
+
+
+def test_thermal_total_follows_the_law_of_a_sum_of_shots():
+    """5-shot thermal(1.4) totals drawn in one step on 5000 seeds against
+    NegBin(5, 1/2.4), the law of a sum of five Bose–Einstein counts. Pearson
+    chi-square over the totals expecting at least 50 draws plus one cell for
+    the rest, inside a two-sided 1e-9 band."""
+    draws, law = 5000, stats.nbinom(5, 1.0 / 2.4)
+    totals = np.array([_thermal_total(1.4, 5, RngSeed(seed)) for seed in range(draws)])
+    cells = np.arange(int(law.isf(1e-9)))
+    expected = draws * law.pmf(cells)
+    kept = expected >= 50.0
+    observed = np.bincount(totals, minlength=cells.size)[: cells.size]
+    want = np.append(expected[kept], draws - expected[kept].sum())
+    got = np.append(observed[kept], draws - observed[kept].sum())
+    stat, dof, tail = float(((got - want) ** 2 / want).sum()), int(kept.sum()), 1e-9
+    assert dof >= 8
+    assert stats.chi2.ppf(tail, dof) <= stat <= stats.chi2.isf(tail, dof), (stat, dof)
+
+
+def test_thermal_total_of_vacuum_is_zero():
+    assert _thermal_total(0.0, 10**12, RngSeed(0)) == 0
 
 
 def test_estimate_pmf_frequencies():

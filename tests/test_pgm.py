@@ -78,3 +78,18 @@ def test_bad_samples_rejected_naming_the_file(tmp_path, payload):
     path.write_bytes(payload)
     with pytest.raises(ContractError, match="bad.pgm"):
         read_pgm(str(path))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"P2\nx 1\n255\n7\n",  # width not a number
+        b"P2\n1 1.5\n255\n7\n",  # height not an integer
+        b"P5\n1 1\n2x5\n\x07",  # maxval not a number
+    ],
+)
+def test_bad_header_fields_rejected_naming_the_file(tmp_path, payload):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(ContractError, match="bad.pgm"):
+        read_pgm(str(path))

@@ -214,6 +214,13 @@ class TestValidationAndSerialization:
         for x in (1.0 / 3.0, 0.1, 2.0**-52, 1234567.89, 6.02e23):
             assert float(format_float(x)) == x
 
+    @pytest.mark.parametrize("row", ["x,0.5", "0,0.5,1", "0,abc"])
+    def test_csv_rejects_malformed_row_naming_source_and_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"n,prob\n{row}\n", encoding="ascii")
+        with pytest.raises(ContractError, match=rf"bad\.csv: data row 0 .*{row}"):
+            read_csv(str(path))
+
     def test_csv_rejects_gapped_index(self):
         bad = io.StringIO("n,prob\n0,0.5\n2,0.5\n")
         with pytest.raises(ContractError, match="contiguous"):

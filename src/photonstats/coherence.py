@@ -296,6 +296,11 @@ def conditional_g2_map(
 # Classical Gaussian-field oracle
 # ===================================================================
 
+# (k_a, k_b) pairs per block in `_slit_integrals`: its working memory is
+# about 3 · _PAIR_BLOCK · order complex numbers, whatever the grid size.
+_PAIR_BLOCK = 128
+
+
 def _slit_integrals(
     cfg: InterferenceConfig, coherence_scale: float, k_a: np.ndarray, k_b: np.ndarray, order: int
 ) -> np.ndarray:
@@ -311,10 +316,12 @@ def _slit_integrals(
         x = center + half * nodes
         diff = x[:, None] - x[None, :]
         kernel = np.exp(-(diff * diff) / coherence_scale)
-        u = weights * np.exp(-1j * kappa * k_a[:, None] * x)
-        v = weights * np.exp(1j * kappa * k_b[:, None] * x)
-        # (half²) from both substitutions; normalize by w² = (2·half)².
-        out[:, j] = ((u @ kernel) * v).sum(axis=1) * 0.25
+        for lo in range(0, k_a.size, _PAIR_BLOCK):
+            rows = slice(lo, lo + _PAIR_BLOCK)
+            u = weights * np.exp(-1j * kappa * k_a[rows, None] * x)
+            v = weights * np.exp(1j * kappa * k_b[rows, None] * x)
+            # (half²) from both substitutions; normalize by w² = (2·half)².
+            out[rows, j] = ((u @ kernel) * v).sum(axis=1) * 0.25
     return out
 
 

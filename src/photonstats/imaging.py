@@ -538,23 +538,60 @@ def tv_prox(v: np.ndarray, weight: float, n_inner: int = 20) -> np.ndarray:
     return u
 
 
-# Dual sweeps per prox inside `cs_reconstruct` (see its docstring). A
-# standalone `tv_prox` starts cold and keeps its default of 20.
-_SOLVER_SWEEPS = 5
+# Dual sweeps in `cs_reconstruct`'s first prox after a step that made
+# progress; each stalled step in a row doubles the count for the next prox
+# (see its docstring). A standalone `tv_prox` starts cold and keeps its
+# default of 20.
+_SOLVER_SWEEPS = 8
 
 
-def _spectral_norm_sq(q: np.ndarray, n_steps: int = 50) -> float:
-    """λmax(QᵀQ) by plain power iteration from a deterministic start."""
-    v = np.ones(q.shape[1]) / math.sqrt(q.shape[1])
-    value = 1.0
-    for _ in range(n_steps):
-        w = q.T @ (q @ v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        value = norm
-        v = w / norm
-    return value
+def _rank_one_metric(q: np.ndarray) -> tuple[float, float]:
+    """(β, λ) of the solver metric M = I + β·eeᵀ, e = 1/√n, for Q (m × n).
+
+    β takes the all-ones curvature eᵀQᵀQe down to λmax of QᵀQ projected off
+    e (β = 0 when it is not above that), and λ = λmax(M^{-1/2}QᵀQM^{-1/2}),
+    the step constant per unit μ. With r = Q1 both are top eigenvalues of
+    QQᵀ − σ·rrᵀ/n: σ = 1 for the projection and β/(1+β) for
+    QM⁻¹Qᵀ, which shares its nonzero spectrum with M^{-1/2}QᵀQM^{-1/2}. They
+    come from a dense symmetric eigensolver: once the all-ones mode is gone
+    the top eigenvalues lie close together, where power iteration would
+    underestimate λ. A Q with more rows than columns is first replaced by
+    the R of its QR factorization, which has the same QᵀQ, so the Gram
+    matrix is never larger than min(m, n) square.
+    """
+    if q.shape[0] > q.shape[1]:
+        q = np.linalg.qr(q, mode="r")
+    n = q.shape[1]
+    row_sums = q.sum(axis=1)
+    ones_curvature = float(row_sums @ row_sums) / n
+    ones_part = np.outer(row_sums, row_sums / n)
+    gram = q @ q.T
+    gram -= ones_part  # σ = 1, then σ = β/(1+β) in place
+    rest = float(np.linalg.eigvalsh(gram)[-1])
+    beta = ones_curvature / rest - 1.0 if ones_curvature > rest > 0.0 else 0.0
+    ones_part *= 1.0 / (1.0 + beta)
+    gram += ones_part
+    return beta, float(np.linalg.eigvalsh(gram)[-1])
+
+
+def _metric_shift(w: np.ndarray, v: np.ndarray, beta: float) -> float:
+    """The c with c = (β/n)·Σ(max(wᵢ − c, 0) − vᵢ), exactly.
+
+    With w the TV prox of v, max(w − c, 0) is the prox of TV + {s ≥ 0} in
+    the metric I + β·eeᵀ: TV does not change when a constant is added, and
+    clipping the TV prox at 0 is the prox of TV + {s ≥ 0}. Left side minus
+    right side is increasing and piecewise linear in c, with breaks at the
+    wᵢ: it is positive at the k largest wᵢ, which therefore lie above c, so
+    c = β·(sum of those k − Σvᵢ)/(n + β·k).
+    """
+    n = w.size
+    top = np.sort(w, axis=None)[::-1]
+    sums = np.cumsum(top)
+    total_v = float(v.sum())
+    above = top - (beta / n) * (sums - top - np.arange(n) * top - total_v)
+    k = int(np.count_nonzero(above > 0.0))
+    kept = float(sums[k - 1]) if k else 0.0
+    return beta * (kept - total_v) / (n + beta * k)
 
 
 def cs_reconstruct(
@@ -566,28 +603,41 @@ def cs_reconstruct(
     nonneg: bool = True,
     shape: tuple[int, int] | None = None,
 ) -> ReconstructionResult:
-    """Minimize TV(s) + (μ/2)‖Qs − y‖₂² by accelerated proximal gradient.
+    """Minimize TV(s) + (μ/2)‖Qs − y‖₂² by accelerated proximal gradient in
+    an identity + rank-one metric.
 
-    The data term is smooth with Lipschitz constant L = μ·λmax(QᵀQ) (power
-    iteration); each step takes a 1/L gradient move at the momentum point
-    followed by the anisotropic TV proximal map and an optional projection
-    onto s ≥ 0. The prox is inexact: 5 dual ascent sweeps, warm-started from
-    the previous step's dual. That suffices because consecutive prox inputs
-    differ less and less, so the warm dual starts ever nearer its fixed point
-    and the prox error shrinks along the run, which is what an accelerated
-    method needs to keep its rate (Schmidt, Le Roux & Bach, NIPS 2011); a
+    Binary masks give QᵀQ one near-constant direction far above the rest
+    (256 half-filled 32 × 32 masks: λmax 66007 against a second eigenvalue
+    of 567), and a 1/λmax step crawls along every other direction. So each step
+    is taken in the metric M = I + β·eeᵀ, e = 1/√n (Becker & Fadili, NIPS
+    2012), with β and L = μ·λmax(M^{-1/2}QᵀQM^{-1/2}) from `_rank_one_metric`;
+    when Q has no dominant all-ones mode β is 0 and M = I. A step from the
+    momentum point z moves to v = z − M⁻¹∇f(z)/L, where
+    M⁻¹g = g − (β/(1+β))·mean(g)·1, and then takes the prox of TV (weight
+    1/L) and, by default, of s ≥ 0, in the metric M. That prox is exact in
+    closed form around the ordinary TV prox w of v: TV does not change when a
+    constant is added, so it is max(w − c, 0) with the scalar shift c from
+    `_metric_shift` (with nonneg=False, c = 0 because the TV prox keeps the
+    mean). Q·s and Q·candidate are kept from the objective, so Q·momentum is
+    their linear combination and a step costs two matrix products.
+
+    The TV prox is inexact: warm-started dual ascent sweeps, 8 after a step
+    that lowered the objective by more than tol, doubled for each stalled
+    step in a row (16, 32, 64, 128). Consecutive prox inputs differ less and
+    less, so the warm dual starts ever nearer its fixed point, which is what
+    an accelerated method needs to keep its rate (Schmidt, Le Roux & Bach,
+    NIPS 2011); the doubling makes a run of stalls, which ends the solve,
+    come from ever more exact proxes rather than from a prox that lags. A
     cold `tv_prox` uses 20. The momentum sequence is the monotone FISTA
     variant: an extrapolated candidate is kept only if it does not increase
-    the objective, so the recorded trace never rises. Plain gradient steps
-    stall here because binary masks carry a dominant all-ones component
-    (λmax far above the informative spectrum). Measurements are scaled to
-    max 1 before solving and scaled back.
+    the objective, so the recorded trace never rises. Measurements are
+    scaled to max 1 before solving and scaled back.
 
     A solve allocates its buffers once: one `_TvWorkspace`, whose dual is
-    carried from each prox call to the next, and a few image-sized arrays
-    updated with ``out=``. The iterates, objective trace and iteration count
-    equal, bit for bit, those of the same loop written with fresh arrays and
-    the textbook `tv_prox` sweep (the tests keep that loop as the oracle).
+    carried from each prox call to the next, and a few arrays updated with
+    ``out=``. The iterates, objective trace and iteration count equal, bit
+    for bit, those of the same loop written with fresh arrays and the
+    textbook `tv_prox` sweep (the tests keep that loop as the oracle).
     stop_reason is "converged" when the objective has stalled within tol
     for 5 steps in a row (a rejected candidate counts as a stall) and
     "max_iter" when max_iter steps ran out first. mu and tol must be finite
@@ -623,58 +673,69 @@ def cs_reconstruct(
         )
     y_scaled = y / scale
 
-    lip = mu * _spectral_norm_sq(q)
-    if lip == 0.0:
+    beta, lam = _rank_one_metric(q)
+    if lam == 0.0:
         raise DomainError("sensing matrix is identically zero")
-    base_step = 1.0 / lip
+    base_step = 1.0 / (mu * lam)
+    mean_share = beta / (1.0 + beta)
 
-    def objective(s_img: np.ndarray) -> float:
-        resid = q @ s_img.ravel() - y_scaled
+    def objective(s_img: np.ndarray, q_s: np.ndarray) -> float:
+        """The objective at s_img, writing Q·s_img into q_s."""
+        np.matmul(q, s_img.ravel(), out=q_s)
+        resid = q_s - y_scaled
         return _tv(s_img) + 0.5 * mu * float(resid @ resid)
 
-    # One workspace per solve. `s` and `candidate` swap buffers when a
-    # candidate is accepted, so no iterate is overwritten while in use.
+    # One workspace per solve. `s` and `candidate` (and their Q products)
+    # swap buffers when a candidate is accepted, so no iterate is
+    # overwritten while in use.
     work = _TvWorkspace(shape)
-    s = np.zeros(shape)
-    candidate = np.empty(shape)
-    momentum = np.zeros(shape)
-    spare = np.empty(shape)
-    moved = np.empty(shape)  # the gradient, then the gradient-step point
+    s, q_s = np.zeros(shape), np.empty(q.shape[0])
+    candidate, q_candidate = np.empty(shape), np.empty(q.shape[0])
+    momentum, q_momentum = np.zeros(shape), np.zeros(q.shape[0])
+    spare, q_spare = np.empty(shape), np.empty(q.shape[0])
+    moved = np.empty(shape)  # the gradient, then the gradient-step point v
     data_resid = np.empty(q.shape[0])
     t_k = 1.0
-    trace = [objective(s)]
+    trace = [objective(s, q_s)]
     iterations = 0
     stall = 0
     stop_reason = "max_iter"
     for _ in range(max_iter):
-        np.matmul(q, momentum.ravel(), out=data_resid)
-        np.subtract(data_resid, y_scaled, out=data_resid)
+        np.subtract(q_momentum, y_scaled, out=data_resid)
         np.matmul(q.T, data_resid, out=moved.ravel())
         np.multiply(mu, moved, out=moved)
+        np.subtract(moved, mean_share * moved.mean(), out=moved)
         np.multiply(base_step, moved, out=moved)
         np.subtract(momentum, moved, out=moved)
-        work.prox(moved, base_step, _SOLVER_SWEEPS, candidate)
+        work.prox(moved, base_step, _SOLVER_SWEEPS << stall, candidate)
         if nonneg:
+            np.subtract(candidate, _metric_shift(candidate, moved, beta), out=candidate)
             np.maximum(candidate, 0.0, out=candidate)
-        value = objective(candidate)
+        value = objective(candidate, q_candidate)
         previous = trace[-1]
         if value <= previous:  # monotone guard: extrapolation may overshoot
-            s_next = candidate
+            s_next, q_s_next = candidate, q_candidate
             accepted_value = value
         else:
-            s_next = s
+            s_next, q_s_next = s, q_s
             accepted_value = previous
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
         # momentum = s_next + (t_k / t_next)·(candidate − s_next)
-        #            + ((t_k − 1) / t_next)·(s_next − s), in that order
-        np.subtract(candidate, s_next, out=momentum)
-        np.multiply(t_k / t_next, momentum, out=momentum)
-        np.add(s_next, momentum, out=momentum)
-        np.subtract(s_next, s, out=spare)
-        np.multiply((t_k - 1.0) / t_next, spare, out=spare)
-        np.add(momentum, spare, out=momentum)
+        #            + ((t_k − 1) / t_next)·(s_next − s), in that order,
+        # and Q·momentum the same combination of the Q products
+        for out, tmp, nxt, cand, cur in (
+            (momentum, spare, s_next, candidate, s),
+            (q_momentum, q_spare, q_s_next, q_candidate, q_s),
+        ):
+            np.subtract(cand, nxt, out=out)
+            np.multiply(t_k / t_next, out, out=out)
+            np.add(nxt, out, out=out)
+            np.subtract(nxt, cur, out=tmp)
+            np.multiply((t_k - 1.0) / t_next, tmp, out=tmp)
+            np.add(out, tmp, out=out)
         if s_next is candidate:
             s, candidate = candidate, s
+            q_s, q_candidate = q_candidate, q_s
         t_k = t_next
         iterations += 1
         trace.append(accepted_value)

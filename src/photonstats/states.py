@@ -361,8 +361,9 @@ def write_csv(dist: PhotonNumberDistribution, dest: str | IO[str]) -> None:
 
 def read_csv(src: str | IO[str]) -> PhotonNumberDistribution:
     """Read `n,prob` rows written by `write_csv`; a bad header, a row that is
-    not an integer and a number, or a gapped index raises ContractError
-    naming the source (the path, or the stream's name) and the data row."""
+    not an integer and a number, or a gapped index raises ContractError, and
+    a NaN, infinite or negative probability DomainError, each naming the
+    source (the path, or the stream's name) and the data row."""
     own = isinstance(src, str)
     fh: IO[str] = open(src, "r", encoding="ascii") if own else src
     name = src if own else getattr(src, "name", "<stream>")
@@ -384,6 +385,10 @@ def read_csv(src: str | IO[str]) -> PhotonNumberDistribution:
                 ) from None
             if n != len(values):
                 raise ContractError(f"{name}: non-contiguous index at data row {line_no}")
+            if not (math.isfinite(p) and p >= 0.0):
+                raise DomainError(
+                    f"{name}: data row {line_no}: probability {p_str!r} is not finite and >= 0"
+                )
             values.append(p)
     finally:
         if own:
@@ -398,8 +403,20 @@ def to_json_array(dist: PhotonNumberDistribution) -> str:
 
 
 def from_json_array(text: str) -> PhotonNumberDistribution:
-    values = json.loads(text)
+    """Read a JSON array written by `to_json_array`. Text that is not JSON,
+    or an entry that is not a JSON number (a string, true or false, null, an
+    array or an object), raises ContractError."""
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"not a JSON array: {exc}") from None
     if not isinstance(values, list) or not values:
         raise ContractError("expected a non-empty JSON array")
-    probs = np.asarray([float(v) for v in values])
+    for i, v in enumerate(values):
+        if type(v) not in (int, float):  # json gives bool for true/false
+            raise ContractError(f"entry {i} is not a JSON number: {v!r}")
+    try:
+        probs = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer past the float range, as 1e400 is inf
+        raise DomainError("probs must be finite") from None
     return PhotonNumberDistribution(probs, _deficit_bound(probs))

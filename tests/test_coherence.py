@@ -1,6 +1,7 @@
 """Split thermal correlations, far-field fringes, and vacuum preselection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,22 @@ class TestWholeGrids:
         )
         assert grid.shape == dks.shape
         assert np.max(np.abs(grid - cells) / cells) <= 1e-15
+
+    def test_envelope_oracle_memory_does_not_grow_with_the_grid(self):
+        # The pairs go through the quadrature in fixed-size blocks, so 2000
+        # points peak near the 129-point default (they once took 14× more).
+        cfg = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
+        scale = (cfg.slit_width / 8.0) ** 2
+        peaks = []
+        for count in (129, 2000):
+            dks = np.linspace(0.0, 4.0 * math.pi / cfg.beta, count)
+            tracemalloc.start()
+            try:
+                classical_envelope_oracle(cfg, scale, -dks / 2.0, dks / 2.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
 
     @pytest.mark.parametrize(
         "counts", [np.array([0, 3, -1]), np.array([1.0, 2.0]), np.array([True, False])]

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from photonstats import (
     AccuracyError,
@@ -41,7 +41,8 @@ from photonstats.imaging import (
     _conditional_mean,
     _grad,
     _grad_adjoint,
-    _spectral_norm_sq,
+    _metric_shift,
+    _rank_one_metric,
     _tv,
 )
 
@@ -419,11 +420,60 @@ class TestTvMachinery:
         with pytest.raises(DomainError, match="n_inner"):
             tv_prox(np.ones((4, 4)), 0.3, n_inner=n_inner)
 
-    def test_spectral_norm_matches_eigensolver(self):
+    @pytest.mark.parametrize("rows", [20, 45])  # a wide Q, then a tall one (through its R)
+    def test_metric_step_constant_matches_eigensolver(self, rows):
         rng = np.random.default_rng(1)
-        q = rng.integers(0, 2, size=(20, 30)).astype(float)
-        true = float(np.linalg.eigvalsh(q.T @ q).max())
-        assert _spectral_norm_sq(q) == pytest.approx(true, rel=1e-3)
+        q = rng.integers(0, 2, size=(rows, 30)).astype(float)
+        beta, lam = _rank_one_metric(q)
+        e = np.full(30, 1.0 / math.sqrt(30.0))
+        off_e = np.eye(30) - np.outer(e, e)
+        rest = float(np.linalg.eigvalsh(off_e @ q.T @ q @ off_e).max())
+        assert 1.0 + beta == pytest.approx(float(e @ q.T @ q @ e) / rest, rel=1e-12)
+        inv_root = np.eye(30) - (1.0 - 1.0 / math.sqrt(1.0 + beta)) * np.outer(e, e)
+        true = float(np.linalg.eigvalsh(inv_root @ q.T @ q @ inv_root).max())
+        assert lam == pytest.approx(true, rel=1e-12)
+        assert lam < float(np.linalg.eigvalsh(q.T @ q).max()) / 4.0
+
+    def test_metric_is_the_identity_without_an_all_ones_mode(self):
+        beta, lam = _rank_one_metric(np.eye(16))
+        assert beta <= 1e-12
+        assert lam == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 40.0])
+    def test_metric_prox_matches_a_qp_solve(self, beta):
+        # argmin_x weight·TV(x) + ½‖x − v‖²_M over x ≥ 0, M = I + β·eeᵀ, on
+        # 3 × 3, as a QP in (x, t) with −t ≤ Gx ≤ t, against
+        # max(tv_prox(v) − c, 0) with c from `_metric_shift`.
+        rng = np.random.default_rng(5)
+        v = rng.normal(0.2, 1.0, size=(3, 3))
+        weight = 0.3
+        grad_rows = []
+        for k in range(9):
+            gx, gy = _grad(np.eye(9)[k].reshape(3, 3))
+            grad_rows.append(np.concatenate([gx.ravel(), gy.ravel()]))
+        g = np.array(grad_rows).T  # 18 × 9
+        metric = np.eye(9) + (beta / 9.0) * np.ones((9, 9))
+
+        def qp_objective(z):
+            d = z[:9] - v.ravel()
+            return weight * z[9:].sum() + 0.5 * d @ metric @ d
+
+        def qp_gradient(z):
+            return np.concatenate([metric @ (z[:9] - v.ravel()), np.full(18, weight)])
+
+        bounds = np.vstack([np.hstack([-g, np.eye(18)]), np.hstack([g, np.eye(18)])])
+        start = np.concatenate([np.maximum(v.ravel(), 0.0), np.abs(g @ v.ravel()) + 1.0])
+        qp = optimize.minimize(
+            qp_objective, start, jac=qp_gradient, method="SLSQP",
+            bounds=[(0.0, None)] * 9 + [(None, None)] * 18,
+            constraints=[{"type": "ineq", "fun": lambda z: bounds @ z, "jac": lambda z: bounds}],
+            options={"ftol": 1e-12, "maxiter": 1000},
+        )
+        assert qp.success
+        w = tv_prox(v, weight, n_inner=20000)
+        x = np.maximum(w - _metric_shift(w, v, beta), 0.0)
+        assert np.min(x) == 0.0 and np.max(x) > 0.0  # the clip binds
+        assert np.max(np.abs(x.ravel() - qp.x[:9])) <= 1e-6
 
 
 class TestReconstruction:
@@ -505,14 +555,25 @@ def _textbook_prox(v, weight, n_inner=20, warm_dual=None):
     return v - weight * _grad_adjoint(px, py), (px, py)
 
 
-def _textbook_mfista(
-    q, y, mu, shape, max_iter=2000, tol=1e-9, nonneg=True, n_inner=_SOLVER_SWEEPS
-):
-    """Monotone FISTA around `_textbook_prox` with n_inner warm-started
-    sweeps, allocating as it goes: the reference for `cs_reconstruct`."""
+def _power_iteration_norm_sq(q, n_steps=50):
+    """λmax(QᵀQ) by plain power iteration from the all-ones start: the step
+    constant of `_textbook_mfista`'s fixed reference."""
+    v = np.ones(q.shape[1]) / math.sqrt(q.shape[1])
+    value = 1.0
+    for _ in range(n_steps):
+        w = q.T @ (q @ v)
+        value = float(np.linalg.norm(w))
+        v = w / value
+    return value
+
+
+def _textbook_mfista(q, y, mu, shape, max_iter, tol, n_inner):
+    """Monotone FISTA in the Euclidean metric around `_textbook_prox` with
+    n_inner warm-started sweeps and a 1/λmax(QᵀQ) step: the fixed tight
+    reference of `TestInexactProxAccuracy`."""
     scale = float(np.max(np.abs(y)))
     y_scaled = y / scale
-    base_step = 1.0 / (mu * _spectral_norm_sq(q))
+    base_step = 1.0 / (mu * _power_iteration_norm_sq(q))
 
     def objective(s_img):
         resid = q @ s_img.ravel() - y_scaled
@@ -529,8 +590,7 @@ def _textbook_mfista(
         candidate, dual = _textbook_prox(
             momentum - base_step * gradient, base_step, n_inner, warm_dual=dual
         )
-        if nonneg:
-            np.clip(candidate, 0.0, None, out=candidate)
+        np.clip(candidate, 0.0, None, out=candidate)
         value = objective(candidate)
         previous = trace[-1]
         s_next, accepted = (candidate, value) if value <= previous else (s, previous)
@@ -539,6 +599,62 @@ def _textbook_mfista(
             (t_k - 1.0) / t_next
         ) * (s_next - s)
         s, t_k = s_next, t_next
+        trace.append(accepted)
+        if abs(previous - accepted) <= tol * max(abs(previous), 1e-300):
+            stall += 1
+            if stall >= 5:
+                break
+        else:
+            stall = 0
+    return s.ravel() * scale, np.asarray(trace), len(trace) - 1
+
+
+def _textbook_metric_fista(
+    q, y, mu, shape, max_iter=2000, tol=1e-9, nonneg=True, n_inner=None
+):
+    """`cs_reconstruct`'s loop written with fresh arrays: monotone FISTA in
+    the metric I + β·eeᵀ around `_textbook_prox`, 8·2^stall warm-started
+    sweeps per prox (n_inner sweeps if given), Q·momentum combined from Q·s
+    and Q·candidate: the reference for `cs_reconstruct`, bit for bit."""
+    scale = float(np.max(np.abs(y)))
+    y_scaled = y / scale
+    beta, lam = _rank_one_metric(q)
+    base_step = 1.0 / (mu * lam)
+
+    def objective(s_img):
+        q_s = q @ s_img.ravel()
+        resid = q_s - y_scaled
+        return _tv(s_img) + 0.5 * mu * float(resid @ resid), q_s
+
+    s = np.zeros(shape)
+    value, q_s = objective(s)
+    momentum, q_momentum = s, q_s
+    dual = (np.zeros(shape), np.zeros(shape))
+    t_k = 1.0
+    trace = [value]
+    stall = 0
+    for _ in range(max_iter):
+        gradient = (mu * (q.T @ (q_momentum - y_scaled))).reshape(shape)
+        gradient = gradient - (beta / (1.0 + beta)) * gradient.mean()
+        v = momentum - base_step * gradient
+        sweeps = _SOLVER_SWEEPS * 2**stall if n_inner is None else n_inner
+        candidate, dual = _textbook_prox(v, base_step, sweeps, warm_dual=dual)
+        if nonneg:
+            candidate = np.maximum(candidate - _metric_shift(candidate, v, beta), 0.0)
+        value, q_candidate = objective(candidate)
+        previous = trace[-1]
+        if value <= previous:
+            s_next, q_s_next, accepted = candidate, q_candidate, value
+        else:
+            s_next, q_s_next, accepted = s, q_s, previous
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+        momentum = s_next + (t_k / t_next) * (candidate - s_next) + (
+            (t_k - 1.0) / t_next
+        ) * (s_next - s)
+        q_momentum = q_s_next + (t_k / t_next) * (q_candidate - q_s_next) + (
+            (t_k - 1.0) / t_next
+        ) * (q_s_next - q_s)
+        s, q_s, t_k = s_next, q_s_next, t_next
         trace.append(accepted)
         if abs(previous - accepted) <= tol * max(abs(previous), 1e-300):
             stall += 1
@@ -587,7 +703,7 @@ class TestBitForBitAgainstTheTextbook:
         y = acquire(scene, masks, IDEAL, mode="intensity")
         kept = (q.copy(), y.copy())
         res = cs_reconstruct(q, y, mu=100.0, max_iter=max_iter, nonneg=nonneg, shape=(16, 16))
-        s_ref, trace_ref, iterations_ref = _textbook_mfista(
+        s_ref, trace_ref, iterations_ref = _textbook_metric_fista(
             kept[0], kept[1], 100.0, (16, 16), max_iter=max_iter, nonneg=nonneg
         )
         assert np.array_equal(res.s_hat, s_ref)
@@ -611,6 +727,21 @@ class TestInexactProxAccuracy:
         res = cs_reconstruct(masks, y, mu=100.0, shape=(16, 16))
         _, trace_ref, _ = _textbook_mfista(
             masks.matrix, y, 100.0, (16, 16), max_iter=20000, tol=0.0, n_inner=50
+        )
+        reference = trace_ref[-1]
+        assert res.stop_reason == "converged"
+        assert abs(res.objective_trace[-1] - reference) <= 1e-4 * reference
+
+    def test_noise_free_32x32_solve_is_near_a_tight_reference(self):
+        # test_09's noise-free image, the input on which a solve stops
+        # farthest above the minimum, against the same loop with 400 sweeps
+        # per prox run until it stalls exactly (tol 0).
+        phantom = binary_phantom(32, 32)
+        masks = random_sensing_matrix(256, 1024, seed=7)
+        y = acquire(phantom, masks, IDEAL, mode="intensity")
+        res = cs_reconstruct(masks, y, mu=100.0, shape=(32, 32))
+        _, trace_ref, _ = _textbook_metric_fista(
+            masks.matrix, y, 100.0, (32, 32), max_iter=20000, tol=0.0, n_inner=400
         )
         reference = trace_ref[-1]
         assert res.stop_reason == "converged"

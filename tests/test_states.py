@@ -221,6 +221,23 @@ class TestValidationAndSerialization:
         with pytest.raises(ContractError, match=rf"bad\.csv: data row 0 .*{row}"):
             read_csv(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_csv_rejects_a_bad_probability_naming_source_and_row(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"n,prob\n0,0.5\n1,{value}\n", encoding="ascii")
+        with pytest.raises(DomainError, match=rf"bad\.csv: data row 1: probability '{value}'"):
+            read_csv(str(path))
+
+    @pytest.mark.parametrize("text", ['["0.5", 0.5]', "[true, 0.0]", "[0.5, null]", "[[0.5], 0.5]",
+                                      '[{"p": 1.0}]', "[0.5, 0.5"])
+    def test_json_rejects_entries_that_are_not_numbers(self, text):
+        with pytest.raises(ContractError):
+            from_json_array(text)
+
+    def test_json_integer_past_the_float_range_is_not_finite(self):
+        with pytest.raises(DomainError, match="finite"):
+            from_json_array("[1" + "0" * 400 + "]")
+
     def test_csv_rejects_gapped_index(self):
         bad = io.StringIO("n,prob\n0,0.5\n2,0.5\n")
         with pytest.raises(ContractError, match="contiguous"):

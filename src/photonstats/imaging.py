@@ -42,12 +42,12 @@ from .montecarlo import (
     DetectorModel,
     RngSeed,
     SplitterNetwork,
+    _shots_reading,
+    _thermal_classes,
     _thermal_total,
     make_generator,
-    sample_source,
     split_and_detect,
 )
-from .states import thermal
 
 __all__ = [
     "SensingScene",
@@ -372,11 +372,19 @@ def acquire(
     empirical counterpart of the same quantity. intensity and post(N) draw
     arm a alone: a one-mode network of routing probability c² read by det_a,
     so each shot is Binomial(n, c²η_a) + Poisson(ν_a) and det_b does not
-    enter. subtract(N) draws both arms. An intensity row reads only its
-    total over the S shots, so it draws that total and no shots: Σn ~
-    NegBin(S, 1/(1+n̄_t)) on substream 2t, then one Binomial(Σn, c²η_a) +
-    Poisson(S·ν_a) on substream 2t+1, and y_t is the count over S. Its cost
-    does not depend on S. post(N) and subtract(N) rows draw every shot.
+    enter. subtract(N) draws both arms. No row draws its S shots one by one.
+    An intensity row reads only its total over the S shots: Σn ~ NegBin(S,
+    1/(1+n̄_t)) on substream 2t, then one Binomial(Σn, c²η_a) + Poisson(S·ν_a)
+    on substream 2t+1, and y_t is the count over S. post(N) and subtract(N)
+    rows draw H_n, the number of shots holding n photons, on substream 2t,
+    and thin those classes on substream 2t+1. post(N) counts the shots whose
+    k signal counts plus dark counts read N in arm a. subtract(N) keeps the
+    C shots whose arm b reads N, per cell of n photons with j detected in
+    arm b; their n − j other photons are detected in arm a by one
+    Binomial(Σ(n − j), c²η_a/(1 − s²η_b)), plus Poisson(C·ν_a) dark counts,
+    over C. Each row has exactly the law of its per-shot estimator. An
+    intensity row's cost does not depend on S; a post(N) or subtract(N)
+    row's grows like log S, the number of photon-number classes.
     """
     if masks.n_pixels != scene.values.size:
         raise ContractError(
@@ -397,33 +405,37 @@ def acquire(
 
     shots = _count(shots, "shots", 1)
     c2, s2 = arms.arm_fractions
-    if kind == "subtract":
-        network, detectors = SplitterNetwork((c2, s2)), (arms.det_a, arms.det_b)
-    elif kind == "post":
-        network, detectors = SplitterNetwork((c2,)), (arms.det_a,)
-    else:
-        det_a = DetectorModel(arms.det_a.efficiency, shots * arms.det_a.dark_rate)
-        network, detectors = SplitterNetwork((c2,)), (det_a,)
+    network = SplitterNetwork((c2,))
+    det_a = DetectorModel(arms.det_a.efficiency, shots * arms.det_a.dark_rate)
+    # subtract(N): a photon that arm b did not detect is detected in arm a
+    # with probability c²η_a/(1 − s²η_b)
+    to_b = s2 * arms.det_b.efficiency
+    to_a = min(1.0, c2 * arms.det_a.efficiency / (1.0 - to_b)) if to_b < 1.0 else 0.0
     y = np.empty(projections.size)
     for t, n_t in enumerate(projections):
         source_seed = RngSeed(seed.seed, seed.stream_id + 2 * t)
         detect_seed = RngSeed(seed.seed, seed.stream_id + 2 * t + 1)
         if kind == "intensity":
             total = _thermal_total(float(n_t), shots, source_seed)
-            y[t] = split_and_detect([total], network, detectors, detect_seed)[0, 0] / shots
+            y[t] = split_and_detect([total], network, (det_a,), detect_seed)[0, 0] / shots
             continue
-        counts = sample_source(thermal(float(n_t)), shots, source_seed)
-        detected = split_and_detect(counts, network, detectors, detect_seed)
-        arm_a = detected[:, 0]
+        numbers, counts = _thermal_classes(float(n_t), shots, source_seed)
+        rng = make_generator(detect_seed)
         if kind == "post":
-            y[t] = float(np.mean(arm_a == big_n))
-        else:
-            hits = detected[:, 1] == big_n
-            if not np.any(hits):
-                raise AccuracyError(
-                    f"no {big_n}-count events in arm b at row {t}; increase shots"
-                )
-            y[t] = float(arm_a[hits].mean())
+            reading = _shots_reading(numbers, counts, c2 * arms.det_a.efficiency, arms.det_a, big_n, rng)
+            y[t] = reading.sum() / shots
+            continue
+        # kept[n, j]: shots of n photons, j of them detected in arm b, that
+        # read N in arm b; their other n − j photons may reach arm a
+        kept = _shots_reading(numbers, counts, to_b, arms.det_b, big_n, rng)
+        hits = int(kept.sum())
+        if hits == 0:
+            raise AccuracyError(
+                f"no {big_n}-count events in arm b at row {t}; increase shots"
+            )
+        n_left = np.maximum(numbers[:, None] - np.arange(big_n + 1), 0)
+        others = int((kept * n_left).sum())
+        y[t] = (rng.binomial(others, to_a) + rng.poisson(hits * arms.det_a.dark_rate)) / hits
     return y
 
 

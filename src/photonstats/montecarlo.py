@@ -16,7 +16,20 @@ S thermal(n̄) shots sum to NegBin(S, 1/(1+n̄)). Passed through
 `split_and_detect` as one shot, the total is thinned by one
 Binomial(Σn, pη) and takes one Poisson(S·ν) of dark counts, because a sum of
 independent binomials with a common p is binomial and a sum of Poissons is
-Poisson. `sample_source` and `split_and_detect` per shot stay the oracle.
+Poisson.
+
+Where a caller reads only how many of S thermal shots hold each photon
+number, `_thermal_classes` draws those class counts H_n with the coin that
+`sample_source`'s geometric flips: of the R shots holding at least n photons,
+Bin(R, 1/(1+n̄)) stop at n. One multinomial draw flips that coin for a
+block of classes, and once fewer than one of the R shots left is expected to
+stop per class, those R < 1 + n̄ shots are drawn one by one, so the cost
+grows like log S, not like S. `_shots_reading` then thins each class as a
+whole: shots with the same n are exchangeable, so one multinomial draw over
+Binomial(n, p) at k = 0..N, plus one cell for k > N, splits a class by its
+kept photons k, and Bin(·, Poisson(N − k; ν)) shots of each cell read
+exactly N counts. `sample_source` and `split_and_detect` per shot stay the
+oracle.
 
 Reproducibility contract: generators are counter-based (Philox) keyed by
 (seed, stream_id), so identical seeds give identical samples on every
@@ -30,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import ContractError, DomainError, UndefinedCoherenceError, _count
 from .states import PhotonNumberDistribution, SourceSpec
@@ -44,6 +58,10 @@ __all__ = [
     "estimate_pmf",
     "empirical_g2",
 ]
+
+# Most photon-number classes `_thermal_classes` draws in one multinomial.
+_CLASS_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class RngSeed:
@@ -139,6 +157,69 @@ def _thermal_total(mean: float, n_samples: int, seed: RngSeed) -> int:
     if mean == 0.0:
         return 0
     return int(make_generator(seed).negative_binomial(n_samples, 1.0 / (1.0 + mean)))
+
+
+def _thermal_classes(mean: float, n_samples: int, seed: RngSeed) -> tuple[np.ndarray, np.ndarray]:
+    """(n, H_n) for each photon number n held by at least one of
+    ``n_samples`` thermal(``mean``) shots of `sample_source`, H_n the number
+    of shots holding it, n ascending.
+
+    The geometric's memoryless coin decides class by class: of the R shots
+    holding at least n photons, Bin(R, 1/(1+n̄)) stop at n and the rest go
+    on. One multinomial draw flips that coin for a block of B classes, cells
+    p(1−p)^i for i < B; its last cell, (1−p)^B, holds the shots that go past
+    the block and start the next one. B is at most `_CLASS_BLOCK` and keeps
+    the last cell's mass at e^−16 or more, so the sequential cell
+    probabilities numpy forms stay accurate to ~1e−12. Once fewer than one of
+    the R shots left is expected to stop per class (R < 1 + n̄), most classes
+    would be empty, and the R shots are drawn one by one instead."""
+    if mean == 0.0:
+        return np.zeros(1, dtype=np.int64), np.array([n_samples], dtype=np.int64)
+    rng = make_generator(seed)
+    stop, go_on = 1.0 / (1.0 + mean), mean / (1.0 + mean)
+    size = max(1, min(_CLASS_BLOCK, math.ceil(16.0 / math.log1p(1.0 / mean))))
+    cells = np.append(stop * go_on ** np.arange(size), go_on**size)
+    numbers, counts, first, left = [], [], 0, n_samples
+    while left * stop >= 1.0:
+        drawn = rng.multinomial(left, cells)
+        held = np.flatnonzero(drawn[:-1])
+        numbers.append(first + held)
+        counts.append(drawn[held])
+        first, left = first + size, int(drawn[-1])
+    if left:
+        last, tally = np.unique(first + rng.geometric(stop, size=left) - 1, return_counts=True)
+        numbers.append(last)
+        counts.append(tally)
+    return np.concatenate(numbers), np.concatenate(counts)
+
+
+def _shots_reading(
+    numbers: np.ndarray,
+    counts: np.ndarray,
+    keep: float,
+    detector: DetectorModel,
+    big_n: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Of the H_n shots (``counts``) holding n photons (``numbers``), how
+    many keep k of their photons, each with probability ``keep``, and read
+    exactly N once ``detector``'s Poisson(ν) dark counts are added: an (n, k)
+    array over k = 0..N. The shots of a class are exchangeable, so it splits
+    by k in one multinomial draw over Binomial(n, keep) at k = 0..N plus one
+    cell for k > N; then Bin(·, Poisson(N − k; ν)) shots of each cell read N.
+    """
+    n = numbers[:, None]
+    k = np.arange(big_n + 1)
+    rest = np.maximum(n - k, 0)
+    log_pmf = (
+        special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(rest + 1)
+        + special.xlogy(k, keep) + special.xlog1py(rest, -keep)
+    )
+    split = np.where(k <= n, np.exp(log_pmf), 0.0)
+    split = np.hstack([split, np.maximum(1.0 - split.sum(axis=1, keepdims=True), 0.0)])
+    darks, nu = big_n - k, detector.dark_rate
+    match = np.exp(special.xlogy(darks, nu) - nu - special.gammaln(darks + 1))
+    return rng.binomial(rng.multinomial(counts, split)[:, : big_n + 1], match)
 
 
 def _photon_counts(counts, name: str) -> np.ndarray:

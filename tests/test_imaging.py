@@ -158,6 +158,21 @@ class TestSnrModes:
             snr_sub(0.5, blind_b, 2)
 
 
+def _assert_same_row_laws(rows_a, rows_b, n_bins):
+    """Two-sample test of two (seeds, rows) arrays of measurement rows: per
+    row, both samples are counted in ``n_bins`` bins cut at the pooled
+    quantiles, and the Pearson chi-square over all rows lies inside a
+    two-sided 1e-9 band."""
+    stat = 0.0
+    for a, b in zip(rows_a.T, rows_b.T):
+        edges = np.quantile(np.concatenate([a, b]), np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+        in_a = np.bincount(np.searchsorted(edges, a), minlength=n_bins)
+        in_b = np.bincount(np.searchsorted(edges, b), minlength=n_bins)
+        stat += float(((in_a - in_b) ** 2 / (in_a + in_b)).sum())
+    dof, tail = rows_a.shape[1] * (n_bins - 1), 1e-9
+    assert stats.chi2.ppf(tail, dof) <= stat <= stats.chi2.isf(tail, dof), stat
+
+
 class TestAcquire:
     def test_ideal_intensity_is_the_projection(self):
         scene = binary_phantom(8, 8)
@@ -224,14 +239,7 @@ class TestAcquire:
             ]
             for seed in range(seeds)
         ])
-        stat = 0.0
-        for a, b in zip(totals.T, per_shot.T):
-            edges = np.quantile(np.concatenate([a, b]), np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
-            in_a = np.bincount(np.searchsorted(edges, a), minlength=n_bins)
-            in_b = np.bincount(np.searchsorted(edges, b), minlength=n_bins)
-            stat += float(((in_a - in_b) ** 2 / (in_a + in_b)).sum())
-        dof, tail = projections.size * (n_bins - 1), 1e-9
-        assert stats.chi2.ppf(tail, dof) <= stat <= stats.chi2.isf(tail, dof), stat
+        _assert_same_row_laws(totals, per_shot, n_bins)
 
     def test_intensity_cost_does_not_depend_on_shots(self):
         scene = binary_phantom(8, 8)
@@ -293,6 +301,125 @@ class TestAcquire:
             a = acquire(scene, masks, perfect_b, mode=mode, shots=2000, seed=3)
             b = acquire(scene, masks, noisy_b, mode=mode, shots=2000, seed=3)
             assert (a.tobytes() == b.tobytes()) is same, mode
+
+
+class TestHeraldedRows:
+    """post(N) and subtract(N) rows drawn from per-photon-number class
+    counts, against the per-shot pipeline and against the exact laws."""
+
+    SCENE = binary_phantom(8, 8)
+    MASKS = random_sensing_matrix(6, 64, seed=9)
+
+    def _per_shot_row(self, mode, n_t, shots, seed, t):
+        """One row averaged shot by shot from `sample_source` and
+        `split_and_detect`: post(2) through the one-mode network c² read by
+        det_a, subtract(1) through the two-mode network (c², s²)."""
+        c2, s2 = NOISY.arm_fractions
+        counts = sample_source(thermal(float(n_t)), shots, RngSeed(seed, 2 * t))
+        if mode == "post(2)":
+            arm_a = split_and_detect(
+                counts, SplitterNetwork((c2,)), (NOISY.det_a,), RngSeed(seed, 2 * t + 1)
+            )[:, 0]
+            return float(np.mean(arm_a == 2))
+        detected = split_and_detect(
+            counts, SplitterNetwork((c2, s2)), (NOISY.det_a, NOISY.det_b), RngSeed(seed, 2 * t + 1)
+        )
+        return float(detected[detected[:, 1] == 1, 0].mean())
+
+    @pytest.mark.parametrize("mode", ["post(2)", "subtract(1)"])
+    def test_rows_match_the_per_shot_pipeline(self, mode):
+        """200 seeds each at 2000 shots (200..399 for the per-shot route, so
+        the streams are disjoint), 5 quantile bins per row."""
+        shots, seeds = 2000, 200
+        projections = self.MASKS.matrix @ self.SCENE.values
+        classes = np.array([
+            acquire(self.SCENE, self.MASKS, NOISY, mode=mode, shots=shots, seed=seed)
+            for seed in range(seeds)
+        ])
+        per_shot = np.array([
+            [self._per_shot_row(mode, n_t, shots, seeds + seed, t) for t, n_t in enumerate(projections)]
+            for seed in range(seeds)
+        ])
+        _assert_same_row_laws(classes, per_shot, 5)
+
+    def _exact_moments(self, mode, projections):
+        """Each row's exact mean and its variance per shot that enters: for
+        post(2) the Bernoulli variance p(1−p) and 1, for subtract(1) arm a's
+        variance given one count in arm b, from the joint law's column m = 1
+        (counts in arm a past 80 carry no visible mass at these means), and
+        P(m = 1)."""
+        if mode == "post(2)":
+            p = acquire(self.SCENE, self.MASKS, NOISY, mode=mode)
+            return p, p * (1.0 - p), np.ones_like(p)
+        counts = np.arange(81)
+        mean, var, p_b = [], [], []
+        for n_t in projections:
+            column = np.array([joint_pmf_noisy(float(n_t), NOISY, int(n), 1) for n in counts])
+            law = column / column.sum()
+            mean.append(law @ counts)
+            var.append(law @ counts**2 - mean[-1] ** 2)
+            p_b.append(column.sum())
+        return np.array(mean), np.array(var), np.array(p_b)
+
+    @pytest.mark.parametrize("mode", ["post(2)", "subtract(1)"])
+    def test_sampled_rows_converge_to_exact(self, mode):
+        """Seeds 0..199 at 200k shots: each row's error over its standard
+        error, sqrt(var/(S·p)) with p the share of shots that enter, is a
+        standard normal z. The mean z over all 1200 rows and over each row's
+        200 seeds lies within 5 standard errors of 0, and Σz² inside a
+        two-sided 1e-9 chi-square band. The subtract(1) means come from the
+        joint law, and agree with the exact rows to 1e-12."""
+        shots, seeds = 200_000, 200
+        projections = self.MASKS.matrix @ self.SCENE.values
+        mean, var, entering = self._exact_moments(mode, projections)
+        exact = acquire(self.SCENE, self.MASKS, NOISY, mode=mode)
+        assert np.allclose(mean, exact, rtol=1e-12, atol=0.0)
+        se = np.sqrt(var / (shots * entering))
+        z = np.array([
+            (acquire(self.SCENE, self.MASKS, NOISY, mode=mode, shots=shots, seed=seed) - exact) / se
+            for seed in range(seeds)
+        ])
+        assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
+        assert np.all(np.abs(z.mean(axis=0)) <= 5.0 / math.sqrt(seeds))
+        stat, dof, tail = float((z**2).sum()), z.size, 1e-9
+        assert stats.chi2.ppf(tail, dof) <= stat <= stats.chi2.isf(tail, dof), stat
+
+    @pytest.mark.parametrize("mode", ["post(2)", "subtract(1)"])
+    def test_cost_does_not_depend_on_shots(self, mode):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            y = acquire(self.SCENE, self.MASKS, NOISY, mode=mode, shots=10**12, seed=1)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(y))
+        assert elapsed < 1.0
+        assert peak < 2**20
+
+    def test_dark_free_zero_projection_rows_are_exact(self):
+        scene = SensingScene(np.zeros(4), width=2, height=2)
+        masks = random_sensing_matrix(3, 4, seed=1)
+        arms = TwoArmDetection(math.pi / 4.0, DetectorModel(0.55, 0.0), NOISY.det_b)
+        for mode, row in (("post(0)", 1.0), ("post(2)", 0.0)):
+            y = acquire(scene, masks, arms, mode=mode, shots=20_000, seed=4)
+            assert np.array_equal(y, np.full(3, row)), mode
+
+    def test_arm_b_taking_every_photon_leaves_arm_a_dark_counts(self):
+        """At θ = π/2 with η_b = 1 every photon is detected in arm b, so arm
+        a reads only its dark counts: exactly 0 without them, and otherwise
+        Poisson(ν_a) per kept shot, a row mean within 5 standard errors of
+        ν_a, sqrt(ν_a/C) with C ≥ 1000 kept shots here."""
+        for dark_rate in (0.0, 0.3):
+            arms = TwoArmDetection(
+                math.pi / 2.0, DetectorModel(0.55, dark_rate), DetectorModel(1.0, 0.05)
+            )
+            y = acquire(self.SCENE, self.MASKS, arms, mode="subtract(1)", shots=20_000, seed=5)
+            if dark_rate == 0.0:
+                assert np.array_equal(y, np.zeros(self.MASKS.n_measurements))
+            else:
+                assert np.all(np.abs(y - dark_rate) <= 5.0 * math.sqrt(dark_rate / 1000))
 
 
 class TestPrimariesAgainstTheJointLaw:

@@ -22,7 +22,7 @@ from photonstats import (
     split_and_detect,
     thermal,
 )
-from photonstats.montecarlo import _thermal_total
+from photonstats.montecarlo import _thermal_classes, _thermal_total
 
 SHOTS = 200_000
 
@@ -83,6 +83,48 @@ def test_thermal_total_follows_the_law_of_a_sum_of_shots():
 
 def test_thermal_total_of_vacuum_is_zero():
     assert _thermal_total(0.0, 10**12, RngSeed(0)) == 0
+
+
+@pytest.mark.parametrize(("mean", "shots", "seeds"), [
+    (0.8, 2000, 50), (30.0, 2000, 50), (5000.0, 2000, 50), (3.0, 3, 10_000),
+])
+def test_thermal_classes_follow_the_bose_einstein_law(mean, shots, seeds):
+    """Photon-number classes of thermal shots on seeds 0, 1, …, pooled,
+    against the Bose–Einstein law: Pearson chi-square over bins cut at its
+    twentieths, inside a two-sided 1e-9 band. At 0.8 the blocks of classes
+    draw nearly every shot; at 5000 (2000 < 1 + n̄) and at 3 (3 < 1 + n̄) the
+    shots are drawn one by one; at 30 both parts run. Every draw accounts
+    for each shot once, in ascending non-empty classes."""
+    law = stats.geom(1.0 / (1.0 + mean), loc=-1)
+    edges = np.unique(law.ppf(np.linspace(0.0, 1.0, 21)[1:-1]))
+    observed = np.zeros(edges.size + 1)
+    for seed in range(seeds):
+        numbers, counts = _thermal_classes(mean, shots, RngSeed(seed))
+        assert counts.sum() == shots and np.all(counts > 0) and np.all(np.diff(numbers) > 0)
+        np.add.at(observed, np.searchsorted(edges, numbers), counts)
+    expected = shots * seeds * np.diff(np.concatenate([[0.0], law.cdf(edges), [1.0]]))
+    stat, dof, tail = float(((observed - expected) ** 2 / expected).sum()), edges.size, 1e-9
+    assert dof >= 2
+    assert stats.chi2.ppf(tail, dof) <= stat <= stats.chi2.isf(tail, dof), (stat, dof)
+
+
+def test_thermal_classes_hold_every_shot_at_any_shot_count():
+    """10**12 shots in ascending non-empty classes. At n̄ = 0.8 a block holds
+    20 classes, so the first few blocks run; every class expected to hold at
+    least 100 shots is within 6 standard errors of S·p(1−p)^n."""
+    shots = 10**12
+    for mean in (0.0, 0.8, 100.0):
+        numbers, counts = _thermal_classes(mean, shots, RngSeed(2))
+        assert counts.sum() == shots and numbers[0] == 0
+        assert np.all(counts > 0) and np.all(np.diff(numbers) > 0)
+    p_n = stats.geom(1.0 / 1.8, loc=-1).pmf(np.arange(40))
+    numbers, counts = _thermal_classes(0.8, shots, RngSeed(3))
+    held = np.zeros(40)
+    held[numbers[numbers < 40]] = counts[numbers < 40]
+    sure = shots * p_n >= 100.0
+    assert sure.sum() > 20
+    z = (held - shots * p_n)[sure] / np.sqrt(shots * p_n * (1.0 - p_n))[sure]
+    assert np.all(np.abs(z) < 6.0), z
 
 
 def test_estimate_pmf_frequencies():

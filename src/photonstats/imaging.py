@@ -41,12 +41,11 @@ from .errors import (
 from .montecarlo import (
     DetectorModel,
     RngSeed,
-    SplitterNetwork,
+    _check_draw_mean,
     _shots_reading,
     _thermal_classes,
     _thermal_total,
     make_generator,
-    split_and_detect,
 )
 
 __all__ = [
@@ -370,9 +369,9 @@ def acquire(
     arm b (subtract(N)). With finite ``shots`` each row is sampled through
     the Monte Carlo pipeline on its own RNG substreams, reducing to the
     empirical counterpart of the same quantity. intensity and post(N) draw
-    arm a alone: a one-mode network of routing probability c² read by det_a,
-    so each shot is Binomial(n, c²η_a) + Poisson(ν_a) and det_b does not
-    enter. subtract(N) draws both arms. No row draws its S shots one by one.
+    arm a alone: each shot is Binomial(n, c²η_a) + Poisson(ν_a), and det_b
+    does not enter. subtract(N) draws both arms. No row draws its S shots
+    one by one.
     An intensity row reads only its total over the S shots: Σn ~ NegBin(S,
     1/(1+n̄_t)) on substream 2t, then one Binomial(Σn, c²η_a) + Poisson(S·ν_a)
     on substream 2t+1, and y_t is the count over S. post(N) and subtract(N)
@@ -404,9 +403,12 @@ def acquire(
         return arms.det_a.efficiency * c2 * projections + arms.det_a.dark_rate
 
     shots = _count(shots, "shots", 1)
+    # intensity and subtract(N) rows draw sums over the shots; post(N) rows
+    # draw no count larger than one shot's
+    _check_draw_mean(
+        float(projections.max()) + arms.det_a.dark_rate, shots, summed=kind != "post"
+    )
     c2, s2 = arms.arm_fractions
-    network = SplitterNetwork((c2,))
-    det_a = DetectorModel(arms.det_a.efficiency, shots * arms.det_a.dark_rate)
     # subtract(N): a photon that arm b did not detect is detected in arm a
     # with probability c²η_a/(1 − s²η_b)
     to_b = s2 * arms.det_b.efficiency
@@ -415,12 +417,13 @@ def acquire(
     for t, n_t in enumerate(projections):
         source_seed = RngSeed(seed.seed, seed.stream_id + 2 * t)
         detect_seed = RngSeed(seed.seed, seed.stream_id + 2 * t + 1)
+        rng = make_generator(detect_seed)
         if kind == "intensity":
             total = _thermal_total(float(n_t), shots, source_seed)
-            y[t] = split_and_detect([total], network, (det_a,), detect_seed)[0, 0] / shots
+            kept = rng.binomial(total, c2 * arms.det_a.efficiency)
+            y[t] = (kept + rng.poisson(shots * arms.det_a.dark_rate)) / shots
             continue
         numbers, counts = _thermal_classes(float(n_t), shots, source_seed)
-        rng = make_generator(detect_seed)
         if kind == "post":
             reading = _shots_reading(numbers, counts, c2 * arms.det_a.efficiency, arms.det_a, big_n, rng)
             y[t] = reading.sum() / shots

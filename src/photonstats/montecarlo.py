@@ -12,9 +12,8 @@ validates their photon-number predictions.
 
 Where a caller reads only the total over S thermal shots, the private
 `_thermal_total` draws that total in one step from its composition law:
-S thermal(n̄) shots sum to NegBin(S, 1/(1+n̄)). Passed through
-`split_and_detect` as one shot, the total is thinned by one
-Binomial(Σn, pη) and takes one Poisson(S·ν) of dark counts, because a sum of
+S thermal(n̄) shots sum to NegBin(S, 1/(1+n̄)). The caller thins it by one
+Binomial(Σn, pη) and adds one Poisson(S·ν) of dark counts, because a sum of
 independent binomials with a common p is binomial and a sum of Poissons is
 Poisson.
 
@@ -31,6 +30,10 @@ kept photons k, and Bin(·, Poisson(N − k; ν)) shots of each cell read
 exactly N counts. `sample_source` and `split_and_detect` per shot stay the
 oracle.
 
+Every count is an int64. A draw whose mean, per shot or summed over the
+shots, passes 2^57 could overflow it, and is refused with DomainError before
+anything is drawn.
+
 Reproducibility contract: generators are counter-based (Philox) keyed by
 (seed, stream_id), so identical seeds give identical samples on every
 platform and distinct stream_ids give provably disjoint streams for parallel
@@ -46,7 +49,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ContractError, DomainError, UndefinedCoherenceError, _count
-from .states import PhotonNumberDistribution, SourceSpec
+from .states import PhotonNumberDistribution, SourceSpec, _binomial_pmf
 
 __all__ = [
     "RngSeed",
@@ -61,6 +64,12 @@ __all__ = [
 
 # Most photon-number classes `_thermal_classes` draws in one multinomial.
 _CLASS_BLOCK = 4096
+
+# Largest expected value of one integer draw. A thermal shot of this mean
+# reaches 2^63, where numpy's samplers clip or fail and int64 sums wrap, with
+# probability ≈ e^−64; a Poisson draw or a total of S ≥ 2 thermal shots of
+# this mean with less.
+_DRAW_MEAN_MAX = 2.0**57
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,18 @@ class DetectorModel:
             raise DomainError(f"dark_rate must be >= 0, got {self.dark_rate!r}")
 
 
+def _check_draw_mean(mean: float, shots: int, summed: bool = False) -> None:
+    """Raise DomainError, before any draw, when one draw of ``shots`` shots
+    of ``mean`` counts each, or of their sum if ``summed``, expects more than
+    `_DRAW_MEAN_MAX`."""
+    expected = mean * shots if summed else mean
+    if not expected <= _DRAW_MEAN_MAX:
+        raise DomainError(
+            f"mean {mean:g} over {shots} shots expects {expected:g} counts in one draw, "
+            f"past 2**57, where int64 counts could overflow"
+        )
+
+
 def make_generator(seed: RngSeed | int) -> np.random.Generator:
     """Philox generator for the given stream address."""
     if not isinstance(seed, RngSeed):
@@ -140,6 +161,7 @@ def sample_source(source: SourceSpec, n_samples: int, seed: RngSeed | int) -> np
     n_samples = _count(n_samples, "n_samples", 1)
     rng = make_generator(seed)
     mean = source.mean
+    _check_draw_mean(mean, n_samples)
     if source.kind == "fock":
         return np.full(n_samples, int(mean), dtype=np.int64)
     if source.kind == "coherent":
@@ -154,6 +176,7 @@ def _thermal_total(mean: float, n_samples: int, seed: RngSeed) -> int:
     """Σn over ``n_samples`` thermal(``mean``) shots of `sample_source`,
     drawn as one number: the failures before the S-th success of a
     1/(1+n̄) coin, NegBin(S, 1/(1+n̄)), as a sum of S geometric draws."""
+    _check_draw_mean(mean, n_samples, summed=True)
     if mean == 0.0:
         return 0
     return int(make_generator(seed).negative_binomial(n_samples, 1.0 / (1.0 + mean)))
@@ -173,6 +196,7 @@ def _thermal_classes(mean: float, n_samples: int, seed: RngSeed) -> tuple[np.nda
     probabilities numpy forms stay accurate to ~1e−12. Once fewer than one of
     the R shots left is expected to stop per class (R < 1 + n̄), most classes
     would be empty, and the R shots are drawn one by one instead."""
+    _check_draw_mean(mean, n_samples)
     if mean == 0.0:
         return np.zeros(1, dtype=np.int64), np.array([n_samples], dtype=np.int64)
     rng = make_generator(seed)
@@ -208,14 +232,8 @@ def _shots_reading(
     by k in one multinomial draw over Binomial(n, keep) at k = 0..N plus one
     cell for k > N; then Bin(·, Poisson(N − k; ν)) shots of each cell read N.
     """
-    n = numbers[:, None]
     k = np.arange(big_n + 1)
-    rest = np.maximum(n - k, 0)
-    log_pmf = (
-        special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(rest + 1)
-        + special.xlogy(k, keep) + special.xlog1py(rest, -keep)
-    )
-    split = np.where(k <= n, np.exp(log_pmf), 0.0)
+    split = _binomial_pmf(k, numbers[:, None], keep)
     split = np.hstack([split, np.maximum(1.0 - split.sum(axis=1, keepdims=True), 0.0)])
     darks, nu = big_n - k, detector.dark_rate
     match = np.exp(special.xlogy(darks, nu) - nu - special.gammaln(darks + 1))

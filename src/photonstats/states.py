@@ -27,7 +27,9 @@ AccuracyError, so non-convergence is never silent and never slow. The
 default construction honors tail_bound ≤ 1e-10 without silent rescaling.
 
 Zero means and vanishing factors need no branches: log-space terms use
-``special.xlogy`` / ``special.xlog1py``, so 0·log 0 = 0 and 0⁰ = 1.
+``special.xlogy`` / ``special.xlog1py``, so 0·log 0 = 0 and 0⁰ = 1. So does
+``_binomial_pmf``, the package's one binomial kernel (``binomial_thin`` and
+the Monte Carlo class split); ``scipy.special`` is the only scipy import.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Literal, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import (
     AccuracyError,
@@ -200,7 +202,7 @@ def _thermal_tail(mean: float, n_max: int) -> float:
 
 
 def _coherent_tail(mean: float, n_max: int) -> float:
-    return float(stats.poisson.sf(n_max, mean))
+    return float(special.pdtrc(n_max, mean))
 
 
 def _deficit_bound(probs: np.ndarray) -> float:
@@ -287,6 +289,17 @@ def convolve(
     return PhotonNumberDistribution(out, min(a.tail_bound + b.tail_bound, 1.0 - 1e-15))
 
 
+def _binomial_pmf(k, n, p: float) -> np.ndarray:
+    """Binomial(n, p) probability of k, broadcast over integer k and n; 0
+    where k > n. Evaluated in log space, so p = 0 and p = 1 are exact."""
+    rest = np.maximum(n - k, 0)
+    log_pmf = (
+        special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(rest + 1)
+        + special.xlogy(k, p) + special.xlog1py(rest, -p)
+    )
+    return np.where(k <= n, np.exp(log_pmf), 0.0)
+
+
 def binomial_thin(
     dist: PhotonNumberDistribution, efficiency: float
 ) -> PhotonNumberDistribution:
@@ -297,19 +310,12 @@ def binomial_thin(
     """
     if not (0.0 <= efficiency <= 1.0):
         raise DomainError(f"efficiency must lie in [0, 1], got {efficiency!r}")
-    if efficiency == 1.0:
-        return dist
-    size = dist.probs.size
-    if efficiency == 0.0:
-        probs = np.zeros(size)
-        probs[0] = float(dist.probs.sum())
-        return PhotonNumberDistribution(probs, dist.tail_bound)
     # Kernel rows C(n,k) η^k (1−η)^(n−k) in blocks, only for n ≥ k: linear memory.
-    n = np.arange(size)
-    probs = np.empty(size)
-    for start in range(0, size, _THIN_BLOCK):
+    n = np.arange(dist.probs.size)
+    probs = np.empty(n.size)
+    for start in range(0, n.size, _THIN_BLOCK):
         k = n[start : start + _THIN_BLOCK, None]
-        kernel = stats.binom.pmf(k, n[None, start:], efficiency)
+        kernel = _binomial_pmf(k, n[None, start:], efficiency)
         probs[start : start + _THIN_BLOCK] = kernel @ dist.probs[start:]
     return PhotonNumberDistribution(probs, dist.tail_bound)
 

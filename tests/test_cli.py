@@ -1,6 +1,10 @@
 """Command-line interface: artifacts, reproducibility, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +258,22 @@ class TestImageSim:
         )
         assert rc == 3
         assert "increase shots" in err
+
+    def test_counts_past_int64_exit_two(self, tmp_path, capsys):
+        rc, _, err = run(
+            capsys, "image-sim", "--width", "8", "--height", "8", "--measurements", "4",
+            "--projection-mean", "1e15", "--shots", "20000", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "int64" in err
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """`scipy.stats` costs most of a cold start of the CLI; the library
+    needs `scipy.special` only."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, photonstats.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestReconstructRoundTrip:

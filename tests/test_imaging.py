@@ -289,6 +289,17 @@ class TestAcquire:
         with pytest.raises(AccuracyError, match="increase shots"):
             acquire(scene, masks, NOISY, mode="subtract(40)", shots=50, seed=1)
 
+    @pytest.mark.parametrize(("mode", "mean"), [
+        ("intensity", 1e15), ("subtract(1)", 1e15), ("post(2)", 1e20),
+    ])
+    def test_rows_that_cannot_fit_in_int64_are_rejected(self, mode, mean):
+        """intensity and subtract(N) rows sum S shots, so S·n̄_t is bounded;
+        a post(N) row draws no count above one shot's, so n̄_t is."""
+        masks = random_sensing_matrix(4, 64, seed=9)
+        scene = scale_scene_to_projection(binary_phantom(8, 8), masks, mean)
+        with pytest.raises(DomainError, match="20000 shots"):
+            acquire(scene, masks, NOISY, mode=mode, shots=20_000, seed=1)
+
     def test_arm_b_is_drawn_only_when_subtracting(self):
         scene = binary_phantom(8, 8)
         masks = random_sensing_matrix(4, 64, seed=9)

@@ -85,6 +85,26 @@ def test_thermal_total_of_vacuum_is_zero():
     assert _thermal_total(0.0, 10**12, RngSeed(0)) == 0
 
 
+@pytest.mark.parametrize("draw", [
+    # numpy's geometric clips at 2**63 - 1: four of these five shots would
+    # read 2**63 - 2
+    lambda: sample_source(thermal(1e20), 5, RngSeed(1)),
+    # numpy raises a bare ValueError("lam value too large")
+    lambda: sample_source(coherent(1e19), 5, RngSeed(1)),
+    lambda: _thermal_classes(1e20, 5, RngSeed(1)),
+    # a total of 2e19 photons: numpy's negative_binomial raises ValueError
+    lambda: _thermal_total(1e15, 20_000, RngSeed(1)),
+], ids=["thermal", "coherent", "classes", "total"])
+def test_draws_that_cannot_fit_in_int64_are_rejected(draw):
+    with pytest.raises(DomainError, match=r"shots expects .* past 2\*\*57"):
+        draw()
+
+
+def test_draws_at_the_int64_bound_are_taken():
+    assert sample_source(thermal(2.0**57), 5, RngSeed(1)).min() >= 0
+    assert _thermal_total(2.0**52, 32, RngSeed(1)) > 0
+
+
 @pytest.mark.parametrize(("mean", "shots", "seeds"), [
     (0.8, 2000, 50), (30.0, 2000, 50), (5000.0, 2000, 50), (3.0, 3, 10_000),
 ])

@@ -17,6 +17,7 @@ from photonstats import (
     ScatterConfig,
     SensorConfig,
     TwoArmDetection,
+    binomial_thin,
     coherent,
     conditional_state_pmf,
     default_cutoff,
@@ -106,6 +107,28 @@ def test_pmf_mass_honors_the_tail_bound(kind, mean, tail_target):
     total = float(dist.probs.sum())
     assert dist.tail_bound <= tail_target
     # 1e-12 is the float slack the distribution type allows on "sums to one".
+    assert 1.0 - dist.tail_bound - 1e-12 <= total <= 1.0 + 1e-12
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from([thermal, coherent]),
+    mean=st.floats(0.0, 40.0),
+    efficiency=st.floats(0.0, 1.0),
+)
+# Total loss and no loss: both go through the log-space kernel unbranched.
+@example(kind=thermal, mean=40.0, efficiency=0.0)
+@example(kind=coherent, mean=40.0, efficiency=1.0)
+def test_binomial_thin_is_the_thinned_law_short_by_at_most_the_tail(kind, mean, efficiency):
+    """Thinning keeps a canonical source canonical, with mean ηn̄. The
+    truncated input misses only its tail, so the thinned pmf lies between
+    the exact thinned law (same cutoff) and that law less the tail bound."""
+    dist = binomial_thin(pmf(kind(mean)), efficiency)
+    exact = pmf(kind(efficiency * mean), cutoff=dist.n_max).probs
+    assert np.all(dist.probs <= exact + 1e-12)
+    assert np.all(dist.probs >= exact - dist.tail_bound - 1e-12)
+    # 1e-12 is the float slack the distribution type allows on "sums to one".
+    total = float(dist.probs.sum())
     assert 1.0 - dist.tail_bound - 1e-12 <= total <= 1.0 + 1e-12
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from scipy import special
 
 from .errors import AccuracyError, ContractError, DomainError, _count
-from .states import default_cutoff
+from .states import _binomial_pmf, _log_choose, _negbin_pmf, default_cutoff
 
 __all__ = [
     "ThermalSplitterState",
@@ -175,31 +175,19 @@ class PreselectionNetwork:
 def joint_pmf(state: ThermalSplitterState, big_n, big_m):
     """Probability of seeing exactly (N, M) photons in arms (a, b).
 
-    Closed form: C(N+M, N) n̄^(N+M) cos^(2N)θ sin^(2M)θ / (1+n̄)^(N+M+1).
+    Closed form: C(N+M, N) n̄^(N+M) cos^(2N)θ sin^(2M)θ / (1+n̄)^(N+M+1), the
+    Bose–Einstein weight of N+M photons times Binomial(N; N+M, cos²θ).
     Marginals are thermal with the arm means. N and M broadcast.
     """
     big_n, big_m = _count(big_n, "big_n", grid=True), _count(big_m, "big_m", grid=True)
-    n_bar = state.mean_total
-    c2 = math.cos(state.split_angle) ** 2
-    total = big_n + big_m
-    log_p = (
-        special.gammaln(total + 1)
-        - special.gammaln(big_n + 1)
-        - special.gammaln(big_m + 1)
-        + special.xlogy(total, n_bar)
-        - (total + 1) * math.log1p(n_bar)
-        + special.xlogy(big_n, c2)
-        + special.xlogy(big_m, 1.0 - c2)
-    )
-    return np.exp(log_p)
+    total, c2 = big_n + big_m, math.cos(state.split_angle) ** 2
+    return _negbin_pmf(total, 0, state.mean_total) * _binomial_pmf(big_n, total, c2)
 
 
 def _gtilde2(big_n, big_m, mean_a, mean_b, n_bar):
     """g̃²(N,M) from the arm means and the total mean, all broadcasting."""
     log_g = (
-        special.gammaln(big_n + big_m + 1)
-        - special.gammaln(big_n + 1)
-        - special.gammaln(big_m + 1)
+        _log_choose(big_n, big_m)
         + (big_n + 1) * np.log1p(mean_a)
         + (big_m + 1) * np.log1p(mean_b)
         - (big_n + big_m + 1) * np.log1p(n_bar)

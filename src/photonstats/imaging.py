@@ -19,7 +19,7 @@ a total-variation-regularized least-squares reconstruction.
 ``joint_pmf_noisy`` is that double sum cell by cell: the oracle. The primaries,
 vectorized over projections, are ``_post_probability`` (``arm_a_marginal``,
 ``snr_post``, exact post(N)) and ``_conditional_mean`` (``snr_sub``, exact
-subtract(N)).
+subtract(N)); their count weights are the `states` kernels.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .montecarlo import (
     _thermal_total,
     make_generator,
 )
+from .states import _negbin_pmf, _poisson_pmf
 
 __all__ = [
     "SensingScene",
@@ -269,11 +270,7 @@ def _count_weights(signal: np.ndarray, dark_rate: float, big_n: int) -> np.ndarr
     """The (rows, N+1) matrix BE(i; s)·Poisson(N−i; ν): i signal counts (thermal
     mean s, one per row) and N − i dark counts (rate ν) in one arm."""
     i = np.arange(big_n + 1)
-    log_terms = (
-        special.xlogy(i, signal[:, None]) - (i + 1) * np.log1p(signal[:, None])
-        + special.xlogy(big_n - i, dark_rate) - dark_rate - special.gammaln(big_n - i + 1)
-    )
-    return np.exp(log_terms)
+    return _negbin_pmf(i, 0, signal[:, None]) * _poisson_pmf(big_n - i, dark_rate)
 
 
 def _post_probability(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:

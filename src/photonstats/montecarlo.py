@@ -27,8 +27,8 @@ grows like log S, not like S. `_shots_reading` then thins each class as a
 whole: shots with the same n are exchangeable, so one multinomial draw over
 Binomial(n, p) at k = 0..N, plus one cell for k > N, splits a class by its
 kept photons k, and Bin(·, Poisson(N − k; ν)) shots of each cell read
-exactly N counts. `sample_source` and `split_and_detect` per shot stay the
-oracle.
+exactly N counts; both laws are the `states` kernels. `sample_source` and
+`split_and_detect` per shot stay the oracle.
 
 Every count is an int64. A draw whose mean, per shot or summed over the
 shots, passes 2^57 could overflow it, and is refused with DomainError before
@@ -46,10 +46,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ContractError, DomainError, UndefinedCoherenceError, _count
-from .states import PhotonNumberDistribution, SourceSpec, _binomial_pmf
+from .states import PhotonNumberDistribution, SourceSpec, _binomial_pmf, _poisson_pmf
 
 __all__ = [
     "RngSeed",
@@ -235,8 +234,7 @@ def _shots_reading(
     k = np.arange(big_n + 1)
     split = _binomial_pmf(k, numbers[:, None], keep)
     split = np.hstack([split, np.maximum(1.0 - split.sum(axis=1, keepdims=True), 0.0)])
-    darks, nu = big_n - k, detector.dark_rate
-    match = np.exp(special.xlogy(darks, nu) - nu - special.gammaln(darks + 1))
+    match = _poisson_pmf(big_n - k, detector.dark_rate)
     return rng.binomial(rng.multinomial(counts, split)[:, : big_n + 1], match)
 
 

@@ -33,7 +33,7 @@ from .states import (
     DEFAULT_TAIL_TARGET,
     PhotonNumberDistribution,
     _grow_cutoff,
-    _thermal_tail,
+    _negbin_tail,
     default_cutoff,
 )
 
@@ -114,7 +114,7 @@ def detected_pmf(
 
     n_max, tail_bound = _grow_cutoff(
         default_cutoff(big_a + big_b),
-        lambda c: big_a * float(law(np.array([c]))[0]) + _thermal_tail(big_b, c),
+        lambda c: big_a * float(law(np.array([c]))[0]) + _negbin_tail(big_b, 0, c),
         tail_target,
     )
     return PhotonNumberDistribution(law(np.arange(n_max + 1)), tail_bound)
@@ -170,7 +170,7 @@ def p_function_convolution_check(
             raise DomainError(f"{label} must be >= 0, got {m!r}")
     combined = mean_1 + mean_2
     n_max, tail = _grow_cutoff(
-        default_cutoff(combined), lambda c: _thermal_tail(combined, c), tail_target
+        default_cutoff(combined), lambda c: _negbin_tail(combined, 0, c), tail_target
     )
 
     order = n_max // 2 + 8

@@ -17,8 +17,8 @@ L quanta in the subtraction arm (efficiency η_pl) conditions the kept arm
 * closed forms for its mean (L+1)μ, standard deviation, signal-to-noise
   ratio and the phase uncertainty Δφ = Δn/|d⟨n⟩/dφ|.
 
-The subtracted and conditional pmfs are truncated by the policy stated in
-`photonstats.states`.
+The subtracted and conditional pmfs are `states._negbin_pmf`, the one kernel
+of this law, truncated by the policy stated in `photonstats.states`.
 
 Two phase conventions coexist deliberately: the subtraction arm's success
 probability carries sin²(φ/2) while the kept arm's conditional moments carry
@@ -35,13 +35,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, SingularPointError, _count
 from .states import (
     DEFAULT_TAIL_TARGET,
     PhotonNumberDistribution,
     _grow_cutoff,
+    _negbin_pmf,
+    _negbin_tail,
     default_cutoff,
     moments,
 )
@@ -135,19 +136,6 @@ def preset(name: str, **overrides) -> SensorConfig:
 # Ideal L-subtracted thermal statistics
 # ===================================================================
 
-def _subtracted_tail(mean: float, level: int, n_max: int) -> float:
-    """Mass past ``n_max``: fewer than L+1 successes of probability 1/(1+n̄)
-    in n_max+L+1 trials. The (L+1)-term sum is exact to rounding, unlike the
-    incomplete beta behind ``stats.nbinom.sf`` (off by up to ~1e-7 relative
-    at small means); at L = 0 it is the geometric tail of `states`."""
-    trials = n_max + level + 1
-    j = np.arange(level + 1)
-    terms = special.binom(trials, j) * np.exp(
-        special.xlogy(trials - j, mean / (1.0 + mean)) - j * math.log1p(mean)
-    )
-    return float(terms.sum())
-
-
 def subtracted_pmf(
     mean: float, level: int, tail_target: float = DEFAULT_TAIL_TARGET
 ) -> PhotonNumberDistribution:
@@ -159,20 +147,9 @@ def subtracted_pmf(
     if not (math.isfinite(mean) and mean >= 0.0):
         raise DomainError(f"mean must be >= 0, got {mean!r}")
     n_max, tail = _grow_cutoff(
-        default_cutoff((level + 1) * mean),
-        lambda c: _subtracted_tail(mean, level, c),
-        tail_target,
+        default_cutoff((level + 1) * mean), lambda c: _negbin_tail(mean, level, c), tail_target
     )
-
-    n = np.arange(n_max + 1)
-    log_p = (
-        special.gammaln(n + level + 1)
-        - special.gammaln(n + 1)
-        - special.gammaln(level + 1)
-        + special.xlogy(n, mean)
-        - (level + 1 + n) * math.log1p(mean)
-    )
-    return PhotonNumberDistribution(np.exp(log_p), tail)
+    return PhotonNumberDistribution(_negbin_pmf(np.arange(n_max + 1), level, mean), tail)
 
 
 def g2_subtracted(level: int) -> float:
@@ -189,8 +166,7 @@ def subtraction_success_probability(cfg: SensorConfig, level: int) -> float:
     """
     level = _count(level, "level")
     _, big_b, _ = _kept_arm(cfg)
-    mean_d = big_b * math.sin(cfg.phase / 2.0) ** 2
-    return math.exp(special.xlogy(level, mean_d) - (level + 1) * math.log1p(mean_d))
+    return float(_negbin_pmf(level, 0, big_b * math.sin(cfg.phase / 2.0) ** 2))
 
 
 # ===================================================================

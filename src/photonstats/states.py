@@ -26,10 +26,15 @@ tail that stops falling) or 64 growth steps short of the target raise
 AccuracyError, so non-convergence is never silent and never slow. The
 default construction honors tail_bound ≤ 1e-10 without silent rescaling.
 
-Zero means and vanishing factors need no branches: log-space terms use
-``special.xlogy`` / ``special.xlog1py``, so 0·log 0 = 0 and 0⁰ = 1. So does
-``_binomial_pmf``, the package's one binomial kernel (``binomial_thin`` and
-the Monte Carlo class split); ``scipy.special`` is the only scipy import.
+Each count law has one kernel here, in log space and broadcast over integer
+counts: ``_poisson_pmf`` (coherent light, dark counts), ``_negbin_pmf`` and
+its exact tail ``_negbin_tail`` (Bose–Einstein, the L-subtracted thermal
+law) and ``_binomial_pmf`` (loss, splitting). Every primary law calls them;
+``scipy.special`` is the only scipy import. The oracles keep their own
+arithmetic, so one kernel fault cannot pass both sides of a dual-route
+check: ``imaging.joint_pmf_noisy``, ``scatter.p_function_convolution_check``
+and ``detected_pmf``'s two-mode law, ``coherence.preselection_distribution``,
+``gamma_sum`` and ``_detected_vacuum_sum``, and the per-shot Monte Carlo.
 """
 
 from __future__ import annotations
@@ -159,6 +164,69 @@ def thermal(mean: float) -> SourceSpec:
 
 
 # ===================================================================
+# Count-law kernels (log space, broadcast over integer counts)
+# ===================================================================
+
+def _log_factorial_rest(k) -> np.ndarray:
+    """ρ(k) = log k! − k·log k + k, 0 at k = 0: the difference itself below
+    k = 50, and the Stirling series above, where it would lose k·log k·ε."""
+    s = np.maximum(k, 50.0)
+    series = 0.5 * np.log(2.0 * math.pi * s) + (1 / 12 - (1 / 360 - 1 / (1260 * s * s)) / (s * s)) / s
+    return np.where(k < 50.0, special.gammaln(k + 1.0) - special.xlogy(k, k) + k, series)
+
+
+def _poisson_pmf(k, mean: float) -> np.ndarray:
+    """Poisson(ν) probability of k in Loader's saddle-point form
+    exp(−ρ(k) − bd0), bd0 = k·log(k/ν) + ν − k: nothing of size ν·log ν
+    cancels, so large means keep their digits. Exact at k = 0 and ν = 0."""
+    k = np.asarray(k, dtype=float)
+    gap = k - mean
+    with np.errstate(over="ignore"):  # k/ν is inf at a subnormal ν, as p(k ≥ 1) is 0
+        bd0 = np.asarray(special.xlog1py(k, gap / mean if mean > 0.0 else math.inf) - gap)
+    if mean > 64.0:
+        # The difference loses |k − ν|·ε near the mode: sum (k−ν)·v + 2k·(atanh v − v) there.
+        near = np.abs(gap) < 0.3 * (k + mean)
+        v = gap[near] / (k[near] + mean)
+        bd0[near] = gap[near] * v + 2.0 * k[near] * v**3 * np.polyval(1.0 / np.arange(33.0, 1.0, -2.0), v * v)
+    return np.exp(-_log_factorial_rest(k) - bd0)
+
+
+def _log_choose(n, level):
+    """log C(n+L, n) = ρ(n+L) − ρ(n) − ρ(L) + n·log1p(L/n) + L·log1p(n/L),
+    whose terms stay small where log-gamma differences would cancel."""
+    return (
+        _log_factorial_rest(n + level) - _log_factorial_rest(n) - _log_factorial_rest(level)
+        + special.xlog1py(n, level / np.maximum(n, 1.0)) + special.xlog1py(level, n / np.maximum(level, 1.0))
+    )
+
+
+def _negbin_pmf(n, level, mean) -> np.ndarray:
+    """L-subtracted thermal law C(n+L, n)·rⁿ·(1−r)^(L+1), r = n̄/(1+n̄), of mean
+    (L+1)n̄ (Bose–Einstein at L = 0); L and n̄ broadcast too. n·log r uses r up
+    to n̄ = 1 and log1p(−1/(1+n̄)) above, where rounding r ≈ 1 costs n·ε."""
+    xlog_r = np.where(mean > 1.0, special.xlog1py(n, -1.0 / (1.0 + mean)), special.xlogy(n, mean / (1.0 + mean)))
+    return np.exp(_log_choose(n, level) + xlog_r - (level + 1) * np.log1p(mean))
+
+
+def _negbin_tail(mean: float, level: int, n_max: int) -> float:
+    """Mass of `_negbin_pmf` past ``n_max``: fewer than L+1 successes in
+    T = n_max+L+1 trials, (1+n̄)·Σ_{j≤L} NB(T−j; j); r^(n_max+1) at L = 0."""
+    j = np.arange(level + 1)
+    return float((1.0 + mean) * _negbin_pmf(n_max + level + 1 - j, j, mean).sum())
+
+
+def _binomial_pmf(k, n, p: float) -> np.ndarray:
+    """Binomial(n, p) probability of k; 0 where k > n. p = 0 and p = 1 are
+    exact. The log-gamma coefficient loses ~n·log n·ε: 1e-12 near n = 700."""
+    rest = np.maximum(n - k, 0)
+    log_pmf = (
+        special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(rest + 1)
+        + special.xlogy(k, p) + special.xlog1py(rest, -p)
+    )
+    return np.where(k <= n, np.exp(log_pmf), 0.0)
+
+
+# ===================================================================
 # Truncation
 # ===================================================================
 
@@ -196,15 +264,6 @@ def _grow_cutoff(
     return n_max, current
 
 
-def _thermal_tail(mean: float, n_max: int) -> float:
-    # Geometric tail: sum_{n > n_max} n̄^n/(1+n̄)^(n+1) = (n̄/(1+n̄))^(n_max+1).
-    return math.exp(special.xlogy(n_max + 1, mean / (1.0 + mean)))
-
-
-def _coherent_tail(mean: float, n_max: int) -> float:
-    return float(special.pdtrc(n_max, mean))
-
-
 def _deficit_bound(probs: np.ndarray) -> float:
     """Tail bound of a pmf read back without one: its mass deficit plus the
     float slack of the sum, kept below 1."""
@@ -235,22 +294,15 @@ def pmf(
         probs[n] = 1.0
         return PhotonNumberDistribution(probs, 0.0)
 
-    tail_of = _thermal_tail if source.kind == "thermal" else _coherent_tail
-    if cutoff is None:
-        n_max, tail = _grow_cutoff(
-            default_cutoff(mean), lambda c: tail_of(mean, c), tail_target
-        )
-    else:
-        n_max, tail = cutoff, tail_of(mean, cutoff)
-
-    n = np.arange(n_max + 1)
     if source.kind == "thermal":
-        # p(n) = r^n/(1+n̄) with r = n̄/(1+n̄), evaluated in log space so
-        # deep geometric tails underflow to 0 instead of losing digits.
-        probs = np.exp(special.xlogy(n, mean / (1.0 + mean)) - math.log1p(mean))
-    else:  # coherent
-        probs = np.exp(special.xlogy(n, mean) - mean - special.gammaln(n + 1.0))
-    return PhotonNumberDistribution(probs, tail)
+        law, tail_of = (lambda n: _negbin_pmf(n, 0, mean)), (lambda c: _negbin_tail(mean, 0, c))
+    else:  # coherent; pdtrc is the Poisson survival function
+        law, tail_of = (lambda n: _poisson_pmf(n, mean)), (lambda c: float(special.pdtrc(c, mean)))
+    if cutoff is None:
+        n_max, tail = _grow_cutoff(default_cutoff(mean), tail_of, tail_target)
+    else:
+        n_max, tail = cutoff, tail_of(cutoff)
+    return PhotonNumberDistribution(law(np.arange(n_max + 1)), tail)
 
 
 # ===================================================================
@@ -287,17 +339,6 @@ def convolve(
     out = np.convolve(a.probs, b.probs)
     np.clip(out, 0.0, None, out=out)
     return PhotonNumberDistribution(out, min(a.tail_bound + b.tail_bound, 1.0 - 1e-15))
-
-
-def _binomial_pmf(k, n, p: float) -> np.ndarray:
-    """Binomial(n, p) probability of k, broadcast over integer k and n; 0
-    where k > n. Evaluated in log space, so p = 0 and p = 1 are exact."""
-    rest = np.maximum(n - k, 0)
-    log_pmf = (
-        special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(rest + 1)
-        + special.xlogy(k, p) + special.xlog1py(rest, -p)
-    )
-    return np.where(k <= n, np.exp(log_pmf), 0.0)
 
 
 def binomial_thin(

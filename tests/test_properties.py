@@ -102,6 +102,9 @@ def test_post_probabilities_lie_in_the_unit_interval(n_t, arms, big_n):
     mean=st.floats(0.0, 50.0),
     tail_target=st.floats(1e-14, 1e-3),
 )
+# Large coherent means: a pmf body that cancels ~n̄·log n̄ overshot 1 by 1.6e-12 at 2500.
+@example(kind=coherent, mean=2500.0, tail_target=1e-10)
+@example(kind=coherent, mean=1e5, tail_target=1e-10)
 def test_pmf_mass_honors_the_tail_bound(kind, mean, tail_target):
     dist = pmf(kind(round(mean) if kind is fock else mean), tail_target=tail_target)
     total = float(dist.probs.sum())
@@ -145,6 +148,10 @@ def _assert_mass_honors_the_tail_bound(dist, tail_target):
 
 @SETTINGS
 @given(mean=st.floats(0.0, 20.0), level=st.integers(0, 4), tail_target=tail_targets)
+# High levels: a tail summed as binom(T, j)·exp(…) overflowed to inf·0 = NaN.
+@example(mean=10.0, level=200, tail_target=1e-10)
+@example(mean=100.0, level=150, tail_target=1e-10)
+@example(mean=0.5, level=400, tail_target=1e-10)
 def test_subtracted_pmf_mass_honors_the_tail_bound(mean, level, tail_target):
     dist = subtracted_pmf(mean, level, tail_target=tail_target)
     _assert_mass_honors_the_tail_bound(dist, tail_target)

@@ -24,7 +24,17 @@ from photonstats import (
     thermal,
     visibility,
 )
-from photonstats.states import format_float, from_json_array, read_csv, to_json_array, write_csv
+from photonstats.states import (
+    _binomial_pmf,
+    _negbin_pmf,
+    _negbin_tail,
+    _poisson_pmf,
+    format_float,
+    from_json_array,
+    read_csv,
+    to_json_array,
+    write_csv,
+)
 
 
 class TestSourcePmfs:
@@ -158,6 +168,79 @@ class TestCombinators:
     def test_bad_efficiency_rejected(self):
         with pytest.raises(DomainError, match="efficiency"):
             binomial_thin(pmf(thermal(1.0)), 1.2)
+
+
+def _reference_counts(mean, sd, top=None):
+    """k = 0, small counts, and the mode from −60σ to +80σ, into the far tails."""
+    steps = (-60, -40, -30, -20, -10, -5, -3, -1, 0, 1, 3, 5, 10, 20, 30, 40, 60, 80)
+    counts = {0, 1, 2, 5, 10, 20, 40} | {round(mean + t * sd) for t in steps}
+    return np.array(sorted(c for c in counts if 0 <= c <= (math.inf if top is None else top)))
+
+
+def _poisson_case(mean):
+    counts = _reference_counts(mean, math.sqrt(mean))
+    return counts, _poisson_pmf(counts, mean), lambda mp, k: (
+        mp.exp(k * mp.log(mean) - mean - mp.loggamma(k + 1)) if mean else mp.mpf(k == 0)
+    )
+
+
+def _negbin_case(mean, level):
+    counts = _reference_counts((level + 1) * mean, math.sqrt((level + 1) * mean * (1.0 + mean)))
+    return counts, _negbin_pmf(counts, level, mean), lambda mp, n: (
+        mp.binomial(n + level, n) * mp.exp(n * mp.log(mean / (1 + mp.mpf(mean))) - (level + 1) * mp.log1p(mean))
+        if mean else mp.mpf(n == 0)
+    )
+
+
+def _binomial_case(p, n):
+    counts = _reference_counts(n * p, math.sqrt(n * p * (1.0 - p)), top=n)
+    return counts, _binomial_pmf(counts, n, p), lambda mp, k: (
+        mp.binomial(n, k) * mp.mpf(p) ** k * (1 - mp.mpf(p)) ** (n - k)
+    )
+
+
+KERNEL_CASES = (
+    [pytest.param(_poisson_case, (m,), id=f"poisson-{m:g}") for m in (0.0, 1e-6, 0.3, 37.0, 2500.0, 1e5)]
+    + [
+        pytest.param(_negbin_case, (m, level), id=f"negbin-{m:g}-L{level}")
+        for m in (0.0, 1e-6, 0.3, 100.0, 1e4)
+        for level in (0, 1, 2, 3, 200)
+    ]
+    + [
+        pytest.param(_binomial_case, (p, n), id=f"binomial-{p:g}-n{n}")
+        for p in (0.0, 1e-9, 0.55, 1.0)
+        for n in (0, 1, 40, 200)
+    ]
+)
+
+
+@pytest.mark.parametrize("case, args", KERNEL_CASES)
+def test_count_kernels_match_mpmath(case, args):
+    """Each count-law kernel against 40-digit mpmath: within 1e-12 relative
+    wherever the reference exceeds 1e-290, exactly 0 where it is 0."""
+    mpmath = pytest.importorskip("mpmath")
+    counts, got, reference = case(*args)
+    with mpmath.workdps(40):
+        ref = [reference(mpmath, int(k)) for k in counts]
+    for k, value, exact in zip(counts, got, ref):
+        if exact > mpmath.mpf("1e-290"):
+            assert abs(value - exact) / exact <= 1e-12, (k, value, exact)
+        elif exact == 0:
+            assert value == 0.0, (k, value)
+
+
+@pytest.mark.parametrize(
+    "mean, level, n_max",
+    [(0.5, 0, 40), (3.0, 0, 200), (0.3, 3, 60), (10.0, 200, 3000), (1e4, 2, 30000), (1e4, 2, 200000)],
+)
+def test_negbin_tail_matches_mpmath(mean, level, n_max):
+    """The tail against 40-digit mpmath: fewer than L+1 successes of
+    probability 1/(1+n̄) in n_max+L+1 trials."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p, trials = 1 / (1 + mpmath.mpf(mean)), n_max + level + 1
+        exact = sum(mpmath.binomial(trials, j) * p**j * (1 - p) ** (trials - j) for j in range(level + 1))
+    assert abs(_negbin_tail(mean, level, n_max) - exact) / exact <= 1e-12
 
 
 class TestVisibility:

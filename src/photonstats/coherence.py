@@ -324,10 +324,10 @@ def classical_envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k
         cross(k_a,k_b) = q₁·(cos²θ_pl cos²ψ + sin²θ_pl) + q₂·cos²θ_pl sin²ψ
         g²(k₁,k₂) = 1 + |cross(k₁,k₂)|² / (cross(k₁,k₁)·cross(k₂,k₂)).
 
-    k₁ and k₂ broadcast. Gauss–Legendre order starts at 64 per slit axis and
-    doubles, once for the whole grid, until every slit integral at every
-    point is stable to 1e-6 relative; failing to stabilize by order 1024
-    raises AccuracyError.
+    k₁ and k₂ broadcast and must be finite. Gauss–Legendre order starts at
+    64 per slit axis and doubles, once for the whole grid, until every slit
+    integral at every point is stable to 1e-6 relative; failing to stabilize
+    by order 1024 raises AccuracyError.
     """
     if not (math.isfinite(coherence_scale) and coherence_scale > 0.0):
         raise DomainError(f"coherence_scale must be > 0, got {coherence_scale!r}")
@@ -340,6 +340,8 @@ def classical_envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k
         raise DomainError("slit weights vanish; no field reaches the screen")
 
     k1, k2 = np.broadcast_arrays(k1, k2)
+    if not (np.all(np.isfinite(k1)) and np.all(np.isfinite(k2))):
+        raise DomainError("k1 and k2 must be finite")
     # rows: the cross pairs (k₁, k₂), then the autos (k₁, k₁) and (k₂, k₂)
     k_a = np.concatenate((k1, k1, k2), axis=None)
     k_b = np.concatenate((k2, k1, k2), axis=None)
@@ -367,15 +369,15 @@ def modulation_frequency(x: np.ndarray, y: np.ndarray) -> float:
 
     Mean and linear trend are removed, a Hann window applied, and the FFT
     magnitude peak refined by quadratic interpolation in log magnitude.
-    Returns ω in radians per unit of x.
+    Returns ω in radians per unit of x; the grid step must be finite and > 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or x.size < 8:
         raise ContractError("need matching 1-D arrays with at least 8 samples")
     dx = np.diff(x)
-    if not np.allclose(dx, dx[0], rtol=1e-9, atol=0.0):
-        raise ContractError("x grid must be uniform")
+    if not (0.0 < dx[0] < math.inf and np.allclose(dx, dx[0], rtol=1e-9, atol=0.0)):
+        raise ContractError(f"x grid must be uniform with a finite step > 0, got step {dx[0]:g}")
     detrended = y - np.polyval(np.polyfit(x, y, 1), x)
     windowed = detrended * np.hanning(x.size)
     mag = np.abs(np.fft.rfft(windowed))

@@ -295,9 +295,11 @@ class TestReconstructRoundTrip:
         scene = read_pgm(str(tmp_path / "image-sim-scene.pgm"))
         assert np.mean((rec > 127) == (scene > 127)) > 0.98
         trace = load_csv(tmp_path / "reconstruct-trace.csv")
-        settled = trace[5:, 1]
-        assert np.all(np.diff(settled) <= 1e-9 * np.maximum(1.0, settled[:-1]))
+        objective = trace[:, 1]
+        assert np.all(np.diff(objective) <= 1e-9 * np.maximum(1.0, objective[:-1]))
         assert summary["residual"] < 0.1
+        assert summary["stop_reason"] == "converged"
+        assert summary["gradient_mapping"] <= 5e-8
 
     def test_stop_reason_in_summary_and_manifest(self, tmp_path, capsys):
         rc, _, _ = run(
@@ -314,9 +316,11 @@ class TestReconstructRoundTrip:
         assert rc == 0
         assert summary["iterations"] == 3
         assert summary["stop_reason"] == "max_iter"
+        assert summary["gradient_mapping"] > 5e-8
         manifest = json.loads((tmp_path / "reconstruct-manifest.json").read_text())
         assert manifest["summary"] == {
-            key: summary[key] for key in ("iterations", "residual", "stop_reason")
+            key: summary[key]
+            for key in ("iterations", "residual", "stop_reason", "gradient_mapping")
         }
 
     @pytest.fixture
@@ -418,6 +422,15 @@ class TestEnvelopeOracle:
         )
         assert rc == 2
         assert "coherence_scale" in err
+        assert not (tmp_path / "envelope-oracle-manifest.json").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_empty_reversed_or_non_finite_periods_exit_two(self, tmp_path, capsys, value):
+        rc, _, _ = run(
+            capsys, "envelope-oracle", f"--periods={value}", "--dk-count", "9",
+            "--out", str(tmp_path),
+        )
+        assert rc == 2
         assert not (tmp_path / "envelope-oracle-manifest.json").exists()
 
     def test_default_scale_is_recorded_as_null(self, tmp_path, capsys):

@@ -292,12 +292,25 @@ class TestClassicalOracle:
         with pytest.raises(DomainError):
             classical_envelope_oracle(cfg, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_rejected(self, k):
+        cfg = InterferenceConfig(mean_h=0.5, mean_v=0.5, psi=0.4)
+        scale = (cfg.slit_width / 8.0) ** 2
+        with pytest.raises(DomainError, match="finite"):
+            classical_envelope_oracle(cfg, scale, np.array([0.0, k]), 0.0)
+
 
 class TestModulationFrequency:
     def test_recovers_known_cosine(self):
         x = np.linspace(0.0, 40.0, 512)
         y = 1.7 + 0.3 * np.cos(5.0 * x + 0.2)
         assert modulation_frequency(x, y) == pytest.approx(5.0, rel=1e-3)
+
+    @pytest.mark.parametrize("stop", [0.0, -40.0, math.nan])
+    def test_grid_step_must_be_finite_and_positive(self, stop):
+        x = np.linspace(0.0, stop, 512)
+        with pytest.raises(ContractError, match="step"):
+            modulation_frequency(x, np.cos(np.arange(512.0)))
 
     def test_survives_a_linear_trend(self):
         x = np.linspace(0.0, 40.0, 512)

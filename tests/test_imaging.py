@@ -674,6 +674,15 @@ class TestReconstruction:
                 residual=0.1,
             )
 
+    def test_rise_at_the_first_step_rejected(self):
+        with pytest.raises(ContractError, match="trace"):
+            ReconstructionResult(np.zeros(4), 3, np.array([2.0, 2.5, 1.0, 0.5]), 0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, -1e-12])
+    def test_nan_or_negative_gradient_mapping_rejected(self, value):
+        with pytest.raises(ContractError, match="gradient_mapping"):
+            ReconstructionResult(np.zeros(4), 1, np.array([1.0, 0.5]), 0.1, "max_iter", value)
+
 
 def _textbook_prox(v, weight, n_inner=20, warm_dual=None):
     """The dual projected-gradient prox written with `_grad` and
@@ -748,12 +757,16 @@ def _textbook_mfista(q, y, mu, shape, max_iter, tol, n_inner):
 
 
 def _textbook_metric_fista(
-    q, y, mu, shape, max_iter=2000, tol=1e-9, nonneg=True, n_inner=None
+    q, y, mu, shape, max_iter=2000, tol=5e-8, nonneg=True, n_inner=None
 ):
     """`cs_reconstruct`'s loop written with fresh arrays: monotone FISTA in
-    the metric I + β·eeᵀ around `_textbook_prox`, 8·2^stall warm-started
-    sweeps per prox (n_inner sweeps if given), Q·momentum combined from Q·s
-    and Q·candidate: the reference for `cs_reconstruct`, bit for bit."""
+    the metric I + β·eeᵀ around `_textbook_prox`, `_SOLVER_SWEEPS`
+    warm-started sweeps per prox, Q·momentum combined from Q·s and
+    Q·candidate, stopped when the relative gradient mapping is ≤ tol: the
+    reference for `cs_reconstruct`, bit for bit, that mapping at the last
+    step included. With n_inner given it is the tight reference of
+    `TestInexactProxAccuracy` instead: n_inner sweeps per prox, stopped once
+    the objective has not moved (within tol) for 5 steps in a row."""
     scale = float(np.max(np.abs(y)))
     y_scaled = y / scale
     beta, lam = _rank_one_metric(q)
@@ -775,11 +788,15 @@ def _textbook_metric_fista(
         gradient = (mu * (q.T @ (q_momentum - y_scaled))).reshape(shape)
         gradient = gradient - (beta / (1.0 + beta)) * gradient.mean()
         v = momentum - base_step * gradient
-        sweeps = _SOLVER_SWEEPS * 2**stall if n_inner is None else n_inner
+        sweeps = _SOLVER_SWEEPS if n_inner is None else n_inner
         candidate, dual = _textbook_prox(v, base_step, sweeps, warm_dual=dual)
         if nonneg:
             candidate = np.maximum(candidate - _metric_shift(candidate, v, beta), 0.0)
         value, q_candidate = objective(candidate)
+        step = candidate - momentum
+        total = float(step.sum())
+        gap = 0.5 * (mu * lam) * (float(np.vdot(step, step)) + beta * total * total / step.size)
+        measure = gap / value if value > 0.0 else (0.0 if gap == 0.0 else math.inf)
         previous = trace[-1]
         if value <= previous:
             s_next, q_s_next, accepted = candidate, q_candidate, value
@@ -794,13 +811,16 @@ def _textbook_metric_fista(
         ) * (q_s_next - q_s)
         s, q_s, t_k = s_next, q_s_next, t_next
         trace.append(accepted)
-        if abs(previous - accepted) <= tol * max(abs(previous), 1e-300):
+        if n_inner is None:
+            if measure <= tol:
+                break
+        elif abs(previous - accepted) <= tol * max(abs(previous), 1e-300):
             stall += 1
             if stall >= 5:
                 break
         else:
             stall = 0
-    return s.ravel() * scale, np.asarray(trace), len(trace) - 1
+    return s.ravel() * scale, np.asarray(trace), len(trace) - 1, measure
 
 
 class TestBitForBitAgainstTheTextbook:
@@ -841,12 +861,13 @@ class TestBitForBitAgainstTheTextbook:
         y = acquire(scene, masks, IDEAL, mode="intensity")
         kept = (q.copy(), y.copy())
         res = cs_reconstruct(q, y, mu=100.0, max_iter=max_iter, nonneg=nonneg, shape=(16, 16))
-        s_ref, trace_ref, iterations_ref = _textbook_metric_fista(
+        s_ref, trace_ref, iterations_ref, measure_ref = _textbook_metric_fista(
             kept[0], kept[1], 100.0, (16, 16), max_iter=max_iter, nonneg=nonneg
         )
         assert np.array_equal(res.s_hat, s_ref)
         assert np.array_equal(res.objective_trace, trace_ref)
         assert res.iterations == iterations_ref
+        assert res.gradient_mapping == measure_ref
         assert res.stop_reason == stop_reason
         assert np.array_equal(q, kept[0]) and np.array_equal(y, kept[1])
         again = cs_reconstruct(q, y, mu=100.0, max_iter=max_iter, nonneg=nonneg, shape=(16, 16))
@@ -878,7 +899,7 @@ class TestInexactProxAccuracy:
         masks = random_sensing_matrix(256, 1024, seed=7)
         y = acquire(phantom, masks, IDEAL, mode="intensity")
         res = cs_reconstruct(masks, y, mu=100.0, shape=(32, 32))
-        _, trace_ref, _ = _textbook_metric_fista(
+        _, trace_ref, _, _ = _textbook_metric_fista(
             masks.matrix, y, 100.0, (32, 32), max_iter=20000, tol=0.0, n_inner=400
         )
         reference = trace_ref[-1]
@@ -892,6 +913,14 @@ class TestStopReason:
         res = cs_reconstruct(masks, np.zeros(16), mu=10.0, shape=(4, 4))
         assert res.iterations == 0
         assert res.stop_reason == "converged"
+
+    def test_exact_fit_at_zero_objective_converges(self):
+        # The first step lands on the constant image with F = 0 but moved
+        # from z = 0, which is no bound; the second step moves nowhere.
+        res = cs_reconstruct(SensingMatrix(np.eye(16)), np.ones(16), mu=10.0, shape=(4, 4))
+        assert res.stop_reason == "converged" and res.iterations == 2
+        assert res.gradient_mapping == 0.0
+        assert np.array_equal(res.s_hat, np.ones(16))
 
     def test_exhausted_budget_is_reported(self):
         scene = binary_phantom(8, 8)

@@ -17,9 +17,12 @@ from photonstats import (
     ScatterConfig,
     SensorConfig,
     TwoArmDetection,
+    acquire,
+    binary_phantom,
     binomial_thin,
     coherent,
     conditional_state_pmf,
+    cs_reconstruct,
     default_cutoff,
     detected_pmf,
     fock,
@@ -27,6 +30,7 @@ from photonstats import (
     p_function_convolution_check,
     pmf,
     preset,
+    random_sensing_matrix,
     subtracted_pmf,
     thermal,
 )
@@ -245,3 +249,21 @@ def test_a_tail_that_falls_too_slowly_stops_after_64_steps():
 def test_heralded_state_meets_a_target_below_float_epsilon():
     dist = conditional_state_pmf(preset("thesis-ch5"), 1, tail_target=1e-20)
     assert dist.tail_bound <= 1e-20
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    mask_seed=st.integers(0, 2**32 - 1),
+    mu=st.floats(1.0, 1e3),
+    tol=st.sampled_from([0.0, 1e-9, 5e-8, 1e-4]),
+    max_iter=st.integers(1, 400),
+)
+def test_solver_stop_reason_states_its_bound(mask_seed, mu, tol, max_iter):
+    ideal = TwoArmDetection(0.0, DetectorModel(1.0, 0.0), DetectorModel(1.0, 0.0))
+    scene = binary_phantom(8, 8)
+    masks = random_sensing_matrix(32, 64, seed=mask_seed)
+    y = acquire(scene, masks, ideal, mode="intensity")
+    res = cs_reconstruct(masks, y, mu=mu, max_iter=max_iter, tol=tol, shape=(8, 8))
+    assert math.isfinite(res.gradient_mapping)
+    assert (res.stop_reason == "converged") == (res.gradient_mapping <= tol)
+    assert np.all(np.diff(res.objective_trace) <= 0.0)

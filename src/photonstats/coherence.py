@@ -17,8 +17,9 @@ slit:
   and the envelope shape without any photon-number reasoning;
 * vacuum preselection probabilities of a five-splitter routing network.
 
-The split-thermal laws, the conditional map and the classical oracle take
-whole grids: counts and positions broadcast, and scalars give ``np.float64``.
+The split-thermal laws, the conditional map, the classical oracle,
+``gamma_sum`` and ``preselection_distribution`` take whole grids: counts and
+positions broadcast, and scalars give ``np.float64``.
 
 Primary routes and their oracles: far-field fringes vs
 ``classical_envelope_oracle``; the "factored" vs "gamma-sum" forms of
@@ -413,15 +414,15 @@ def mode_probabilities(net: PreselectionNetwork) -> tuple[float, ...]:
     )
 
 
-def gamma_sum(n: int) -> float:
+def gamma_sum(n):
     """Σ_{k=0}^{n} C(n,k) Γ(n+½−k) Γ(½+k) / π, which collapses to n!.
 
     Evaluated term by term in log space; the identity (not assumed here) is
     what reduces the routed multiparticle distribution to a Bose–Einstein
-    weight times a multinomial.
+    weight times a multinomial. n broadcasts.
     """
-    n = _count(n, "n")
-    k = np.arange(n + 1)
+    n = np.expand_dims(_count(n, "n", grid=True), -1)
+    k = np.arange(np.max(n, initial=0) + 1)
     log_terms = (
         special.gammaln(n + 1)
         - special.gammaln(k + 1)
@@ -430,14 +431,10 @@ def gamma_sum(n: int) -> float:
         + special.gammaln(0.5 + k)
         - math.log(math.pi)
     )
-    return float(np.exp(special.logsumexp(log_terms)))
+    return np.exp(special.logsumexp(np.where(k <= n, log_terms, -np.inf), axis=-1))
 
 
-def preselection_distribution(
-    net: PreselectionNetwork,
-    counts: tuple[int, int, int, int, int, int],
-    method: str = "gamma-sum",
-) -> float:
+def preselection_distribution(net: PreselectionNetwork, counts, method: str = "gamma-sum"):
     """Probability of the joint outcome (n₁..n₆) across the six modes.
 
     Two algebraically equivalent evaluations are kept deliberately separate:
@@ -448,24 +445,25 @@ def preselection_distribution(
       probabilities.
 
     Their agreement (relative 1e-9) is asserted in tests, not silently merged.
+    The six counts broadcast against each other.
     """
     if len(counts) != 6:
         raise ContractError("counts must have exactly six entries")
-    per_mode = np.array([_count(c, "counts") for c in counts])
+    per_mode = [_count(c, "counts", grid=True) for c in counts]
     if method not in ("gamma-sum", "factored"):
         raise DomainError(f"unknown method {method!r}")
     probs = mode_probabilities(net)
-    n = int(per_mode.sum())
+    n = sum(per_mode)
     log_p = (
         special.xlogy(n, net.mean / (1.0 + net.mean))
         - math.log1p(net.mean)
-        + float(np.sum(special.xlogy(per_mode, probs) - special.gammaln(per_mode + 1)))
+        + sum(special.xlogy(c, p) - special.gammaln(c + 1) for c, p in zip(per_mode, probs))
     )
     if method == "gamma-sum":
-        log_p += math.log(gamma_sum(n))
+        log_p += np.log(gamma_sum(n))
     else:
         log_p += special.gammaln(n + 1)
-    return float(math.exp(log_p))
+    return np.exp(log_p)
 
 
 def detected_vacuum_probability(net: PreselectionNetwork) -> float:
@@ -480,11 +478,8 @@ def detected_vacuum_probability(net: PreselectionNetwork) -> float:
 
 def _detected_vacuum_sum(net: PreselectionNetwork) -> float:
     """Oracle for :func:`detected_vacuum_probability`: the factored joint
-    distribution summed over the loss modes up to the default cutoff."""
+    distribution summed over the loss modes, n₄ + n₅ + n₆ ≤ the default cutoff."""
     cutoff = default_cutoff(net.mean)
-    return sum(
-        preselection_distribution(net, (0, 0, 0, n4, n5, n6), method="factored")
-        for n4 in range(cutoff + 1)
-        for n5 in range(cutoff + 1 - n4)
-        for n6 in range(cutoff + 1 - n4 - n5)
-    )
+    n4, n5, n6 = np.ogrid[: cutoff + 1, : cutoff + 1, : cutoff + 1]
+    loss = np.nonzero(n4 + n5 + n6 <= cutoff)
+    return float(preselection_distribution(net, (0, 0, 0, *loss), method="factored").sum())

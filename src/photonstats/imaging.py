@@ -16,10 +16,10 @@ events or conditioning arm a on an N-count in arm b boosts the signal against
 the dark-count floor; measurement vectors y from any of the three modes feed
 a total-variation-regularized least-squares reconstruction.
 
-``joint_pmf_noisy`` is that double sum cell by cell: the oracle. The primaries,
-vectorized over projections, are ``_post_probability`` (``arm_a_marginal``,
-``snr_post``, exact post(N)) and ``_conditional_mean`` (``snr_sub``, exact
-subtract(N)); their count weights are the `states` kernels.
+``joint_pmf_noisy`` is that double sum on whole (n, m) grids: the oracle. The
+primaries, vectorized over projections, are ``_post_probability``
+(``arm_a_marginal``, ``snr_post``, exact post(N)) and ``_conditional_mean``
+(``snr_sub``, exact subtract(N)); their count weights are the `states` kernels.
 """
 
 from __future__ import annotations
@@ -229,31 +229,36 @@ def scale_scene_to_projection(
 # Joint detected-count law and SNR figures
 # ===================================================================
 
-def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n: int, m: int) -> float:
+def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n, m):
     """Probability of detecting (n, m) photons in arms (a, b) for one
-    thermal projection of mean n̄_t behind the splitter and noisy detectors."""
-    n, m = _count(n, "n"), _count(m, "m")
+    thermal projection of mean n̄_t behind the splitter and noisy detectors.
+
+    n and m broadcast. The detected signal is tabulated once for i ≤ max n
+    and j ≤ max m, then convolved with each arm's Poisson dark counts, so a
+    lone tall cell such as (3000, 1) pays for its whole 3001 × 2 table.
+    """
+    n, m = _count(n, "n", grid=True), _count(m, "m", grid=True)
     if not (math.isfinite(n_t) and n_t >= 0.0):
         raise DomainError(f"n_t must be >= 0, got {n_t!r}")
     c2, s2 = arms.arm_fractions
-    eta_a, nu_a = arms.det_a.efficiency, arms.det_a.dark_rate
-    eta_b, nu_b = arms.det_b.efficiency, arms.det_b.dark_rate
-    denom_rate = eta_a * c2 + eta_b * s2
-    i = np.arange(n + 1)[:, None]
-    j = np.arange(m + 1)[None, :]
-    # C(n,i)·C(m,j)/(n!·m!) = 1/(i!(n−i)!·j!(m−j)!); with the dark-count
-    # exponentials folded in, each term is a probability ≤ 1.
-    log_terms = (
+    eta_a, eta_b = arms.det_a.efficiency, arms.det_b.efficiency
+    i = np.arange(np.max(n, initial=0) + 1)[:, None]
+    j = np.arange(np.max(m, initial=0) + 1)[None, :]
+    # C(i+j, i)·A^i·B^j/(1+A+B)^(1+i+j): a negative multinomial, each term ≤ 1
+    table = np.exp(
         special.gammaln(i + j + 1)
         - special.gammaln(i + 1)
         - special.gammaln(j + 1)
         + special.xlogy(i, eta_a * c2 * n_t)
         + special.xlogy(j, eta_b * s2 * n_t)
-        - (1.0 + i + j) * math.log1p(n_t * denom_rate)
-        + special.xlogy(n - i, nu_a) - nu_a - special.gammaln(n - i + 1)
-        + special.xlogy(m - j, nu_b) - nu_b - special.gammaln(m - j + 1)
+        - (1.0 + i + j) * math.log1p(n_t * (eta_a * c2 + eta_b * s2))
     )
-    return float(np.exp(log_terms).sum())
+    # then each arm's Poisson dark counts, convolved in along its axis
+    for axis, nu in enumerate((arms.det_a.dark_rate, arms.det_b.dark_rate)):
+        k = np.arange(table.shape[axis])
+        dark = np.exp(special.xlogy(k, nu) - nu - special.gammaln(k + 1))
+        table = np.apply_along_axis(np.convolve, axis, table, dark).take(k, axis)
+    return table[n, m]
 
 
 def _projections(n_t) -> np.ndarray:
@@ -670,7 +675,11 @@ def cs_reconstruct(
                 f"{n_pixels} pixels is not square; pass shape=(height, width)"
             )
         shape = (side, side)
-    if _count(shape[0], "shape", 1) * _count(shape[1], "shape", 1) != n_pixels:
+    try:
+        height, width = shape
+    except (TypeError, ValueError):
+        raise ContractError(f"shape must be a pair (height, width), got {shape!r}") from None
+    if _count(height, "shape", 1) * _count(width, "shape", 1) != n_pixels:
         raise ContractError(f"shape {shape} does not cover {n_pixels} pixels")
 
     scale = float(np.max(np.abs(y)))

@@ -1,4 +1,4 @@
-"""Plain and raw PGM (P2/P5) image reading and writing.
+"""PGM image reading (plain P2 and raw P5) and writing (P5).
 
 Only 8-bit grayscale is supported; scenes and reconstructions are scaled by
 the caller before hitting disk.
@@ -13,8 +13,8 @@ from .errors import ContractError, DomainError
 __all__ = ["read_pgm", "write_pgm"]
 
 
-def write_pgm(path: str, image: np.ndarray, binary: bool = True) -> None:
-    """Write a 2-D integer array with values in [0, 255] as P5 (or P2)."""
+def write_pgm(path: str, image: np.ndarray) -> None:
+    """Write a 2-D integer array with values in [0, 255] as P5."""
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.size == 0:
         raise ContractError("image must be a non-empty 2-D array")
@@ -23,15 +23,9 @@ def write_pgm(path: str, image: np.ndarray, binary: bool = True) -> None:
     if arr.min() < 0 or arr.max() > 255:
         raise DomainError("pixel values must lie in [0, 255]")
     height, width = arr.shape
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            fh.write(arr.astype(np.uint8).tobytes())
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"P2\n{width} {height}\n255\n")
-            for row in arr:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(arr.astype(np.uint8).tobytes())
 
 
 def _tokens(data: bytes):

@@ -35,6 +35,7 @@ arithmetic, so one kernel fault cannot pass both sides of a dual-route
 check: ``imaging.joint_pmf_noisy``, ``scatter.p_function_convolution_check``
 and ``detected_pmf``'s two-mode law, ``coherence.preselection_distribution``,
 ``gamma_sum`` and ``_detected_vacuum_sum``, and the per-shot Monte Carlo.
+The count oracles take whole count grids, so each check is one call.
 """
 
 from __future__ import annotations

@@ -224,6 +224,23 @@ class TestOracleCheck:
         )
         assert all(passed == "1" for passed in rows[:, 1])
 
+    @pytest.mark.parametrize(
+        "module, kernel", [("photonstats.imaging", "_poisson_pmf"), ("photonstats.coherence", "_binomial_pmf")]
+    )
+    def test_a_kernel_fault_fails_the_check(self, tmp_path, capsys, monkeypatch, module, kernel):
+        """Fault injection (DeMillo, Lipton & Sayward, IEEE Computer 1978): a
+        count kernel scaled by 1 ± 5e-10, alternating in k, where its callers
+        bind it, makes oracle-check exit 3."""
+        exact = getattr(sys.modules[module], kernel)
+
+        def faulty(k, *args):
+            return exact(k, *args) * np.where(np.asarray(k) % 2 == 0, 1.0 + 5e-10, 1.0 - 5e-10)
+
+        monkeypatch.setattr(f"{module}.{kernel}", faulty)
+        rc, _, err = run(capsys, "oracle-check", "--out", str(tmp_path))
+        assert rc == 3, err
+        assert "oracle checks failed" in err
+
 
 class TestImageSim:
     def test_seeded_runs_are_byte_identical(self, tmp_path, capsys):

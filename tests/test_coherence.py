@@ -119,6 +119,25 @@ class TestWholeGrids:
         )
         assert np.array_equal(grid, cells)
 
+    def test_gamma_sum_on_a_count_grid(self):
+        grid = gamma_sum(np.arange(25))
+        cells = np.array([gamma_sum(n) for n in range(25)])
+        assert np.max(np.abs(grid - cells) / cells) <= 1e-15
+        assert type(gamma_sum(3)) is np.float64
+
+    @pytest.mark.parametrize("method", ["gamma-sum", "factored"])
+    def test_preselection_counts_broadcast(self, method):
+        net = PreselectionNetwork((0.3, 0.7, 0.4, 0.6, 0.5), 0.9)
+        counts = (0, 2, np.arange(3)[:, None], 1, np.arange(4), 0)
+        grid = preselection_distribution(net, counts, method)
+        cells = np.array(
+            [[preselection_distribution(net, (0, 2, a, 1, b, 0), method) for b in range(4)]
+             for a in range(3)]
+        )
+        assert grid.shape == (3, 4)
+        assert np.max(np.abs(grid - cells) / cells) <= 1e-15
+        assert type(preselection_distribution(net, (0, 2, 1, 1, 3, 0), method)) is np.float64
+
     def test_envelope_oracle_on_a_separation_grid(self):
         cfg = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
         scale = (cfg.slit_width / 8.0) ** 2
@@ -359,9 +378,8 @@ class TestPreselection:
         """Summed over all ways to distribute n photons, the joint law gives
         back the Bose-Einstein weight of n."""
         n = 3
-        total = 0.0
-        for c in _compositions(n, 6):
-            total += preselection_distribution(NET, c, method="factored")
+        placements = np.array(list(_compositions(n, 6))).T
+        total = preselection_distribution(NET, placements, method="factored").sum()
         n_bar = NET.mean
         expected = n_bar**n / (1.0 + n_bar) ** (n + 1)
         assert total == pytest.approx(expected, rel=1e-9)

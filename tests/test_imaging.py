@@ -100,19 +100,36 @@ class TestSceneAndMasks:
 
 class TestJointLaw:
     def test_normalization(self):
-        total = sum(
-            joint_pmf_noisy(0.9, NOISY, n, m) for n in range(30) for m in range(30)
-        )
+        total = joint_pmf_noisy(0.9, NOISY, *np.indices((30, 30))).sum()
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_dark_counts_only_limit(self):
         """With no signal the two arms are independent Poisson dark counts."""
-        arms = NOISY
-        for n, m in [(0, 0), (1, 0), (2, 3)]:
-            expected = stats.poisson.pmf(n, 0.05) * stats.poisson.pmf(m, 0.05)
-            assert joint_pmf_noisy(0.0, arms, n, m) == pytest.approx(
-                expected, rel=1e-12
-            )
+        n, m = np.array([0, 1, 2]), np.array([0, 0, 3])
+        expected = stats.poisson.pmf(n, 0.05) * stats.poisson.pmf(m, 0.05)
+        assert np.allclose(joint_pmf_noisy(0.0, NOISY, n, m), expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_t, arms", [(0.9, NOISY), (0.0, NOISY), (3.0, IDEAL)])
+    def test_a_grid_equals_its_scalar_calls(self, n_t, arms):
+        n, m = np.indices((12, 9))
+        grid = joint_pmf_noisy(n_t, arms, n, m)
+        cells = np.array([[joint_pmf_noisy(n_t, arms, a, b) for b in range(9)] for a in range(12)])
+        assert grid.shape == (12, 9)
+        assert np.max(np.abs(grid - cells) / np.maximum(cells, 1e-300)) <= 1e-15
+        assert type(joint_pmf_noisy(n_t, arms, 2, 3)) is np.float64
+        assert joint_pmf_noisy(n_t, arms, np.array([], dtype=int), 1).shape == (0,)
+
+    def test_a_tall_cell_allocates_only_its_table(self):
+        """One call at (3000, 1) tabulates 3001 × 2 signal terms, not a
+        (3001, 3001) convolution matrix (72 MB)."""
+        tracemalloc.start()
+        try:
+            p = joint_pmf_noisy(0.8, NOISY, 3000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= p < 1e-300
+        assert peak < 2**20
 
     def test_marginal_is_thinned_thermal_plus_darks(self):
         arms = NOISY
@@ -365,7 +382,7 @@ class TestHeraldedRows:
         counts = np.arange(81)
         mean, var, p_b = [], [], []
         for n_t in projections:
-            column = np.array([joint_pmf_noisy(float(n_t), NOISY, int(n), 1) for n in counts])
+            column = joint_pmf_noisy(float(n_t), NOISY, counts, 1)
             law = column / column.sum()
             mean.append(law @ counts)
             var.append(law @ counts**2 - mean[-1] ** 2)
@@ -434,7 +451,7 @@ class TestHeraldedRows:
 
 
 class TestPrimariesAgainstTheJointLaw:
-    """The vectorized primaries against sums of the cell-by-cell oracle."""
+    """The vectorized primaries against sums of the whole-grid oracle."""
 
     NOISY_FLOOR = TwoArmDetection(
         math.pi / 4.0, DetectorModel(0.55, 0.8), DetectorModel(0.55, 0.8)
@@ -451,9 +468,9 @@ class TestPrimariesAgainstTheJointLaw:
         post, sub = [], []
         for n_t in masks.matrix @ scene.values:
             n_t = float(n_t)
-            post.append(sum(joint_pmf_noisy(n_t, arms, 3, m) for m in counts))
-            column = np.array([joint_pmf_noisy(n_t, arms, n, 1) for n in counts])
-            sub.append(float(counts @ column) / float(column.sum()))
+            table = joint_pmf_noisy(n_t, arms, *np.indices((self.CUT + 1,) * 2))
+            post.append(table[3].sum())
+            sub.append(float(counts @ table[:, 1]) / float(table[:, 1].sum()))
         got_post = acquire(scene, masks, arms, mode="post(3)")
         got_sub = acquire(scene, masks, arms, mode="subtract(1)")
         assert np.max(np.abs(got_post - post) / np.array(post)) <= 1e-12
@@ -474,21 +491,21 @@ class TestPrimariesAgainstTheJointLaw:
         assert peak < 2**20
         counts = np.arange(121)
         for row, mean in zip(n_t, got):
-            column = np.array([joint_pmf_noisy(float(row), arms, int(n), 3) for n in counts])
+            column = joint_pmf_noisy(float(row), arms, counts, 3)
             assert column[-1] < 1e-30 * column.max()
             assert mean == pytest.approx(float(counts @ column) / float(column.sum()), rel=1e-12)
 
     def test_snr_figures(self):
         arms = TestSnrModes.ARMS_POST
         counts = np.arange(self.CUT + 1)
+        signal = joint_pmf_noisy(0.8, arms, *np.indices((8, self.CUT + 1))).sum(axis=1)
         for big_n in range(8):
-            signal = sum(joint_pmf_noisy(0.8, arms, big_n, m) for m in counts)
             noise = stats.poisson.pmf(big_n, arms.det_a.dark_rate)
-            assert snr_post(0.8, arms, big_n) == pytest.approx(signal / noise, rel=1e-12)
+            assert snr_post(0.8, arms, big_n) == pytest.approx(signal[big_n] / noise, rel=1e-12)
+        table = joint_pmf_noisy(0.08, NOISY, *np.indices((self.CUT + 1, 4)))
+        means = counts @ table / table.sum(axis=0)
         for big_n in range(4):
-            column = np.array([joint_pmf_noisy(0.08, NOISY, n, big_n) for n in counts])
-            mean = float(counts @ column) / float(column.sum())
-            assert snr_sub(0.08, NOISY, big_n) == pytest.approx(mean / 0.05, rel=1e-12)
+            assert snr_sub(0.08, NOISY, big_n) == pytest.approx(means[big_n] / 0.05, rel=1e-12)
 
     @pytest.mark.parametrize(
         "call",
@@ -653,12 +670,15 @@ class TestReconstruction:
         "kwargs",
         [{"mu": math.nan}, {"mu": math.inf}, {"mu": -1.0}, {"tol": math.nan},
          {"tol": math.inf}, {"tol": -1e-9}, {"max_iter": 0}, {"max_iter": 2.5},
-         {"max_iter": True}],
+         {"max_iter": True}, {"shape": (4, 4, 1)}, {"shape": (16,)}, {"shape": 16}],
     )
     def test_bad_solver_settings_rejected(self, kwargs):
+        """A bad number is a DomainError; a shape that is not a pair is a
+        ContractError."""
         masks = random_sensing_matrix(10, 16, seed=0)
-        with pytest.raises(DomainError):
-            cs_reconstruct(masks, np.ones(10), shape=(4, 4), **kwargs)
+        error = ContractError if "shape" in kwargs else DomainError
+        with pytest.raises(error):
+            cs_reconstruct(masks, np.ones(10), **{"shape": (4, 4), **kwargs})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_trace_rejected(self, value):

@@ -144,6 +144,10 @@ GRID_TABLE = [
     (lambda v: conditional_g2_map(FRINGE, None, 1, v, 0.0, 1e-6), "n2"),
     (lambda v: split_and_detect(v, SplitterNetwork((0.5,)), (DetectorModel(),), 3), "counts"),
     (lambda v: estimate_pmf(v)[0], "samples"),
+    (lambda v: joint_pmf_noisy(0.8, ARMS, v, 1), "n"),
+    (lambda v: joint_pmf_noisy(0.8, ARMS, 1, v), "m"),
+    (lambda v: gamma_sum(v), "n"),
+    (lambda v: preselection_distribution(NET, (0, 1, 0, v, 0, 2)), "counts"),
 ]
 GRID_IDS = [f"{i}-{name}" for i, (_, name) in enumerate(GRID_TABLE)]
 
@@ -172,12 +176,12 @@ def test_seed_keys_do_not_depend_on_the_integer_type():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: gamma_sum(np.array(3)),
+        lambda: arm_a_marginal(0.8, ARMS, np.array(3)),
         lambda: snr(SENSOR, np.array([1, 2])),
         lambda: RngSeed(np.array(3)),
         lambda: pmf(thermal(1.0), cutoff=np.array(5)),
         lambda: tv_prox(np.ones((4, 4)), 0.3, n_inner=np.array([2])),
-        lambda: joint_pmf_noisy(0.8, ARMS, np.array([1, 2]), 0),
+        lambda: snr_post(0.8, ARMS, np.array([1, 2])),
     ],
 )
 def test_scalar_parameters_reject_arrays(call):

@@ -14,14 +14,15 @@ def image():
 
 def test_binary_round_trip(tmp_path, image):
     path = str(tmp_path / "img.pgm")
-    write_pgm(path, image, binary=True)
+    write_pgm(path, image)
     assert np.array_equal(read_pgm(path), image)
 
 
 def test_plain_round_trip(tmp_path, image):
-    path = str(tmp_path / "img.pgm")
-    write_pgm(path, image, binary=False)
-    assert np.array_equal(read_pgm(path), image)
+    path = tmp_path / "img.pgm"
+    rows = "\n".join(" ".join(str(v) for v in row) for row in image)
+    path.write_text(f"P2\n{image.shape[1]} {image.shape[0]}\n255\n{rows}\n", encoding="ascii")
+    assert np.array_equal(read_pgm(str(path)), image)
 
 
 def test_comments_in_header_are_skipped(tmp_path):

@@ -30,7 +30,7 @@ from .coherence import (
     PreselectionNetwork,
     ThermalSplitterState,
     _detected_vacuum_sum,
-    classical_envelope_oracle,
+    _envelope_oracle,
     conditional_g2_map,
     detected_vacuum_probability,
     gamma_sum,
@@ -239,7 +239,7 @@ def _cmd_envelope_oracle(params: dict, out: Path) -> dict:
     period = math.pi / cfg.beta
     with np.errstate(invalid="ignore"):  # the oracle rejects a non-finite grid
         dks = np.linspace(0.0, params["periods"] * period, params["dk_count"])
-    g2 = classical_envelope_oracle(cfg, scale, -dks / 2.0, dks / 2.0)
+    g2, order = _envelope_oracle(cfg, scale, -dks / 2.0, dks / 2.0)
     path = out / "envelope-oracle.csv"
     _write_rows(path, "dk,g2", zip(dks.tolist(), g2.tolist()))
     omega = modulation_frequency(dks, g2)
@@ -248,6 +248,7 @@ def _cmd_envelope_oracle(params: dict, out: Path) -> dict:
         "fringe_frequency": omega,
         "expected_frequency": 2.0 * cfg.beta,
         "relative_error": abs(omega / 2.0 - cfg.beta) / cfg.beta,
+        "quadrature_order": order,
     }
 
 

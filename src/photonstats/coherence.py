@@ -29,6 +29,7 @@ vs ``_detected_vacuum_sum``, which sums the factored law over the loss modes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -290,6 +291,17 @@ def conditional_g2_map(
 _PAIR_BLOCK = 128
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the Gauss–Legendre rule of ``order``
+    points, built once per order. The envelope oracle asks only for 64, 128,
+    …, 1024, so at most five rules are kept."""
+    rule = special.roots_legendre(order)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def _slit_integrals(
     cfg: InterferenceConfig, coherence_scale: float, k_a: np.ndarray, k_b: np.ndarray, order: int
 ) -> np.ndarray:
@@ -297,7 +309,7 @@ def _slit_integrals(
     for j in {photonic slit at +d/2, plasmonic slit at −d/2} and each pair of
     the 1-D arrays k_a, k_b; returns an array of shape (len(k_a), 2),
     normalized by the slit area w²."""
-    nodes, weights = special.roots_legendre(order)
+    nodes, weights = _gauss_legendre(order)
     half = cfg.slit_width / 2.0
     kappa = 2.0 * math.pi / (cfg.wavelength * cfg.distance)
     out = np.empty((k_a.size, 2), dtype=complex)
@@ -330,6 +342,11 @@ def classical_envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k
     integral at every point is stable to 1e-6 relative; failing to stabilize
     by order 1024 raises AccuracyError.
     """
+    return _envelope_oracle(cfg, coherence_scale, k1, k2)[0]
+
+
+def _envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k1, k2):
+    """`classical_envelope_oracle` and the Gauss–Legendre order it settled at."""
     if not (math.isfinite(coherence_scale) and coherence_scale > 0.0):
         raise DomainError(f"coherence_scale must be > 0, got {coherence_scale!r}")
     theta_pl = cfg.polarization_angle
@@ -362,7 +379,7 @@ def classical_envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k
     denom = auto1.real * auto2.real
     if np.any(denom <= 0.0):
         raise AccuracyError("non-positive autocorrelation from quadrature")
-    return (1.0 + np.abs(cross) ** 2 / denom).reshape(k1.shape)[()]
+    return (1.0 + np.abs(cross) ** 2 / denom).reshape(k1.shape)[()], order
 
 
 def modulation_frequency(x: np.ndarray, y: np.ndarray) -> float:

@@ -8,8 +8,8 @@ the run must not be trusted.
 Every integer argument (counts, orders, shots, sizes, budgets, cutoffs, seeds)
 obeys `_count`: a Python or NumPy integer, never a bool or a float, at or above
 its lower bound, and entry by entry an integer array (or a list or tuple of
-such integers) where a law broadcasts. Anything else raises DomainError naming
-the parameter.
+such integers; an empty one is an empty grid) where a law broadcasts.
+Anything else raises DomainError naming the parameter.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ def _count(value, name: str, low: int = 0, *, grid: bool = False):
             return int(value)
     elif grid:
         arr = np.asarray(value)
+        if isinstance(value, (list, tuple)) and arr.size == 0:
+            arr = arr.astype(int)  # np.asarray([]) is float64
         # np.asarray turns a bool among the ints of a list into an int
         mixed = isinstance(value, (list, tuple)) and any(
             isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat

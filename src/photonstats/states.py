@@ -82,7 +82,8 @@ DEFAULT_TAIL_TARGET = 1e-10
 # Numerical slack for "sums to one": accumulated float error over ~1e3 terms.
 _SUM_SLACK = 1e-12
 
-_THIN_BLOCK = 128  # kernel rows per block in binomial_thin
+_THIN_BLOCK = 128  # kernel rows per block, and columns per step, in binomial_thin
+_THIN_DELTA = 1e-17  # relative mass each binomial_thin row may leave out
 
 
 # ===================================================================
@@ -342,24 +343,66 @@ def convolve(
     return PhotonNumberDistribution(out, min(a.tail_bound + b.tail_bound, 1.0 - 1e-15))
 
 
+def _chernoff(k, n, efficiency: float) -> np.ndarray:
+    """exp(−n·D(k/n‖η)), which bounds Binomial(n, η) at k; the exponent falls
+    toward n = k/η from both sides. Exactly 0 where the term is: k > n, k > 0
+    at η = 0, and k < n at η = 1."""
+    exponent = (
+        special.xlogy(k, k) - special.xlogy(k, n) - special.xlogy(k, efficiency)
+        + special.rel_entr(n - k, n * (1.0 - efficiency))
+    )
+    return np.exp(-exponent)
+
+
 def binomial_thin(
     dist: PhotonNumberDistribution, efficiency: float
 ) -> PhotonNumberDistribution:
     """Random deletion of photons: each survives independently with
     probability ``efficiency``. p'(k) = Σ_n p(n) C(n,k) η^k (1−η)^(n−k).
 
-    Thinning is mass-preserving, so the tail bound carries over unchanged.
+    Each block of 128 output rows k sums the kernel only where its mass is:
+    the columns start at n ≈ k/η and grow outward, 128 at a time. A side
+    stops once, for every row of the block, the Chernoff bound
+    exp(−n·D(k/n‖η)) at its edge column times the input mass past the edge
+    is at most δ/2 of the row's running sum (δ = 1e-17). That bound covers
+    every column not yet summed, since n·D(k/n‖η) only grows away from
+    n = k/η, so each row is short by at most δ of itself and the thinned law
+    by at most δ·Σp, which is added to the tail bound. A row whose terms are
+    all 0 stays exactly 0, and η = 0, η = 1 and a subnormal η take the same
+    path. At η = 0.55 that is 1.4M kernel terms instead of the full
+    triangle's 3.2M for thermal(100) (N = 2534 entries), and 33M instead of
+    313M for thermal(1000); memory stays linear in N.
     """
     if not (0.0 <= efficiency <= 1.0):
         raise DomainError(f"efficiency must lie in [0, 1], got {efficiency!r}")
-    # Kernel rows C(n,k) η^k (1−η)^(n−k) in blocks, only for n ≥ k: linear memory.
-    n = np.arange(dist.probs.size)
-    probs = np.empty(n.size)
-    for start in range(0, n.size, _THIN_BLOCK):
-        k = n[start : start + _THIN_BLOCK, None]
-        kernel = _binomial_pmf(k, n[None, start:], efficiency)
-        probs[start : start + _THIN_BLOCK] = kernel @ dist.probs[start:]
-    return PhotonNumberDistribution(probs, dist.tail_bound)
+    p, size = dist.probs, dist.probs.size
+
+    def band(k, lo, hi):  # Σ p(n)·C(n,k) η^k (1−η)^(n−k) over lo ≤ n < hi, per k
+        return _binomial_pmf(k[:, None], np.arange(lo, hi), efficiency) @ p[lo:hi]
+
+    probs = np.empty(size)
+    for k0 in range(0, size, _THIN_BLOCK):
+        k = np.arange(k0, min(k0 + _THIN_BLOCK, size))
+        # the columns k/η of the block, written so that η = 0 and a subnormal η
+        # do not overflow; terms at n < k0 are 0
+        lo = max(k0, math.floor(k0 / efficiency) if k0 < size * efficiency else size)
+        hi = min(size, math.ceil(k[-1] / efficiency) + 1) if k[-1] < size * efficiency else size
+        rows = band(k, lo, hi)
+        while True:
+            slack = 0.5 * _THIN_DELTA * rows
+            grow_left = lo > k0 and not np.all(_chernoff(k, lo - 1, efficiency) * p[k0:lo].sum() <= slack)
+            grow_right = hi < size and not np.all(_chernoff(k, hi, efficiency) * p[hi:].sum() <= slack)
+            if not (grow_left or grow_right):
+                break
+            if grow_left:
+                lo, edge = max(k0, lo - _THIN_BLOCK), lo
+                rows += band(k, lo, edge)
+            if grow_right:
+                edge, hi = hi, min(size, hi + _THIN_BLOCK)
+                rows += band(k, edge, hi)
+        probs[k0 : k0 + k.size] = rows
+    tail = dist.tail_bound + _THIN_DELTA * p.sum()
+    return PhotonNumberDistribution(probs, min(tail, 1.0 - 1e-15))
 
 
 def visibility(intensity_samples: Iterable[Sequence[float]]) -> float:

@@ -450,6 +450,13 @@ class TestEnvelopeOracle:
         assert rc == 2
         assert not (tmp_path / "envelope-oracle-manifest.json").exists()
 
+    def test_summary_and_manifest_report_the_quadrature_order(self, tmp_path, capsys):
+        rc, summary, _ = run(capsys, "envelope-oracle", "--out", str(tmp_path))
+        assert rc == 0
+        manifest = json.loads((tmp_path / "envelope-oracle-manifest.json").read_text())
+        # the defaults settle at the second rule tried, 64 → 128 points per slit axis
+        assert summary["quadrature_order"] == manifest["summary"]["quadrature_order"] == 128
+
     def test_default_scale_is_recorded_as_null(self, tmp_path, capsys):
         default, explicit = tmp_path / "default", tmp_path / "explicit"
         assert run(capsys, "envelope-oracle", "--dk-count", "33", "--out", str(default))[0] == 0

@@ -27,7 +27,8 @@ from photonstats import (
     thermal,
     visibility,
 )
-from photonstats.coherence import _detected_vacuum_sum
+from photonstats import coherence
+from photonstats.coherence import _detected_vacuum_sum, _envelope_oracle, _gauss_legendre
 
 BALANCED = ThermalSplitterState(1.0, math.pi / 4.0)
 
@@ -178,6 +179,13 @@ class TestWholeGrids:
             with pytest.raises(DomainError):
                 call()
 
+    def test_an_empty_list_is_an_empty_grid(self):
+        for empty in ([], (), np.array([], dtype=int)):
+            assert joint_pmf(self.STATE, empty, 1).shape == (0,)
+        for bad in ([1.5], [-1]):
+            with pytest.raises(DomainError, match="big_n"):
+                joint_pmf(self.STATE, bad, 1)
+
     def test_preselection_rejects_a_bad_count_among_six(self):
         net = PreselectionNetwork((0.3, 0.7, 0.4, 0.6, 0.5), 0.5)
         for counts in ((0, 1, 2, -1, 0, 0), (0, 1, 2, 1.0, 0, 0)):
@@ -317,6 +325,48 @@ class TestClassicalOracle:
         scale = (cfg.slit_width / 8.0) ** 2
         with pytest.raises(DomainError, match="finite"):
             classical_envelope_oracle(cfg, scale, np.array([0.0, k]), 0.0)
+
+
+class TestGaussLegendreCache:
+    """The envelope oracle reads its quadrature rules from a per-order cache."""
+
+    CFG = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)  # the CLI defaults
+
+    def cli_grid(self):
+        dks = np.linspace(0.0, 4.0 * math.pi / self.CFG.beta, 129)
+        return dks, (self.CFG.slit_width / 8.0) ** 2
+
+    def test_cached_rules_are_read_only(self):
+        for order in (64, 128):
+            nodes, weights = _gauss_legendre(order)
+            assert nodes.shape == weights.shape == (order,)
+            for arr in (nodes, weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+
+    def test_the_cli_grid_equals_its_per_point_calls_bit_for_bit(self):
+        dks, scale = self.cli_grid()
+        grid, order = _envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)
+        cells = np.array([classical_envelope_oracle(self.CFG, scale, -dk / 2.0, dk / 2.0) for dk in dks])
+        assert order == 128
+        assert np.array_equal(grid, cells)
+
+    def test_each_order_is_built_once_per_process(self, monkeypatch):
+        built = []
+        roots = coherence.special.roots_legendre
+
+        def counted(order):
+            built.append(order)
+            return roots(order)
+
+        monkeypatch.setattr(coherence.special, "roots_legendre", counted)
+        _gauss_legendre.cache_clear()
+        dks, scale = self.cli_grid()
+        for _ in range(2):
+            classical_envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)
+            for dk in dks[:5]:
+                classical_envelope_oracle(self.CFG, scale, -dk / 2.0, dk / 2.0)
+        assert sorted(built) == [64, 128]
 
 
 class TestModulationFrequency:

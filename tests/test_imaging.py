@@ -119,6 +119,13 @@ class TestJointLaw:
         assert type(joint_pmf_noisy(n_t, arms, 2, 3)) is np.float64
         assert joint_pmf_noisy(n_t, arms, np.array([], dtype=int), 1).shape == (0,)
 
+    def test_an_empty_list_is_an_empty_grid(self):
+        assert joint_pmf_noisy(0.9, NOISY, [], 1).shape == (0,)
+        assert joint_pmf_noisy(0.9, NOISY, 2, []).shape == (0,)
+        for bad in ([1.5], [-1]):
+            with pytest.raises(DomainError, match="n must be"):
+                joint_pmf_noisy(0.9, NOISY, bad, 1)
+
     def test_a_tall_cell_allocates_only_its_table(self):
         """One call at (3000, 1) tabulates 3001 × 2 signal terms, not a
         (3001, 3001) convolution matrix (72 MB)."""

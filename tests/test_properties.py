@@ -126,6 +126,10 @@ def test_pmf_mass_honors_the_tail_bound(kind, mean, tail_target):
 # Total loss and no loss: both go through the log-space kernel unbranched.
 @example(kind=thermal, mean=40.0, efficiency=0.0)
 @example(kind=coherent, mean=40.0, efficiency=1.0)
+# Subnormal η and η one ulp below 1: the band starts at k/η without overflowing.
+@example(kind=thermal, mean=40.0, efficiency=2.2e-311)
+@example(kind=coherent, mean=40.0, efficiency=5e-324)
+@example(kind=thermal, mean=40.0, efficiency=1.0 - 2.0**-53)
 def test_binomial_thin_is_the_thinned_law_short_by_at_most_the_tail(kind, mean, efficiency):
     """Thinning keeps a canonical source canonical, with mean ηn̄. The
     truncated input misses only its tail, so the thinned pmf lies between

@@ -39,7 +39,7 @@ from .coherence import (
     mode_probabilities,
     modulation_frequency,
 )
-from .errors import AccuracyError, ConfigError, PhotonStatsError
+from .errors import AccuracyError, ConfigError, PhotonStatsError, _real
 from .imaging import (
     DetectorModel,
     SensingMatrix,
@@ -58,6 +58,8 @@ from .pgm import write_pgm
 from .scatter import ScatterConfig, detected_pmf, g2_vs_angle, p_function_convolution_check
 from .sensing import (
     PUBLISHED_SUBTRACTION_TABLE,
+    _kept_arm,
+    conditional_state_pmf,
     phase_uncertainty,
     preset,
     snr,
@@ -176,13 +178,9 @@ def _emit(summary: dict) -> None:
 
 def _cmd_g2_scan(params: dict, out: Path) -> dict:
     n_s = params["n_s"]
-    if params["n_pl"] is not None:
-        n_pl = params["n_pl"]
-    else:
-        ratio = params["n_pl_ratio"]
-        if ratio <= 0.0:
-            raise ConfigError("n_pl_ratio must be > 0")
-        n_pl = n_s / ratio
+    n_pl = params["n_pl"]
+    if n_pl is None:
+        n_pl = n_s / _real(params["n_pl_ratio"], "n_pl_ratio", 0, strict=True)
     grid = np.linspace(params["theta_start"], params["theta_stop"], params["theta_count"])
     curve = g2_vs_angle(n_s, n_pl, grid)
     path = out / "g2-scan.csv"
@@ -400,6 +398,21 @@ def _cmd_oracle_check(params: dict, out: Path) -> dict:
         got = np.concatenate([primary(0.8, arms, big_n) for big_n in range(8)])
         err = float(np.max(np.abs(got / oracle[:8] - 1.0)))
         checks.append((name, err <= 1e-12, err))
+
+    # the heralded sensing state given L counts, L = 0..3, against the arm-a
+    # column at arm b = L of a perfect-detector table with arm means A = Kc
+    # and B = Bc, normalized by its own sum
+    sensor = preset("thesis-ch5")
+    big_k, big_b, c = _kept_arm(sensor)
+    a, b = big_k * c, big_b * c
+    heralded = [conditional_state_pmf(sensor, level) for level in range(4)]
+    split = TwoArmDetection(math.atan(math.sqrt(b / a)), DetectorModel(), DetectorModel())
+    table = joint_pmf_noisy(a + b, split, *np.indices((max(d.n_max for d in heralded) + 1, 4)))
+    columns = table / table.sum(axis=0)
+    err = max(
+        float(np.max(np.abs(d.probs / columns[: d.n_max + 1, level] - 1.0))) for level, d in enumerate(heralded)
+    )
+    checks.append(("sensing_vs_noisy_law", err <= 1e-12, err))
 
     net = PreselectionNetwork(_PRESELECT_ANGLES, 0.3)
     oracle = _detected_vacuum_sum(net)

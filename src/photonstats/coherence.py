@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import AccuracyError, ContractError, DomainError, _count
+from .errors import AccuracyError, ContractError, DomainError, _count, _real, _real_fields
 from .states import _binomial_pmf, _log_choose, _negbin_pmf, default_cutoff
 
 __all__ = [
@@ -70,12 +70,8 @@ class ThermalSplitterState:
     split_angle: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean_total) and self.mean_total >= 0.0):
-            raise DomainError(f"mean_total must be >= 0, got {self.mean_total!r}")
-        if not (0.0 <= self.split_angle <= math.pi / 2.0):
-            raise DomainError(
-                f"split_angle must lie in [0, pi/2], got {self.split_angle!r}"
-            )
+        _real_fields(self, "mean_total", 0)
+        _real_fields(self, "split_angle", 0, math.pi / 2.0)
 
     @property
     def arm_means(self) -> tuple[float, float]:
@@ -111,24 +107,12 @@ class InterferenceConfig:
     envelope_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("mean_h", "mean_v"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise DomainError(f"{name} must be >= 0, got {v!r}")
-        for name in ("slit_separation", "slit_width", "distance", "wavelength"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be > 0, got {v!r}")
-        for name in ("gamma_fringe", "zeta"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-        if self.envelope_width is not None and not (
-            math.isfinite(self.envelope_width) and self.envelope_width > 0.0
-        ):
-            raise DomainError(f"envelope_width must be > 0, got {self.envelope_width!r}")
-        if not math.isfinite(self.psi) or not math.isfinite(self.envelope_offset):
-            raise DomainError("psi and envelope_offset must be finite")
+        _real_fields(self, "mean_h mean_v", 0)
+        _real_fields(self, "psi envelope_offset")
+        _real_fields(self, "slit_separation slit_width distance wavelength", 0, strict=True)
+        _real_fields(self, "gamma_fringe zeta", 0, 1)
+        if self.envelope_width is not None:
+            _real_fields(self, "envelope_width", 0, strict=True)
 
     @property
     def beta(self) -> float:
@@ -162,12 +146,9 @@ class PreselectionNetwork:
     def __post_init__(self) -> None:
         if len(self.angles) != 5:
             raise ContractError("exactly five splitter angles required")
-        for i, a in enumerate(self.angles, start=1):
-            if not (math.isfinite(a) and 0.0 <= a <= math.pi / 2.0):
-                raise DomainError(f"angle {i} must lie in [0, pi/2], got {a!r}")
-        if not (math.isfinite(self.mean) and self.mean >= 0.0):
-            raise DomainError(f"mean must be >= 0, got {self.mean!r}")
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        angles = tuple(_real(a, f"angles[{i}]", 0, math.pi / 2.0) for i, a in enumerate(self.angles))
+        object.__setattr__(self, "angles", angles)
+        _real_fields(self, "mean", 0)
 
 
 # ===================================================================
@@ -224,11 +205,15 @@ def farfield_intensity(cfg: InterferenceConfig, k: np.ndarray | float):
     sinc²(k/α) · (n̄_V + n̄_H [1 + γ sin(2ψ) cos(2βk)]): the V component only
     feeds the envelope, the H component carries the fringe.
     """
-    k = np.asarray(k, dtype=float)
+    out = _intensity(cfg, _real(k, "k", grid=True))
+    return float(out) if out.ndim == 0 else out
+
+
+def _intensity(cfg: InterferenceConfig, k: np.ndarray) -> np.ndarray:
+    """`farfield_intensity` on a float64 grid that is already checked."""
     envelope = _sinc(k / cfg.alpha) ** 2
     fringe = 1.0 + cfg.gamma_fringe * math.sin(2.0 * cfg.psi) * np.cos(2.0 * cfg.beta * k)
-    out = envelope * (cfg.mean_v + cfg.mean_h * fringe)
-    return float(out) if out.ndim == 0 else out
+    return envelope * (cfg.mean_v + cfg.mean_h * fringe)
 
 
 def farfield_g2(cfg: InterferenceConfig, k1, k2):
@@ -241,8 +226,7 @@ def farfield_g2(cfg: InterferenceConfig, k1, k2):
     total = cfg.mean_h + cfg.mean_v
     if total == 0.0:
         raise DomainError("farfield_g2 undefined with no photons")
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
+    k1, k2 = _real(k1, "k1", grid=True), _real(k2, "k2", grid=True)
     s2psi = math.sin(2.0 * cfg.psi) ** 2
     mod = np.sin(cfg.beta * (k1 - k2)) ** 2
     num = (
@@ -267,9 +251,9 @@ def conditional_g2_map(
     broadcast.
     """
     n1, n2 = _count(n1, "n1", grid=True), _count(n2, "n2", grid=True)
+    k1, k2 = _real(k1, "k1", grid=True), _real(k2, "k2", grid=True)
     if state_params is None:
-        mean_a = farfield_intensity(cfg, k1)
-        mean_b = farfield_intensity(cfg, k2)
+        mean_a, mean_b = _intensity(cfg, k1), _intensity(cfg, k2)
         total = mean_a + mean_b
         if np.any(total <= 0.0):
             raise DomainError("cannot derive splitter state from zero intensities")
@@ -337,18 +321,18 @@ def classical_envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k
         cross(k_a,k_b) = q₁·(cos²θ_pl cos²ψ + sin²θ_pl) + q₂·cos²θ_pl sin²ψ
         g²(k₁,k₂) = 1 + |cross(k₁,k₂)|² / (cross(k₁,k₁)·cross(k₂,k₂)).
 
-    k₁ and k₂ broadcast and must be finite. Gauss–Legendre order starts at
-    64 per slit axis and doubles, once for the whole grid, until every slit
-    integral at every point is stable to 1e-6 relative; failing to stabilize
-    by order 1024 raises AccuracyError.
+    k₁ and k₂ broadcast. Gauss–Legendre order starts at 64 per slit axis and
+    doubles, once for the whole grid, until every slit integral at every
+    point is stable to 1e-6 relative; failing to stabilize by order 1024
+    raises AccuracyError.
     """
     return _envelope_oracle(cfg, coherence_scale, k1, k2)[0]
 
 
 def _envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k1, k2):
     """`classical_envelope_oracle` and the Gauss–Legendre order it settled at."""
-    if not (math.isfinite(coherence_scale) and coherence_scale > 0.0):
-        raise DomainError(f"coherence_scale must be > 0, got {coherence_scale!r}")
+    coherence_scale = _real(coherence_scale, "coherence_scale", 0, strict=True)
+    k1, k2 = np.broadcast_arrays(_real(k1, "k1", grid=True), _real(k2, "k2", grid=True))
     theta_pl = cfg.polarization_angle
     c2 = math.cos(theta_pl) ** 2
     s2 = 1.0 - c2
@@ -357,9 +341,6 @@ def _envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k1, k2):
     if w_photonic + w_plasmonic <= 0.0:
         raise DomainError("slit weights vanish; no field reaches the screen")
 
-    k1, k2 = np.broadcast_arrays(k1, k2)
-    if not (np.all(np.isfinite(k1)) and np.all(np.isfinite(k2))):
-        raise DomainError("k1 and k2 must be finite")
     # rows: the cross pairs (k₁, k₂), then the autos (k₁, k₁) and (k₂, k₂)
     k_a = np.concatenate((k1, k1, k2), axis=None)
     k_b = np.concatenate((k2, k1, k2), axis=None)
@@ -389,8 +370,9 @@ def modulation_frequency(x: np.ndarray, y: np.ndarray) -> float:
     magnitude peak refined by quadratic interpolation in log magnitude.
     Returns ω in radians per unit of x; the grid step must be finite and > 0.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    # x is checked by its step below: a uniform step that is finite and > 0
+    # leaves no room for a non-finite entry
+    x, y = np.asarray(x, dtype=float), _real(y, "y", grid=True)
     if x.ndim != 1 or x.shape != y.shape or x.size < 8:
         raise ContractError("need matching 1-D arrays with at least 8 samples")
     dx = np.diff(x)

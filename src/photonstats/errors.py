@@ -10,9 +10,19 @@ obeys `_count`: a Python or NumPy integer, never a bool or a float, at or above
 its lower bound, and entry by entry an integer array (or a list or tuple of
 such integers; an empty one is an empty grid) where a law broadcasts.
 Anything else raises DomainError naming the parameter.
+
+Every real argument (means, rates, efficiencies, angles, lengths, weights,
+solver settings, positions, sample grids) obeys `_real`, the float twin: a
+Python or NumPy integer or float, never a bool, a string or None, finite and
+in its range, used as a Python float, and entry by entry a float64 array
+where a law broadcasts. So a NumPy float32 gives the result of the Python
+float of its value, bit for bit. Anything else raises DomainError naming the
+parameter.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,6 +70,14 @@ class ConfigError(PhotonStatsError, ValueError):
     """Malformed run configuration (unknown keys, missing files, bad values)."""
 
 
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is a list or tuple holding a bool, which np.asarray
+    would turn into a number."""
+    return isinstance(value, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
+    )
+
+
 def _count(value, name: str, low: int = 0, *, grid: bool = False):
     """The integer rule above: ``value`` as an int, or with ``grid=True``
     also as an integer array."""
@@ -70,10 +88,35 @@ def _count(value, name: str, low: int = 0, *, grid: bool = False):
         arr = np.asarray(value)
         if isinstance(value, (list, tuple)) and arr.size == 0:
             arr = arr.astype(int)  # np.asarray([]) is float64
-        # np.asarray turns a bool among the ints of a list into an int
-        mixed = isinstance(value, (list, tuple)) and any(
-            isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
-        )
-        if arr.dtype.kind in "iu" and not mixed and not np.any(arr < low):
+        if arr.dtype.kind in "iu" and not _holds_bool(value) and not np.any(arr < low):
             return arr
     raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _real(value, name: str, low=-math.inf, high=math.inf, *, strict: bool = False, grid: bool = False):
+    """The real rule above: ``value`` as a float in [low, high], or in
+    (low, high) with ``strict``; with ``grid=True`` as a float64 array, which
+    is 0-d for a scalar."""
+    real, extremes = None, [math.nan]  # refused, unless value is a number
+    if grid:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "iuf" and not _holds_bool(value):
+            real = arr.astype(float, copy=False)
+            extremes = [real.min(), real.max()] if real.size else []  # a NaN is both
+    elif isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an int past the float range
+            real = math.inf
+        extremes = [real]
+    if all(math.isfinite(x) and (low < x < high if strict else low <= x <= high) for x in extremes):
+        return real
+    bounds = f"{'(' if strict else '['}{low!r}, {high!r}{')' if strict else ']'}"
+    raise DomainError(f"{name} must be a finite real in {bounds}, got {value!r}")
+
+
+def _real_fields(config, names: str, low=-math.inf, high=math.inf, *, strict: bool = False) -> None:
+    """Store each of the space-separated ``names`` of a frozen dataclass as
+    the float `_real` returns for it."""
+    for name in names.split():
+        object.__setattr__(config, name, _real(getattr(config, name), name, low, high, strict=strict))

@@ -37,6 +37,8 @@ from .errors import (
     DomainError,
     SaturationError,
     _count,
+    _real,
+    _real_fields,
 )
 from .montecarlo import (
     DetectorModel,
@@ -81,13 +83,11 @@ class SensingScene:
     height: int
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float, copy=True).ravel()
+        arr = np.array(_real(self.values, "values", 0, grid=True)).ravel()  # a copy of its own
         if arr.size != _count(self.width, "width", 1) * _count(self.height, "height", 1):
             raise ContractError(
                 f"{arr.size} pixel values for a {self.width}x{self.height} grid"
             )
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise DomainError("pixel means must be finite and >= 0")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -128,10 +128,7 @@ class TwoArmDetection:
     det_b: DetectorModel
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.theta_split <= math.pi / 2.0):
-            raise DomainError(
-                f"theta_split must lie in [0, pi/2], got {self.theta_split!r}"
-            )
+        _real_fields(self, "theta_split", 0, math.pi / 2.0)
 
     @property
     def arm_fractions(self) -> tuple[float, float]:
@@ -201,11 +198,10 @@ def random_sensing_matrix(
     seed: RngSeed | int = 0,
 ) -> SensingMatrix:
     """Independent Bernoulli(fill_fraction) masks from a seeded stream;
-    fill_fraction must lie in (0, 1)."""
+    fill_fraction lies in (0, 1)."""
     n_measurements = _count(n_measurements, "n_measurements", 1)
     n_pixels = _count(n_pixels, "n_pixels", 1)
-    if not (0.0 < fill_fraction < 1.0):
-        raise DomainError(f"fill_fraction must lie in (0, 1), got {fill_fraction!r}")
+    fill_fraction = _real(fill_fraction, "fill_fraction", 0, 1, strict=True)
     rng = make_generator(seed)
     return SensingMatrix((rng.random((n_measurements, n_pixels)) < fill_fraction).astype(float))
 
@@ -215,8 +211,7 @@ def scale_scene_to_projection(
 ) -> SensingScene:
     """Rescale pixel means so the average projected intensity mean(Q·s0)
     equals ``target_mean``."""
-    if target_mean < 0.0:
-        raise DomainError("target_mean must be >= 0")
+    target_mean = _real(target_mean, "target_mean", 0)
     current = float(np.mean(masks.matrix @ scene.values))
     if current == 0.0:
         raise DomainError("scene projects to zero through these masks")
@@ -238,8 +233,7 @@ def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n, m):
     lone tall cell such as (3000, 1) pays for its whole 3001 × 2 table.
     """
     n, m = _count(n, "n", grid=True), _count(m, "m", grid=True)
-    if not (math.isfinite(n_t) and n_t >= 0.0):
-        raise DomainError(f"n_t must be >= 0, got {n_t!r}")
+    n_t = _real(n_t, "n_t", 0)
     c2, s2 = arms.arm_fractions
     eta_a, eta_b = arms.det_a.efficiency, arms.det_b.efficiency
     i = np.arange(np.max(n, initial=0) + 1)[:, None]
@@ -261,14 +255,6 @@ def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n, m):
     return table[n, m]
 
 
-def _projections(n_t) -> np.ndarray:
-    """n̄_t as a 1-D array, once it is checked."""
-    arr = np.atleast_1d(np.asarray(n_t, dtype=float))
-    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
-        raise DomainError(f"n_t must be finite and >= 0, got {n_t!r}")
-    return arr
-
-
 def _count_weights(signal: np.ndarray, dark_rate: float, big_n: int) -> np.ndarray:
     """The (rows, N+1) matrix BE(i; s)·Poisson(N−i; ν): i signal counts (thermal
     mean s, one per row) and N − i dark counts (rate ν) in one arm."""
@@ -281,7 +267,7 @@ def _post_probability(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
     signal BE(i; A_t), A_t = η_a cos²θ n̄_t, convolved with the dark counts
     Poisson(N−i; ν_a)."""
     c2, _ = arms.arm_fractions
-    signal = arms.det_a.efficiency * c2 * _projections(n_t)
+    signal = arms.det_a.efficiency * c2 * np.atleast_1d(_real(n_t, "n_t", 0, grid=True))
     return _count_weights(signal, arms.det_a.dark_rate, big_n).sum(axis=1)
 
 
@@ -291,7 +277,7 @@ def _conditional_mean(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
     (j+1)·A/(1+B), A and B the detected signal means (a negative multinomial
     conditioned), so the mean is ν_a + A/(1+B)·(1 + E[j | N]) under arm b's
     weights BE(j; B)·Poisson(N−j; ν_b): a sum over j ≤ N, truncating nothing."""
-    n_t = _projections(n_t)
+    n_t = np.atleast_1d(_real(n_t, "n_t", 0, grid=True))
     c2, s2 = arms.arm_fractions
     a = arms.det_a.efficiency * c2 * n_t
     b = arms.det_b.efficiency * s2 * n_t
@@ -312,7 +298,7 @@ def arm_a_marginal(n_t: float, arms: TwoArmDetection, n: int) -> float:
 def snr_post(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
     """Post-selected signal-to-noise: probability of an N-count in arm a
     relative to the dark-count-only Poisson probability of the same count."""
-    signal, noise = _post_probability(np.array([n_t, 0.0]), arms, _count(big_n, "big_n"))
+    signal, noise = _post_probability([n_t, 0.0], arms, _count(big_n, "big_n"))
     if noise == 0.0:
         raise SaturationError(
             "noise floor is zero (no dark counts); post-selected SNR saturates"
@@ -541,10 +527,9 @@ def tv_prox(v: np.ndarray, weight: float, n_inner: int = 20) -> np.ndarray:
     call; v is not written to. Each sweep performs the textbook sweep's
     floating-point operations in the same order on the same operands, so u
     equals that of the sweep written with `_grad` and `_grad_adjoint`, bit
-    for bit (the tests compare them). n_inner must be an int >= 1.
+    for bit (the tests compare them).
     """
-    if not (math.isfinite(weight) and weight >= 0.0):
-        raise DomainError(f"prox weight must be finite and >= 0, got {weight!r}")
+    v, weight = _real(v, "v", grid=True), _real(weight, "weight", 0)
     n_inner = _count(n_inner, "n_inner", 1)
     if weight == 0.0:
         return v.copy()
@@ -653,19 +638,15 @@ def cs_reconstruct(
     gradient mapping ½·L·‖x⁺ − z‖²_M, ‖d‖²_M = ‖d‖² + β(Σd)²/n, relative to
     the scaled objective F(x⁺) (Beck & Teboulle, SIAM J. Imaging Sci. 2009).
     The solve stops as "converged" once that is ≤ tol, else as "max_iter";
-    its value at the last step is the result's gradient_mapping. mu and tol
-    must be finite and max_iter an int (not a bool).
+    its value at the last step is the result's gradient_mapping.
     """
-    q = masks.matrix if isinstance(masks, SensingMatrix) else np.asarray(masks, float)
-    y = np.asarray(y, dtype=float)
+    q = masks.matrix if isinstance(masks, SensingMatrix) else _real(masks, "masks", grid=True)
+    y = _real(y, "y", grid=True)
     if q.ndim != 2 or y.ndim != 1 or q.shape[0] != y.size:
         raise ContractError(
             f"incompatible shapes: Q is {q.shape}, y has {y.size} entries"
         )
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(y))):
-        raise DomainError("Q and y must be finite")
-    if not (math.isfinite(mu) and mu > 0.0 and math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"need finite mu > 0 and tol >= 0, got mu={mu!r}, tol={tol!r}")
+    mu, tol = _real(mu, "mu", 0, strict=True), _real(tol, "tol", 0)
     max_iter = _count(max_iter, "max_iter", 1)
     n_pixels = q.shape[1]
     if shape is None:
@@ -770,7 +751,7 @@ def cs_reconstruct(
 def image_snr(s_hat: np.ndarray, object_mask: np.ndarray) -> float:
     """Contrast ratio of a reconstruction: mean over object pixels divided by
     mean over background pixels, negatives clipped, capped at 1e6."""
-    values = np.asarray(s_hat, dtype=float).ravel()
+    values = _real(s_hat, "s_hat", grid=True).ravel()
     mask = np.asarray(object_mask).ravel().astype(bool)
     if values.size != mask.size:
         raise ContractError("image and mask sizes differ")

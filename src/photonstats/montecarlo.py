@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, UndefinedCoherenceError, _count
+from .errors import ContractError, DomainError, UndefinedCoherenceError, _count, _real, _real_fields
 from .states import PhotonNumberDistribution, SourceSpec, _binomial_pmf, _poisson_pmf
 
 __all__ = [
@@ -97,12 +97,9 @@ class SplitterNetwork:
     routing_probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.routing_probs)
+        probs = tuple(_real(p, f"routing_probs[{i}]", 0, 1) for i, p in enumerate(self.routing_probs))
         if len(probs) < 1:
             raise ContractError("network needs at least one output mode")
-        for p in probs:
-            if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-                raise DomainError(f"routing probability {p!r} outside [0, 1]")
         if sum(probs) > 1.0 + 1e-12:
             raise DomainError(f"routing probabilities sum to {sum(probs)} > 1")
         object.__setattr__(self, "routing_probs", probs)
@@ -125,10 +122,8 @@ class DetectorModel:
     dark_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.efficiency) and 0.0 <= self.efficiency <= 1.0):
-            raise DomainError(f"efficiency must lie in [0, 1], got {self.efficiency!r}")
-        if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0.0):
-            raise DomainError(f"dark_rate must be >= 0, got {self.dark_rate!r}")
+        _real_fields(self, "efficiency", 0, 1)
+        _real_fields(self, "dark_rate", 0)
 
 
 def _check_draw_mean(mean: float, shots: int, summed: bool = False) -> None:
@@ -296,7 +291,7 @@ def empirical_g2(samples: np.ndarray) -> tuple[float, float]:
     (−2 m2/m1³, 1/m1²) and the error follows from the sample covariance of
     (n, n(n−1)) scaled by 1/N.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = _real(samples, "samples", grid=True)
     if samples.ndim != 1 or samples.size < 2:
         raise ContractError("need at least two samples")
     n = samples.size

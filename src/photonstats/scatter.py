@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import AccuracyError, DomainError, UndefinedCoherenceError
+from .errors import AccuracyError, DomainError, UndefinedCoherenceError, _real, _real_fields
 from .states import (
     _SUM_SLACK,
     DEFAULT_TAIL_TARGET,
@@ -55,12 +55,8 @@ class ScatterConfig:
     theta_deg: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean_source) and self.mean_source >= 0.0):
-            raise DomainError(f"mean_source must be >= 0, got {self.mean_source!r}")
-        if not (math.isfinite(self.mean_plasmon) and self.mean_plasmon >= 0.0):
-            raise DomainError(f"mean_plasmon must be >= 0, got {self.mean_plasmon!r}")
-        if not (math.isfinite(self.theta_deg) and 0.0 <= self.theta_deg <= 90.0):
-            raise DomainError(f"theta_deg must lie in [0, 90], got {self.theta_deg!r}")
+        _real_fields(self, "mean_source mean_plasmon", 0)
+        _real_fields(self, "theta_deg", 0, 90)
 
     @property
     def eta(self) -> float:
@@ -132,17 +128,15 @@ def g2_vs_angle(
     g2 = 1 + (A² + B²)/(A + B)², evaluated on each angle's mode means; the
     tests check it against `g2_from_pmf(detected_pmf(cfg))`.
     """
-    grid = np.asarray(theta_grid_deg, dtype=float)
+    grid = _real(theta_grid_deg, "theta grid", 0, 90, grid=True)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("theta grid must be a non-empty 1-D array")
-    if not np.all((grid >= 0.0) & (grid <= 90.0)):
-        raise DomainError("theta grid must lie within [0, 90] degrees")
-    ScatterConfig(mean_source, mean_plasmon, 0.0)  # checks both means
-    if mean_source + mean_plasmon <= 0.0:  # A + B at every angle
+    cfg = ScatterConfig(mean_source, mean_plasmon, 0.0)  # checks both means
+    if cfg.mean_source + cfg.mean_plasmon <= 0.0:  # A + B at every angle
         raise UndefinedCoherenceError("g2 undefined for a zero-mean distribution")
     grid = np.sort(grid)
     eta = np.cos(np.radians(grid)) ** 2
-    a, b = mean_plasmon + eta * mean_source, (1.0 - eta) * mean_source
+    a, b = cfg.mean_plasmon + eta * cfg.mean_source, (1.0 - eta) * cfg.mean_source
     return np.column_stack((grid, 1.0 + (a * a + b * b) / (a + b) ** 2))
 
 
@@ -165,10 +159,7 @@ def p_function_convolution_check(
     the check honest: agreement with the thermal pmf is a numerical outcome,
     not an identity wired into the code.
     """
-    for label, m in (("mean_1", mean_1), ("mean_2", mean_2)):
-        if not (math.isfinite(m) and m >= 0.0):
-            raise DomainError(f"{label} must be >= 0, got {m!r}")
-    combined = mean_1 + mean_2
+    combined = _real(mean_1, "mean_1", 0) + _real(mean_2, "mean_2", 0)
     n_max, tail = _grow_cutoff(
         default_cutoff(combined), lambda c: _negbin_tail(combined, 0, c), tail_target
     )

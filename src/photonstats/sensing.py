@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularPointError, _count
+from .errors import DomainError, SingularPointError, _count, _real, _real_fields
 from .states import (
     DEFAULT_TAIL_TARGET,
     PhotonNumberDistribution,
@@ -82,14 +82,9 @@ class SensorConfig:
     eta_pl: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and self.mean >= 0.0):
-            raise DomainError(f"mean must be >= 0, got {self.mean!r}")
-        if not (math.isfinite(self.phase) and 0.0 <= self.phase <= 2.0 * math.pi):
-            raise DomainError(f"phase must lie in [0, 2*pi], got {self.phase!r}")
-        for name in ("xi", "gamma_loss", "eta_ph", "eta_pl"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
+        _real_fields(self, "mean", 0)
+        _real_fields(self, "phase", 0, 2.0 * math.pi)
+        _real_fields(self, "xi gamma_loss eta_ph eta_pl", 0, 1)
 
 
 # The device preset ships the transmissions behind the published table:
@@ -143,9 +138,7 @@ def subtracted_pmf(
     field of mean n̄: p(n) = (n+L)! n̄ⁿ / (n! L! (1+n̄)^(L+1+n)).
 
     Negative-binomial with mean (L+1)n̄ and variance (L+1)n̄(1+n̄)."""
-    level = _count(level, "level")
-    if not (math.isfinite(mean) and mean >= 0.0):
-        raise DomainError(f"mean must be >= 0, got {mean!r}")
+    level, mean = _count(level, "level"), _real(mean, "mean", 0)
     n_max, tail = _grow_cutoff(
         default_cutoff((level + 1) * mean), lambda c: _negbin_tail(mean, level, c), tail_target
     )

@@ -20,11 +20,12 @@ ceil(1.25·n_max) + 8 until the mass past the cutoff is at or below
 ``tail_target``. Each law supplies that tail exactly, as a closed form
 (geometric, Poisson and negative-binomial survival functions, the scatter
 law's own identity), never as a mass deficit 1 − Σp, so rounding in the sum
-is not booked as truncation. A NaN or negative target raises DomainError
-before any work. A growth step that does not lower the tail (a guard for a
-tail that stops falling) or 64 growth steps short of the target raise
-AccuracyError, so non-convergence is never silent and never slow. The
-default construction honors tail_bound ≤ 1e-10 without silent rescaling.
+is not booked as truncation. The target is a real argument >= 0 (see
+`photonstats.errors`), checked before any work. A growth step that does not
+lower the tail (a guard for a tail that stops falling) or 64 growth steps
+short of the target raise AccuracyError, so non-convergence is never silent
+and never slow. The default construction honors tail_bound ≤ 1e-10 without
+silent rescaling.
 
 Each count law has one kernel here, in log space and broadcast over integer
 counts: ``_poisson_pmf`` (coherent light, dark counts), ``_negbin_pmf`` and
@@ -54,6 +55,8 @@ from .errors import (
     DomainError,
     UndefinedCoherenceError,
     _count,
+    _real,
+    _real_fields,
 )
 
 __all__ = [
@@ -144,25 +147,24 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("fock", "coherent", "thermal"):
             raise DomainError(f"unknown source kind {self.kind!r}")
-        if not (math.isfinite(self.mean) and self.mean >= 0.0):
-            raise DomainError(f"mean photon number must be finite and >= 0, got {self.mean!r}")
+        _real_fields(self, "mean", 0)
         if self.kind == "fock" and self.mean != int(self.mean):
             raise DomainError(f"fock occupation must be a non-negative integer, got {self.mean!r}")
 
 
 def fock(n: int) -> SourceSpec:
     """Number state with exactly n photons."""
-    return SourceSpec("fock", float(_count(n, "n")))
+    return SourceSpec("fock", _count(n, "n"))
 
 
 def coherent(mean: float) -> SourceSpec:
     """Coherent state with mean photon number n̄ = |α|²."""
-    return SourceSpec("coherent", float(mean))
+    return SourceSpec("coherent", mean)
 
 
 def thermal(mean: float) -> SourceSpec:
     """Single-mode thermal (Bose–Einstein) state with mean n̄."""
-    return SourceSpec("thermal", float(mean))
+    return SourceSpec("thermal", mean)
 
 
 # ===================================================================
@@ -234,9 +236,7 @@ def _binomial_pmf(k, n, p: float) -> np.ndarray:
 
 def default_cutoff(mean_total: float) -> int:
     """Baseline truncation index for a source of the given total mean."""
-    if not (math.isfinite(mean_total) and mean_total >= 0.0):
-        raise DomainError(f"mean_total must be finite and >= 0, got {mean_total!r}")
-    return max(16, math.ceil(20.0 * (mean_total + 1.0)))
+    return max(16, math.ceil(20.0 * (_real(mean_total, "mean_total", 0) + 1.0)))
 
 
 def _grow_cutoff(
@@ -245,8 +245,7 @@ def _grow_cutoff(
     """The truncation loop of every truncated law (see the module docstring):
     grow ``n_max`` until ``tail(n_max)`` ≤ ``tail_target``; return the cutoff
     and its tail."""
-    if not tail_target >= 0.0:
-        raise DomainError(f"tail_target must be >= 0, got {tail_target!r}")
+    tail_target = _real(tail_target, "tail_target", 0)
     current = tail(n_max)
     steps = 0
     while not current <= tail_target:
@@ -373,8 +372,7 @@ def binomial_thin(
     triangle's 3.2M for thermal(100) (N = 2534 entries), and 33M instead of
     313M for thermal(1000); memory stays linear in N.
     """
-    if not (0.0 <= efficiency <= 1.0):
-        raise DomainError(f"efficiency must lie in [0, 1], got {efficiency!r}")
+    efficiency = _real(efficiency, "efficiency", 0, 1)
     p, size = dist.probs, dist.probs.size
 
     def band(k, lo, hi):  # Σ p(n)·C(n,k) η^k (1−η)^(n−k) over lo ≤ n < hi, per k
@@ -412,12 +410,10 @@ def visibility(intensity_samples: Iterable[Sequence[float]]) -> float:
     abscissa is kept for symmetry with the CSV artifacts. Sampling densely
     enough to catch the extremes is the caller's job.
     """
-    arr = np.asarray(list(intensity_samples), dtype=float)
+    arr = _real(list(intensity_samples), "intensity_samples", grid=True)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise ContractError("expected a non-empty sequence of (k, I) pairs")
     intensities = arr[:, 1]
-    if not np.all(np.isfinite(intensities)):
-        raise DomainError("intensities must be finite")
     if np.any(intensities < 0.0):
         raise DomainError("intensities must be non-negative")
     hi = float(intensities.max())

@@ -43,6 +43,13 @@ class TestG2Scan:
         assert "g2-scan.csv" in manifest["artifacts"]
         assert manifest["config"]["n_s"] == 0.5
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_ratio_exits_two_naming_it(self, tmp_path, capsys, value):
+        rc, _, err = run(capsys, "g2-scan", f"--n-pl-ratio={value}", "--out", str(tmp_path))
+        assert rc == 2
+        assert "n_pl_ratio" in err and "finite" in err
+        assert not (tmp_path / "g2-scan-manifest.json").exists()
+
 
 class TestConfigPrecedence:
     def test_flag_beats_config_file(self, tmp_path, capsys):
@@ -224,22 +231,42 @@ class TestOracleCheck:
         )
         assert all(passed == "1" for passed in rows[:, 1])
 
-    @pytest.mark.parametrize(
-        "module, kernel", [("photonstats.imaging", "_poisson_pmf"), ("photonstats.coherence", "_binomial_pmf")]
-    )
-    def test_a_kernel_fault_fails_the_check(self, tmp_path, capsys, monkeypatch, module, kernel):
-        """Fault injection (DeMillo, Lipton & Sayward, IEEE Computer 1978): a
-        count kernel scaled by 1 ± 5e-10, alternating in k, where its callers
-        bind it, makes oracle-check exit 3."""
+    @staticmethod
+    def _run_with_fault(tmp_path, capsys, monkeypatch, module, kernel):
+        """oracle-check with a count kernel scaled by 1 ± 5e-10, alternating
+        in k, where ``module`` binds it."""
         exact = getattr(sys.modules[module], kernel)
 
         def faulty(k, *args):
             return exact(k, *args) * np.where(np.asarray(k) % 2 == 0, 1.0 + 5e-10, 1.0 - 5e-10)
 
         monkeypatch.setattr(f"{module}.{kernel}", faulty)
-        rc, _, err = run(capsys, "oracle-check", "--out", str(tmp_path))
+        return run(capsys, "oracle-check", "--out", str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "module, kernel",
+        [
+            ("photonstats.imaging", "_poisson_pmf"),
+            ("photonstats.coherence", "_binomial_pmf"),
+            ("photonstats.coherence", "_negbin_pmf"),
+            ("photonstats.imaging", "_negbin_pmf"),
+        ],
+    )
+    def test_a_kernel_fault_fails_the_check(self, tmp_path, capsys, monkeypatch, module, kernel):
+        """Fault injection (DeMillo, Lipton & Sayward, IEEE Computer 1978): a
+        faulty count kernel where its callers bind it makes oracle-check exit 3."""
+        rc, _, err = self._run_with_fault(tmp_path, capsys, monkeypatch, module, kernel)
         assert rc == 3, err
         assert "oracle checks failed" in err
+
+    @pytest.mark.parametrize("module", ["photonstats.states", "photonstats.sensing"])
+    def test_a_negbin_fault_in_a_pmf_fails_its_mass_check(self, tmp_path, capsys, monkeypatch, module):
+        """Where `pmf` and `subtracted_pmf` bind `_negbin_pmf`, the faulty law
+        moves the mass past the slack of `PhotonNumberDistribution`, which
+        refuses it (exit 2) before a dual-route row compares it."""
+        rc, _, err = self._run_with_fault(tmp_path, capsys, monkeypatch, module, "_negbin_pmf")
+        assert rc == 2, err
+        assert "probability mass" in err
 
 
 class TestImageSim:

@@ -160,6 +160,19 @@ def _write_rows(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_masks(path: Path, masks: SensingMatrix) -> None:
+    """The mask table as `_write_rows` prints it, one 0/1 digit per cell,
+    filled into a byte buffer in place: every entry is exactly 0.0 or 1.0."""
+    rows, pixels = masks.matrix.shape
+    text = np.empty((rows, 2 * pixels), dtype=np.uint8)
+    np.add(masks.matrix, ord("0"), out=text[:, 0::2], casting="unsafe")
+    text[:, 1::2] = ord(",")
+    text[:, -1] = ord("\n")
+    with path.open("wb") as f:
+        f.write((",".join(f"p{i}" for i in range(pixels)) + "\n").encode())
+        f.write(text)
+
+
 def _gray_levels(img: np.ndarray) -> np.ndarray:
     """8-bit levels: negatives clipped, the maximum at 255, all 0 if it is <= 0."""
     top = float(img.max())
@@ -314,8 +327,7 @@ def _cmd_image_sim(params: dict, out: Path) -> dict:
     scene_path = out / "image-sim-scene.pgm"
     write_pgm(scene_path, _gray_levels(scene.as_image()))
     masks_path = out / "image-sim-masks.csv"
-    _write_rows(masks_path, ",".join(f"p{i}" for i in range(masks.n_pixels)),
-                [tuple(int(v) for v in row) for row in masks.matrix])
+    _write_masks(masks_path, masks)
     y_path = out / "image-sim-measurements.csv"
     _write_rows(y_path, "y", [(float(v),) for v in y])
     return {

@@ -370,14 +370,16 @@ def modulation_frequency(x: np.ndarray, y: np.ndarray) -> float:
     magnitude peak refined by quadratic interpolation in log magnitude.
     Returns ω in radians per unit of x; the grid step must be finite and > 0.
     """
-    # x is checked by its step below: a uniform step that is finite and > 0
-    # leaves no room for a non-finite entry
-    x, y = np.asarray(x, dtype=float), _real(y, "y", grid=True)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 8:
+    grid, y = np.asarray(x), _real(y, "y", grid=True)
+    if grid.ndim != 1 or grid.shape != y.shape or grid.size < 8:
         raise ContractError("need matching 1-D arrays with at least 8 samples")
-    dx = np.diff(x)
-    if not (0.0 < dx[0] < math.inf and np.allclose(dx, dx[0], rtol=1e-9, atol=0.0)):
-        raise ContractError(f"x grid must be uniform with a finite step > 0, got step {dx[0]:g}")
+    # a grid of numbers is checked by its step first, so a NaN entry is a bad
+    # step: a uniform step that is finite and > 0 leaves no room for one
+    if grid.dtype.kind in "iuf":
+        dx = np.diff(grid.astype(float))
+        if not (0.0 < dx[0] < math.inf and np.allclose(dx, dx[0], rtol=1e-9, atol=0.0)):
+            raise ContractError(f"x grid must be uniform with a finite step > 0, got step {dx[0]:g}")
+    x = _real(x, "x", grid=True)  # refuses a grid of anything but numbers
     detrended = y - np.polyval(np.polyfit(x, y, 1), x)
     windowed = detrended * np.hanning(x.size)
     mag = np.abs(np.fft.rfft(windowed))
@@ -392,7 +394,7 @@ def modulation_frequency(x: np.ndarray, y: np.ndarray) -> float:
         )
     denom = la - 2.0 * lc + lb
     shift = 0.0 if denom == 0.0 else 0.5 * (la - lb) / denom
-    return 2.0 * math.pi * (peak + shift) / (x.size * float(dx[0]))
+    return 2.0 * math.pi * (peak + shift) / (x.size * float(x[1] - x[0]))
 
 
 # ===================================================================

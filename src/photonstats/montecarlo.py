@@ -159,11 +159,13 @@ def sample_source(source: SourceSpec, n_samples: int, seed: RngSeed | int) -> np
     if source.kind == "fock":
         return np.full(n_samples, int(mean), dtype=np.int64)
     if source.kind == "coherent":
-        return rng.poisson(mean, size=n_samples).astype(np.int64)
+        return rng.poisson(mean, size=n_samples).astype(np.int64, copy=False)
     # thermal
     if mean == 0.0:
         return np.zeros(n_samples, dtype=np.int64)
-    return (rng.geometric(1.0 / (1.0 + mean), size=n_samples) - 1).astype(np.int64)
+    draws = rng.geometric(1.0 / (1.0 + mean), size=n_samples).astype(np.int64, copy=False)
+    draws -= 1  # in place: no second S-entry copy
+    return draws
 
 
 def _thermal_total(mean: float, n_samples: int, seed: RngSeed) -> int:

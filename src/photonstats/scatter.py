@@ -108,8 +108,14 @@ def detected_pmf(
             m = n + 1.0
             return np.exp(m * log_ra) / (big_a - big_b) * -np.expm1(m * log_q)
 
+    try:
+        start = default_cutoff(big_a + big_b)
+    except DomainError:  # A + B overflows, or its baseline cutoff does
+        raise DomainError(
+            f"mode means {cfg.mode_means!r} of {cfg!r} are too large for a finite cutoff"
+        ) from None
     n_max, tail_bound = _grow_cutoff(
-        default_cutoff(big_a + big_b),
+        start,
         lambda c: big_a * float(law(np.array([c]))[0]) + _negbin_tail(big_b, 0, c),
         tail_target,
     )

@@ -235,8 +235,14 @@ def _binomial_pmf(k, n, p: float) -> np.ndarray:
 # ===================================================================
 
 def default_cutoff(mean_total: float) -> int:
-    """Baseline truncation index for a source of the given total mean."""
-    return max(16, math.ceil(20.0 * (_real(mean_total, "mean_total", 0) + 1.0)))
+    """Baseline truncation index for a source of the given total mean; a
+    mean past ~9e306, whose 20·(n̄+1) overflows, raises DomainError."""
+    baseline = 20.0 * (_real(mean_total, "mean_total", 0) + 1.0)
+    if not math.isfinite(baseline):
+        raise DomainError(
+            f"mean_total {mean_total!r} is too large: its baseline cutoff 20·(n̄+1) overflows"
+        )
+    return max(16, math.ceil(baseline))
 
 
 def _grow_cutoff(

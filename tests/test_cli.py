@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonstats import read_pgm
-from photonstats.cli import _HANDLERS, main
+from photonstats import SensingMatrix, random_sensing_matrix, read_pgm
+from photonstats.cli import _HANDLERS, _write_masks, _write_rows, main
 
 
 def run(capsys, *argv):
@@ -310,6 +310,35 @@ class TestImageSim:
         )
         assert rc == 2
         assert "int64" in err
+
+
+class TestMaskTable:
+    """`image-sim`'s byte writer against the per-cell route it replaced."""
+
+    @staticmethod
+    def assert_written_as_per_cell(masks, tmp_path):
+        new, old = tmp_path / "bytes.csv", tmp_path / "cells.csv"
+        _write_masks(new, masks)
+        _write_rows(old, ",".join(f"p{i}" for i in range(masks.n_pixels)),
+                    [tuple(int(v) for v in row) for row in masks.matrix])
+        assert new.read_bytes() == old.read_bytes()
+        assert np.array_equal(load_csv(new, ndmin=2), masks.matrix)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (3, 4), (256, 1024)])
+    def test_bytes_match_the_per_cell_writer(self, shape, tmp_path):
+        self.assert_written_as_per_cell(random_sensing_matrix(*shape, 0.5, 0), tmp_path)
+
+    def test_all_zero_and_all_one_rows(self, tmp_path):
+        matrix = random_sensing_matrix(4, 9, 0.5, 1).matrix.copy()
+        matrix[1], matrix[2] = 0.0, 1.0
+        self.assert_written_as_per_cell(SensingMatrix(matrix), tmp_path)
+
+    def test_default_run_writes_its_seeded_masks(self, tmp_path, capsys):
+        assert run(capsys, "image-sim", "--out", str(tmp_path / "run"))[0] == 0
+        masks = random_sensing_matrix(256, 1024, 0.5, 0)
+        written = (tmp_path / "run" / "image-sim-masks.csv").read_bytes()
+        self.assert_written_as_per_cell(masks, tmp_path)
+        assert written == (tmp_path / "cells.csv").read_bytes()
 
 
 def test_cli_import_leaves_scipy_stats_out():

@@ -381,6 +381,16 @@ class TestModulationFrequency:
         with pytest.raises(ContractError, match="step"):
             modulation_frequency(x, np.cos(np.arange(512.0)))
 
+    @pytest.mark.parametrize("as_text", [
+        lambda x: x.astype(str),
+        lambda x: [str(v) for v in x],
+        lambda x: np.full(x.shape, "fringe"),
+    ], ids=["numeric-array", "numeric-list", "non-numeric"])
+    def test_a_grid_of_strings_is_refused(self, as_text):
+        x = np.linspace(0.0, 40.0, 512)
+        with pytest.raises(DomainError, match="^x must be a finite real"):
+            modulation_frequency(as_text(x), np.cos(5.0 * x))
+
     def test_survives_a_linear_trend(self):
         x = np.linspace(0.0, 40.0, 512)
         y = 0.05 * x + np.cos(3.0 * x)

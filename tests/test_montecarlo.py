@@ -58,6 +58,17 @@ def test_sample_source_moments(source, mean, var):
     assert counts.min() >= 0
 
 
+@pytest.mark.parametrize(("source", "draw"), [
+    (thermal(1.5), lambda rng, n: rng.geometric(1.0 / 2.5, size=n) - 1),
+    (coherent(1.5), lambda rng, n: rng.poisson(1.5, size=n)),
+], ids=["thermal", "coherent"])
+def test_sample_source_is_the_seeded_numpy_draw(source, draw):
+    """Bit for bit the draw numpy makes from the same stream, as int64."""
+    counts = sample_source(source, 1000, RngSeed(9))
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, draw(make_generator(RngSeed(9)), 1000))
+
+
 def test_fock_source_is_deterministic():
     counts = sample_source(fock(3), 100, RngSeed(0))
     assert np.all(counts == 3)

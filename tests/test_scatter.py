@@ -67,6 +67,12 @@ class TestDetectedPmf:
         d = detected_pmf(ScatterConfig(2.0, 1.5, 45.0), tail_target=1e-10)
         assert 1.0 - d.probs.sum() <= 1e-10
 
+    def test_means_too_large_for_a_cutoff_are_named_as_mode_means(self):
+        # A + B = 2e308 overflows; the caller passed no total mean to name
+        with pytest.raises(DomainError, match=r"^mode means \(1\.5e\+308, .* too large") as info:
+            detected_pmf(ScatterConfig(1e308, 1e308, 45.0))
+        assert "mean_total" not in str(info.value)
+
     def test_vertical_polarization_is_single_thermal_mode(self):
         cfg = ScatterConfig(0.8, 0.3, 0.0)
         d = detected_pmf(cfg)

@@ -308,6 +308,12 @@ class TestValidationAndSerialization:
         assert cuts == sorted(cuts)
         assert cuts[0] >= 16
 
+    @pytest.mark.parametrize("source", [thermal(1e308), coherent(1e308)], ids=["thermal", "coherent"])
+    def test_a_mean_whose_baseline_cutoff_overflows_is_a_domain_error(self, source):
+        # 20·(n̄+1) is inf past ~9e306; math.ceil(inf) is an OverflowError
+        with pytest.raises(DomainError, match=r"^mean_total 1e\+308 is too large"):
+            pmf(source)
+
     def test_csv_round_trip(self):
         dist = pmf(thermal(1.3), tail_target=1e-11)
         buf = io.StringIO()

@@ -5,7 +5,8 @@ config file, and explicit flags (flags win), writes its numeric artifacts
 as CSV/JSON/PGM into the output directory, and drops a manifest echoing the
 fully resolved configuration so the run can be repeated byte for byte. The
 manifest also records the run's summary (for `reconstruct`: iterations,
-residual, stop_reason, gradient_mapping), deterministic like the artifacts.
+restarts, residual, stop_reason, gradient_mapping), deterministic like the
+artifacts.
 Floats are printed with 17 significant digits for exact round-trips.
 
 Exit codes: 0 success, 2 configuration or domain error, 3 accuracy or
@@ -366,6 +367,7 @@ def _cmd_reconstruct(params: dict, out: Path) -> dict:
     return {
         "artifacts": [img_path.name, trace_path.name],
         "iterations": result.iterations,
+        "restarts": result.restarts,
         "residual": result.residual,
         "stop_reason": result.stop_reason,
         "gradient_mapping": result.gradient_mapping,

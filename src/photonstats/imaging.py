@@ -145,7 +145,8 @@ class ReconstructionResult:
     ½·L·‖x⁺ − z‖²_M / F(x⁺) (see `cs_reconstruct`), and stop_reason is
     "converged" (that measure fell to tol, or there was nothing to solve) or
     "max_iter" (the iteration budget ran out first). A result built without
-    them does not claim convergence.
+    them does not claim convergence. restarts counts the steps on which the
+    solver reset its momentum, at most one per iteration.
     """
 
     s_hat: np.ndarray
@@ -154,6 +155,7 @@ class ReconstructionResult:
     residual: float
     stop_reason: str = "max_iter"
     gradient_mapping: float = math.inf
+    restarts: int = 0
 
     def __post_init__(self) -> None:
         if self.stop_reason not in ("converged", "max_iter"):
@@ -166,6 +168,14 @@ class ReconstructionResult:
             raise ContractError("s_hat and objective_trace must be 1-D")
         if self.iterations < 0 or not math.isfinite(self.residual) or not self.gradient_mapping >= 0:
             raise ContractError("need iterations >= 0, a finite residual and gradient_mapping >= 0")
+        if (
+            isinstance(self.restarts, bool)
+            or not isinstance(self.restarts, (int, np.integer))
+            or not 0 <= self.restarts <= self.iterations
+        ):
+            raise ContractError(
+                f"restarts must be an integer in [0, iterations = {self.iterations}], got {self.restarts!r}"
+            )
         if not np.all(np.isfinite(trace)):
             raise ContractError("objective_trace must be finite")
         if np.any(np.diff(trace) > 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))):
@@ -432,41 +442,27 @@ def acquire(
 # Total-variation reconstruction
 # ===================================================================
 
-def _grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences with replicate boundary (last row/col slope 0)."""
-    gx = np.zeros_like(u)
-    gy = np.zeros_like(u)
-    gx[:, :-1] = u[:, 1:] - u[:, :-1]
-    gy[:-1, :] = u[1:, :] - u[:-1, :]
-    return gx, gy
-
-
-def _grad_adjoint(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Gᵀ of `_grad`; with it, the textbook prox sweep the tests compare
-    `_TvWorkspace.prox` against."""
-    out = np.zeros_like(gx)
-    out[:, :-1] -= gx[:, :-1]
-    out[:, 1:] += gx[:, :-1]
-    out[:-1, :] -= gy[:-1, :]
-    out[1:, :] += gy[:-1, :]
-    return out
-
-
 def _tv(u: np.ndarray) -> float:
-    gx, gy = _grad(u)
-    return float(np.abs(gx).sum() + np.abs(gy).sum())
+    """Anisotropic TV of a 2-D image: the summed absolute forward
+    differences along rows and down columns."""
+    across = u[:, 1:] - u[:, :-1]
+    down = u[1:, :] - u[:-1, :]
+    np.abs(across, out=across)
+    np.abs(down, out=down)
+    return float(across.sum() + down.sum())
 
 
 class _TvWorkspace:
     """The buffers of the TV prox on one (H, W) float64 grid, made once per
     solve; the dual is carried from one prox call to the next.
 
-    The dual lives in one flat buffer laid out as W zeros, then py, then px
-    (row-major). Gᵀ never reads px's last column or py's last row, and the
-    workspace holds both at 0: its slope there is always 0, as in `_grad`.
-    Then "py one row up" and "px one entry left" are plain shifted slices of
-    the buffer with zeros where `_grad_adjoint` adds nothing, and every sweep
-    is a handful of whole-array operations with ``out=``.
+    G is the forward-difference operator with slope 0 past the last row and
+    column. The dual lives in one flat buffer laid out as W zeros, then py,
+    then px (row-major). Gᵀ never reads px's last column or py's last row,
+    and the workspace holds both at 0, as G's slope is there. Then "py one
+    row up" and "px one entry left" are plain shifted slices of the buffer
+    with zeros where Gᵀ adds nothing, and every sweep is a handful of
+    whole-array operations with ``out=``.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -482,7 +478,8 @@ class _TvWorkspace:
         self._adjoint = np.empty((height, width))
 
     def _primal(self, v: np.ndarray, weight: float, out: np.ndarray) -> None:
-        """out = v − weight·Gᵀp, with Gᵀp summed in `_grad_adjoint`'s order."""
+        """out = v − weight·Gᵀp, with Gᵀp summed as px[i, j−1] − px[i, j]
+        − py[i, j] + py[i−1, j]."""
         adj = self._adjoint
         np.subtract(self._px_left, self.px, out=adj)
         np.subtract(adj, self.py, out=adj)
@@ -504,7 +501,7 @@ class _TvWorkspace:
             np.subtract(u[width:], u[:-width], out=flat_gy[: u.size - width])
             np.subtract(u[1:], u[:-1], out=flat_gx[:-1])
             np.multiply(step, self.slope, out=self.slope)
-            # `_grad`'s zero slopes: gx[:, -1] now holds the differences that
+            # G's zero slopes: gx[:, -1] now holds the differences that
             # wrap from one row to the next, and step·0 is NaN if step = inf.
             gx[:, -1] = 0.0
             gy[-1] = 0.0
@@ -526,7 +523,7 @@ def tv_prox(v: np.ndarray, weight: float, n_inner: int = 20) -> np.ndarray:
     The sweeps run in place in a `_TvWorkspace` (float64) made for this
     call; v is not written to. Each sweep performs the textbook sweep's
     floating-point operations in the same order on the same operands, so u
-    equals that of the sweep written with `_grad` and `_grad_adjoint`, bit
+    equals that of the sweep written with fresh arrays for G and Gᵀ, bit
     for bit (the tests compare them).
     """
     v, weight = _real(v, "v", grid=True), _real(weight, "weight", 0)
@@ -625,8 +622,13 @@ def cs_reconstruct(
     accelerated method needs to keep its rate (Schmidt, Le Roux & Bach, NIPS
     2011). The momentum sequence is the monotone FISTA variant: an
     extrapolated candidate is kept only if it does not increase the
-    objective, so the recorded trace never rises. Measurements are scaled to
-    max 1 before solving and scaled back.
+    objective, so the recorded trace never rises. The momentum restarts
+    (O'Donoghue & Candès, Found. Comput. Math. 2015) on every step whose
+    candidate x⁺ moves against the momentum point z, as seen from the last
+    iterate x: when ⟨z − x⁺, x⁺ − x⟩_M > 0, with ⟨a, b⟩_M = ⟨a, b⟩ +
+    β·(Σa)(Σb)/n, t is set to 1 before that step's momentum update. The rule
+    is always on; the result's restarts counts the steps it fired.
+    Measurements are scaled to max 1 before solving and scaled back.
 
     A solve allocates its buffers once: one `_TvWorkspace`, whose dual is
     carried from each prox call to the next, and a few arrays updated with
@@ -690,10 +692,11 @@ def cs_reconstruct(
     momentum, q_momentum = np.zeros(shape), np.zeros(q.shape[0])
     spare, q_spare = np.empty(shape), np.empty(q.shape[0])
     moved = np.empty(shape)  # the gradient, then the gradient-step point v
+    ahead = np.empty(shape)  # candidate − s, for the restart test
     data_resid = np.empty(q.shape[0])
     t_k = 1.0
     trace = [objective(s, q_s)]
-    iterations = 0
+    iterations = restarts = 0
     stop_reason = "max_iter"
     for _ in range(max_iter):
         np.subtract(q_momentum, y_scaled, out=data_resid)
@@ -712,6 +715,11 @@ def cs_reconstruct(
         total = float(spare.sum())
         gap = 0.5 * (mu * lam) * (float(np.vdot(spare, spare)) + beta * total * total / n_pixels)
         measure = gap / value if value > 0.0 else (0.0 if gap == 0.0 else math.inf)
+        # restart when ⟨z − x⁺, x⁺ − s⟩_M > 0, that is ⟨x⁺ − z, x⁺ − s⟩_M < 0
+        np.subtract(candidate, s, out=ahead)
+        if float(np.vdot(spare, ahead)) + beta * total * float(ahead.sum()) / n_pixels < 0.0:
+            t_k = 1.0
+            restarts += 1
         previous = trace[-1]
         if value <= previous:  # monotone guard: extrapolation may overshoot
             s_next, q_s_next = candidate, q_candidate
@@ -745,7 +753,7 @@ def cs_reconstruct(
 
     s_hat = s.ravel() * scale
     residual = float(np.linalg.norm(q @ s_hat - y))
-    return ReconstructionResult(s_hat, iterations, trace, residual, stop_reason, measure)
+    return ReconstructionResult(s_hat, iterations, trace, residual, stop_reason, measure, restarts)
 
 
 def image_snr(s_hat: np.ndarray, object_mask: np.ndarray) -> float:

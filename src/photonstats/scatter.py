@@ -166,9 +166,13 @@ def p_function_convolution_check(
     not an identity wired into the code.
     """
     combined = _real(mean_1, "mean_1", 0) + _real(mean_2, "mean_2", 0)
-    n_max, tail = _grow_cutoff(
-        default_cutoff(combined), lambda c: _negbin_tail(combined, 0, c), tail_target
-    )
+    try:
+        start = default_cutoff(combined)
+    except DomainError:  # n̄₁ + n̄₂ overflows, or its baseline cutoff does
+        raise DomainError(
+            f"mean_1 {mean_1!r} and mean_2 {mean_2!r} are too large for a finite cutoff"
+        ) from None
+    n_max, tail = _grow_cutoff(start, lambda c: _negbin_tail(combined, 0, c), tail_target)
 
     order = n_max // 2 + 8
     nodes, weights = special.roots_laguerre(order)

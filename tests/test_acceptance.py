@@ -285,6 +285,9 @@ def test_09_compressed_reconstruction():
         y = acquire(phantom, masks, ideal, mode="intensity")
         result = cs_reconstruct(masks, y, mu=100.0, shape=(32, 32))
         assert result.stop_reason == "converged"
+        # the momentum restarts on the way, and the trace still never rises
+        assert 0 < result.restarts <= result.iterations
+        assert np.all(np.diff(result.objective_trace) <= 0.0)
         rel = np.linalg.norm(result.s_hat - phantom.values) / np.linalg.norm(phantom.values)
         assert rel < 0.15, rel
 

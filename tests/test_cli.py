@@ -388,12 +388,13 @@ class TestReconstructRoundTrip:
         )
         assert rc == 0
         assert summary["iterations"] == 3
+        assert type(summary["restarts"]) is int and 0 <= summary["restarts"] <= 3
         assert summary["stop_reason"] == "max_iter"
         assert summary["gradient_mapping"] > 5e-8
         manifest = json.loads((tmp_path / "reconstruct-manifest.json").read_text())
         assert manifest["summary"] == {
             key: summary[key]
-            for key in ("iterations", "residual", "stop_reason", "gradient_mapping")
+            for key in ("iterations", "restarts", "residual", "stop_reason", "gradient_mapping")
         }
 
     @pytest.fixture

@@ -184,6 +184,12 @@ class TestPFunctionConvolution:
         with pytest.raises(DomainError):
             p_function_convolution_check(-1.0, 0.5)
 
+    def test_means_too_large_for_a_cutoff_are_named_as_mean_1_and_mean_2(self):
+        # n̄₁ + n̄₂ = 2e308 overflows; the caller passed no total mean to name
+        with pytest.raises(DomainError, match=r"^mean_1 1e\+308 and mean_2 1e\+308 are too large") as info:
+            p_function_convolution_check(1e308, 1e308)
+        assert "mean_total" not in str(info.value)
+
 
 class TestTinyTailTarget:
     def test_exact_tail_reaches_a_target_below_float_resolution(self):

@@ -146,7 +146,9 @@ class ReconstructionResult:
     "converged" (that measure fell to tol, or there was nothing to solve) or
     "max_iter" (the iteration budget ran out first). A result built without
     them does not claim convergence. restarts counts the steps on which the
-    solver reset its momentum, at most one per iteration.
+    solver reset its momentum, at most one per iteration. iterations is an
+    integer >= 0 and the trace holds its iterations + 1 objective values,
+    the start point's first.
     """
 
     s_hat: np.ndarray
@@ -166,8 +168,18 @@ class ReconstructionResult:
         trace = np.array(self.objective_trace, dtype=float, copy=True)
         if s.ndim != 1 or trace.ndim != 1:
             raise ContractError("s_hat and objective_trace must be 1-D")
-        if self.iterations < 0 or not math.isfinite(self.residual) or not self.gradient_mapping >= 0:
-            raise ContractError("need iterations >= 0, a finite residual and gradient_mapping >= 0")
+        if (
+            isinstance(self.iterations, bool)
+            or not isinstance(self.iterations, (int, np.integer))
+            or self.iterations < 0
+        ):
+            raise ContractError(f"iterations must be an integer >= 0, got {self.iterations!r}")
+        if trace.size != self.iterations + 1:
+            raise ContractError(
+                f"objective_trace must hold iterations + 1 = {self.iterations + 1} values, got {trace.size}"
+            )
+        if not math.isfinite(self.residual) or not self.gradient_mapping >= 0:
+            raise ContractError("need a finite residual and gradient_mapping >= 0")
         if (
             isinstance(self.restarts, bool)
             or not isinstance(self.restarts, (int, np.integer))

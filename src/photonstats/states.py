@@ -30,13 +30,15 @@ silent rescaling.
 Each count law has one kernel here, in log space and broadcast over integer
 counts: ``_poisson_pmf`` (coherent light, dark counts), ``_negbin_pmf`` and
 its exact tail ``_negbin_tail`` (Bose–Einstein, the L-subtracted thermal
-law) and ``_binomial_pmf`` (loss, splitting). Every primary law calls them;
-``scipy.special`` is the only scipy import. The oracles keep their own
-arithmetic, so one kernel fault cannot pass both sides of a dual-route
-check: ``imaging.joint_pmf_noisy``, ``scatter.p_function_convolution_check``
-and ``detected_pmf``'s two-mode law, ``coherence.preselection_distribution``,
-``gamma_sum`` and ``_detected_vacuum_sum``, and the per-shot Monte Carlo.
-The count oracles take whole count grids, so each check is one call.
+law) and ``_binomial_pmf`` (loss, splitting), whose log sum
+``_binomial_terms`` also takes ``binomial_thin``'s tabled pieces. Every
+primary law calls them; ``scipy.special`` is the only scipy import. The
+oracles keep their own arithmetic, so one kernel fault cannot pass both
+sides of a dual-route check: ``imaging.joint_pmf_noisy``,
+``scatter.p_function_convolution_check`` and ``detected_pmf``'s two-mode
+law, ``coherence.preselection_distribution``, ``gamma_sum`` and
+``_detected_vacuum_sum``, and the per-shot Monte Carlo. The count oracles
+take whole count grids, so each check is one call.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Literal, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .errors import (
@@ -219,15 +222,21 @@ def _negbin_tail(mean: float, level: int, n_max: int) -> float:
     return float((1.0 + mean) * _negbin_pmf(n_max + level + 1 - j, j, mean).sum())
 
 
+def _binomial_terms(log_n, log_k, log_rest, xlog_k, xlog_rest, inside) -> np.ndarray:
+    """The binomial log sum log n! − log k! − log (n−k)! + k·log p +
+    (n−k)·log1p(−p), exponentiated where ``inside`` (k ≤ n) and 0 elsewhere;
+    the pieces broadcast, so ``binomial_thin`` can pass table views."""
+    return np.where(inside, np.exp(log_n - log_k - log_rest + xlog_k + xlog_rest), 0.0)
+
+
 def _binomial_pmf(k, n, p: float) -> np.ndarray:
     """Binomial(n, p) probability of k; 0 where k > n. p = 0 and p = 1 are
     exact. The log-gamma coefficient loses ~n·log n·ε: 1e-12 near n = 700."""
     rest = np.maximum(n - k, 0)
-    log_pmf = (
-        special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(rest + 1)
-        + special.xlogy(k, p) + special.xlog1py(rest, -p)
+    return _binomial_terms(
+        special.gammaln(n + 1), special.gammaln(k + 1), special.gammaln(rest + 1),
+        special.xlogy(k, p), special.xlog1py(rest, -p), k <= n,
     )
-    return np.where(k <= n, np.exp(log_pmf), 0.0)
 
 
 # ===================================================================
@@ -359,6 +368,33 @@ def _chernoff(k, n, efficiency: float) -> np.ndarray:
     return np.exp(-exponent)
 
 
+def _thin_kernel(size: int, efficiency: float) -> Callable[[np.ndarray, int, int], np.ndarray]:
+    """``kernel(k, lo, hi)``, bit for bit ``_binomial_pmf(k[:, None],
+    np.arange(lo, hi), efficiency)`` for a block k of at most 128 consecutive
+    counts below ``size`` and k[0] ≤ lo ≤ hi ≤ ``size``, read from tables
+    built once (see `binomial_thin`)."""
+    gap = np.arange(1 - _THIN_BLOCK, size)  # n − k over every block's band
+    rest = np.maximum(gap, 0)  # as _binomial_pmf clips it
+    log_rest = special.gammaln(rest + 1)
+    log_fact = log_rest[_THIN_BLOCK - 1 :]  # log n! for n = 0..size−1
+    xlog_k = special.xlogy(np.arange(size), efficiency)
+
+    def toeplitz(table):  # [i, x] = table at n − k = x − i, for i < 128 and 0 ≤ x < size
+        return sliding_window_view(table, size)[::-1]
+
+    log_rest, inside = toeplitz(log_rest), toeplitz(gap >= 0)
+    xlog_rest = toeplitz(special.xlog1py(rest, -efficiency))
+
+    def kernel(k, lo, hi):  # row i, column j at n − k = (lo − k[0] + j) − i
+        rows, cols = slice(k[0], k[0] + k.size), slice(lo - k[0], hi - k[0])
+        return _binomial_terms(
+            log_fact[lo:hi], log_fact[rows, None], log_rest[: k.size, cols],
+            xlog_k[rows, None], xlog_rest[: k.size, cols], inside[: k.size, cols],
+        )
+
+    return kernel
+
+
 def binomial_thin(
     dist: PhotonNumberDistribution, efficiency: float
 ) -> PhotonNumberDistribution:
@@ -376,13 +412,25 @@ def binomial_thin(
     all 0 stays exactly 0, and η = 0, η = 1 and a subnormal η take the same
     path. At η = 0.55 that is 1.4M kernel terms instead of the full
     triangle's 3.2M for thermal(100) (N = 2534 entries), and 33M instead of
-    313M for thermal(1000); memory stays linear in N.
+    313M for thermal(1000).
+
+    A kernel term has O(N) distinct pieces: log n! by column, log k! and
+    k·log η by row, and log (n−k)!, (n−k)·log1p(−η) and the mask k ≤ n by
+    diagonal. They are tabled once per call, the diagonal ones over
+    n − k = −127…N−1 with the entries ``_binomial_pmf`` gives there and
+    seen through one 128 × N Toeplitz view each, which a block reads by
+    slicing, so a term costs four adds, one exp and one select instead of
+    three log-gamma and two log calls. ``_binomial_terms`` sums the same
+    pieces in the same order and the block product is the same
+    matrix-vector product, so the result is bit for bit what
+    ``_binomial_pmf`` over the band gives. Memory stays linear in N.
     """
     efficiency = _real(efficiency, "efficiency", 0, 1)
     p, size = dist.probs, dist.probs.size
+    kernel = _thin_kernel(size, efficiency)
 
     def band(k, lo, hi):  # Σ p(n)·C(n,k) η^k (1−η)^(n−k) over lo ≤ n < hi, per k
-        return _binomial_pmf(k[:, None], np.arange(lo, hi), efficiency) @ p[lo:hi]
+        return kernel(k, lo, hi) @ p[lo:hi]
 
     probs = np.empty(size)
     for k0 in range(0, size, _THIN_BLOCK):

@@ -722,7 +722,7 @@ class TestReconstruction:
         with pytest.raises(ContractError, match="trace"):
             ReconstructionResult(
                 s_hat=np.zeros(4),
-                iterations=10,
+                iterations=9,
                 objective_trace=np.array([9.0, 8, 7, 6, 5, 4, 3, 2, 2.5, 2.4]),
                 residual=0.1,
             )
@@ -742,6 +742,16 @@ class TestReconstruction:
             ReconstructionResult(
                 np.zeros(4), 2, np.array([1.0, 0.5, 0.4]), 0.1, "max_iter", 0.1, restarts
             )
+
+    @pytest.mark.parametrize("iterations", [2.5, True, None, -1])
+    def test_iterations_that_are_not_a_count_rejected(self, iterations):
+        with pytest.raises(ContractError, match="iterations must be an integer"):
+            ReconstructionResult(np.zeros(4), iterations, np.array([1.0, 0.5]), 0.1)
+
+    @pytest.mark.parametrize("trace", [[1.0, 0.5], [1.0, 0.5, 0.4, 0.3]])
+    def test_trace_not_one_longer_than_iterations_rejected(self, trace):
+        with pytest.raises(ContractError, match="iterations \\+ 1 = 3"):
+            ReconstructionResult(np.zeros(4), 2, np.array(trace), 0.1)
 
     def test_restarts_up_to_iterations_accepted(self):
         trace = np.array([1.0, 0.5, 0.4])

@@ -30,6 +30,7 @@ from photonstats.states import (
     _negbin_pmf,
     _negbin_tail,
     _poisson_pmf,
+    _thin_kernel,
     format_float,
     from_json_array,
     read_csv,
@@ -178,7 +179,7 @@ class TestCombinators:
         elapsed = time.perf_counter() - start
         ref = pmf(thermal(550.0), cutoff=thinned.n_max).probs
         assert np.max(np.abs(thinned.probs - ref)) < 1e-12
-        # about 1.3 s on a 2-vCPU VM; the full kernel took 14 s there
+        # about 0.5 s on a 2-vCPU VM; the full kernel took 14 s there
         assert elapsed < 6.0, elapsed
 
     def test_thinning_memory_is_linear_in_the_support(self):
@@ -193,6 +194,31 @@ class TestCombinators:
         assert peak < dense_kernel_bytes / 2
         ref = pmf(thermal(55.0), cutoff=thinned.n_max).probs
         assert np.max(np.abs(thinned.probs - ref)) < 1e-12
+
+    @pytest.mark.parametrize("efficiency", [0.55, 0.0, 1.0, 2.2e-311, 5e-324, 1.0 - 2.0**-53])
+    def test_band_kernel_is_the_binomial_kernel_bit_for_bit(self, efficiency):
+        size = 300  # two full blocks of 128 rows and a partial one of 44
+        kernel = _thin_kernel(size, efficiency)
+        for k0 in range(0, size, 128):
+            k = np.arange(k0, min(k0 + 128, size))
+            # from the block's first column (its k > n corner) on, from its
+            # last row's diagonal on, an interior band, one column, and both
+            # empty bands
+            for lo, hi in [(k0, size), (k[-1], size), (k0 + 40, k0 + 200), (k0 + 7, k0 + 8), (k0, k0), (size, size)]:
+                lo, hi = min(lo, size), min(hi, size)
+                got = kernel(k, lo, hi)
+                want = _binomial_pmf(k[:, None], np.arange(lo, hi), efficiency)
+                assert got.shape == want.shape == (k.size, hi - lo)
+                assert got.flags.c_contiguous  # the same matrix-vector product as the dense rows
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (k0, lo, hi)
+
+    def test_subnormal_efficiency_leaves_every_later_block_an_empty_band(self):
+        source = pmf(thermal(40.0))  # 1034 entries: blocks past the first start at lo = hi = N
+        n = np.arange(source.probs.size)
+        thinned = binomial_thin(source, 2.2e-311)
+        first = _binomial_pmf(n[:128, None], n, 2.2e-311) @ source.probs
+        assert np.array_equal(thinned.probs[:128], first)
+        assert not np.any(thinned.probs[128:])
 
     def test_bad_efficiency_rejected(self):
         with pytest.raises(DomainError, match="efficiency"):

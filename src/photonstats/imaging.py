@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -44,6 +45,8 @@ from .montecarlo import (
     DetectorModel,
     RngSeed,
     _check_draw_mean,
+    _class_split,
+    _rekey,
     _shots_reading,
     _thermal_classes,
     _thermal_total,
@@ -117,6 +120,12 @@ class SensingMatrix:
     @property
     def n_pixels(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def metric(self) -> tuple[float, float]:
+        """(β, λ) of `cs_reconstruct`'s solver metric, from `_rank_one_metric`:
+        computed on first use and kept, as the matrix is read-only."""
+        return _rank_one_metric(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -392,6 +401,13 @@ def acquire(
     over C. Each row has exactly the law of its per-shot estimator. An
     intensity row's cost does not depend on S; a post(N) or subtract(N)
     row's grows like log S, the number of photon-number classes.
+
+    A call makes one generator and `_rekey`s it to each substream, which
+    gives the bits a fresh generator per substream would. post(N) and
+    subtract(N) first draw every row's classes, then build one class-split
+    table (`_class_split`) over every photon number any row holds, and each
+    row reads its classes' entries; the streams and y are those of a
+    generator and a table per row.
     """
     if masks.n_pixels != scene.values.size:
         raise ContractError(
@@ -422,31 +438,44 @@ def acquire(
     to_b = s2 * arms.det_b.efficiency
     to_a = min(1.0, c2 * arms.det_a.efficiency / (1.0 - to_b)) if to_b < 1.0 else 0.0
     y = np.empty(projections.size)
-    for t, n_t in enumerate(projections):
-        source_seed = RngSeed(seed.seed, seed.stream_id + 2 * t)
-        detect_seed = RngSeed(seed.seed, seed.stream_id + 2 * t + 1)
-        rng = make_generator(detect_seed)
-        if kind == "intensity":
-            total = _thermal_total(float(n_t), shots, source_seed)
-            kept = rng.binomial(total, c2 * arms.det_a.efficiency)
-            y[t] = (kept + rng.poisson(shots * arms.det_a.dark_rate)) / shots
-            continue
-        numbers, counts = _thermal_classes(float(n_t), shots, source_seed)
+    rng = make_generator(seed)
+
+    def substream(t: int, detect: int) -> np.random.Generator:
+        return _rekey(rng, RngSeed(seed.seed, seed.stream_id + 2 * t + detect))
+
+    if kind == "intensity":
+        keep, dark = c2 * arms.det_a.efficiency, shots * arms.det_a.dark_rate
+        for t, n_t in enumerate(projections):
+            total = _thermal_total(float(n_t), shots, substream(t, 0))
+            detect = substream(t, 1)
+            y[t] = (detect.binomial(total, keep) + detect.poisson(dark)) / shots
+        return y
+    # every row's classes first, so that one split table covers them all
+    classes = [
+        _thermal_classes(float(n_t), shots, substream(t, 0)) for t, n_t in enumerate(projections)
+    ]
+    levels, level_of = np.unique(np.concatenate([numbers for numbers, _ in classes]), return_inverse=True)
+    ends = np.cumsum([numbers.size for numbers, _ in classes])[:-1]
+    if kind == "post":
+        split, match = _class_split(levels, c2 * arms.det_a.efficiency, arms.det_a.dark_rate, big_n)
+    else:
+        split, match = _class_split(levels, to_b, arms.det_b.dark_rate, big_n)
+    for t, ((numbers, counts), rows) in enumerate(zip(classes, np.split(level_of, ends))):
+        detect = substream(t, 1)
+        reading = _shots_reading(counts, split[rows], match, detect)
         if kind == "post":
-            reading = _shots_reading(numbers, counts, c2 * arms.det_a.efficiency, arms.det_a, big_n, rng)
             y[t] = reading.sum() / shots
             continue
-        # kept[n, j]: shots of n photons, j of them detected in arm b, that
-        # read N in arm b; their other n − j photons may reach arm a
-        kept = _shots_reading(numbers, counts, to_b, arms.det_b, big_n, rng)
-        hits = int(kept.sum())
+        # reading[n, j]: shots of n photons, j of them detected in arm b,
+        # that read N in arm b; their other n − j photons may reach arm a
+        hits = int(reading.sum())
         if hits == 0:
             raise AccuracyError(
                 f"no {big_n}-count events in arm b at row {t}; increase shots"
             )
         n_left = np.maximum(numbers[:, None] - np.arange(big_n + 1), 0)
-        others = int((kept * n_left).sum())
-        y[t] = (rng.binomial(others, to_a) + rng.poisson(hits * arms.det_a.dark_rate)) / hits
+        others = int((reading * n_left).sum())
+        y[t] = (detect.binomial(others, to_a) + detect.poisson(hits * arms.det_a.dark_rate)) / hits
     return y
 
 
@@ -618,7 +647,9 @@ def cs_reconstruct(
     of 567), and a 1/λmax step crawls along every other direction. So each step
     is taken in the metric M = I + β·eeᵀ, e = 1/√n (Becker & Fadili, NIPS
     2012), with β and L = μ·λmax(M^{-1/2}QᵀQM^{-1/2}) from `_rank_one_metric`;
-    when Q has no dominant all-ones mode β is 0 and M = I. A step from the
+    when Q has no dominant all-ones mode β is 0 and M = I. β and λ are
+    computed once per `SensingMatrix` (its ``metric``) and kept for every
+    solve on it, and once per call for a raw array. A step from the
     momentum point z moves to v = z − M⁻¹∇f(z)/L, where
     M⁻¹g = g − (β/(1+β))·mean(g)·1, and then takes the prox of TV (weight
     1/L) and, by default, of s ≥ 0, in the metric M. That prox is exact in
@@ -683,7 +714,7 @@ def cs_reconstruct(
         return ReconstructionResult(zeros, 0, [0.0], float(np.linalg.norm(y)), "converged", 0.0)
     y_scaled = y / scale
 
-    beta, lam = _rank_one_metric(q)
+    beta, lam = masks.metric if isinstance(masks, SensingMatrix) else _rank_one_metric(q)
     if lam == 0.0:
         raise DomainError("sensing matrix is identically zero")
     base_step = 1.0 / (mu * lam)

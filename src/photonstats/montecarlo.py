@@ -27,7 +27,8 @@ grows like log S, not like S. `_shots_reading` then thins each class as a
 whole: shots with the same n are exchangeable, so one multinomial draw over
 Binomial(n, p) at k = 0..N, plus one cell for k > N, splits a class by its
 kept photons k, and Bin(·, Poisson(N − k; ν)) shots of each cell read
-exactly N counts; both laws are the `states` kernels. `sample_source` and
+exactly N counts; both laws are the `states` kernels, tabled once by
+`_class_split` for every class a caller draws. `sample_source` and
 `split_and_detect` per shot stay the oracle.
 
 Every count is an int64. A draw whose mean, per shot or summed over the
@@ -37,7 +38,10 @@ anything is drawn.
 Reproducibility contract: generators are counter-based (Philox) keyed by
 (seed, stream_id), so identical seeds give identical samples on every
 platform and distinct stream_ids give provably disjoint streams for parallel
-sweeps.
+sweeps. A caller that walks many substreams keeps one generator and
+`_rekey`s it to each: that puts its Philox in the state a fresh
+`make_generator` of the substream holds, so its draws are the same bits
+without the cost of building a generator per substream.
 """
 
 from __future__ import annotations
@@ -145,6 +149,25 @@ def make_generator(seed: RngSeed | int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed.key()))
 
 
+def _rekey(rng: np.random.Generator, seed: RngSeed) -> np.random.Generator:
+    """``rng`` at the start of ``seed``'s stream: its Philox set to the state
+    of a fresh ``Philox(key=seed.key())``, counter 0, no buffered output, so
+    its draws from here are those of ``make_generator(seed)``, bit for bit."""
+    key = seed.key()
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def sample_source(source: SourceSpec, n_samples: int, seed: RngSeed | int) -> np.ndarray:
     """i.i.d. photon numbers from the exact source law.
 
@@ -168,20 +191,22 @@ def sample_source(source: SourceSpec, n_samples: int, seed: RngSeed | int) -> np
     return draws
 
 
-def _thermal_total(mean: float, n_samples: int, seed: RngSeed) -> int:
+def _thermal_total(mean: float, n_samples: int, rng: np.random.Generator) -> int:
     """Σn over ``n_samples`` thermal(``mean``) shots of `sample_source`,
-    drawn as one number: the failures before the S-th success of a
-    1/(1+n̄) coin, NegBin(S, 1/(1+n̄)), as a sum of S geometric draws."""
+    drawn from ``rng`` as one number: the failures before the S-th success
+    of a 1/(1+n̄) coin, NegBin(S, 1/(1+n̄)), as a sum of S geometric draws."""
     _check_draw_mean(mean, n_samples, summed=True)
     if mean == 0.0:
         return 0
-    return int(make_generator(seed).negative_binomial(n_samples, 1.0 / (1.0 + mean)))
+    return int(rng.negative_binomial(n_samples, 1.0 / (1.0 + mean)))
 
 
-def _thermal_classes(mean: float, n_samples: int, seed: RngSeed) -> tuple[np.ndarray, np.ndarray]:
+def _thermal_classes(
+    mean: float, n_samples: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """(n, H_n) for each photon number n held by at least one of
     ``n_samples`` thermal(``mean``) shots of `sample_source`, H_n the number
-    of shots holding it, n ascending.
+    of shots holding it, n ascending, drawn from ``rng``.
 
     The geometric's memoryless coin decides class by class: of the R shots
     holding at least n photons, Bin(R, 1/(1+n̄)) stop at n and the rest go
@@ -195,7 +220,6 @@ def _thermal_classes(mean: float, n_samples: int, seed: RngSeed) -> tuple[np.nda
     _check_draw_mean(mean, n_samples)
     if mean == 0.0:
         return np.zeros(1, dtype=np.int64), np.array([n_samples], dtype=np.int64)
-    rng = make_generator(seed)
     stop, go_on = 1.0 / (1.0 + mean), mean / (1.0 + mean)
     size = max(1, min(_CLASS_BLOCK, math.ceil(16.0 / math.log1p(1.0 / mean))))
     cells = np.append(stop * go_on ** np.arange(size), go_on**size)
@@ -213,26 +237,31 @@ def _thermal_classes(mean: float, n_samples: int, seed: RngSeed) -> tuple[np.nda
     return np.concatenate(numbers), np.concatenate(counts)
 
 
-def _shots_reading(
-    numbers: np.ndarray,
-    counts: np.ndarray,
-    keep: float,
-    detector: DetectorModel,
-    big_n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Of the H_n shots (``counts``) holding n photons (``numbers``), how
-    many keep k of their photons, each with probability ``keep``, and read
-    exactly N once ``detector``'s Poisson(ν) dark counts are added: an (n, k)
-    array over k = 0..N. The shots of a class are exchangeable, so it splits
-    by k in one multinomial draw over Binomial(n, keep) at k = 0..N plus one
-    cell for k > N; then Bin(·, Poisson(N − k; ν)) shots of each cell read N.
-    """
+def _class_split(
+    numbers: np.ndarray, keep: float, dark_rate: float, big_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tables `_shots_reading` draws with, for shots holding n photons
+    (``numbers``), each kept with probability ``keep``, read by a detector
+    with Poisson(``dark_rate``) dark counts: per n, Binomial(n, keep) at
+    k = 0..N plus one cell for k > N; and Poisson(N − k; ν) over k = 0..N,
+    the chance that k kept photons read exactly N. Both are the `states`
+    kernels, entry by entry, so a table over more numbers than one row holds
+    has the same bits in every row."""
     k = np.arange(big_n + 1)
     split = _binomial_pmf(k, numbers[:, None], keep)
     split = np.hstack([split, np.maximum(1.0 - split.sum(axis=1, keepdims=True), 0.0)])
-    match = _poisson_pmf(big_n - k, detector.dark_rate)
-    return rng.binomial(rng.multinomial(counts, split)[:, : big_n + 1], match)
+    return split, _poisson_pmf(big_n - k, dark_rate)
+
+
+def _shots_reading(
+    counts: np.ndarray, split: np.ndarray, match: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Of the H_n shots (``counts``) of each photon-number class, how many
+    keep k of their photons and read exactly N: an (n, k) array over
+    k = 0..N. The shots of a class are exchangeable, so it splits by k in one
+    multinomial draw over its row of ``split``; then Bin(·, ``match``[k])
+    shots of each cell read N (tables from `_class_split`)."""
+    return rng.binomial(rng.multinomial(counts, split)[:, : match.size], match)
 
 
 def _photon_counts(counts, name: str) -> np.ndarray:
@@ -291,7 +320,8 @@ def empirical_g2(samples: np.ndarray) -> tuple[float, float]:
 
     Writing g = m2/m1² with m1 = ⟨n⟩ and m2 = ⟨n(n−1)⟩, the gradient is
     (−2 m2/m1³, 1/m1²) and the error follows from the sample covariance of
-    (n, n(n−1)) scaled by 1/N.
+    (n, n(n−1)) scaled by 1/N, its three entries dot products of the centred
+    samples and pairs over N − 1. ``samples`` is never written to.
     """
     samples = _real(samples, "samples", grid=True)
     if samples.ndim != 1 or samples.size < 2:
@@ -303,7 +333,9 @@ def empirical_g2(samples: np.ndarray) -> tuple[float, float]:
     if m1 <= 0.0:
         raise UndefinedCoherenceError("empirical g2 undefined for zero-mean samples")
     g2 = m2 / (m1 * m1)
-    grad = np.array([-2.0 * m2 / m1**3, 1.0 / (m1 * m1)])
-    cov = np.cov(np.stack([samples, pairs])) / n
-    var = float(grad @ cov @ grad)
+    d1, d2 = -2.0 * m2 / m1**3, 1.0 / (m1 * m1)
+    centred = samples - m1
+    pairs -= m2  # centred in place: pairs is this call's own array
+    c11, c12, c22 = float(centred @ centred), float(centred @ pairs), float(pairs @ pairs)
+    var = (d1 * d1 * c11 + 2.0 * d1 * d2 * c12 + d2 * d2 * c22) / ((n - 1) * n)
     return float(g2), math.sqrt(max(var, 0.0))

@@ -118,6 +118,7 @@ def detected_pmf(
         start,
         lambda c: big_a * float(law(np.array([c]))[0]) + _negbin_tail(big_b, 0, c),
         tail_target,
+        f"mode means {cfg.mode_means!r} of {cfg!r}",
     )
     return PhotonNumberDistribution(law(np.arange(n_max + 1)), tail_bound)
 
@@ -172,7 +173,9 @@ def p_function_convolution_check(
         raise DomainError(
             f"mean_1 {mean_1!r} and mean_2 {mean_2!r} are too large for a finite cutoff"
         ) from None
-    n_max, tail = _grow_cutoff(start, lambda c: _negbin_tail(combined, 0, c), tail_target)
+    n_max, tail = _grow_cutoff(
+        start, lambda c: _negbin_tail(combined, 0, c), tail_target, f"mean_1 {mean_1!r} and mean_2 {mean_2!r}"
+    )
 
     order = n_max // 2 + 8
     nodes, weights = special.roots_laguerre(order)

@@ -145,7 +145,9 @@ def subtracted_pmf(
         raise DomainError(
             f"mean {mean!r} at level {level} is too large for a finite cutoff"
         ) from None
-    n_max, tail = _grow_cutoff(start, lambda c: _negbin_tail(mean, level, c), tail_target)
+    n_max, tail = _grow_cutoff(
+        start, lambda c: _negbin_tail(mean, level, c), tail_target, f"mean {mean!r} at level {level}"
+    )
     return PhotonNumberDistribution(_negbin_pmf(np.arange(n_max + 1), level, mean), tail)
 
 

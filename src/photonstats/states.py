@@ -88,6 +88,11 @@ DEFAULT_TAIL_TARGET = 1e-10
 # Numerical slack for "sums to one": accumulated float error over ~1e3 terms.
 _SUM_SLACK = 1e-12
 
+# Most entries one truncated pmf may hold: 1 GiB of float64. A cutoff past it
+# is refused with DomainError, whose message quotes this budget, before any
+# array is made.
+_ENTRY_BUDGET = 2**27
+
 _THIN_BLOCK = 128  # kernel rows per block, and columns per step, in binomial_thin
 _THIN_DELTA = 1e-17  # relative mass each binomial_thin row may leave out
 
@@ -254,14 +259,25 @@ def default_cutoff(mean_total: float) -> int:
     return max(16, math.ceil(baseline))
 
 
+def _check_budget(n_max: int, what: str) -> int:
+    """``n_max``, if a pmf over 0..n_max fits `_ENTRY_BUDGET`; else
+    DomainError naming ``what``, the input that asks for it."""
+    if n_max >= _ENTRY_BUDGET:
+        raise DomainError(
+            f"{what}: its pmf needs over 2**27 entries, past the budget of 1 GiB of float64"
+        )
+    return n_max
+
+
 def _grow_cutoff(
-    n_max: int, tail: Callable[[int], float], tail_target: float
+    n_max: int, tail: Callable[[int], float], tail_target: float, what: str = "a truncated law"
 ) -> tuple[int, float]:
     """The truncation loop of every truncated law (see the module docstring):
     grow ``n_max`` until ``tail(n_max)`` ≤ ``tail_target``; return the cutoff
-    and its tail."""
+    and its tail. A cutoff past `_ENTRY_BUDGET` raises DomainError naming
+    ``what`` before its tail is taken."""
     tail_target = _real(tail_target, "tail_target", 0)
-    current = tail(n_max)
+    current = tail(_check_budget(n_max, what))
     steps = 0
     while not current <= tail_target:
         if steps == 64:
@@ -271,7 +287,7 @@ def _grow_cutoff(
             )
         n_max = math.ceil(n_max * 1.25) + 8
         steps += 1
-        previous, current = current, tail(n_max)
+        previous, current = current, tail(_check_budget(n_max, what))
         if not current < previous:
             raise AccuracyError(
                 f"truncated mass stalled at {current:g} above tail_target "
@@ -295,15 +311,18 @@ def pmf(
 
     With ``cutoff=None`` the baseline rule is used and then extended until the
     exact tail mass drops to ``tail_target`` or below. An explicit ``cutoff``
-    is honored verbatim, with the true tail recorded in the result.
+    is honored verbatim, with the true tail recorded in the result. A cutoff
+    of `_ENTRY_BUDGET` or more, given or grown, raises DomainError.
     """
     if cutoff is not None:
         cutoff = _count(cutoff, "cutoff")
+        _check_budget(cutoff, f"cutoff {cutoff}")
     mean = source.mean
+    what = f"{source.kind} mean {mean!r}"
 
     if source.kind == "fock":
         n = int(mean)
-        n_max = max(default_cutoff(0.0), n) if cutoff is None else cutoff
+        n_max = _check_budget(max(default_cutoff(0.0), n), what) if cutoff is None else cutoff
         if n_max < n:
             raise ContractError(f"cutoff {n_max} cannot hold fock({n})")
         probs = np.zeros(n_max + 1)
@@ -315,7 +334,7 @@ def pmf(
     else:  # coherent; pdtrc is the Poisson survival function
         law, tail_of = (lambda n: _poisson_pmf(n, mean)), (lambda c: float(special.pdtrc(c, mean)))
     if cutoff is None:
-        n_max, tail = _grow_cutoff(default_cutoff(mean), tail_of, tail_target)
+        n_max, tail = _grow_cutoff(default_cutoff(mean), tail_of, tail_target, what)
     else:
         n_max, tail = cutoff, tail_of(cutoff)
     return PhotonNumberDistribution(law(np.arange(n_max + 1)), tail)

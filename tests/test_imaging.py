@@ -38,6 +38,7 @@ from photonstats import (
     thermal,
     tv_prox,
 )
+from photonstats import imaging
 from photonstats.imaging import (
     _SOLVER_SWEEPS,
     _conditional_mean,
@@ -323,6 +324,22 @@ class TestAcquire:
         scene = scale_scene_to_projection(binary_phantom(8, 8), masks, mean)
         with pytest.raises(DomainError, match="20000 shots"):
             acquire(scene, masks, NOISY, mode=mode, shots=20_000, seed=1)
+
+    @pytest.mark.parametrize("mode", ["intensity", "post(3)", "subtract(1)"])
+    def test_each_row_draws_on_its_own_substreams(self, mode):
+        """Row t of a 256-row acquisition is, bit for bit, the one-row
+        acquisition of mask t on RngSeed(seed, stream_id + 2t): rows share a
+        generator and a class-split table but no draws. The scene is dyadic
+        (1/64 per lit pixel), so every projection is exact whatever the
+        matrix product's blocking."""
+        masks = random_sensing_matrix(256, 1024, seed=7)
+        scene = SensingScene(binary_phantom(32, 32).values / 64.0, width=32, height=32)
+        seed = RngSeed(11, 5)
+        y = acquire(scene, masks, NOISY, mode=mode, shots=20_000, seed=seed)
+        for t in range(masks.n_measurements):
+            row = SensingMatrix(masks.matrix[t : t + 1])
+            alone = acquire(scene, row, NOISY, mode=mode, shots=20_000, seed=RngSeed(11, 5 + 2 * t))
+            assert alone.tobytes() == y[t : t + 1].tobytes(), t
 
     def test_arm_b_is_drawn_only_when_subtracting(self):
         scene = binary_phantom(8, 8)
@@ -621,6 +638,30 @@ class TestTvMachinery:
         true = float(np.linalg.eigvalsh(inv_root @ q.T @ q @ inv_root).max())
         assert lam == pytest.approx(true, rel=1e-12)
         assert lam < float(np.linalg.eigvalsh(q.T @ q).max()) / 4.0
+
+    def test_sensing_matrix_computes_its_metric_once(self, monkeypatch):
+        """`SensingMatrix.metric` is `_rank_one_metric` of its matrix, taken
+        on first use and kept for every solve; a raw array has it computed
+        per call. Both give the same solve, bit for bit."""
+        masks = random_sensing_matrix(64, 256, seed=4)
+        y = acquire(scale_scene_to_projection(binary_phantom(16, 16), masks, 0.8), masks, IDEAL)
+        calls = []
+
+        def counted(q):
+            calls.append(q.shape)
+            return _rank_one_metric(q)
+
+        monkeypatch.setattr(imaging, "_rank_one_metric", counted)
+        assert masks.metric == _rank_one_metric(masks.matrix)
+        kept = [cs_reconstruct(masks, y, mu=100.0, max_iter=60) for _ in range(3)]
+        assert len(calls) == 1
+        raw = cs_reconstruct(masks.matrix, y, mu=100.0, max_iter=60)
+        assert len(calls) == 2
+        for res in kept:
+            assert res.s_hat.tobytes() == raw.s_hat.tobytes()
+            assert res.objective_trace.tobytes() == raw.objective_trace.tobytes()
+            assert (res.iterations, res.restarts, res.stop_reason) == (raw.iterations, raw.restarts, raw.stop_reason)
+            assert res.gradient_mapping == raw.gradient_mapping and res.residual == raw.residual
 
     def test_metric_is_the_identity_without_an_all_ones_mode(self):
         beta, lam = _rank_one_metric(np.eye(16))

@@ -22,7 +22,7 @@ from photonstats import (
     split_and_detect,
     thermal,
 )
-from photonstats.montecarlo import _thermal_classes, _thermal_total
+from photonstats.montecarlo import _rekey, _thermal_classes, _thermal_total
 
 SHOTS = 200_000
 
@@ -58,6 +58,37 @@ def test_sample_source_moments(source, mean, var):
     assert counts.min() >= 0
 
 
+def _every_draw(rng):
+    """One draw of each kind the samplers make, as bytes."""
+    draws = [
+        rng.random(5),
+        rng.integers(0, 10**6, size=7),
+        rng.integers(0, 2**32, size=3, dtype=np.uint32),
+        rng.geometric(0.3, size=5),
+        rng.binomial(1000, 0.37, size=5),
+        rng.multinomial(50, [0.2, 0.3, 0.5], size=3),
+        rng.negative_binomial(7, 0.4, size=5),
+        rng.poisson(2.5, size=5),
+    ]
+    return [d.tobytes() for d in draws]
+
+
+@pytest.mark.parametrize("seed", [RngSeed(0), RngSeed(9, 3), RngSeed(2**64 - 1, 2**64 - 1)])
+def test_rekey_gives_the_bits_of_a_fresh_generator(seed):
+    """A generator re-keyed to a stream draws what `make_generator` of that
+    stream draws, bit for bit, even one that has just left half a 64-bit
+    word buffered (an odd count of uint32 draws) and numpy's binomial set-up
+    cached for the same (n, p)."""
+    rng = make_generator(RngSeed(5, 1))
+    rng.binomial(1000, 0.37)
+    rng.integers(0, 2**32, size=3, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    assert _rekey(rng, seed) is rng
+    assert _every_draw(rng) == _every_draw(make_generator(seed))
+    again = _every_draw(_rekey(rng, seed))
+    assert again == _every_draw(make_generator(seed))
+
+
 @pytest.mark.parametrize(("source", "draw"), [
     (thermal(1.5), lambda rng, n: rng.geometric(1.0 / 2.5, size=n) - 1),
     (coherent(1.5), lambda rng, n: rng.poisson(1.5, size=n)),
@@ -80,7 +111,7 @@ def test_thermal_total_follows_the_law_of_a_sum_of_shots():
     chi-square over the totals expecting at least 50 draws plus one cell for
     the rest, inside a two-sided 1e-9 band."""
     draws, law = 5000, stats.nbinom(5, 1.0 / 2.4)
-    totals = np.array([_thermal_total(1.4, 5, RngSeed(seed)) for seed in range(draws)])
+    totals = np.array([_thermal_total(1.4, 5, make_generator(RngSeed(seed))) for seed in range(draws)])
     cells = np.arange(int(law.isf(1e-9)))
     expected = draws * law.pmf(cells)
     kept = expected >= 50.0
@@ -93,7 +124,7 @@ def test_thermal_total_follows_the_law_of_a_sum_of_shots():
 
 
 def test_thermal_total_of_vacuum_is_zero():
-    assert _thermal_total(0.0, 10**12, RngSeed(0)) == 0
+    assert _thermal_total(0.0, 10**12, make_generator(RngSeed(0))) == 0
 
 
 @pytest.mark.parametrize("draw", [
@@ -102,9 +133,9 @@ def test_thermal_total_of_vacuum_is_zero():
     lambda: sample_source(thermal(1e20), 5, RngSeed(1)),
     # numpy raises a bare ValueError("lam value too large")
     lambda: sample_source(coherent(1e19), 5, RngSeed(1)),
-    lambda: _thermal_classes(1e20, 5, RngSeed(1)),
+    lambda: _thermal_classes(1e20, 5, make_generator(RngSeed(1))),
     # a total of 2e19 photons: numpy's negative_binomial raises ValueError
-    lambda: _thermal_total(1e15, 20_000, RngSeed(1)),
+    lambda: _thermal_total(1e15, 20_000, make_generator(RngSeed(1))),
 ], ids=["thermal", "coherent", "classes", "total"])
 def test_draws_that_cannot_fit_in_int64_are_rejected(draw):
     with pytest.raises(DomainError, match=r"shots expects .* past 2\*\*57"):
@@ -113,7 +144,7 @@ def test_draws_that_cannot_fit_in_int64_are_rejected(draw):
 
 def test_draws_at_the_int64_bound_are_taken():
     assert sample_source(thermal(2.0**57), 5, RngSeed(1)).min() >= 0
-    assert _thermal_total(2.0**52, 32, RngSeed(1)) > 0
+    assert _thermal_total(2.0**52, 32, make_generator(RngSeed(1))) > 0
 
 
 @pytest.mark.parametrize(("mean", "shots", "seeds"), [
@@ -130,7 +161,7 @@ def test_thermal_classes_follow_the_bose_einstein_law(mean, shots, seeds):
     edges = np.unique(law.ppf(np.linspace(0.0, 1.0, 21)[1:-1]))
     observed = np.zeros(edges.size + 1)
     for seed in range(seeds):
-        numbers, counts = _thermal_classes(mean, shots, RngSeed(seed))
+        numbers, counts = _thermal_classes(mean, shots, make_generator(RngSeed(seed)))
         assert counts.sum() == shots and np.all(counts > 0) and np.all(np.diff(numbers) > 0)
         np.add.at(observed, np.searchsorted(edges, numbers), counts)
     expected = shots * seeds * np.diff(np.concatenate([[0.0], law.cdf(edges), [1.0]]))
@@ -145,11 +176,11 @@ def test_thermal_classes_hold_every_shot_at_any_shot_count():
     least 100 shots is within 6 standard errors of S·p(1−p)^n."""
     shots = 10**12
     for mean in (0.0, 0.8, 100.0):
-        numbers, counts = _thermal_classes(mean, shots, RngSeed(2))
+        numbers, counts = _thermal_classes(mean, shots, make_generator(RngSeed(2)))
         assert counts.sum() == shots and numbers[0] == 0
         assert np.all(counts > 0) and np.all(np.diff(numbers) > 0)
     p_n = stats.geom(1.0 / 1.8, loc=-1).pmf(np.arange(40))
-    numbers, counts = _thermal_classes(0.8, shots, RngSeed(3))
+    numbers, counts = _thermal_classes(0.8, shots, make_generator(RngSeed(3)))
     held = np.zeros(40)
     held[numbers[numbers < 40]] = counts[numbers < 40]
     sure = shots * p_n >= 100.0
@@ -277,6 +308,21 @@ class TestEmpiricalG2:
         counts = sample_source(coherent(1.5), SHOTS, RngSeed(31))
         g2, se = empirical_g2(counts)
         assert abs(g2 - 1.0) < 4.0 * se
+
+    def test_matches_the_covariance_form_and_leaves_samples_unchanged(self):
+        """g2 is the ratio of the two sample means, bit for bit, and se is
+        the delta-method error from `np.cov` of (n, n(n−1)) to rtol 1e-12;
+        a float64 input, which the call reads without copying, is unchanged."""
+        counts = sample_source(thermal(1.3), SHOTS, RngSeed(37)).astype(float)
+        before = counts.copy()
+        g2, se = empirical_g2(counts)
+        np.testing.assert_array_equal(counts, before)
+        pairs = counts * (counts - 1.0)
+        m1, m2 = counts.mean(), pairs.mean()
+        assert g2 == m2 / (m1 * m1)
+        grad = np.array([-2.0 * m2 / m1**3, 1.0 / (m1 * m1)])
+        cov = np.cov(np.stack([counts, pairs])) / counts.size
+        assert se == pytest.approx(math.sqrt(float(grad @ cov @ grad)), rel=1e-12)
 
     def test_zero_mean_sample_rejected(self):
         with pytest.raises(UndefinedCoherenceError):

@@ -340,6 +340,28 @@ class TestValidationAndSerialization:
         with pytest.raises(DomainError, match=r"^mean_total 1e\+308 is too large"):
             pmf(source)
 
+    @pytest.mark.parametrize(("make", "named"), [
+        (lambda: pmf(thermal(1e306)), r"^thermal mean 1e\+306: "),
+        (lambda: pmf(coherent(5e17)), r"^coherent mean 5e\+17: "),
+        (lambda: pmf(thermal(1e9)), r"^thermal mean 1000000000\.0: "),
+        (lambda: pmf(coherent(1.0), cutoff=2**40), r"^cutoff 1099511627776: "),
+    ], ids=["thermal-1e306", "coherent-5e17", "thermal-1e9", "cutoff"])
+    def test_a_cutoff_past_the_entry_budget_is_refused_before_any_array(self, make, named):
+        """Cutoffs whose pmf would not fit in 1 GiB of float64, baseline or
+        given, raise DomainError naming their parameter, at once: under 1 s
+        and a 1 MB allocation peak."""
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=named + r"its pmf needs over 2\*\*27 entries"):
+                make()
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 2**20
+
     def test_csv_round_trip(self):
         dist = pmf(thermal(1.3), tail_target=1e-11)
         buf = io.StringIO()

@@ -384,7 +384,7 @@ def modulation_frequency(x: np.ndarray, y: np.ndarray) -> float:
     windowed = detrended * np.hanning(x.size)
     mag = np.abs(np.fft.rfft(windowed))
     peak = int(np.argmax(mag[1:])) + 1
-    if peak == 0 or peak >= mag.size - 1:
+    if peak >= mag.size - 1:
         raise AccuracyError("no interior spectral peak found")
     with np.errstate(divide="ignore"):
         la, lc, lb = (

@@ -34,7 +34,6 @@ from .states import (
     PhotonNumberDistribution,
     _grow_cutoff,
     _negbin_tail,
-    default_cutoff,
 )
 
 __all__ = [
@@ -108,14 +107,8 @@ def detected_pmf(
             m = n + 1.0
             return np.exp(m * log_ra) / (big_a - big_b) * -np.expm1(m * log_q)
 
-    try:
-        start = default_cutoff(big_a + big_b)
-    except DomainError:  # A + B overflows, or its baseline cutoff does
-        raise DomainError(
-            f"mode means {cfg.mode_means!r} of {cfg!r} are too large for a finite cutoff"
-        ) from None
     n_max, tail_bound = _grow_cutoff(
-        start,
+        big_a + big_b,
         lambda c: big_a * float(law(np.array([c]))[0]) + _negbin_tail(big_b, 0, c),
         tail_target,
         f"mode means {cfg.mode_means!r} of {cfg!r}",
@@ -167,14 +160,8 @@ def p_function_convolution_check(
     not an identity wired into the code.
     """
     combined = _real(mean_1, "mean_1", 0) + _real(mean_2, "mean_2", 0)
-    try:
-        start = default_cutoff(combined)
-    except DomainError:  # n̄₁ + n̄₂ overflows, or its baseline cutoff does
-        raise DomainError(
-            f"mean_1 {mean_1!r} and mean_2 {mean_2!r} are too large for a finite cutoff"
-        ) from None
     n_max, tail = _grow_cutoff(
-        start, lambda c: _negbin_tail(combined, 0, c), tail_target, f"mean_1 {mean_1!r} and mean_2 {mean_2!r}"
+        combined, lambda c: _negbin_tail(combined, 0, c), tail_target, f"mean_1 {mean_1!r} and mean_2 {mean_2!r}"
     )
 
     order = n_max // 2 + 8
@@ -203,5 +190,4 @@ def p_function_convolution_check(
         raise AccuracyError(
             f"quadrature mass {total} deviates from 1 - tail = {1.0 - tail}"
         )
-    np.clip(probs, 0.0, None, out=probs)
     return PhotonNumberDistribution(probs, tail)

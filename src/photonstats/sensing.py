@@ -43,7 +43,6 @@ from .states import (
     _grow_cutoff,
     _negbin_pmf,
     _negbin_tail,
-    default_cutoff,
     moments,
 )
 
@@ -139,14 +138,8 @@ def subtracted_pmf(
 
     Negative-binomial with mean (L+1)n̄ and variance (L+1)n̄(1+n̄)."""
     level, mean = _count(level, "level"), _real(mean, "mean", 0)
-    try:
-        start = default_cutoff((level + 1) * mean)
-    except DomainError:  # (L+1)·n̄ overflows, or its baseline cutoff does
-        raise DomainError(
-            f"mean {mean!r} at level {level} is too large for a finite cutoff"
-        ) from None
     n_max, tail = _grow_cutoff(
-        start, lambda c: _negbin_tail(mean, level, c), tail_target, f"mean {mean!r} at level {level}"
+        (level + 1) * mean, lambda c: _negbin_tail(mean, level, c), tail_target, f"mean {mean!r} at level {level}"
     )
     return PhotonNumberDistribution(_negbin_pmf(np.arange(n_max + 1), level, mean), tail)
 

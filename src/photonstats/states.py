@@ -21,11 +21,13 @@ ceil(1.25·n_max) + 8 until the mass past the cutoff is at or below
 (geometric, Poisson and negative-binomial survival functions, the scatter
 law's own identity), never as a mass deficit 1 − Σp, so rounding in the sum
 is not booked as truncation. The target is a real argument >= 0 (see
-`photonstats.errors`), checked before any work. A growth step that does not
-lower the tail (a guard for a tail that stops falling) or 64 growth steps
-short of the target raise AccuracyError, so non-convergence is never silent
-and never slow. The default construction honors tail_bound ≤ 1e-10 without
-silent rescaling.
+`photonstats.errors`), checked before any work. A total mean whose baseline
+overflows, and a cutoff past the 2**27-entry budget, raise DomainError
+naming the caller's inputs before any array is made. A growth step that
+does not lower the tail (a guard for a tail that stops falling) or 64
+growth steps short of the target raise AccuracyError, so non-convergence is
+never silent and never slow. The default construction honors tail_bound ≤
+1e-10 without silent rescaling.
 
 Each count law has one kernel here, in log space and broadcast over integer
 counts: ``_poisson_pmf`` (coherent light, dark counts), ``_negbin_pmf`` and
@@ -270,13 +272,19 @@ def _check_budget(n_max: int, what: str) -> int:
 
 
 def _grow_cutoff(
-    n_max: int, tail: Callable[[int], float], tail_target: float, what: str = "a truncated law"
+    mean_total: float, tail: Callable[[int], float], tail_target: float, what: str
 ) -> tuple[int, float]:
-    """The truncation loop of every truncated law (see the module docstring):
-    grow ``n_max`` until ``tail(n_max)`` ≤ ``tail_target``; return the cutoff
-    and its tail. A cutoff past `_ENTRY_BUDGET` raises DomainError naming
-    ``what`` before its tail is taken."""
+    """The truncation rule of every truncated law (see the module docstring):
+    start at `default_cutoff` of the law's total mean and grow the cutoff
+    until ``tail(n_max)`` ≤ ``tail_target``; return the cutoff and its tail.
+    A total mean whose baseline overflows, and a cutoff past
+    `_ENTRY_BUDGET`, raise DomainError naming ``what``, the caller's inputs,
+    before any tail is taken."""
     tail_target = _real(tail_target, "tail_target", 0)
+    try:
+        n_max = default_cutoff(mean_total)
+    except DomainError:  # the total mean is inf, or its 20·(n̄+1) is
+        raise DomainError(f"{what}: its baseline cutoff 20·(n̄+1) overflows") from None
     current = tail(_check_budget(n_max, what))
     steps = 0
     while not current <= tail_target:
@@ -334,7 +342,7 @@ def pmf(
     else:  # coherent; pdtrc is the Poisson survival function
         law, tail_of = (lambda n: _poisson_pmf(n, mean)), (lambda c: float(special.pdtrc(c, mean)))
     if cutoff is None:
-        n_max, tail = _grow_cutoff(default_cutoff(mean), tail_of, tail_target, what)
+        n_max, tail = _grow_cutoff(mean, tail_of, tail_target, what)
     else:
         n_max, tail = cutoff, tail_of(cutoff)
     return PhotonNumberDistribution(law(np.arange(n_max + 1)), tail)
@@ -371,8 +379,7 @@ def convolve(
     The full support (n_max_a + n_max_b) is kept, so no new mass is chopped;
     the tail bound is simply additive in the inputs' missing mass.
     """
-    out = np.convolve(a.probs, b.probs)
-    np.clip(out, 0.0, None, out=out)
+    out = np.convolve(a.probs, b.probs)  # non-negative: a sum of products of non-negative entries
     return PhotonNumberDistribution(out, min(a.tail_bound + b.tail_bound, 1.0 - 1e-15))
 
 

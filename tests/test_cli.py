@@ -268,6 +268,29 @@ class TestOracleCheck:
         assert rc == 2, err
         assert "probability mass" in err
 
+    def test_a_negbin_fault_that_keeps_the_mass_fails_the_sensing_row(self, tmp_path, capsys, monkeypatch):
+        """Where `subtracted_pmf` binds `_negbin_pmf`, a fault that moves
+        5e-10·p(1) from k = 1 to k = 0 keeps the mass within the slack of
+        `PhotonNumberDistribution`, so the heralded state is built and only
+        its dual-route row fails, by the 5e-10 moved."""
+        exact = sys.modules["photonstats.sensing"]._negbin_pmf
+
+        def faulty(k, *args):
+            moved = 5e-10 * exact(1, *args)
+            return exact(k, *args) + np.where(np.equal(k, 0), moved, 0.0) - np.where(np.equal(k, 1), moved, 0.0)
+
+        monkeypatch.setattr("photonstats.sensing._negbin_pmf", faulty)
+        rc, _, err = run(capsys, "oracle-check", "--out", str(tmp_path))
+        assert rc == 3, err
+        assert "oracle checks failed: ['sensing_vs_noisy_law']" in err
+        rows = {name: (passed, float(error)) for name, passed, error in np.loadtxt(
+            tmp_path / "oracle-check.csv", delimiter=",", skiprows=1, dtype=str
+        )}
+        assert len(rows) == 8
+        passed, error = rows.pop("sensing_vs_noisy_law")
+        assert passed == "0" and 4e-10 < error < 6e-10
+        assert all(passed == "1" for passed, _ in rows.values())
+
 
 class TestImageSim:
     def test_seeded_runs_are_byte_identical(self, tmp_path, capsys):

@@ -14,8 +14,10 @@ from photonstats import (
     AccuracyError,
     DetectorModel,
     DomainError,
+    PreselectionNetwork,
     ScatterConfig,
     SensorConfig,
+    ThermalSplitterState,
     TwoArmDetection,
     acquire,
     binary_phantom,
@@ -26,15 +28,18 @@ from photonstats import (
     default_cutoff,
     detected_pmf,
     fock,
+    joint_pmf,
     joint_pmf_noisy,
     p_function_convolution_check,
     pmf,
+    preselection_distribution,
     preset,
     random_sensing_matrix,
     subtracted_pmf,
     thermal,
 )
 from photonstats.imaging import _conditional_mean, _post_probability
+from photonstats.sensing import _kept_arm
 from photonstats.states import _grow_cutoff
 
 # Derandomized so a failure reproduces bit for bit, like the frozen Monte
@@ -90,6 +95,61 @@ def test_conditional_mean_is_the_joint_law_conditioned(n_t, arms, big_n):
     oracle = float(counts @ column) / float(column.sum())
     got = _conditional_mean(n_t, arms, big_n)[0]
     assert np.isclose(got, oracle, rtol=1e-10, atol=1e-300)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(
+    mean=st.one_of(st.just(0.0), st.floats(1e-3, 30.0)),
+    angle=st.floats(0.0, math.pi / 2.0),
+)
+def test_joint_pmf_is_the_noisy_law_with_perfect_detectors(mean, angle):
+    """oracle-check's `joint_pmf_vs_noisy_law` row at its 1e-12 relative
+    gate, over a 41 × 41 count grid. Budget: under 2 s for the 200 draws
+    (0.8 s on a 2-vCPU box)."""
+    perfect = TwoArmDetection(angle, DetectorModel(), DetectorModel())
+    grid = np.indices((41, 41))
+    oracle = joint_pmf_noisy(mean, perfect, *grid)
+    got = joint_pmf(ThermalSplitterState(mean, angle), *grid)
+    assert np.allclose(got, oracle, rtol=1e-12, atol=1e-300)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(
+    mean=st.floats(1e-3, 50.0),
+    phase=st.floats(0.1, math.pi - 0.1),
+    level=st.integers(0, 3),
+)
+def test_conditional_state_pmf_is_the_noisy_table_column(mean, phase, level):
+    """oracle-check's `sensing_vs_noisy_law` row at its 1e-12 relative gate:
+    the heralded state given L counts against the arm-a column at arm b = L of
+    a perfect-detector table with arm means A = Kc and B = Bc, normalized by
+    its own sum over twice the state's support. Budget: under 1 s for the 100
+    draws (0.3 s on a 2-vCPU box)."""
+    sensor = preset("thesis-ch5", mean=mean, phase=phase)
+    dist = conditional_state_pmf(sensor, level)
+    big_k, big_b, c = _kept_arm(sensor)
+    a, b = big_k * c, big_b * c
+    split = TwoArmDetection(math.atan(math.sqrt(b / a)), DetectorModel(), DetectorModel())
+    column = joint_pmf_noisy(a + b, split, np.arange(2 * dist.n_max + 2), level)
+    oracle = column[: dist.n_max + 1] / column.sum()
+    assert np.allclose(dist.probs, oracle, rtol=1e-12, atol=1e-300)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(
+    angles=st.tuples(*[st.floats(0.0, math.pi / 2.0)] * 5),
+    mean=st.floats(0.0, 10.0),
+    counts=st.lists(st.tuples(*[st.integers(0, 7)] * 6), min_size=1, max_size=16),
+)
+def test_preselection_methods_agree(angles, mean, counts):
+    """The two `preselection_distribution` evaluations at the 1e-9 relative
+    agreement its docstring states, on up to 16 count tuples below 8 a
+    draw. Budget: under 2 s for the 200 draws (1.2 s on a 2-vCPU box)."""
+    net = PreselectionNetwork(angles, mean)
+    per_mode = tuple(np.array(c) for c in zip(*counts))
+    gamma = preselection_distribution(net, per_mode, method="gamma-sum")
+    factored = preselection_distribution(net, per_mode, method="factored")
+    assert np.allclose(gamma, factored, rtol=1e-9, atol=1e-300)
 
 
 @SETTINGS
@@ -234,7 +294,7 @@ def test_unreachable_deficit_target_fails_fast():
     # growing as soon as a step fails to lower the tail.
     start = time.perf_counter()
     with pytest.raises(AccuracyError, match="stalled"):
-        _grow_cutoff(16, lambda n_max: 1e-15, 1e-20)
+        _grow_cutoff(0.0, lambda n_max: 1e-15, 1e-20, "a stuck tail")
     assert time.perf_counter() - start < 1.0
 
 
@@ -246,7 +306,7 @@ def test_a_tail_that_falls_too_slowly_stops_after_64_steps():
         return 1.0 / n_max
 
     with pytest.raises(AccuracyError, match="64 cutoff increases"):
-        _grow_cutoff(16, tail, 0.0)
+        _grow_cutoff(0.0, tail, 0.0, "a slow tail")
     assert len(cutoffs) == 65
 
 

@@ -69,7 +69,7 @@ class TestDetectedPmf:
 
     def test_means_too_large_for_a_cutoff_are_named_as_mode_means(self):
         # A + B = 2e308 overflows; the caller passed no total mean to name
-        with pytest.raises(DomainError, match=r"^mode means \(1\.5e\+308, .* too large") as info:
+        with pytest.raises(DomainError, match=r"^mode means \(1\.5e\+308, .*\): its baseline cutoff") as info:
             detected_pmf(ScatterConfig(1e308, 1e308, 45.0))
         assert "mean_total" not in str(info.value)
 
@@ -186,7 +186,7 @@ class TestPFunctionConvolution:
 
     def test_means_too_large_for_a_cutoff_are_named_as_mean_1_and_mean_2(self):
         # n̄₁ + n̄₂ = 2e308 overflows; the caller passed no total mean to name
-        with pytest.raises(DomainError, match=r"^mean_1 1e\+308 and mean_2 1e\+308 are too large") as info:
+        with pytest.raises(DomainError, match=r"^mean_1 1e\+308 and mean_2 1e\+308: its baseline cutoff") as info:
             p_function_convolution_check(1e308, 1e308)
         assert "mean_total" not in str(info.value)
 

@@ -119,7 +119,7 @@ class TestSubtractedPmf:
 
     def test_means_too_large_for_a_cutoff_are_named_as_mean_and_level(self):
         # (L+1)·n̄ = 2e308 overflows; the caller passed no total mean to name
-        with pytest.raises(DomainError, match=r"^mean 1e\+308 at level 1 is too large") as info:
+        with pytest.raises(DomainError, match=r"^mean 1e\+308 at level 1: its baseline cutoff") as info:
             subtracted_pmf(1e308, 1)
         assert "mean_total" not in str(info.value)
 

@@ -125,18 +125,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     return {**args._defaults, **config, **explicit}
 
 
-def _jsonify(value):
-    if isinstance(value, float):
-        return float(format_float(value))
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (np.floating,)):
-        return float(format_float(float(value)))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
+def _json_scalar(value):
+    """``json.dumps``' fallback: a NumPy scalar as the Python number it holds."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_manifest(
@@ -144,13 +137,13 @@ def _write_manifest(
 ) -> Path:
     manifest = {
         "subcommand": name,
-        "config": _jsonify(params),
+        "config": params,
         "artifacts": sorted(artifacts),
-        "summary": _jsonify(summary),
+        "summary": summary,
         "version": __version__,
     }
     path = out_dir / f"{name}-manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2, default=_json_scalar) + "\n")
     return path
 
 
@@ -183,7 +176,7 @@ def _gray_levels(img: np.ndarray) -> np.ndarray:
 
 
 def _emit(summary: dict) -> None:
-    sys.stdout.write(json.dumps(_jsonify(summary), sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(summary, sort_keys=True, default=_json_scalar) + "\n")
 
 
 # ===================================================================

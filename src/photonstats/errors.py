@@ -7,9 +7,10 @@ the run must not be trusted.
 
 Every integer argument (counts, orders, shots, sizes, budgets, cutoffs, seeds)
 obeys `_count`: a Python or NumPy integer, never a bool or a float, at or above
-its lower bound, and entry by entry an integer array (or a list or tuple of
-such integers; an empty one is an empty grid) where a law broadcasts.
-Anything else raises DomainError naming the parameter.
+its lower bound and below 2**64, and entry by entry an integer array (or a
+list or tuple of such integers; an empty one is an empty grid) where a law
+broadcasts, whose integer dtype already keeps it below 2**64. Anything else
+raises DomainError naming the parameter and the bound it misses.
 
 Every real argument (means, rates, efficiencies, angles, lengths, weights,
 solver settings, positions, sample grids) obeys `_real`, the float twin: a
@@ -82,6 +83,8 @@ def _count(value, name: str, low: int = 0, *, grid: bool = False):
     """The integer rule above: ``value`` as an int, or with ``grid=True``
     also as an integer array."""
     if type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if value >= 2**64:
+            raise DomainError(f"{name} must be below 2**64, got {value!r}")
         if value >= low:
             return int(value)
     elif grid:

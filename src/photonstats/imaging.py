@@ -52,7 +52,7 @@ from .montecarlo import (
     _thermal_total,
     make_generator,
 )
-from .states import _negbin_pmf, _poisson_pmf
+from .states import _check_budget, _negbin_pmf, _poisson_pmf
 
 __all__ = [
     "SensingScene",
@@ -288,7 +288,9 @@ def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n, m):
 
 def _count_weights(signal: np.ndarray, dark_rate: float, big_n: int) -> np.ndarray:
     """The (rows, N+1) matrix BE(i; s)·Poisson(N−i; ν): i signal counts (thermal
-    mean s, one per row) and N − i dark counts (rate ν) in one arm."""
+    mean s, one per row) and N − i dark counts (rate ν) in one arm. A matrix
+    past the 2**27-entry budget raises DomainError naming N."""
+    _check_budget(signal.size * (big_n + 1), f"N {big_n}", f"its {signal.size} × (N+1) count-weight table")
     i = np.arange(big_n + 1)
     return _negbin_pmf(i, 0, signal[:, None]) * _poisson_pmf(big_n - i, dark_rate)
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError, UndefinedCoherenceError, _count, _real, _real_fields
-from .states import PhotonNumberDistribution, SourceSpec, _binomial_pmf, _poisson_pmf
+from .states import PhotonNumberDistribution, SourceSpec, _binomial_pmf, _check_budget, _poisson_pmf
 
 __all__ = [
     "RngSeed",
@@ -84,10 +84,7 @@ class RngSeed:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
-            value = _count(getattr(self, name), name)
-            if value >= 2**64:
-                raise DomainError(f"{name} must be below 2**64, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _count(getattr(self, name), name))
 
     def key(self) -> int:
         return self.seed + (self.stream_id << 64)
@@ -246,7 +243,9 @@ def _class_split(
     k = 0..N plus one cell for k > N; and Poisson(N − k; ν) over k = 0..N,
     the chance that k kept photons read exactly N. Both are the `states`
     kernels, entry by entry, so a table over more numbers than one row holds
-    has the same bits in every row."""
+    has the same bits in every row. A split table past the 2**27-entry
+    budget raises DomainError naming N."""
+    _check_budget(numbers.size * (big_n + 2), f"N {big_n}", f"its {numbers.size} × (N+2) class-split table")
     k = np.arange(big_n + 1)
     split = _binomial_pmf(k, numbers[:, None], keep)
     split = np.hstack([split, np.maximum(1.0 - split.sum(axis=1, keepdims=True), 0.0)])

@@ -40,6 +40,7 @@ from .errors import DomainError, SingularPointError, _count, _real, _real_fields
 from .states import (
     DEFAULT_TAIL_TARGET,
     PhotonNumberDistribution,
+    _check_budget,
     _grow_cutoff,
     _negbin_pmf,
     _negbin_tail,
@@ -136,11 +137,13 @@ def subtracted_pmf(
     """Photon-number law after subtracting ``level`` quanta from a thermal
     field of mean n̄: p(n) = (n+L)! n̄ⁿ / (n! L! (1+n̄)^(L+1+n)).
 
-    Negative-binomial with mean (L+1)n̄ and variance (L+1)n̄(1+n̄)."""
+    Negative-binomial with mean (L+1)n̄ and variance (L+1)n̄(1+n̄). Its
+    exact tail sums L + 1 terms, so L + 1 past the 2**27-entry budget raises
+    DomainError naming the inputs, as a cutoff past it does."""
     level, mean = _count(level, "level"), _real(mean, "mean", 0)
-    n_max, tail = _grow_cutoff(
-        (level + 1) * mean, lambda c: _negbin_tail(mean, level, c), tail_target, f"mean {mean!r} at level {level}"
-    )
+    what = f"mean {mean!r} at level {level}"
+    _check_budget(level + 1, what, "its tail sum")
+    n_max, tail = _grow_cutoff((level + 1) * mean, lambda c: _negbin_tail(mean, level, c), tail_target, what)
     return PhotonNumberDistribution(_negbin_pmf(np.arange(n_max + 1), level, mean), tail)
 
 

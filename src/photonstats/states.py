@@ -229,20 +229,21 @@ def _negbin_tail(mean: float, level: int, n_max: int) -> float:
     return float((1.0 + mean) * _negbin_pmf(n_max + level + 1 - j, j, mean).sum())
 
 
-def _binomial_terms(log_n, log_k, log_rest, xlog_k, xlog_rest, inside) -> np.ndarray:
-    """The binomial log sum log n! − log k! − log (n−k)! + k·log p +
-    (n−k)·log1p(−p), exponentiated where ``inside`` (k ≤ n) and 0 elsewhere;
-    the pieces broadcast, so ``binomial_thin`` can pass table views."""
-    return np.where(inside, np.exp(log_n - log_k - log_rest + xlog_k + xlog_rest), 0.0)
+def _binomial_terms(log_n, log_k, log_rest, xlog_k, xlog_rest) -> np.ndarray:
+    """The binomial law as one log sum, log n! − log k! − log (n−k)! +
+    k·log p + (n−k)·log1p(−p), exponentiated: exactly 0 where k > n, at
+    log-gamma's pole. The pieces broadcast, so ``binomial_thin`` can pass
+    table views."""
+    return np.exp(log_n - log_k - log_rest + xlog_k + xlog_rest)
 
 
 def _binomial_pmf(k, n, p: float) -> np.ndarray:
     """Binomial(n, p) probability of k; 0 where k > n. p = 0 and p = 1 are
-    exact. The log-gamma coefficient loses ~n·log n·ε: 1e-12 near n = 700."""
-    rest = np.maximum(n - k, 0)
+    exact (n − k is clipped at 0 in (n−k)·log1p(−p), whose +inf at p = 1
+    would meet the pole). Log-gamma loses ~n·log n·ε: 1e-12 near n = 700."""
     return _binomial_terms(
-        special.gammaln(n + 1), special.gammaln(k + 1), special.gammaln(rest + 1),
-        special.xlogy(k, p), special.xlog1py(rest, -p), k <= n,
+        special.gammaln(n + 1), special.gammaln(k + 1), special.gammaln(n - k + 1),
+        special.xlogy(k, p), special.xlog1py(np.maximum(n - k, 0), -p),
     )
 
 
@@ -261,14 +262,13 @@ def default_cutoff(mean_total: float) -> int:
     return max(16, math.ceil(baseline))
 
 
-def _check_budget(n_max: int, what: str) -> int:
-    """``n_max``, if a pmf over 0..n_max fits `_ENTRY_BUDGET`; else
-    DomainError naming ``what``, the input that asks for it."""
-    if n_max >= _ENTRY_BUDGET:
+def _check_budget(entries: int, what: str, table: str = "its pmf") -> None:
+    """DomainError naming ``what``, the input that asks for it, if ``table``
+    needs more than `_ENTRY_BUDGET` entries."""
+    if entries > _ENTRY_BUDGET:
         raise DomainError(
-            f"{what}: its pmf needs over 2**27 entries, past the budget of 1 GiB of float64"
+            f"{what}: {table} needs over 2**27 entries, past the budget of 1 GiB of float64"
         )
-    return n_max
 
 
 def _grow_cutoff(
@@ -285,7 +285,8 @@ def _grow_cutoff(
         n_max = default_cutoff(mean_total)
     except DomainError:  # the total mean is inf, or its 20·(n̄+1) is
         raise DomainError(f"{what}: its baseline cutoff 20·(n̄+1) overflows") from None
-    current = tail(_check_budget(n_max, what))
+    _check_budget(n_max + 1, what)
+    current = tail(n_max)
     steps = 0
     while not current <= tail_target:
         if steps == 64:
@@ -295,7 +296,8 @@ def _grow_cutoff(
             )
         n_max = math.ceil(n_max * 1.25) + 8
         steps += 1
-        previous, current = current, tail(_check_budget(n_max, what))
+        _check_budget(n_max + 1, what)
+        previous, current = current, tail(n_max)
         if not current < previous:
             raise AccuracyError(
                 f"truncated mass stalled at {current:g} above tail_target "
@@ -324,13 +326,14 @@ def pmf(
     """
     if cutoff is not None:
         cutoff = _count(cutoff, "cutoff")
-        _check_budget(cutoff, f"cutoff {cutoff}")
+        _check_budget(cutoff + 1, f"cutoff {cutoff}")
     mean = source.mean
     what = f"{source.kind} mean {mean!r}"
 
     if source.kind == "fock":
         n = int(mean)
-        n_max = _check_budget(max(default_cutoff(0.0), n), what) if cutoff is None else cutoff
+        n_max = max(default_cutoff(0.0), n) if cutoff is None else cutoff
+        _check_budget(n_max + 1, what)
         if n_max < n:
             raise ContractError(f"cutoff {n_max} cannot hold fock({n})")
         probs = np.zeros(n_max + 1)
@@ -383,39 +386,27 @@ def convolve(
     return PhotonNumberDistribution(out, min(a.tail_bound + b.tail_bound, 1.0 - 1e-15))
 
 
-def _chernoff(k, n, efficiency: float) -> np.ndarray:
-    """exp(−n·D(k/n‖η)), which bounds Binomial(n, η) at k; the exponent falls
-    toward n = k/η from both sides. Exactly 0 where the term is: k > n, k > 0
-    at η = 0, and k < n at η = 1."""
-    exponent = (
-        special.xlogy(k, k) - special.xlogy(k, n) - special.xlogy(k, efficiency)
-        + special.rel_entr(n - k, n * (1.0 - efficiency))
-    )
-    return np.exp(-exponent)
-
-
 def _thin_kernel(size: int, efficiency: float) -> Callable[[np.ndarray, int, int], np.ndarray]:
     """``kernel(k, lo, hi)``, bit for bit ``_binomial_pmf(k[:, None],
     np.arange(lo, hi), efficiency)`` for a block k of at most 128 consecutive
     counts below ``size`` and k[0] ≤ lo ≤ hi ≤ ``size``, read from tables
     built once (see `binomial_thin`)."""
     gap = np.arange(1 - _THIN_BLOCK, size)  # n − k over every block's band
-    rest = np.maximum(gap, 0)  # as _binomial_pmf clips it
-    log_rest = special.gammaln(rest + 1)
+    log_rest = special.gammaln(gap + 1)  # +inf where k > n
     log_fact = log_rest[_THIN_BLOCK - 1 :]  # log n! for n = 0..size−1
     xlog_k = special.xlogy(np.arange(size), efficiency)
 
     def toeplitz(table):  # [i, x] = table at n − k = x − i, for i < 128 and 0 ≤ x < size
         return sliding_window_view(table, size)[::-1]
 
-    log_rest, inside = toeplitz(log_rest), toeplitz(gap >= 0)
-    xlog_rest = toeplitz(special.xlog1py(rest, -efficiency))
+    log_rest = toeplitz(log_rest)
+    xlog_rest = toeplitz(special.xlog1py(np.maximum(gap, 0), -efficiency))  # as _binomial_pmf clips it
 
     def kernel(k, lo, hi):  # row i, column j at n − k = (lo − k[0] + j) − i
         rows, cols = slice(k[0], k[0] + k.size), slice(lo - k[0], hi - k[0])
         return _binomial_terms(
             log_fact[lo:hi], log_fact[rows, None], log_rest[: k.size, cols],
-            xlog_k[rows, None], xlog_rest[: k.size, cols], inside[: k.size, cols],
+            xlog_k[rows, None], xlog_rest[: k.size, cols],
         )
 
     return kernel
@@ -427,57 +418,59 @@ def binomial_thin(
     """Random deletion of photons: each survives independently with
     probability ``efficiency``. p'(k) = Σ_n p(n) C(n,k) η^k (1−η)^(n−k).
 
-    Each block of 128 output rows k sums the kernel only where its mass is:
-    the columns start at n ≈ k/η and grow outward, 128 at a time. A side
-    stops once, for every row of the block, the Chernoff bound
-    exp(−n·D(k/n‖η)) at its edge column times the input mass past the edge
-    is at most δ/2 of the row's running sum (δ = 1e-17). That bound covers
-    every column not yet summed, since n·D(k/n‖η) only grows away from
-    n = k/η, so each row is short by at most δ of itself and the thinned law
-    by at most δ·Σp, which is added to the tail bound. A row whose terms are
-    all 0 stays exactly 0, and η = 0, η = 1 and a subnormal η take the same
-    path. At η = 0.55 that is 1.4M kernel terms instead of the full
-    triangle's 3.2M for thermal(100) (N = 2534 entries), and 33M instead of
-    313M for thermal(1000).
+    Each block of 128 output rows k sums the kernel only where its mass is.
+    In n, row k's terms rise while n + 1 ≤ k/η and fall after, so the band
+    starts on the block's [⌊k0/η⌋, ⌈k_last/η⌉] (on the last 128 columns
+    when k0 ≥ N·η, where every row still rises at N − 1) and grows outward,
+    128 columns at a time. A side stops once, for every row, the band's
+    edge column, which bounds every term beyond it, times the input mass
+    past the edge is at most δ/2 of the row's running sum (δ = 1e-17). So
+    each row is short by at most δ of itself and the thinned law by at most
+    δ·Σp, which is added to the tail bound. A row whose terms are all 0
+    stays exactly 0, and η = 0, η = 1 and a subnormal η take the same path.
+    At η = 0.55 that is 1.37M kernel terms instead of the full triangle's
+    3.2M for thermal(100) (N = 2534 entries), and 31.6M instead of 313M for
+    thermal(1000).
 
     A kernel term has O(N) distinct pieces: log n! by column, log k! and
-    k·log η by row, and log (n−k)!, (n−k)·log1p(−η) and the mask k ≤ n by
-    diagonal. They are tabled once per call, the diagonal ones over
-    n − k = −127…N−1 with the entries ``_binomial_pmf`` gives there and
-    seen through one 128 × N Toeplitz view each, which a block reads by
-    slicing, so a term costs four adds, one exp and one select instead of
-    three log-gamma and two log calls. ``_binomial_terms`` sums the same
-    pieces in the same order and the block product is the same
-    matrix-vector product, so the result is bit for bit what
-    ``_binomial_pmf`` over the band gives. Memory stays linear in N.
+    k·log η by row, and log (n−k)! and (n−k)·log1p(−η) by diagonal. They
+    are tabled once per call, the diagonal ones over n − k = −127…N−1 with
+    the entries ``_binomial_pmf`` gives there and seen through one 128 × N
+    Toeplitz view each, which a block reads by slicing, so a term costs
+    four adds and one exp instead of three log-gamma and two log calls.
+    ``_binomial_terms`` sums the same pieces in the same order and the
+    block product is the same matrix-vector product, so the result is bit
+    for bit what ``_binomial_pmf`` over the band gives. Memory stays linear
+    in N.
     """
     efficiency = _real(efficiency, "efficiency", 0, 1)
     p, size = dist.probs, dist.probs.size
     kernel = _thin_kernel(size, efficiency)
 
-    def band(k, lo, hi):  # Σ p(n)·C(n,k) η^k (1−η)^(n−k) over lo ≤ n < hi, per k
-        return kernel(k, lo, hi) @ p[lo:hi]
+    def band(k, lo, hi, rows=0.0):  # rows + Σ p(n)·C(n,k) η^k (1−η)^(n−k) over lo ≤ n < hi, per k
+        block = kernel(k, lo, hi)  # and its edge columns, copied: a view keeps the block alive
+        return rows + block @ p[lo:hi], block[:, 0].copy(), block[:, -1].copy()
 
     probs = np.empty(size)
     for k0 in range(0, size, _THIN_BLOCK):
         k = np.arange(k0, min(k0 + _THIN_BLOCK, size))
         # the columns k/η of the block, written so that η = 0 and a subnormal η
         # do not overflow; terms at n < k0 are 0
-        lo = max(k0, math.floor(k0 / efficiency) if k0 < size * efficiency else size)
+        lo = max(k0, math.floor(k0 / efficiency) if k0 < size * efficiency else size - _THIN_BLOCK)
         hi = min(size, math.ceil(k[-1] / efficiency) + 1) if k[-1] < size * efficiency else size
-        rows = band(k, lo, hi)
+        rows, first, last = band(k, lo, hi)
         while True:
             slack = 0.5 * _THIN_DELTA * rows
-            grow_left = lo > k0 and not np.all(_chernoff(k, lo - 1, efficiency) * p[k0:lo].sum() <= slack)
-            grow_right = hi < size and not np.all(_chernoff(k, hi, efficiency) * p[hi:].sum() <= slack)
+            grow_left = lo > k0 and not np.all(first * p[k0:lo].sum() <= slack)
+            grow_right = hi < size and not np.all(last * p[hi:].sum() <= slack)
             if not (grow_left or grow_right):
                 break
             if grow_left:
                 lo, edge = max(k0, lo - _THIN_BLOCK), lo
-                rows += band(k, lo, edge)
+                rows, first, _ = band(k, lo, edge, rows)
             if grow_right:
                 edge, hi = hi, min(size, hi + _THIN_BLOCK)
-                rows += band(k, edge, hi)
+                rows, _, last = band(k, edge, hi, rows)
         probs[k0 : k0 + k.size] = rows
     tail = dist.tail_bound + _THIN_DELTA * p.sum()
     return PhotonNumberDistribution(probs, min(tail, 1.0 - 1e-15))

@@ -326,6 +326,14 @@ class TestImageSim:
         assert rc == 3
         assert "increase shots" in err
 
+    def test_a_count_past_the_entry_budget_exits_two_naming_it(self, tmp_path, capsys):
+        rc, _, err = run(
+            capsys, "image-sim", "--mode", "post(4611686018427387904)", "--shots", "0", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "4611686018427387904" in err
+        assert "Traceback" not in err
+
     def test_counts_past_int64_exit_two(self, tmp_path, capsys):
         rc, _, err = run(
             capsys, "image-sim", "--width", "8", "--height", "8", "--measurements", "4",

@@ -548,6 +548,28 @@ class TestPrimariesAgainstTheJointLaw:
         with pytest.raises(DomainError):
             call()
 
+    # N = 2**62: a count whose weight or class-split table no array can hold
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: arm_a_marginal(0.5, NOISY, 2**62),
+            lambda: snr_post(0.5, NOISY, 2**62),
+            lambda: snr_sub(0.5, NOISY, 2**62),
+            lambda: acquire(binary_phantom(8, 8), random_sensing_matrix(3, 64, seed=0), NOISY, f"post({2**62})"),
+            lambda: acquire(binary_phantom(8, 8), random_sensing_matrix(3, 64, seed=0), NOISY, f"subtract({2**62})"),
+            lambda: acquire(
+                binary_phantom(8, 8), random_sensing_matrix(3, 64, seed=0), NOISY, f"post({2**62})", shots=50
+            ),
+            lambda: acquire(
+                binary_phantom(8, 8), random_sensing_matrix(3, 64, seed=0), NOISY, f"subtract({2**62})", shots=50
+            ),
+        ],
+        ids=["arm_a_marginal", "snr_post", "snr_sub", "exact-post", "exact-subtract", "mc-post", "mc-subtract"],
+    )
+    def test_a_count_past_the_entry_budget_is_refused_by_name(self, call):
+        with pytest.raises(DomainError, match=r"^N 4611686018427387904: .* past the budget"):
+            call()
+
     def test_impossible_condition_names_the_row(self):
         blind_b = TwoArmDetection(
             math.pi / 4.0, DetectorModel(0.5, 0.1), DetectorModel(0.0, 0.0)

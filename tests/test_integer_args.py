@@ -134,6 +134,37 @@ def test_integer_argument_rule(call, name, low, data):
     assert _same(call(np.int64(value)), call(value))
 
 
+# The level laws at a level of 10**400 once escaped as a bare OverflowError
+# from (L+1)·n̄ or the kernel's float conversion.
+LEVEL_CALLS = {
+    "g2_subtracted": g2_subtracted,
+    "subtraction_success_probability": lambda v: subtraction_success_probability(SENSOR, v),
+    "subtracted_pmf": lambda v: subtracted_pmf(1.0, v),
+    "conditional_state_pmf": lambda v: conditional_state_pmf(SENSOR, v),
+    "conditional_mean": lambda v: conditional_mean(SENSOR, v),
+    "snr": lambda v: snr(SENSOR, v),
+}
+
+
+@pytest.mark.parametrize("law", sorted(LEVEL_CALLS))
+def test_a_level_past_2_64_is_refused_by_name(law):
+    with pytest.raises(DomainError, match=r"^level must be below 2\*\*64, got 1000"):
+        LEVEL_CALLS[law](10**400)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: subtracted_pmf(0.0, 2**62), "mean 0.0 at level 4611686018427387904"),
+        (lambda: conditional_state_pmf(SENSOR, 2**62), "at level 4611686018427387904"),
+    ],
+)
+def test_a_level_past_the_entry_budget_names_the_inputs(call, named):
+    # the exact tail sums L + 1 terms: refused before np.arange is asked for them
+    with pytest.raises(DomainError, match=rf"{named}: its tail sum needs over 2\*\*27 entries"):
+        call()
+
+
 # (call taking a list of counts, parameter name) for the laws that broadcast
 GRID_TABLE = [
     (lambda v: joint_pmf(STATE, v, 1), "big_n"),

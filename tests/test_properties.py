@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from photonstats import (
     AccuracyError,
     DetectorModel,
+    PhotonNumberDistribution,
     DomainError,
     PreselectionNetwork,
     ScatterConfig,
@@ -24,6 +25,7 @@ from photonstats import (
     binomial_thin,
     coherent,
     conditional_state_pmf,
+    convolve,
     cs_reconstruct,
     default_cutoff,
     detected_pmf,
@@ -40,7 +42,7 @@ from photonstats import (
 )
 from photonstats.imaging import _conditional_mean, _post_probability
 from photonstats.sensing import _kept_arm
-from photonstats.states import _grow_cutoff
+from photonstats.states import _binomial_pmf, _grow_cutoff
 
 # Derandomized so a failure reproduces bit for bit, like the frozen Monte
 # Carlo seeds elsewhere in the suite.
@@ -201,6 +203,40 @@ def test_binomial_thin_is_the_thinned_law_short_by_at_most_the_tail(kind, mean, 
     # 1e-12 is the float slack the distribution type allows on "sums to one".
     total = float(dist.probs.sum())
     assert 1.0 - dist.tail_bound - 1e-12 <= total <= 1.0 + 1e-12
+
+
+@st.composite
+def two_peaked_pmfs(draw):
+    """A mixture of two canonical pmfs of means up to 60, or the sum of a
+    thermal and a coherent photon number of means up to 30 each."""
+    if draw(st.booleans()):
+        return convolve(pmf(thermal(draw(st.floats(0.0, 30.0)))), pmf(coherent(draw(st.floats(0.0, 30.0)))))
+    a, b = (pmf(draw(st.sampled_from([thermal, coherent]))(draw(st.floats(0.0, 60.0)))) for _ in range(2))
+    weight, size = draw(st.floats(0.0, 1.0)), max(a.probs.size, b.probs.size)
+    probs = weight * np.pad(a.probs, (0, size - a.probs.size))
+    probs += (1.0 - weight) * np.pad(b.probs, (0, size - b.probs.size))
+    return PhotonNumberDistribution(probs, weight * a.tail_bound + (1.0 - weight) * b.tail_bound)
+
+
+@SETTINGS
+@given(
+    dist=two_peaked_pmfs(),
+    efficiency=st.one_of(st.sampled_from([0.0, 1.0, 2.2e-311, 1.0 - 2.0**-53]), st.floats(0.0, 1.0)),
+)
+def test_binomial_thin_stops_where_the_dense_sum_is_complete(dist, efficiency):
+    """The band of each block of rows stops on its edge columns; the rows
+    must still be the dense kernel sum over every column, to 1e-13, with the
+    same zeros. The reference is the same kernel (`_binomial_pmf`) summed in
+    128-row slabs over every column n ≥ k0 (terms at n < k are exactly 0),
+    so only the stop rule is under test. Budget: about 2 s for the 40
+    derandomized examples (N up to ~1500 entries, a dense sum of up to 1.2M
+    terms each)."""
+    thinned = binomial_thin(dist, efficiency).probs
+    n, p = np.arange(dist.probs.size), dist.probs
+    slabs = np.split(n, n[128::128])
+    dense = np.concatenate([_binomial_pmf(k[:, None], n[k[0] :], efficiency) @ p[k[0] :] for k in slabs])
+    assert np.array_equal(thinned == 0.0, dense == 0.0)
+    assert np.allclose(thinned, dense, rtol=1e-13, atol=0.0)
 
 
 # The other truncating constructors: every one grows its cutoff by the shared

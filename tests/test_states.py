@@ -212,8 +212,10 @@ class TestCombinators:
                 assert got.flags.c_contiguous  # the same matrix-vector product as the dense rows
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (k0, lo, hi)
 
-    def test_subnormal_efficiency_leaves_every_later_block_an_empty_band(self):
-        source = pmf(thermal(40.0))  # 1034 entries: blocks past the first start at lo = hi = N
+    def test_subnormal_efficiency_leaves_every_later_block_zero(self):
+        # 1034 entries: blocks past the first peak past N − 1, so their band
+        # starts on the last 128 columns, where η^k underflows to 0
+        source = pmf(thermal(40.0))
         n = np.arange(source.probs.size)
         thinned = binomial_thin(source, 2.2e-311)
         first = _binomial_pmf(n[:128, None], n, 2.2e-311) @ source.probs

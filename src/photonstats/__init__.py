@@ -9,182 +9,26 @@ Carlo sampler mirrors every closed-form law so each can be checked against
 the other.
 """
 
-from .errors import (
-    AccuracyError,
-    ConfigError,
-    ContractError,
-    DomainError,
-    PhotonStatsError,
-    SaturationError,
-    SingularPointError,
-    UndefinedCoherenceError,
-)
-from .states import (
-    PhotonNumberDistribution,
-    SourceSpec,
-    binomial_thin,
-    coherent,
-    convolve,
-    default_cutoff,
-    fock,
-    g2_from_pmf,
-    moments,
-    pmf,
-    thermal,
-    visibility,
-)
-from .montecarlo import (
-    DetectorModel,
-    RngSeed,
-    SplitterNetwork,
-    empirical_g2,
-    estimate_pmf,
-    make_generator,
-    sample_source,
-    split_and_detect,
-)
-from .scatter import (
-    ScatterConfig,
-    detected_pmf,
-    g2_vs_angle,
-    p_function_convolution_check,
-)
-from .coherence import (
-    InterferenceConfig,
-    PreselectionNetwork,
-    ThermalSplitterState,
-    classical_envelope_oracle,
-    conditional_g2_map,
-    detected_vacuum_probability,
-    farfield_g2,
-    farfield_intensity,
-    gamma_sum,
-    gtilde2_thermal,
-    joint_pmf,
-    mode_probabilities,
-    modulation_frequency,
-    preselection_distribution,
-)
-from .sensing import (
-    PUBLISHED_SUBTRACTION_TABLE,
-    SensorConfig,
-    conditional_mean,
-    conditional_mean_phase_derivative,
-    conditional_state_pmf,
-    conditional_std,
-    g2_subtracted,
-    phase_uncertainty,
-    preset,
-    snr,
-    snr_from_pmf,
-    subtracted_pmf,
-    subtraction_success_probability,
-)
-from .imaging import (
-    ReconstructionResult,
-    SensingMatrix,
-    SensingScene,
-    TwoArmDetection,
-    acquire,
-    arm_a_marginal,
-    binary_phantom,
-    cs_reconstruct,
-    image_snr,
-    joint_pmf_noisy,
-    random_sensing_matrix,
-    scale_scene_to_projection,
-    snr_post,
-    snr_sub,
-    tv_prox,
-)
-from .pgm import read_pgm, write_pgm
+from .errors import *
+from .states import *
+from .montecarlo import *
+from .scatter import *
+from .coherence import *
+from .sensing import *
+from .imaging import *
+from .pgm import *
+from . import coherence, errors, imaging, montecarlo, pgm, scatter, sensing, states
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "PhotonStatsError",
-    "DomainError",
-    "ContractError",
-    "UndefinedCoherenceError",
-    "SingularPointError",
-    "SaturationError",
-    "AccuracyError",
-    "ConfigError",
-    # states
-    "PhotonNumberDistribution",
-    "SourceSpec",
-    "fock",
-    "coherent",
-    "thermal",
-    "default_cutoff",
-    "pmf",
-    "moments",
-    "g2_from_pmf",
-    "convolve",
-    "binomial_thin",
-    "visibility",
-    # monte carlo
-    "RngSeed",
-    "SplitterNetwork",
-    "DetectorModel",
-    "make_generator",
-    "sample_source",
-    "split_and_detect",
-    "estimate_pmf",
-    "empirical_g2",
-    # scattering
-    "ScatterConfig",
-    "detected_pmf",
-    "g2_vs_angle",
-    "p_function_convolution_check",
-    # coherence
-    "ThermalSplitterState",
-    "InterferenceConfig",
-    "PreselectionNetwork",
-    "joint_pmf",
-    "gtilde2_thermal",
-    "farfield_intensity",
-    "farfield_g2",
-    "conditional_g2_map",
-    "classical_envelope_oracle",
-    "modulation_frequency",
-    "mode_probabilities",
-    "gamma_sum",
-    "preselection_distribution",
-    "detected_vacuum_probability",
-    # sensing
-    "SensorConfig",
-    "preset",
-    "PUBLISHED_SUBTRACTION_TABLE",
-    "subtracted_pmf",
-    "g2_subtracted",
-    "subtraction_success_probability",
-    "conditional_state_pmf",
-    "conditional_mean",
-    "conditional_std",
-    "conditional_mean_phase_derivative",
-    "snr",
-    "snr_from_pmf",
-    "phase_uncertainty",
-    # imaging
-    "SensingScene",
-    "SensingMatrix",
-    "TwoArmDetection",
-    "ReconstructionResult",
-    "binary_phantom",
-    "random_sensing_matrix",
-    "scale_scene_to_projection",
-    "joint_pmf_noisy",
-    "arm_a_marginal",
-    "snr_post",
-    "snr_sub",
-    "tv_prox",
-    "acquire",
-    "cs_reconstruct",
-    "image_snr",
-    # pgm io
-    "write_pgm",
-    "read_pgm",
+    *errors.__all__,
+    *states.__all__,
+    *montecarlo.__all__,
+    *scatter.__all__,
+    *coherence.__all__,
+    *sensing.__all__,
+    *imaging.__all__,
+    *pgm.__all__,
 ]

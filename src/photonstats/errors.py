@@ -79,12 +79,20 @@ def _holds_bool(value) -> bool:
     )
 
 
+def _shown(value) -> str:
+    """``value``'s repr for a message, but an integer of 2**64 or more by its
+    bit length: Python refuses the repr of one past 4300 digits."""
+    if isinstance(value, int) and abs(value) >= 2**64:
+        return f"{'a negative' if value < 0 else 'an'} integer of {abs(value).bit_length()} bits"
+    return repr(value)
+
+
 def _count(value, name: str, low: int = 0, *, grid: bool = False):
     """The integer rule above: ``value`` as an int, or with ``grid=True``
     also as an integer array."""
     if type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         if value >= 2**64:
-            raise DomainError(f"{name} must be below 2**64, got {value!r}")
+            raise DomainError(f"{name} must be below 2**64, got {_shown(value)}")
         if value >= low:
             return int(value)
     elif grid:
@@ -93,7 +101,7 @@ def _count(value, name: str, low: int = 0, *, grid: bool = False):
             arr = arr.astype(int)  # np.asarray([]) is float64
         if arr.dtype.kind in "iu" and not _holds_bool(value) and not np.any(arr < low):
             return arr
-    raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    raise DomainError(f"{name} must be an integer >= {low}, got {_shown(value)}")
 
 
 def _real(value, name: str, low=-math.inf, high=math.inf, *, strict: bool = False, grid: bool = False):
@@ -115,7 +123,7 @@ def _real(value, name: str, low=-math.inf, high=math.inf, *, strict: bool = Fals
     if all(math.isfinite(x) and (low < x < high if strict else low <= x <= high) for x in extremes):
         return real
     bounds = f"{'(' if strict else '['}{low!r}, {high!r}{')' if strict else ']'}"
-    raise DomainError(f"{name} must be a finite real in {bounds}, got {value!r}")
+    raise DomainError(f"{name} must be a finite real in {bounds}, got {_shown(value)}")
 
 
 def _real_fields(config, names: str, low=-math.inf, high=math.inf, *, strict: bool = False) -> None:

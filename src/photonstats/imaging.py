@@ -105,7 +105,7 @@ class SensingMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=float, copy=True)
+        arr = np.array(_real(self.matrix, "matrix", grid=True))  # a copy the caller cannot write
         if arr.ndim != 2 or arr.size == 0:
             raise ContractError("matrix must be a non-empty 2-D array")
         if not np.all((arr == 0.0) | (arr == 1.0)):
@@ -215,6 +215,7 @@ def binary_phantom(width: int = 32, height: int = 32) -> SensingScene:
     """Piecewise-constant test target: three axis-aligned blocks covering
     roughly a quarter of the frame."""
     width, height = _count(width, "width", 8), _count(height, "height", 8)
+    _check_budget(width * height, f"width {width}, height {height}", "its image")
     img = np.zeros((height, width))
     img[height // 5 : 2 * height // 5, width // 5 : 4 * width // 5] = 1.0
     img[3 * height // 5 : 4 * height // 5, width // 5 : 2 * width // 5] = 1.0
@@ -233,6 +234,7 @@ def random_sensing_matrix(
     n_measurements = _count(n_measurements, "n_measurements", 1)
     n_pixels = _count(n_pixels, "n_pixels", 1)
     fill_fraction = _real(fill_fraction, "fill_fraction", 0, 1, strict=True)
+    _check_budget(n_measurements * n_pixels, f"n_measurements {n_measurements}, n_pixels {n_pixels}", "its masks")
     rng = make_generator(seed)
     return SensingMatrix((rng.random((n_measurements, n_pixels)) < fill_fraction).astype(float))
 
@@ -356,20 +358,22 @@ def snr_sub(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
 # Acquisition
 # ===================================================================
 
-_MODE_RE = re.compile(r"^(intensity|post\((\d+)\)|subtract\((\d+)\))$")
+_MODE_RE = re.compile(r"^(?:intensity|(post|subtract)\(0*(\d+)\))$")  # N without leading zeros
 
 
 def _parse_mode(mode: str) -> tuple[str, int]:
-    match = _MODE_RE.match(mode.strip())
+    match = _MODE_RE.match(mode.strip()) if isinstance(mode, str) else None
     if match is None:
         raise DomainError(
             f"mode must be 'intensity', 'post(N)' or 'subtract(N)', got {mode!r}"
         )
-    if match.group(2) is not None:
-        return "post", int(match.group(2))
-    if match.group(3) is not None:
-        return "subtract", int(match.group(3))
-    return "intensity", 0
+    kind, digits = match.groups()
+    if kind is None:
+        return "intensity", 0
+    # a length test first: Python refuses int() of a string past 4300 digits
+    if len(digits) > 20 or int(digits) >= 2**64:
+        raise DomainError(f"mode {kind}(N) needs N below 2**64, got an N of {len(digits)} digits")
+    return kind, int(digits)
 
 
 def acquire(

@@ -308,6 +308,7 @@ def split_and_detect(
 def estimate_pmf(samples: np.ndarray) -> tuple[PhotonNumberDistribution, np.ndarray]:
     """Empirical pmf with per-bin binomial standard errors sqrt(p(1−p)/N)."""
     samples = _photon_counts(samples, "samples")
+    _check_budget(int(samples.max()) + 1, f"samples' largest count {samples.max()}", "its frequency table")
     n = samples.size
     freqs = np.bincount(samples.astype(np.int64)) / n
     se = np.sqrt(freqs * (1.0 - freqs) / n)
@@ -317,14 +318,17 @@ def estimate_pmf(samples: np.ndarray) -> tuple[PhotonNumberDistribution, np.ndar
 def empirical_g2(samples: np.ndarray) -> tuple[float, float]:
     """Sample g2 = ⟨n(n−1)⟩/⟨n⟩² and its delta-method standard error.
 
-    Writing g = m2/m1² with m1 = ⟨n⟩ and m2 = ⟨n(n−1)⟩, the gradient is
-    (−2 m2/m1³, 1/m1²) and the error follows from the sample covariance of
-    (n, n(n−1)) scaled by 1/N, its three entries dot products of the centred
-    samples and pairs over N − 1. ``samples`` is never written to.
+    Writing g = m2/m1² with m1 = ⟨n⟩ and m2 = ⟨n(n−1)⟩ over whole counts n ≥ 0,
+    the gradient is (−2 m2/m1³, 1/m1²) and the error follows from the sample
+    covariance of (n, n(n−1)) scaled by 1/N, its three entries dot products of
+    the centred samples and pairs over N − 1. ``samples`` is never written to.
     """
+    given = np.asarray(samples)
     samples = _real(samples, "samples", grid=True)
     if samples.ndim != 1 or samples.size < 2:
         raise ContractError("need at least two samples")
+    if samples.min() < 0.0 or given.dtype.kind == "f" and np.any(np.floor(samples) != samples):
+        raise DomainError("samples must be whole photon counts >= 0")
     n = samples.size
     pairs = samples * (samples - 1.0)
     m1 = samples.mean()

@@ -369,8 +369,8 @@ def g2_from_pmf(dist: PhotonNumberDistribution) -> float:
     moment form cancels."""
     n = dist.support()
     mean = float(np.dot(n, dist.probs))
-    if mean <= 0.0:
-        raise UndefinedCoherenceError("g2 undefined for a zero-mean distribution")
+    if mean * mean == 0.0:  # a mean below ~1e-162 squares to 0
+        raise UndefinedCoherenceError(f"g2 undefined for a distribution of mean {mean!r}, whose square is 0")
     return float(np.dot(n * (n - 1), dist.probs)) / (mean * mean)
 
 

@@ -334,6 +334,15 @@ class TestImageSim:
         assert "4611686018427387904" in err
         assert "Traceback" not in err
 
+    def test_a_count_past_4300_digits_exits_two_naming_the_mode(self, tmp_path, capsys):
+        # int() refuses such a string: the mode is refused by the length of N
+        rc, _, err = run(
+            capsys, "image-sim", "--mode", "post(1" + "0" * 5000 + ")", "--shots", "0", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "mode post(N) needs N below 2**64" in err
+        assert "Traceback" not in err
+
     def test_counts_past_int64_exit_two(self, tmp_path, capsys):
         rc, _, err = run(
             capsys, "image-sim", "--width", "8", "--height", "8", "--measurements", "4",

@@ -298,7 +298,7 @@ class TestAcquire:
     def test_mode_string_validation(self):
         scene = binary_phantom(8, 8)
         masks = random_sensing_matrix(2, 64, seed=0)
-        for bad in ("POST(2)", "post(-1)", "post(1.5)", "mean", "subtract()"):
+        for bad in ("POST(2)", "post(-1)", "post(1.5)", "mean", "subtract()", None, 3, b"post(3)"):
             with pytest.raises(DomainError):
                 acquire(scene, masks, IDEAL, mode=bad)
 

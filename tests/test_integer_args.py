@@ -4,6 +4,7 @@ DomainError naming the parameter."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,8 +149,35 @@ LEVEL_CALLS = {
 
 @pytest.mark.parametrize("law", sorted(LEVEL_CALLS))
 def test_a_level_past_2_64_is_refused_by_name(law):
-    with pytest.raises(DomainError, match=r"^level must be below 2\*\*64, got 1000"):
+    with pytest.raises(DomainError, match=r"^level must be below 2\*\*64, got an integer of 1329 bits$"):
         LEVEL_CALLS[law](10**400)
+
+
+# Python refuses the repr of an integer past 4300 digits, so a message that
+# showed one escaped as a bare ValueError; such a value is named by its size.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: g2_subtracted(10**5000), "level must be below 2**64, got an integer of 16610 bits"),
+        (lambda: g2_subtracted(-(10**5000)), "level must be an integer >= 0, got a negative integer of 16610 bits"),
+        (lambda: pmf(thermal(10**5000)), "mean must be a finite real in [0, inf], got an integer of 16610 bits"),
+        (
+            lambda: random_sensing_matrix(4, 4, 10**5000),
+            "fill_fraction must be a finite real in (0, 1), got an integer of 16610 bits",
+        ),
+        (
+            lambda: acquire(SCENE, MASKS, ARMS, mode="post(1" + "0" * 5000 + ")", shots=None),
+            "mode post(N) needs N below 2**64, got an N of 5001 digits",
+        ),
+        (
+            lambda: acquire(SCENE, MASKS, ARMS, mode="subtract(18446744073709551616)", shots=None),
+            "mode subtract(N) needs N below 2**64, got an N of 20 digits",
+        ),
+    ],
+)
+def test_an_integer_past_4300_digits_is_named_by_its_size(call, message):
+    with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -162,6 +190,20 @@ def test_a_level_past_2_64_is_refused_by_name(law):
 def test_a_level_past_the_entry_budget_names_the_inputs(call, named):
     # the exact tail sums L + 1 terms: refused before np.arange is asked for them
     with pytest.raises(DomainError, match=rf"{named}: its tail sum needs over 2\*\*27 entries"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: random_sensing_matrix(2**62, 16), "n_measurements 4611686018427387904, n_pixels 16: its masks"),
+        (lambda: binary_phantom(2**62), "width 4611686018427387904, height 32: its image"),
+        (lambda: estimate_pmf(np.array([0, 2**62])), "samples' largest count 4611686018427387904: its frequency table"),
+    ],
+)
+def test_a_constructor_past_the_entry_budget_names_the_inputs(call, named):
+    # refused before numpy is asked for the array, which it would call too big
+    with pytest.raises(DomainError, match=rf"^{re.escape(named)} needs over 2\*\*27 entries"):
         call()
 
 

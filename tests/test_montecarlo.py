@@ -327,3 +327,11 @@ class TestEmpiricalG2:
     def test_zero_mean_sample_rejected(self):
         with pytest.raises(UndefinedCoherenceError):
             empirical_g2(np.zeros(100, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[0.5, 1.5], np.full(10, 1e-300), [3, -1], np.array([2.0, -0.0, -1.0]), np.array([-2, 4], dtype=np.int8)],
+    )
+    def test_samples_that_are_not_counts_rejected(self, samples):
+        with pytest.raises(DomainError, match="^samples must be whole photon counts >= 0$"):
+            empirical_g2(samples)

@@ -15,6 +15,7 @@ from photonstats import (
     InterferenceConfig,
     PreselectionNetwork,
     ScatterConfig,
+    SensingMatrix,
     SensingScene,
     SourceSpec,
     SplitterNetwork,
@@ -160,6 +161,7 @@ GRID_TABLE = [
     (lambda v: SensingScene(v, 2, 2), "values", NONNEG, np.array([0.5, 1.0, 0.0, 2.0])),
     (lambda v: tv_prox(v, 0.3, 3), "v", ANY, np.arange(16.0).reshape(4, 4) - 5.0),
     (lambda v: cs_reconstruct(v, np.ones(3), max_iter=4), "masks", ANY, MASKS.matrix),
+    (lambda v: SensingMatrix(v), "matrix", ANY, MASKS.matrix),
     (lambda v: cs_reconstruct(MASKS, v, max_iter=4), "y", ANY, np.array([1.0, 3.0, 2.0])),
     (lambda v: image_snr(v, np.arange(4) < 2), "s_hat", ANY, np.array([2.0, 3.0, 1.0, 0.0])),
     (lambda v: empirical_g2(v), "samples", ANY, np.array([0.0, 1.0, 2.0, 3.0, 1.0])),

@@ -110,8 +110,10 @@ class TestMomentsAndCoherence:
         assert abs(g2_from_pmf(pmf(coherent(1e-6), tail_target=1e-20)) - 1.0) <= 1e-12
 
     def test_g2_of_vacuum_is_undefined(self):
-        with pytest.raises(UndefinedCoherenceError):
-            g2_from_pmf(pmf(fock(0)))
+        # so is g2 at a mean whose square underflows to 0
+        for source in (fock(0), thermal(1e-300), thermal(5e-324)):
+            with pytest.raises(UndefinedCoherenceError, match=r"of mean \S+, whose square is 0$"):
+                g2_from_pmf(pmf(source))
 
 
 class TestCombinators:

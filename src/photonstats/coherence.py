@@ -13,8 +13,8 @@ slit:
 * the conditional spatial correlation map: g̃²(N,M) riding the interference
   modulation under a diffraction envelope;
 * a classical Gaussian-field oracle that produces the same fringe physics by
-  direct quadrature over the two slits, used to validate the fringe frequency
-  and the envelope shape without any photon-number reasoning;
+  quadrature over one centred slit and an exact phase per slit, to validate
+  the fringe frequency and envelope shape without photon-number reasoning;
 * vacuum preselection probabilities of a five-splitter routing network.
 
 The split-thermal laws, the conditional map, the classical oracle,
@@ -270,7 +270,7 @@ def conditional_g2_map(
 # Classical Gaussian-field oracle
 # ===================================================================
 
-# (k_a, k_b) pairs per block in `_slit_integrals`: its working memory is
+# Pairs per block in `_slit_integral`: its working memory is
 # about 3 · _PAIR_BLOCK · order complex numbers, whatever the grid size.
 _PAIR_BLOCK = 128
 
@@ -286,27 +286,25 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _slit_integrals(
-    cfg: InterferenceConfig, coherence_scale: float, k_a: np.ndarray, k_b: np.ndarray, order: int
+def _slit_integral(
+    slit_width: float, coherence_scale: float, p_a: np.ndarray, p_b: np.ndarray, order: int
 ) -> np.ndarray:
-    """q_j(k_a, k_b) = ∫∫_slit_j exp(i κ(k_b x' − k_a x)) exp(−(x−x')²/s) dx dx'
-    for j in {photonic slit at +d/2, plasmonic slit at −d/2} and each pair of
-    the 1-D arrays k_a, k_b; returns an array of shape (len(k_a), 2),
-    normalized by the slit area w²."""
+    """q(p_a, p_b) = ∫∫ exp(i(p_b u' − p_a u)) exp(−(u−u')²/s) du du' over one
+    slit of width w centred at 0, for each pair of the 1-D arrays p_a, p_b
+    (wavenumbers κk in the slit plane); normalized by the slit area w²."""
     nodes, weights = _gauss_legendre(order)
-    half = cfg.slit_width / 2.0
-    kappa = 2.0 * math.pi / (cfg.wavelength * cfg.distance)
-    out = np.empty((k_a.size, 2), dtype=complex)
-    for j, center in enumerate((cfg.slit_separation / 2.0, -cfg.slit_separation / 2.0)):
-        x = center + half * nodes
-        diff = x[:, None] - x[None, :]
-        kernel = np.exp(-(diff * diff) / coherence_scale)
-        for lo in range(0, k_a.size, _PAIR_BLOCK):
-            rows = slice(lo, lo + _PAIR_BLOCK)
-            u = weights * np.exp(-1j * kappa * k_a[rows, None] * x)
-            v = weights * np.exp(1j * kappa * k_b[rows, None] * x)
-            # (half²) from both substitutions; normalize by w² = (2·half)².
-            out[rows, j] = ((u @ kernel) * v).sum(axis=1) * 0.25
+    u = slit_width / 2.0 * nodes
+    diff = u[:, None] - u[None, :]
+    kernel = np.exp(-(diff * diff) / coherence_scale)
+    out = np.empty(p_a.size, dtype=complex)
+    for lo in range(0, p_a.size, _PAIR_BLOCK):
+        rows = slice(lo, lo + _PAIR_BLOCK)
+        # One column per pair. The kernel is real and exactly symmetric, so
+        # it multiplies the float view of the columns: no complex copy of it.
+        left = weights[:, None] * np.exp(-1j * u[:, None] * p_a[rows])
+        right = weights[:, None] * np.exp(1j * u[:, None] * p_b[rows])
+        # (w/2)² from both substitutions; normalize by the slit area w².
+        out[rows] = ((kernel @ left.view(float)).view(complex) * right).sum(axis=0) * 0.25
     return out
 
 
@@ -316,15 +314,19 @@ def classical_envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k
     The field has correlation exp(−(x−x')²/s) across the slit plane
     (s = ``coherence_scale``, squared length). The photonic slit sits at
     +d/2, the plasmonic one at −d/2, and the polarization/splitting weights
-    mix their contributions:
+    mix their contributions. x = ±d/2 + u leaves one integral q over a
+    centred slit of width w and puts each slit's position into an exact
+    phase, with κ = 2π/(λD) and Δk = k_b − k_a:
 
-        cross(k_a,k_b) = q₁·(cos²θ_pl cos²ψ + sin²θ_pl) + q₂·cos²θ_pl sin²ψ
+        cross(k_a,k_b) = q·[(cos²θ_pl cos²ψ + sin²θ_pl)·e^(iκΔk·d/2)
+                            + cos²θ_pl sin²ψ·e^(−iκΔk·d/2)]
         g²(k₁,k₂) = 1 + |cross(k₁,k₂)|² / (cross(k₁,k₁)·cross(k₂,k₂)).
 
-    k₁ and k₂ broadcast. Gauss–Legendre order starts at 64 per slit axis and
-    doubles, once for the whole grid, until every slit integral at every
-    point is stable to 1e-6 relative; failing to stabilize by order 1024
-    raises AccuracyError.
+    κ·d/2 is never read from ``cfg.beta``, so the oracle shares nothing with
+    the fringe it checks. k₁ and k₂ broadcast. Gauss–Legendre order starts at
+    64 per axis and doubles, once for the whole grid, until q at every point
+    is stable to 1e-6 relative; failing to stabilize by order 1024 raises
+    AccuracyError.
     """
     return _envelope_oracle(cfg, coherence_scale, k1, k2)[0]
 
@@ -342,21 +344,23 @@ def _envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k1, k2):
         raise DomainError("slit weights vanish; no field reaches the screen")
 
     # rows: the cross pairs (k₁, k₂), then the autos (k₁, k₁) and (k₂, k₂)
-    k_a = np.concatenate((k1, k1, k2), axis=None)
-    k_b = np.concatenate((k2, k1, k2), axis=None)
+    kappa = 2.0 * math.pi / (cfg.wavelength * cfg.distance)
+    p_a = kappa * np.concatenate((k1, k1, k2), axis=None)
+    p_b = kappa * np.concatenate((k2, k1, k2), axis=None)
     order = 64
-    prev = _slit_integrals(cfg, coherence_scale, k_a, k_b, order)
+    prev = _slit_integral(cfg.slit_width, coherence_scale, p_a, p_b, order)
     while True:
         order *= 2
         if order > 1024:
             raise AccuracyError("slit quadrature did not stabilize by order 1024")
-        cur = _slit_integrals(cfg, coherence_scale, k_a, k_b, order)
+        cur = _slit_integral(cfg.slit_width, coherence_scale, p_a, p_b, order)
         scale = np.abs(prev)
         if np.all(np.abs(cur - prev) <= 1e-6 * np.maximum(scale, 1e-300)):
             break
         prev = cur
 
-    cross, auto1, auto2 = (w_photonic * cur[:, 0] + w_plasmonic * cur[:, 1]).reshape(3, -1)
+    phase = np.exp(0.5j * cfg.slit_separation * (p_b - p_a))  # exactly 1 on the autos
+    cross, auto1, auto2 = (cur * (w_photonic * phase + w_plasmonic * phase.conj())).reshape(3, -1)
     denom = auto1.real * auto2.real
     if np.any(denom <= 0.0):
         raise AccuracyError("non-positive autocorrelation from quadrature")

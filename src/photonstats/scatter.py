@@ -125,19 +125,24 @@ def g2_vs_angle(
     sorted by angle.
 
     Two independent thermal modes of means A and B give the closed form
-    g2 = 1 + (A² + B²)/(A + B)², evaluated on each angle's mode means; the
-    tests check it against `g2_from_pmf(detected_pmf(cfg))`.
+    g2 = 1 + (A² + B²)/(A + B)² = 1 + ρ² + (1 − ρ)², ρ = A/(A + B), on each
+    angle's mode means; the tests check it against
+    `g2_from_pmf(detected_pmf(cfg))`.
     """
     grid = _real(theta_grid_deg, "theta grid", 0, 90, grid=True)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("theta grid must be a non-empty 1-D array")
     cfg = ScatterConfig(mean_source, mean_plasmon, 0.0)  # checks both means
-    if cfg.mean_source + cfg.mean_plasmon <= 0.0:  # A + B at every angle
+    top = max(cfg.mean_source, cfg.mean_plasmon)
+    if top <= 0.0:  # A + B at every angle
         raise UndefinedCoherenceError("g2 undefined for a zero-mean distribution")
     grid = np.sort(grid)
     eta = np.cos(np.radians(grid)) ** 2
-    a, b = cfg.mean_plasmon + eta * cfg.mean_source, (1.0 - eta) * cfg.mean_source
-    return np.column_stack((grid, 1.0 + (a * a + b * b) / (a + b) ** 2))
+    # In units of the larger mean A + B lies in [1, 2], so the share ρ neither
+    # overflows nor is 0/0, whatever the scale of the means.
+    source, plasmon = cfg.mean_source / top, cfg.mean_plasmon / top
+    rho = (plasmon + eta * source) / (plasmon + source)
+    return np.column_stack((grid, 1.0 + rho * rho + (1.0 - rho) ** 2))
 
 
 def p_function_convolution_check(

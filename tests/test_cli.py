@@ -551,7 +551,7 @@ class TestEnvelopeOracle:
         rc, summary, _ = run(capsys, "envelope-oracle", "--out", str(tmp_path))
         assert rc == 0
         manifest = json.loads((tmp_path / "envelope-oracle-manifest.json").read_text())
-        # the defaults settle at the second rule tried, 64 → 128 points per slit axis
+        # the defaults settle at the second rule tried, 64 → 128 points per axis
         assert summary["quadrature_order"] == manifest["summary"]["quadrature_order"] == 128
 
     def test_default_scale_is_recorded_as_null(self, tmp_path, capsys):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from photonstats import (
     ContractError,
@@ -325,6 +327,115 @@ class TestClassicalOracle:
         scale = (cfg.slit_width / 8.0) ** 2
         with pytest.raises(DomainError, match="finite"):
             classical_envelope_oracle(cfg, scale, np.array([0.0, k]), 0.0)
+
+
+def _two_slit_integrals(cfg, coherence_scale, k_a, k_b, order):
+    """Textbook twin of `coherence._slit_integral`: each slit integrated where
+    it sits, q_j(k_a, k_b) = ∫∫_slit_j exp(iκ(k_b x' − k_a x)) exp(−(x−x')²/s)
+    dx dx' / w², for the photonic slit at +d/2 (column 0) and the plasmonic
+    one at −d/2 (column 1)."""
+    nodes, weights = _gauss_legendre(order)
+    half = cfg.slit_width / 2.0
+    kappa = 2.0 * math.pi / (cfg.wavelength * cfg.distance)
+    out = np.empty((k_a.size, 2), dtype=complex)
+    for j, center in enumerate((cfg.slit_separation / 2.0, -cfg.slit_separation / 2.0)):
+        x = center + half * nodes
+        diff = x[:, None] - x[None, :]
+        kernel = np.exp(-(diff * diff) / coherence_scale)
+        u = weights * np.exp(-1j * kappa * k_a[:, None] * x)
+        v = weights * np.exp(1j * kappa * k_b[:, None] * x)
+        out[:, j] = ((u @ kernel) * v).sum(axis=1) * 0.25
+    return out
+
+
+def _two_slit_oracle(cfg, coherence_scale, k1, k2):
+    """The envelope oracle from the two slit integrals: the order doubles from
+    64 until both are stable to 1e-6 relative. Returns g2 and that order."""
+    c2 = math.cos(cfg.polarization_angle) ** 2
+    slit_weights = np.array([c2 * math.cos(cfg.psi) ** 2 + 1.0 - c2, c2 * math.sin(cfg.psi) ** 2])
+    k1, k2 = np.broadcast_arrays(np.asarray(k1, dtype=float), np.asarray(k2, dtype=float))
+    k_a = np.concatenate((k1, k1, k2), axis=None)
+    k_b = np.concatenate((k2, k1, k2), axis=None)
+    order = 64
+    prev = _two_slit_integrals(cfg, coherence_scale, k_a, k_b, order)
+    while True:
+        order *= 2
+        assert order <= 1024
+        cur = _two_slit_integrals(cfg, coherence_scale, k_a, k_b, order)
+        if np.all(np.abs(cur - prev) <= 1e-6 * np.abs(prev)):
+            break
+        prev = cur
+    cross, auto1, auto2 = (cur @ slit_weights).reshape(3, -1)
+    return 1.0 + np.abs(cross) ** 2 / (auto1.real * auto2.real), order
+
+
+class TestCentredSlit:
+    """The oracle integrates one centred slit and gives each slit's position
+    as an exact phase; the twin integrates both slits where they sit."""
+
+    def test_the_cli_grid_matches_the_two_slit_twin(self):
+        cfg = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
+        scale = (cfg.slit_width / 8.0) ** 2
+        dks = np.linspace(0.0, 4.0 * math.pi / cfg.beta, 129)
+        got, order = _envelope_oracle(cfg, scale, -dks / 2.0, dks / 2.0)
+        want, twin_order = _two_slit_oracle(cfg, scale, -dks / 2.0, dks / 2.0)
+        assert order == twin_order == 128
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        mean_h=st.floats(0.0, 2.0),
+        mean_v=st.floats(0.0, 2.0),
+        psi=st.floats(0.0, math.pi / 2.0),
+        separation=st.floats(2e-6, 2e-5),
+        width=st.floats(1e-7, 1e-6),
+        coherence=st.floats(0.1, 3.0),
+        k1=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+        k2=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+    )
+    def test_asymmetric_pairs_match_the_two_slit_twin(
+        self, mean_h, mean_v, psi, separation, width, coherence, k1, k2
+    ):
+        assume(mean_h + mean_v > 0.0)
+        cfg = InterferenceConfig(mean_h, mean_v, psi, slit_separation=separation, slit_width=width)
+        # positions in fringe periods, drawn apart so that, unlike on the CLI
+        # grid, k₁ + k₂ ≠ 0
+        k1, k2 = np.array(k1) * math.pi / cfg.beta, np.array(k2) * math.pi / cfg.beta
+        assume(np.all(k1 + k2 != 0.0))
+        scale = (coherence * width) ** 2
+        got, order = _envelope_oracle(cfg, scale, k1, k2)
+        want, twin_order = _two_slit_oracle(cfg, scale, k1, k2)
+        assert order == twin_order
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("length", [1.0 / 8.0, 1.0 / 2.0, 2.0])
+    def test_zero_wavenumber_integral_has_a_closed_form(self, length):
+        # ∫∫ over [0, L]² of exp(−(x−x')²/s) is L√(πs)·erf(L/√s) − s(1 − e^(−L²/s)),
+        # here with L = w and s = (length·w)²
+        w = InterferenceConfig(1.0, 0.5, 0.0).slit_width
+        s = (length * w) ** 2
+        closed = w * math.sqrt(math.pi * s) * math.erf(w / math.sqrt(s)) - s * (1.0 - math.exp(-w * w / s))
+        closed /= w**2
+        zero = np.zeros(1)
+        for order in (64, 128, 256, 512, 1024):
+            (q,) = coherence._slit_integral(w, s, zero, zero, order)
+            assert q.imag == 0.0
+            assert abs(q.real - closed) <= 1e-12 * closed, order
+
+    def test_the_oracle_never_reads_beta(self):
+        # a fault in beta must still fail the fringe checks, so the oracle
+        # builds its slit phase from d, λ and D alone
+        class NoBeta(InterferenceConfig):
+            @property
+            def beta(self):
+                raise AssertionError("the envelope oracle read cfg.beta")
+
+        plain = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
+        scale = (plain.slit_width / 8.0) ** 2
+        dks = np.linspace(0.0, 4.0 * math.pi / plain.beta, 9)
+        no_beta = NoBeta(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
+        got = classical_envelope_oracle(no_beta, scale, -dks / 2.0, dks / 2.0)
+        assert np.array_equal(got, classical_envelope_oracle(plain, scale, -dks / 2.0, dks / 2.0))
 
 
 class TestGaussLegendreCache:

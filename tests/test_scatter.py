@@ -135,6 +135,19 @@ class TestG2Scan:
         assert rows[0, 0] == 0.0 and rows[-1, 0] == 90.0
         assert np.max(np.abs(rows[:, 1] - oracle) / oracle) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "source,plasmon,unit",
+        [(1e-300, 0.0, (1.0, 0.0)), (1e-200, 0.0, (1.0, 0.0)), (1e-170, 1e-170, (1.0, 1.0)),
+         (1e300, 1.0, (1.0, 0.0)), (1e308, 1e308, (1.0, 1.0))],
+    )
+    def test_extreme_means_give_the_unit_scale_curve(self, source, plasmon, unit):
+        # g2 depends on the means' ratio only, while (A + B)² or A² at these
+        # scales would underflow or overflow
+        grid = np.linspace(0.0, 90.0, 7)
+        rows = g2_vs_angle(source, plasmon, grid)
+        np.testing.assert_allclose(rows, g2_vs_angle(*unit, grid), rtol=1e-15, atol=0.0)
+
     def test_zero_mean_field_has_no_g2(self):
         with pytest.raises(UndefinedCoherenceError):
             g2_vs_angle(0.0, 0.0, [0.0, 45.0])

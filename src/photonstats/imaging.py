@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
@@ -504,58 +504,74 @@ class _TvWorkspace:
     solve; the dual is carried from one prox call to the next.
 
     G is the forward-difference operator with slope 0 past the last row and
-    column. The dual lives in one flat buffer laid out as W zeros, then py,
-    then px (row-major). Gᵀ never reads px's last column or py's last row,
-    and the workspace holds both at 0, as G's slope is there. Then "py one
-    row up" and "px one entry left" are plain shifted slices of the buffer
-    with zeros where Gᵀ adds nothing, and every sweep is a handful of
-    whole-array operations with ``out=``.
+    column. Every array a sweep touches is stored H × (W + 1): each row is
+    followed by one 0, the pad column, and stays contiguous. The dual lives
+    in one flat buffer laid out as W + 1 zeros, then py, then px. Gᵀ never
+    reads px's last column or py's last row, and the workspace holds both,
+    and the pad column, at 0, as G's slope is there. Then "py one row up"
+    and "px one entry left" are plain shifted slices of the buffer with
+    zeros where Gᵀ adds nothing, and u's pad column stays 0.
+
+    u is followed by one zero row, so (u one row down, u one entry right) is
+    a single (2, H, W + 1) view of its buffer, and one subtract gives
+    (gy, gx). At G's edges each slope is a 0 next to u minus u, so none can
+    overflow; the step array holds 0 there and the step inside, so one
+    multiply takes the step and zeroes the edge slopes without forming
+    step·0, which is NaN at step = inf. A sweep is then 9 whole-array
+    operations with ``out=``, and a prox copies v in and u out once.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
         height, width = shape
-        n = height * width
-        self._flat = np.zeros(width + 2 * n)
-        self.dual = self._flat[width:].reshape(2, height, width)  # (py, px)
-        self.py, self.px = self.dual
+        row = width + 1
+        n = height * row
+        self._flat = np.zeros(row + 2 * n)
+        self.dual = self._flat[row:].reshape(2, height, row)  # (py, px)
+        self._py, self._px = self.dual
         # py[i−1, j] with 0 on the first row; px[i, j−1] with 0 at j = 0
-        self._py_above = self._flat[:n].reshape(height, width)
-        self._px_left = self._flat[width + n - 1 : -1].reshape(height, width)
-        self.slope = np.zeros((2, height, width))  # (step·gy, step·gx)
-        self._adjoint = np.empty((height, width))
+        self._py_above = self._flat[:n].reshape(height, row)
+        self._px_left = self._flat[row + n - 1 : -1].reshape(height, row)
+        padded = np.zeros(n + row)
+        self._u = padded[:n].reshape(height, row)
+        # u one row down starts a row into the buffer and u one entry right
+        # one entry in, so the pair's stride is 1 − (W + 1) entries
+        item = padded.itemsize
+        self._u_ahead = np.lib.stride_tricks.as_strided(
+            padded[row:], (2, height, row), (-width * item, row * item, item), writeable=False
+        )
+        self._v = np.zeros((height, row))
+        self._steps = np.empty((2, height, row))  # (py's, px's) step, 0 on G's edges
+        self.slope = np.empty((2, height, row))  # (step·gy, step·gx)
+        self._adjoint = np.empty((height, row))
 
-    def _primal(self, v: np.ndarray, weight: float, out: np.ndarray) -> None:
+    def _primal(self, out: np.ndarray, weight: float) -> None:
         """out = v − weight·Gᵀp, with Gᵀp summed as px[i, j−1] − px[i, j]
         − py[i, j] + py[i−1, j]."""
         adj = self._adjoint
-        np.subtract(self._px_left, self.px, out=adj)
-        np.subtract(adj, self.py, out=adj)
+        np.subtract(self._px_left, self._px, out=adj)
+        np.subtract(adj, self._py, out=adj)
         np.add(adj, self._py_above, out=adj)
         np.multiply(weight, adj, out=adj)
-        np.subtract(v, adj, out=out)
+        np.subtract(self._v, adj, out=out)
 
     def prox(self, v: np.ndarray, weight: float, n_inner: int, out: np.ndarray) -> None:
         """`tv_prox` in place: advances the dual by n_inner sweeps and writes
-        u into `out`, a C-contiguous array that overlaps neither v nor the
+        u into `out`, an (H, W) array that overlaps neither v nor the
         workspace."""
-        width = self.px.shape[1]
-        step = 1.0 / (8.0 * weight)
-        u = out.reshape(-1)
-        gy, gx = self.slope
-        flat_gy, flat_gx = self.slope.reshape(2, -1)
-        self._primal(v, weight, out)
+        steps, slope, dual = self._steps, self.slope, self.dual
+        steps.fill(1.0 / (8.0 * weight))
+        steps[..., -1] = 0.0  # the pad column,
+        steps[0, -1] = 0.0  # py's last row
+        steps[1, :, -2] = 0.0  # and px's last column
+        self._v[:, :-1] = v
         for _ in range(n_inner):
-            np.subtract(u[width:], u[:-width], out=flat_gy[: u.size - width])
-            np.subtract(u[1:], u[:-1], out=flat_gx[:-1])
-            np.multiply(step, self.slope, out=self.slope)
-            # G's zero slopes: gx[:, -1] now holds the differences that
-            # wrap from one row to the next, and step·0 is NaN if step = inf.
-            gx[:, -1] = 0.0
-            gy[-1] = 0.0
-            np.add(self.dual, self.slope, out=self.dual)
-            np.maximum(self.dual, -1.0, out=self.dual)
-            np.minimum(self.dual, 1.0, out=self.dual)
-            self._primal(v, weight, out)
+            self._primal(self._u, weight)
+            np.subtract(self._u_ahead, self._u, out=slope)
+            np.multiply(slope, steps, out=slope)
+            np.add(dual, slope, out=dual)
+            dual.clip(-1.0, 1.0, out=dual)  # the method: np.clip's wrapper costs ~1 µs more
+        self._primal(self._u, weight)
+        out[...] = self._u[:, :-1]
 
 
 def tv_prox(v: np.ndarray, weight: float, n_inner: int = 20) -> np.ndarray:
@@ -616,6 +632,14 @@ def _rank_one_metric(q: np.ndarray) -> tuple[float, float]:
     return beta, float(np.linalg.eigvalsh(gram)[-1])
 
 
+@lru_cache(maxsize=4)
+def _ranks(n: int) -> np.ndarray:
+    """0, 1, …, n − 1 as read-only floats, kept for `_metric_shift`."""
+    ranks = np.arange(float(n))
+    ranks.setflags(write=False)
+    return ranks
+
+
 def _metric_shift(w: np.ndarray, v: np.ndarray, beta: float) -> float:
     """The c with c = (β/n)·Σ(max(wᵢ − c, 0) − vᵢ), exactly.
 
@@ -630,7 +654,12 @@ def _metric_shift(w: np.ndarray, v: np.ndarray, beta: float) -> float:
     top = np.sort(w, axis=None)[::-1]
     sums = np.cumsum(top)
     total_v = float(v.sum())
-    above = top - (beta / n) * (sums - top - np.arange(n) * top - total_v)
+    # above = top − (β/n)·(sums − top − rank·top − Σv), in place
+    above = np.subtract(sums, top)
+    np.subtract(above, np.multiply(_ranks(n), top), out=above)
+    np.subtract(above, total_v, out=above)
+    np.multiply(beta / n, above, out=above)
+    np.subtract(top, above, out=above)
     k = int(np.count_nonzero(above > 0.0))
     kept = float(sums[k - 1]) if k else 0.0
     return beta * (kept - total_v) / (n + beta * k)
@@ -663,7 +692,9 @@ def cs_reconstruct(
     constant is added, so it is max(w − c, 0) with the scalar shift c from
     `_metric_shift` (with nonneg=False, c = 0 because the TV prox keeps the
     mean). Q·s and Q·candidate are kept from the objective, so Q·momentum is
-    their linear combination and a step costs two matrix products.
+    their linear combination and a step costs two matrix products. Each
+    iterate is one buffer [image | Q·image], so one whole-buffer operation
+    updates an image and its Q product together.
 
     The TV prox is inexact: `_SOLVER_SWEEPS` dual ascent sweeps, warm-started
     from the previous prox. Consecutive prox inputs differ less and less, so
@@ -679,11 +710,14 @@ def cs_reconstruct(
     is always on; the result's restarts counts the steps it fired.
     Measurements are scaled to max 1 before solving and scaled back.
 
-    A solve allocates its buffers once: one `_TvWorkspace`, whose dual is
-    carried from each prox call to the next, and a few arrays updated with
-    ``out=``. The iterates, objective trace and iteration count equal, bit
-    for bit, those of the same loop written with fresh arrays and the
-    textbook `tv_prox` sweep (the tests keep that loop as the oracle).
+    A solve makes its iterates and the prox's buffers once: one
+    `_TvWorkspace`, whose dual is carried from each prox call to the next,
+    four [image | Q·image] buffers and a few image-sized arrays, all updated
+    with ``out=``. A step still allocates small temporaries: the objective's
+    residual, `_tv`'s differences, and `_metric_shift`'s sorted copy and
+    sums. The iterates, objective trace and iteration count equal, bit for
+    bit, those of the same loop written with fresh arrays and the textbook
+    `tv_prox` sweep (the tests keep that loop as the oracle).
 
     Each step measures its candidate x⁺ from the momentum point z by the
     gradient mapping ½·L·‖x⁺ − z‖²_M, ‖d‖²_M = ‖d‖² + β(Σd)²/n, relative to
@@ -726,81 +760,76 @@ def cs_reconstruct(
     base_step = 1.0 / (mu * lam)
     mean_share = beta / (1.0 + beta)
 
-    def objective(s_img: np.ndarray, q_s: np.ndarray) -> float:
-        """The objective at s_img, writing Q·s_img into q_s."""
-        np.matmul(q, s_img.ravel(), out=q_s)
-        resid = q_s - y_scaled
-        return _tv(s_img) + 0.5 * mu * float(resid @ resid)
+    def objective(iterate: np.ndarray) -> float:
+        """The objective at iterate's image, writing its Q product into the
+        rest of the buffer."""
+        image, q_image = iterate[:n_pixels], iterate[n_pixels:]
+        np.matmul(q, image, out=q_image)
+        resid = q_image - y_scaled
+        return _tv(image.reshape(shape)) + 0.5 * mu * float(resid @ resid)
 
-    # One workspace per solve. `s` and `candidate` (and their Q products)
-    # swap buffers when a candidate is accepted, so no iterate is
-    # overwritten while in use.
+    # One workspace per solve, and one buffer per iterate holding [image |
+    # Q·image], so a linear combination of iterates updates both in one
+    # call. `s` and `candidate` swap buffers when a candidate is accepted,
+    # so no iterate is overwritten while in use.
     work = _TvWorkspace(shape)
-    s, q_s = np.zeros(shape), np.empty(q.shape[0])
-    candidate, q_candidate = np.empty(shape), np.empty(q.shape[0])
-    momentum, q_momentum = np.zeros(shape), np.zeros(q.shape[0])
-    spare, q_spare = np.empty(shape), np.empty(q.shape[0])
+    s, candidate, momentum, spare = np.zeros((4, n_pixels + q.shape[0]))
+    s_img, candidate_img, momentum_img, spare_img = (
+        buffer[:n_pixels].reshape(shape) for buffer in (s, candidate, momentum, spare)
+    )
     moved = np.empty(shape)  # the gradient, then the gradient-step point v
     ahead = np.empty(shape)  # candidate − s, for the restart test
     data_resid = np.empty(q.shape[0])
     t_k = 1.0
-    trace = [objective(s, q_s)]
+    trace = [objective(s)]
     iterations = restarts = 0
     stop_reason = "max_iter"
     for _ in range(max_iter):
-        np.subtract(q_momentum, y_scaled, out=data_resid)
+        np.subtract(momentum[n_pixels:], y_scaled, out=data_resid)
         np.matmul(q.T, data_resid, out=moved.ravel())
         np.multiply(mu, moved, out=moved)
-        np.subtract(moved, mean_share * moved.mean(), out=moved)
+        np.subtract(moved, mean_share * (moved.sum() / n_pixels), out=moved)
         np.multiply(base_step, moved, out=moved)
-        np.subtract(momentum, moved, out=moved)
-        work.prox(moved, base_step, _SOLVER_SWEEPS, candidate)
+        np.subtract(momentum_img, moved, out=moved)
+        work.prox(moved, base_step, _SOLVER_SWEEPS, candidate_img)
         if nonneg:
-            np.subtract(candidate, _metric_shift(candidate, moved, beta), out=candidate)
-            np.maximum(candidate, 0.0, out=candidate)
-        value = objective(candidate, q_candidate)
+            np.subtract(candidate_img, _metric_shift(candidate_img, moved, beta), out=candidate_img)
+            np.maximum(candidate_img, 0.0, out=candidate_img)
+        value = objective(candidate)
         # ½·L·‖x⁺ − z‖²_M, then relative to F(x⁺); 0 when x⁺ = z
-        np.subtract(candidate, momentum, out=spare)
-        total = float(spare.sum())
-        gap = 0.5 * (mu * lam) * (float(np.vdot(spare, spare)) + beta * total * total / n_pixels)
+        np.subtract(candidate_img, momentum_img, out=spare_img)
+        total = float(spare_img.sum())
+        gap = 0.5 * (mu * lam) * (float(np.vdot(spare_img, spare_img)) + beta * total * total / n_pixels)
         measure = gap / value if value > 0.0 else (0.0 if gap == 0.0 else math.inf)
         # restart when ⟨z − x⁺, x⁺ − s⟩_M > 0, that is ⟨x⁺ − z, x⁺ − s⟩_M < 0
-        np.subtract(candidate, s, out=ahead)
-        if float(np.vdot(spare, ahead)) + beta * total * float(ahead.sum()) / n_pixels < 0.0:
+        np.subtract(candidate_img, s_img, out=ahead)
+        if float(np.vdot(spare_img, ahead)) + beta * total * float(ahead.sum()) / n_pixels < 0.0:
             t_k = 1.0
             restarts += 1
         previous = trace[-1]
-        if value <= previous:  # monotone guard: extrapolation may overshoot
-            s_next, q_s_next = candidate, q_candidate
-            accepted_value = value
-        else:
-            s_next, q_s_next = s, q_s
-            accepted_value = previous
+        accepted = value <= previous  # monotone guard: extrapolation may overshoot
+        s_next = candidate if accepted else s
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
         # momentum = s_next + (t_k / t_next)·(candidate − s_next)
-        #            + ((t_k − 1) / t_next)·(s_next − s), in that order,
-        # and Q·momentum the same combination of the Q products
-        for out, tmp, nxt, cand, cur in (
-            (momentum, spare, s_next, candidate, s),
-            (q_momentum, q_spare, q_s_next, q_candidate, q_s),
-        ):
-            np.subtract(cand, nxt, out=out)
-            np.multiply(t_k / t_next, out, out=out)
-            np.add(nxt, out, out=out)
-            np.subtract(nxt, cur, out=tmp)
-            np.multiply((t_k - 1.0) / t_next, tmp, out=tmp)
-            np.add(out, tmp, out=out)
-        if s_next is candidate:
+        #            + ((t_k − 1) / t_next)·(s_next − s), in that order, and
+        # in the same buffers Q·momentum the same combination of Q products
+        np.subtract(candidate, s_next, out=momentum)
+        np.multiply(t_k / t_next, momentum, out=momentum)
+        np.add(s_next, momentum, out=momentum)
+        np.subtract(s_next, s, out=spare)
+        np.multiply((t_k - 1.0) / t_next, spare, out=spare)
+        np.add(momentum, spare, out=momentum)
+        if accepted:
             s, candidate = candidate, s
-            q_s, q_candidate = q_candidate, q_s
+            s_img, candidate_img = candidate_img, s_img
         t_k = t_next
         iterations += 1
-        trace.append(accepted_value)
+        trace.append(value if accepted else previous)
         if measure <= tol:
             stop_reason = "converged"
             break
 
-    s_hat = s.ravel() * scale
+    s_hat = s_img.ravel() * scale
     residual = float(np.linalg.norm(q @ s_hat - y))
     return ReconstructionResult(s_hat, iterations, trace, residual, stop_reason, measure, restarts)
 

@@ -44,6 +44,13 @@ __all__ = [
 ]
 
 
+# The largest Gauss–Laguerre order `special.roots_laguerre` builds: its
+# weights overflow from order 364 on (a RuntimeWarning, then NaN). It caps
+# `p_function_convolution_check` at a combined mean of 27.1 at the default
+# tail target.
+_LAGUERRE_MAX_ORDER = 363
+
+
 @dataclass(frozen=True)
 class ScatterConfig:
     """Source mean n̄_s, plasmonic mean n̄_pl, polarization angle in degrees
@@ -163,6 +170,10 @@ def p_function_convolution_check(
     is a polynomial times e^(−t), which the rule integrates exactly), keeping
     the check honest: agreement with the thermal pmf is a numerical outcome,
     not an identity wired into the code.
+
+    The rule has order n_max//2 + 8, and one past `_LAGUERRE_MAX_ORDER`
+    cannot be built: such means and tail targets (a combined mean from 28
+    up at the default target) raise AccuracyError before any rule is made.
     """
     combined = _real(mean_1, "mean_1", 0) + _real(mean_2, "mean_2", 0)
     n_max, tail = _grow_cutoff(
@@ -170,6 +181,11 @@ def p_function_convolution_check(
     )
 
     order = n_max // 2 + 8
+    if order > _LAGUERRE_MAX_ORDER:
+        raise AccuracyError(
+            f"mean_1 {mean_1!r} and mean_2 {mean_2!r} at tail_target {tail_target!r} need a "
+            f"Gauss–Laguerre rule of order {order}; the largest that builds is {_LAGUERRE_MAX_ORDER}"
+        )
     nodes, weights = special.roots_laguerre(order)
     positive = weights > 0.0
     log_w = np.log(weights[positive])

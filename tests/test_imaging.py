@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
@@ -972,7 +972,9 @@ class TestBitForBitAgainstTheTextbook:
     """The in-place prox and solver do the textbook loops' floating-point
     operations in the same order: results must be equal, not close."""
 
-    @pytest.mark.parametrize("shape", [(32, 32), (7, 5), (1, 6), (6, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(32, 32), (7, 5), (1, 6), (6, 1), (1, 1), (1, 2), (2, 1), (2, 2), (3, 32), (32, 3)]
+    )
     # At 1e-310 the step 1/(8·weight) overflows: step·0 is NaN in the dual
     # entries Gᵀ ignores, and u must still match.
     @pytest.mark.parametrize("weight", [0.0, 1e-310, 1e-6, 0.3, 10.0])
@@ -984,6 +986,27 @@ class TestBitForBitAgainstTheTextbook:
         for n_inner in (1, 20):
             u_ref, _ = _textbook_prox(v, weight, n_inner)
             assert np.array_equal(tv_prox(v, weight, n_inner=n_inner), u_ref)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (3, 32), (32, 3), (32, 32)])
+    @pytest.mark.parametrize("weight", [1e-310, 1e-6, 0.3, 10.0])
+    def test_edge_duals_stay_zero_over_a_long_prox(self, shape, weight):
+        # `_px_left` and `_py_above` read px's last column, py's last row and
+        # the pad column as the +0 that Gᵀ adds there, and a sweep writes
+        # those entries only through the 0 of the edge-masked step
+        work = imaging._TvWorkspace(shape)
+        v = np.random.default_rng(23).normal(size=shape)
+        work.prox(v, weight, 2000, np.empty(shape))
+        py, px = work.dual
+        edges = np.concatenate([px[:, -2:].ravel(), py[-1], py[:, -1]])
+        assert np.all(edges == 0.0) and not np.any(np.signbit(edges))
+
+    def test_prox_of_huge_values_of_both_signs_equals_the_textbook_sweep(self):
+        # Across a row break these differ by more than the largest float;
+        # G never takes that difference, so neither may the prox.
+        v = np.array([[1.0, -1e308], [1e308, 2.0], [3.0, -1e308]])
+        u_ref, _ = _textbook_prox(v, 0.3, 3)
+        assert np.all(np.isfinite(u_ref))
+        assert np.array_equal(tv_prox(v, 0.3, n_inner=3), u_ref)
 
     def test_prox_writes_to_no_input_and_shares_no_memory(self):
         rng = np.random.default_rng(4)
@@ -1059,6 +1082,39 @@ def test_restarted_solver_equals_the_twin_on_random_scenes(
         assert res.stop_reason == "converged"
     else:
         assert res.stop_reason == "max_iter" and res.iterations == max_iter
+
+
+# `_metric_shift`'s fixed point over sizes 1 to 1024, β of 0, 1e-300 and
+# 1e3, and w spread, tied or all equal, shifted so that every wᵢ lies below
+# c (k = 0), around it, or above it (k = n); the 200 examples take ~0.35 s
+# together on a 2-vCPU box.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 1024),
+    beta=st.sampled_from([0.0, 1e-300, 1e3]),
+    kind=st.sampled_from(["spread", "tied", "equal"]),
+    offset=st.sampled_from([-100.0, 0.0, 100.0]),
+    noise=st.sampled_from([0.0, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+@example(n=1024, beta=1e3, kind="spread", offset=-100.0, noise=0.0, seed=0)  # k = 0
+@example(n=1024, beta=1e3, kind="tied", offset=100.0, noise=0.0, seed=0)  # k = n
+@example(n=1, beta=1e3, kind="equal", offset=0.0, noise=1.0, seed=1)
+def test_metric_shift_meets_its_fixed_point(n, beta, kind, offset, noise, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "spread":
+        w = rng.normal(size=n)
+    elif kind == "tied":
+        w = rng.integers(-3, 4, size=n) / 2.0
+    else:
+        w = np.full(n, rng.normal())
+    w += offset
+    v = w + noise * rng.normal(size=n)
+    c = _metric_shift(w, v, beta)
+    kept = np.maximum(w - c, 0.0)
+    right = (beta / n) * (math.fsum(kept) - math.fsum(v))
+    scale = abs(c) + (beta / n) * (math.fsum(kept) + math.fsum(np.abs(v)))
+    assert abs(c - right) <= 1e-12 * scale
 
 
 class TestInexactProxAccuracy:

@@ -1,11 +1,14 @@
 """Mixed source-plus-scatter photon statistics."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from photonstats import (
+    AccuracyError,
     DomainError,
     ScatterConfig,
     UndefinedCoherenceError,
@@ -16,6 +19,7 @@ from photonstats import (
     pmf,
     thermal,
 )
+from photonstats.scatter import _LAGUERRE_MAX_ORDER
 
 
 def closed_form_g2(a: float, b: float) -> float:
@@ -202,6 +206,32 @@ class TestPFunctionConvolution:
         with pytest.raises(DomainError, match=r"^mean_1 1e\+308 and mean_2 1e\+308: its baseline cutoff") as info:
             p_function_convolution_check(1e308, 1e308)
         assert "mean_total" not in str(info.value)
+
+    @pytest.mark.parametrize("m1,m2", [(28.0, 0.0), (1e3, 1.0), (1e4, 1.0), (1e6, 1.0)])
+    def test_a_rule_too_large_to_build_is_refused_by_name(self, m1, m2):
+        # A combined mean of 28 needs order 374 at the default target, and
+        # 1e6 an order of 12.5 million, which scipy would take minutes over.
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError) as info:
+            p_function_convolution_check(m1, m2)
+        elapsed = time.perf_counter() - start
+        message = str(info.value)
+        assert message.startswith(f"mean_1 {m1!r} and mean_2 {m2!r} at tail_target 1e-10")
+        assert f"the largest that builds is {_LAGUERRE_MAX_ORDER}" in message
+        assert elapsed < 0.05
+
+    @pytest.mark.parametrize("m1,m2", [(27.0, 0.0), (27.1, 0.0), (13.55, 13.55)])
+    def test_means_up_to_the_largest_rule_still_return(self, m1, m2):
+        d = p_function_convolution_check(m1, m2)
+        assert d.n_max // 2 + 8 <= _LAGUERRE_MAX_ORDER
+        assert d.tail_bound <= 1e-10
+
+    def test_the_largest_rule_builds_finite_with_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nodes, weights = special.roots_laguerre(_LAGUERRE_MAX_ORDER)
+        assert nodes.size == _LAGUERRE_MAX_ORDER
+        assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
 
 
 class TestTinyTailTarget:

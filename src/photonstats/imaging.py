@@ -360,6 +360,10 @@ def snr_sub(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
 
 _MODE_RE = re.compile(r"^(?:intensity|(post|subtract)\(0*(\d+)\))$")  # N without leading zeros
 
+# Rows per block of a heralded Monte Carlo acquisition: a block's classes
+# and its class-split table are all it holds at once.
+_ROW_BLOCK = 32
+
 
 def _parse_mode(mode: str) -> tuple[str, int]:
     match = _MODE_RE.match(mode.strip()) if isinstance(mode, str) else None
@@ -410,10 +414,11 @@ def acquire(
 
     A call makes one generator and `_rekey`s it to each substream, which
     gives the bits a fresh generator per substream would. post(N) and
-    subtract(N) first draw every row's classes, then build one class-split
-    table (`_class_split`) over every photon number any row holds, and each
-    row reads its classes' entries; the streams and y are those of a
-    generator and a table per row.
+    subtract(N) read the rows in blocks of 32: a block first draws its rows'
+    classes, then builds one class-split table (`_class_split`) over every
+    photon number they hold, and each row reads its classes' entries; the
+    streams and y are those of a generator and a table per row, and memory
+    grows with the classes of one block, not of every row.
     """
     if masks.n_pixels != scene.values.size:
         raise ContractError(
@@ -456,32 +461,33 @@ def acquire(
             detect = substream(t, 1)
             y[t] = (detect.binomial(total, keep) + detect.poisson(dark)) / shots
         return y
-    # every row's classes first, so that one split table covers them all
-    classes = [
-        _thermal_classes(float(n_t), shots, substream(t, 0)) for t, n_t in enumerate(projections)
-    ]
-    levels, level_of = np.unique(np.concatenate([numbers for numbers, _ in classes]), return_inverse=True)
-    ends = np.cumsum([numbers.size for numbers, _ in classes])[:-1]
     if kind == "post":
-        split, match = _class_split(levels, c2 * arms.det_a.efficiency, arms.det_a.dark_rate, big_n)
+        keep, dark = c2 * arms.det_a.efficiency, arms.det_a.dark_rate
     else:
-        split, match = _class_split(levels, to_b, arms.det_b.dark_rate, big_n)
-    for t, ((numbers, counts), rows) in enumerate(zip(classes, np.split(level_of, ends))):
-        detect = substream(t, 1)
-        reading = _shots_reading(counts, split[rows], match, detect)
-        if kind == "post":
-            y[t] = reading.sum() / shots
-            continue
-        # reading[n, j]: shots of n photons, j of them detected in arm b,
-        # that read N in arm b; their other n − j photons may reach arm a
-        hits = int(reading.sum())
-        if hits == 0:
-            raise AccuracyError(
-                f"no {big_n}-count events in arm b at row {t}; increase shots"
-            )
-        n_left = np.maximum(numbers[:, None] - np.arange(big_n + 1), 0)
-        others = int((reading * n_left).sum())
-        y[t] = (detect.binomial(others, to_a) + detect.poisson(hits * arms.det_a.dark_rate)) / hits
+        keep, dark = to_b, arms.det_b.dark_rate
+    for first in range(0, projections.size, _ROW_BLOCK):
+        block = range(first, min(first + _ROW_BLOCK, projections.size))
+        # the block's classes first, so that one split table covers them all
+        classes = [_thermal_classes(float(projections[t]), shots, substream(t, 0)) for t in block]
+        levels, level_of = np.unique(np.concatenate([numbers for numbers, _ in classes]), return_inverse=True)
+        ends = np.cumsum([numbers.size for numbers, _ in classes])[:-1]
+        split, match = _class_split(levels, keep, dark, big_n)
+        for t, (numbers, counts), rows in zip(block, classes, np.split(level_of, ends)):
+            detect = substream(t, 1)
+            reading = _shots_reading(counts, split[rows], match, detect)
+            if kind == "post":
+                y[t] = reading.sum() / shots
+                continue
+            # reading[n, j]: shots of n photons, j of them detected in arm b,
+            # that read N in arm b; their other n − j photons may reach arm a
+            hits = int(reading.sum())
+            if hits == 0:
+                raise AccuracyError(
+                    f"no {big_n}-count events in arm b at row {t}; increase shots"
+                )
+            n_left = np.maximum(numbers[:, None] - np.arange(big_n + 1), 0)
+            others = int((reading * n_left).sum())
+            y[t] = (detect.binomial(others, to_a) + detect.poisson(hits * arms.det_a.dark_rate)) / hits
     return y
 
 

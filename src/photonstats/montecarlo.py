@@ -42,11 +42,23 @@ sweeps. A caller that walks many substreams keeps one generator and
 `_rekey`s it to each: that puts its Philox in the state a fresh
 `make_generator` of the substream holds, so its draws are the same bits
 without the cost of building a generator per substream.
+
+`sample_source` and `split_and_detect` cut a draw of S shots into blocks of
+2^20 shots. Block b draws from Philox(key=seed.key(), counter=b·2^64): block
+0 is `make_generator(seed)` itself, and since a block reads far fewer than
+2^64 counter steps, the blocks never overlap. So a draw of at most 2^20
+shots is the single-stream draw, bit for bit, and a larger one has the same
+law. Each block writes only its own rows of the output, so the blocks run on
+threads (NumPy releases the GIL inside a draw) and the result does not
+depend on how many threads there are.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +79,13 @@ __all__ = [
 
 # Most photon-number classes `_thermal_classes` draws in one multinomial.
 _CLASS_BLOCK = 4096
+
+# Shots per block of a per-shot draw, each block on its own Philox counter;
+# a block is tens of ms of work, far more than a thread hand-off costs.
+_BLOCK_SHOTS = 2**20
+
+# Shots per NumPy call inside a block: bounds the temporary each thread holds.
+_SLICE_SHOTS = 2**16
 
 # Largest expected value of one integer draw. A thermal shot of this mean
 # reaches 2^63, where numpy's samplers clip or fail and int64 sums wrap, with
@@ -165,27 +184,70 @@ def _rekey(rng: np.random.Generator, seed: RngSeed) -> np.random.Generator:
     return rng
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_blocks(
+    shots: int, seed: RngSeed, fill: Callable[[np.random.Generator, list[slice]], None]
+) -> None:
+    """Call ``fill(rng, slices)`` once per block of `_BLOCK_SHOTS` shots:
+    block b's generator is Philox(key=seed.key(), counter=b·2^64) and its
+    slices cover its shots `_SLICE_SHOTS` at a time, in order. The blocks run
+    on a pool of threads made for this call, one per CPU at most; a one-block
+    draw runs in the calling thread."""
+    key = seed.key()
+    blocks = -(-shots // _BLOCK_SHOTS)
+
+    def block(b: int) -> None:
+        rng = np.random.Generator(np.random.Philox(key=key, counter=b << 64))
+        stop = min((b + 1) * _BLOCK_SHOTS, shots)
+        starts = range(b * _BLOCK_SHOTS, stop, _SLICE_SHOTS)
+        fill(rng, [slice(lo, min(lo + _SLICE_SHOTS, stop)) for lo in starts])
+
+    if blocks == 1:
+        block(0)
+        return
+    with ThreadPoolExecutor(min(blocks, _cpus())) as pool:
+        for done in [pool.submit(block, b) for b in range(blocks)]:
+            done.result()
+
+
 def sample_source(source: SourceSpec, n_samples: int, seed: RngSeed | int) -> np.ndarray:
-    """i.i.d. photon numbers from the exact source law.
+    """i.i.d. photon numbers from the exact source law, as int64.
 
     Thermal draws use the geometric trick: if G ~ geometric with success
     probability 1/(1+n̄) on {1,2,...}, then G−1 is Bose–Einstein with mean n̄.
     Coherent light is Poisson; Fock is deterministic.
+
+    The shots are drawn in blocks of 2^20, one Philox counter each (see the
+    module docstring), on up to one thread per CPU; each thread holds one
+    2^16-shot draw (512 KiB) besides the returned array.
     """
     n_samples = _count(n_samples, "n_samples", 1)
-    rng = make_generator(seed)
+    if not isinstance(seed, RngSeed):
+        seed = RngSeed(seed)
     mean = source.mean
     _check_draw_mean(mean, n_samples)
     if source.kind == "fock":
         return np.full(n_samples, int(mean), dtype=np.int64)
-    if source.kind == "coherent":
-        return rng.poisson(mean, size=n_samples).astype(np.int64, copy=False)
-    # thermal
-    if mean == 0.0:
+    if source.kind == "thermal" and mean == 0.0:
         return np.zeros(n_samples, dtype=np.int64)
-    draws = rng.geometric(1.0 / (1.0 + mean), size=n_samples).astype(np.int64, copy=False)
-    draws -= 1  # in place: no second S-entry copy
-    return draws
+    out = np.empty(n_samples, dtype=np.int64)
+
+    def fill(rng: np.random.Generator, slices: list[slice]) -> None:
+        for sl in slices:
+            if source.kind == "coherent":
+                out[sl] = rng.poisson(mean, size=sl.stop - sl.start)
+            else:  # thermal
+                np.subtract(rng.geometric(1.0 / (1.0 + mean), size=sl.stop - sl.start), 1, out=out[sl])
+
+    _draw_blocks(n_samples, seed, fill)
+    return out
 
 
 def _thermal_total(mean: float, n_samples: int, rng: np.random.Generator) -> int:
@@ -278,7 +340,8 @@ def split_and_detect(
     detectors: tuple[DetectorModel, ...] | list[DetectorModel],
     seed: RngSeed | int,
 ) -> np.ndarray:
-    """Route, detect and add dark counts; returns shape (n_samples, mode_count).
+    """Route, detect and add dark counts; returns a contiguous int64 array
+    of shape (n_samples, mode_count).
 
     Each input photon independently picks output mode i with probability
     routing_probs[i] (or is lost with the leftover probability) and mode i
@@ -287,21 +350,37 @@ def split_and_detect(
     category is left out of the draw when it is exactly 0 (a lossless
     network read by perfect detectors). Mode i then adds Poisson(ν_i) dark
     counts when ν_i > 0. counts must have an integer dtype.
+
+    The shots are drawn in blocks of 2^20, one Philox counter each (see the
+    module docstring), on up to one thread per CPU. A block draws the
+    multinomial for all its shots, then each mode's dark counts, 2^16 shots
+    per call, so each thread holds one 2^16-shot draw (at most
+    2^19·(mode_count + 1) bytes) besides the returned array.
     """
     counts = _photon_counts(counts, "counts")
     if len(detectors) != network.mode_count:
         raise ContractError(
             f"{len(detectors)} detectors for {network.mode_count} output modes"
         )
-    rng = make_generator(seed)
+    if not isinstance(seed, RngSeed):
+        seed = RngSeed(seed)
+    counts = counts.astype(np.int64, copy=False)
+    modes = network.mode_count
     pvals = [p * det.efficiency for p, det in zip(network.routing_probs, detectors)]
     loss = 1.0 - sum(pvals)
     if loss > 0.0:
         pvals.append(loss)
-    out = rng.multinomial(counts.astype(np.int64, copy=False), pvals)[:, : network.mode_count]
-    for i, det in enumerate(detectors):
-        if det.dark_rate > 0.0:
-            out[:, i] += rng.poisson(det.dark_rate, size=counts.size)
+    out = np.empty((counts.size, modes), dtype=np.int64)
+
+    def fill(rng: np.random.Generator, slices: list[slice]) -> None:
+        for sl in slices:
+            out[sl] = rng.multinomial(counts[sl], pvals)[:, :modes]
+        for i, det in enumerate(detectors):
+            if det.dark_rate > 0.0:
+                for sl in slices:
+                    out[sl, i] += rng.poisson(det.dark_rate, size=sl.stop - sl.start)
+
+    _draw_blocks(counts.size, seed, fill)
     return out
 
 

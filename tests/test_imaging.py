@@ -450,6 +450,23 @@ class TestHeraldedRows:
         assert elapsed < 1.0
         assert peak < 2**20
 
+    @pytest.mark.parametrize("mode", ["post(3)", "subtract(1)"])
+    def test_memory_is_bounded_by_a_block_of_rows(self, mode):
+        """256 rows of 20k shots at a mean projection of 1000 hold thousands
+        of photon-number classes each; reading the rows in blocks, each with
+        its own class-split table, keeps the traced peak within 14 MiB, a
+        quarter of what holding every row's classes at once takes (56.8 MiB)."""
+        masks = random_sensing_matrix(256, 1024, 0.5, 7)
+        scene = scale_scene_to_projection(binary_phantom(32, 32), masks, 1000.0)
+        tracemalloc.start()
+        try:
+            y = acquire(scene, masks, NOISY, mode=mode, shots=20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(y))
+        assert peak <= 14 * 2**20, peak / 2**20
+
     def test_dark_free_zero_projection_rows_are_exact(self):
         scene = SensingScene(np.zeros(4), width=2, height=2)
         masks = random_sensing_matrix(3, 4, seed=1)

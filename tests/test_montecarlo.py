@@ -1,6 +1,7 @@
 """Sampling pipeline: seeded streams, splitting, thinning, dark counts."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -22,9 +23,24 @@ from photonstats import (
     split_and_detect,
     thermal,
 )
+from photonstats import montecarlo
 from photonstats.montecarlo import _rekey, _thermal_classes, _thermal_total
 
 SHOTS = 200_000
+
+# Shots per block of the per-shot samplers, each block on its own Philox counter
+BLOCK_SHOTS = 2**20
+
+# sample_source's draw for each random source, as numpy makes it from one stream
+SOURCE_DRAWS = [
+    (thermal(1.5), lambda rng, n: rng.geometric(1.0 / 2.5, size=n) - 1),
+    (coherent(1.5), lambda rng, n: rng.poisson(1.5, size=n)),
+]
+
+NETWORKS = {
+    "lossless": (SplitterNetwork((0.6, 0.4)), (DetectorModel(), DetectorModel())),
+    "lossy_dark": (SplitterNetwork((0.3, 0.5)), (DetectorModel(0.6, 0.2), DetectorModel(0.9, 0.3))),
+}
 
 
 def test_seed_validation():
@@ -89,15 +105,112 @@ def test_rekey_gives_the_bits_of_a_fresh_generator(seed):
     assert again == _every_draw(make_generator(seed))
 
 
-@pytest.mark.parametrize(("source", "draw"), [
-    (thermal(1.5), lambda rng, n: rng.geometric(1.0 / 2.5, size=n) - 1),
-    (coherent(1.5), lambda rng, n: rng.poisson(1.5, size=n)),
-], ids=["thermal", "coherent"])
+@pytest.mark.parametrize(("source", "draw"), SOURCE_DRAWS, ids=["thermal", "coherent"])
 def test_sample_source_is_the_seeded_numpy_draw(source, draw):
-    """Bit for bit the draw numpy makes from the same stream, as int64."""
-    counts = sample_source(source, 1000, RngSeed(9))
-    assert counts.dtype == np.int64
-    np.testing.assert_array_equal(counts, draw(make_generator(RngSeed(9)), 1000))
+    """Bit for bit the draw numpy makes from the same stream, as int64, up
+    to one whole block of shots."""
+    for shots in (1000, BLOCK_SHOTS):
+        counts = sample_source(source, shots, RngSeed(9))
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, draw(make_generator(RngSeed(9)), shots))
+
+
+def _blocks(seed, shots):
+    """(generator, rows) of each block of a per-shot draw: block b covers
+    shots b·2^20 up to 2^20 more and draws from Philox(key=seed.key(),
+    counter=b·2^64)."""
+    return [
+        (np.random.Generator(np.random.Philox(key=seed.key(), counter=b << 64)),
+         slice(start, min(start + BLOCK_SHOTS, shots)))
+        for b, start in enumerate(range(0, shots, BLOCK_SHOTS))
+    ]
+
+
+def _detect_draw(rng, counts, network, detectors):
+    """`split_and_detect` from one generator: the routing multinomial for
+    every shot, then each noisy mode's dark counts for every shot."""
+    pvals = [p * det.efficiency for p, det in zip(network.routing_probs, detectors)]
+    loss = 1.0 - sum(pvals)
+    if loss > 0.0:
+        pvals.append(loss)
+    out = rng.multinomial(counts, pvals)[:, : network.mode_count]
+    for i, det in enumerate(detectors):
+        if det.dark_rate > 0.0:
+            out[:, i] += rng.poisson(det.dark_rate, size=counts.size)
+    return out
+
+
+@pytest.mark.parametrize("shots", [BLOCK_SHOTS + 1000, 3 * BLOCK_SHOTS + 17])
+@pytest.mark.parametrize(("source", "draw"), SOURCE_DRAWS, ids=["thermal", "coherent"])
+def test_sample_source_draws_each_block_on_its_own_counter(source, draw, shots, monkeypatch):
+    """Block by block the single-stream draw of that block's generator,
+    whether the blocks run on one thread, on two, or on three (one per
+    block at most)."""
+    want = np.empty(shots, dtype=np.int64)
+    for rng, rows in _blocks(RngSeed(9, 4), shots):
+        want[rows] = draw(rng, rows.stop - rows.start)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+        np.testing.assert_array_equal(sample_source(source, shots, RngSeed(9, 4)), want)
+
+
+@pytest.mark.parametrize("network", NETWORKS)
+def test_split_and_detect_is_the_seeded_numpy_draw(network):
+    """Up to one whole block of shots, one generator's multinomial and then
+    its Poisson dark counts, bit for bit, in a contiguous int64 array."""
+    net, dets = NETWORKS[network]
+    counts = sample_source(thermal(1.5), BLOCK_SHOTS, RngSeed(9))
+    detected = split_and_detect(counts, net, dets, RngSeed(9, 1))
+    assert detected.dtype == np.int64 and detected.flags.c_contiguous
+    np.testing.assert_array_equal(detected, _detect_draw(make_generator(RngSeed(9, 1)), counts, net, dets))
+
+
+@pytest.mark.parametrize(("network", "shots"), [("lossless", 3 * BLOCK_SHOTS + 17), ("lossy_dark", BLOCK_SHOTS + 1000)])
+def test_split_and_detect_draws_each_block_on_its_own_counter(network, shots, monkeypatch):
+    """Block by block the single-stream draw of that block's generator over
+    that block's shots, on one, two or three threads, as one contiguous
+    (shots, modes) array."""
+    net, dets = NETWORKS[network]
+    counts = sample_source(thermal(1.5), shots, RngSeed(9))
+    want = np.empty((shots, net.mode_count), dtype=np.int64)
+    for rng, rows in _blocks(RngSeed(9, 1), shots):
+        want[rows] = _detect_draw(rng, counts[rows], net, dets)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+        detected = split_and_detect(counts, net, dets, RngSeed(9, 1))
+        assert detected.flags.c_contiguous
+        np.testing.assert_array_equal(detected, want)
+
+
+def _send_split(conn, counts, network, detectors, seed):
+    conn.send(split_and_detect(counts, network, detectors, seed))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_draws_across_blocks():
+    """After the parent has drawn across blocks on its threads, a child
+    forked from it draws the same multi-block array within 60 s: no worker
+    of the parent's draw is left for the child to wait on."""
+    net, dets = NETWORKS["lossy_dark"]
+    counts = sample_source(thermal(1.0), 2 * BLOCK_SHOTS + 1000, RngSeed(3))
+    want = split_and_detect(counts, net, dets, RngSeed(3, 1))
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_send_split, args=(send, counts, net, dets, RngSeed(3, 1)))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60.0), "the forked child drew nothing within 60 s"
+        got = receive.recv()
+    finally:
+        child.join(10.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    np.testing.assert_array_equal(got, want)
 
 
 def test_fock_source_is_deterministic():
@@ -284,6 +397,30 @@ class TestSplitAndDetect:
         dof = int(kept.sum())
         assert dof >= 10
         tail = 1e-9
+        assert stats.chi2.ppf(tail, dof) <= stat <= stats.chi2.isf(tail, dof), (stat, dof)
+
+    def test_poisson_arms_hold_in_every_block(self):
+        """The law of `test_folded_draw_gives_independent_poisson_arms` over
+        3·2^20 + 17 shots, four blocks, the last 17 shots long: a block drawn
+        from another law, or into another block's rows, fails the same
+        Pearson chi-square inside a two-sided 1e-9 band."""
+        shots = 3 * BLOCK_SHOTS + 17
+        counts = sample_source(coherent(2.0), shots, RngSeed(22))
+        detected = split_and_detect(
+            counts,
+            SplitterNetwork((0.3, 0.5)),
+            (DetectorModel(0.6, 0.2), DetectorModel(0.9, 0.0)),
+            RngSeed(22, 1),
+        )
+        size = int(detected.max()) + 1
+        cells = np.arange(size)
+        expected = shots * np.outer(stats.poisson.pmf(cells, 0.56), stats.poisson.pmf(cells, 0.9)).ravel()
+        observed = np.bincount(detected[:, 0] * size + detected[:, 1], minlength=expected.size)
+        kept = expected >= 100.0
+        want = np.append(expected[kept], shots - expected[kept].sum())
+        got = np.append(observed[kept], shots - observed[kept].sum())
+        stat, dof, tail = float(((got - want) ** 2 / want).sum()), int(kept.sum()), 1e-9
+        assert dof >= 10
         assert stats.chi2.ppf(tail, dof) <= stat <= stats.chi2.isf(tail, dof), (stat, dof)
 
     def test_detector_count_must_match_modes(self):

@@ -279,11 +279,29 @@ _PAIR_BLOCK = 128
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the Gauss–Legendre rule of ``order``
     points, built once per order. The envelope oracle asks only for 64, 128,
-    …, 1024, so at most five rules are kept."""
+    …, 1024, so at most five rules are kept. The slit kernels built on these
+    nodes have their own cache, `_slit_kernel`, bounded at five kernels."""
     rule = special.roots_legendre(order)
     for arr in rule:
         arr.setflags(write=False)
     return rule
+
+
+@functools.lru_cache(maxsize=5)
+def _slit_kernel(slit_width: float, coherence_scale: float, order: int) -> np.ndarray:
+    """The read-only real kernel exp(−(u−u')²/s) on the ``order``-point nodes
+    u of a centred slit of width w, built once per (w, s, order) while it
+    stays among the five most recently used: one full ladder 64, 128, …,
+    1024 for one (w, s), 10.7 MiB, and never more than five order-1024
+    kernels, 40 MiB. At a subnormal s, (u−u')²/s overflows to inf and the
+    kernel entry is exactly 0, its limit."""
+    nodes, _ = _gauss_legendre(order)
+    u = slit_width / 2.0 * nodes
+    diff = u[:, None] - u[None, :]
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-(diff * diff) / coherence_scale)
+    kernel.setflags(write=False)
+    return kernel
 
 
 def _slit_integral(
@@ -294,8 +312,7 @@ def _slit_integral(
     (wavenumbers κk in the slit plane); normalized by the slit area w²."""
     nodes, weights = _gauss_legendre(order)
     u = slit_width / 2.0 * nodes
-    diff = u[:, None] - u[None, :]
-    kernel = np.exp(-(diff * diff) / coherence_scale)
+    kernel = _slit_kernel(slit_width, coherence_scale, order)
     out = np.empty(p_a.size, dtype=complex)
     for lo in range(0, p_a.size, _PAIR_BLOCK):
         rows = slice(lo, lo + _PAIR_BLOCK)
@@ -326,7 +343,9 @@ def classical_envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k
     the fringe it checks. k₁ and k₂ broadcast. Gauss–Legendre order starts at
     64 per axis and doubles, once for the whole grid, until q at every point
     is stable to 1e-6 relative; failing to stabilize by order 1024 raises
-    AccuracyError.
+    AccuracyError. Each order's slit kernel comes from a cache of the five
+    most recently used (w, s, order), at most 40 MiB, so calls that repeat w
+    and s, such as one call per Δk, build it once.
     """
     return _envelope_oracle(cfg, coherence_scale, k1, k2)[0]
 

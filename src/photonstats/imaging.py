@@ -288,11 +288,16 @@ def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n, m):
     return table[n, m]
 
 
+def _check_weights(rows: int, big_n: int) -> None:
+    """Refuse a (rows, N+1) count-weight table past the 2**27-entry budget
+    with a DomainError naming N."""
+    _check_budget(rows * (big_n + 1), f"N {big_n}", f"its {rows} × (N+1) count-weight table")
+
+
 def _count_weights(signal: np.ndarray, dark_rate: float, big_n: int) -> np.ndarray:
     """The (rows, N+1) matrix BE(i; s)·Poisson(N−i; ν): i signal counts (thermal
-    mean s, one per row) and N − i dark counts (rate ν) in one arm. A matrix
-    past the 2**27-entry budget raises DomainError naming N."""
-    _check_budget(signal.size * (big_n + 1), f"N {big_n}", f"its {signal.size} × (N+1) count-weight table")
+    mean s, one per row) and N − i dark counts (rate ν) in one arm."""
+    _check_weights(signal.size, big_n)
     i = np.arange(big_n + 1)
     return _negbin_pmf(i, 0, signal[:, None]) * _poisson_pmf(big_n - i, dark_rate)
 
@@ -332,13 +337,23 @@ def arm_a_marginal(n_t: float, arms: TwoArmDetection, n: int) -> float:
 
 def snr_post(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
     """Post-selected signal-to-noise: probability of an N-count in arm a
-    relative to the dark-count-only Poisson probability of the same count."""
-    signal, noise = _post_probability([n_t, 0.0], arms, _count(big_n, "big_n"))
+    relative to the dark-count-only Poisson probability of the same count.
+
+    The floor Σ_i BE(i; 0)·Poisson(N−i; ν) is Poisson(N; ν) itself, as
+    BE(i; 0) is exactly δ_i0, so it is evaluated first and alone: a floor of
+    0 raises SaturationError before the signal's weight table is built."""
+    big_n = _count(big_n, "big_n")
+    n_t = _real(n_t, "n_t", 0)
+    _check_weights(1, big_n)
+    nu = arms.det_a.dark_rate
+    noise = float(_poisson_pmf(big_n, nu))
     if noise == 0.0:
+        if nu == 0.0:
+            raise SaturationError("noise floor is zero (no dark counts); post-selected SNR saturates")
         raise SaturationError(
-            "noise floor is zero (no dark counts); post-selected SNR saturates"
+            f"noise floor Poisson(N; ν) underflows to zero at N {big_n}, ν {nu!r}; post-selected SNR saturates"
         )
-    return float(signal / noise)
+    return float(_post_probability(n_t, arms, big_n)[0] / noise)
 
 
 def snr_sub(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
@@ -523,8 +538,10 @@ class _TvWorkspace:
     (gy, gx). At G's edges each slope is a 0 next to u minus u, so none can
     overflow; the step array holds 0 there and the step inside, so one
     multiply takes the step and zeroes the edge slopes without forming
-    step·0, which is NaN at step = inf. A sweep is then 9 whole-array
-    operations with ``out=``, and a prox copies v in and u out once.
+    step·0, which is NaN at step = inf. The step array is built when the
+    weight changes, so a solve, which passes one weight, builds it once. A
+    sweep is then 9 whole-array operations with ``out=``, and a prox copies
+    v in and u out once.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -547,6 +564,7 @@ class _TvWorkspace:
         )
         self._v = np.zeros((height, row))
         self._steps = np.empty((2, height, row))  # (py's, px's) step, 0 on G's edges
+        self._weight = None  # the weight whose step `_steps` holds
         self.slope = np.empty((2, height, row))  # (step·gy, step·gx)
         self._adjoint = np.empty((height, row))
 
@@ -565,10 +583,12 @@ class _TvWorkspace:
         u into `out`, an (H, W) array that overlaps neither v nor the
         workspace."""
         steps, slope, dual = self._steps, self.slope, self.dual
-        steps.fill(1.0 / (8.0 * weight))
-        steps[..., -1] = 0.0  # the pad column,
-        steps[0, -1] = 0.0  # py's last row
-        steps[1, :, -2] = 0.0  # and px's last column
+        if weight != self._weight:
+            steps.fill(1.0 / (8.0 * weight))
+            steps[..., -1] = 0.0  # the pad column,
+            steps[0, -1] = 0.0  # py's last row
+            steps[1, :, -2] = 0.0  # and px's last column
+            self._weight = weight
         self._v[:, :-1] = v
         for _ in range(n_inner):
             self._primal(self._u, weight)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from photonstats import (
+    AccuracyError,
     ContractError,
     DomainError,
     InterferenceConfig,
@@ -478,6 +479,67 @@ class TestGaussLegendreCache:
             for dk in dks[:5]:
                 classical_envelope_oracle(self.CFG, scale, -dk / 2.0, dk / 2.0)
         assert sorted(built) == [64, 128]
+
+
+class TestSlitKernelCache:
+    """The envelope oracle reads each slit kernel from a bounded cache keyed
+    by (slit width, coherence scale, order)."""
+
+    CFG = TestGaussLegendreCache.CFG
+
+    def setup_method(self):
+        coherence._slit_kernel.cache_clear()
+
+    def cli_grid(self):
+        dks = np.linspace(0.0, 4.0 * math.pi / self.CFG.beta, 129)
+        return dks, (self.CFG.slit_width / 8.0) ** 2
+
+    def test_cached_kernel_is_read_only(self):
+        dks, scale = self.cli_grid()
+        classical_envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)
+        for order in (64, 128):
+            kernel = coherence._slit_kernel(self.CFG.slit_width, scale, order)
+            assert kernel.shape == (order, order)
+            with pytest.raises(ValueError, match="read-only"):
+                kernel[0, 0] = 0.0
+
+    def test_alternating_scales_equal_cold_calls_bit_for_bit(self):
+        # s₁, s₂, s₁: a stale key would hand s₂'s kernel to the last call
+        dks, base = self.cli_grid()
+        cold = {}
+        for scale in (base, 4.0 * base):
+            coherence._slit_kernel.cache_clear()
+            cold[scale] = _envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)[0]
+        coherence._slit_kernel.cache_clear()
+        for scale in (base, 4.0 * base, base):
+            warm = _envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)[0]
+            assert np.array_equal(warm, cold[scale])
+        assert not np.array_equal(cold[base], cold[4.0 * base])
+
+    def test_each_kernel_is_built_once_per_process(self):
+        dks, scale = self.cli_grid()
+        for _ in range(2):
+            classical_envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)
+            for dk in dks:
+                classical_envelope_oracle(self.CFG, scale, -dk / 2.0, dk / 2.0)
+        info = coherence._slit_kernel.cache_info()
+        assert info.misses == 2  # orders 64 and 128, once each
+        assert info.hits == 2 * 2 * (1 + dks.size) - 2
+
+    def test_a_sweep_over_scales_keeps_at_most_five_kernels(self):
+        w = self.CFG.slit_width
+        for length in np.linspace(0.1, 2.0, 20):
+            classical_envelope_oracle(self.CFG, (length * w) ** 2, 0.0, 1.0 / self.CFG.beta)
+        info = coherence._slit_kernel.cache_info()
+        assert info.misses >= 20
+        assert info.currsize <= 5
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_subnormal_scale_fails_by_name_without_a_warning(self):
+        # (u−u')²/s overflows to inf, so each kernel entry off the diagonal
+        # is exactly 0; the quadrature then cannot settle
+        with pytest.raises(AccuracyError, match="did not stabilize by order 1024"):
+            classical_envelope_oracle(self.CFG, 5e-324, 0.0, 0.0)
 
 
 class TestModulationFrequency:

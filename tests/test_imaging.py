@@ -162,6 +162,16 @@ class TestSnrModes:
         with pytest.raises(SaturationError):
             snr_post(0.8, IDEAL, 2)
 
+    def test_an_underflowing_noise_floor_is_refused_by_name_and_fast(self):
+        # Poisson(N; 0.8) is 0 in float64 far below N = 10**7, and the call
+        # must say so before building a weight table of N + 1 columns
+        start = time.perf_counter()
+        with pytest.raises(SaturationError, match=r"underflows to zero at N 10000000, ν 0\.8;"):
+            snr_post(0.8, self.ARMS_POST, 10**7)
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(SaturationError, match=r"^noise floor is zero \(no dark counts\)"):
+            snr_post(0.8, IDEAL, 10**7)
+
     def test_subtraction_needs_a_noise_floor(self):
         with pytest.raises(SaturationError):
             snr_sub(0.8, IDEAL, 1)
@@ -1016,6 +1026,18 @@ class TestBitForBitAgainstTheTextbook:
         py, px = work.dual
         edges = np.concatenate([px[:, -2:].ravel(), py[-1], py[:, -1]])
         assert np.all(edges == 0.0) and not np.any(np.signbit(edges))
+
+    def test_a_workspace_whose_weight_changes_equals_the_warm_textbook_sweep(self):
+        # the step array is rebuilt only when the weight changes, so a prox
+        # after a change must not sweep with the old weight's step
+        shape = (7, 5)
+        v = np.random.default_rng(31).normal(size=shape)
+        work, u = imaging._TvWorkspace(shape), np.empty(shape)
+        dual = None
+        for weight in (0.3, 0.3, 10.0, 0.3):
+            u_ref, dual = _textbook_prox(v, weight, 4, warm_dual=dual)
+            work.prox(v, weight, 4, u)
+            assert np.array_equal(u, u_ref)
 
     def test_prox_of_huge_values_of_both_signs_equals_the_textbook_sweep(self):
         # Across a row break these differ by more than the largest float;

@@ -348,11 +348,8 @@ def snr_post(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
     nu = arms.det_a.dark_rate
     noise = float(_poisson_pmf(big_n, nu))
     if noise == 0.0:
-        if nu == 0.0:
-            raise SaturationError("noise floor is zero (no dark counts); post-selected SNR saturates")
-        raise SaturationError(
-            f"noise floor Poisson(N; ν) underflows to zero at N {big_n}, ν {nu!r}; post-selected SNR saturates"
-        )
+        why = "is zero (no dark counts)" if nu == 0.0 else f"Poisson(N; ν) underflows to zero at N {big_n}, ν {nu!r}"
+        raise SaturationError(f"noise floor {why}; post-selected SNR saturates")
     return float(_post_probability(n_t, arms, big_n)[0] / noise)
 
 

@@ -46,8 +46,8 @@ from .imaging import (
     SensingMatrix,
     TwoArmDetection,
     _conditional_mean,
-    _post_probability,
     acquire,
+    arm_a_marginal,
     binary_phantom,
     cs_reconstruct,
     joint_pmf_noisy,
@@ -66,7 +66,7 @@ from .sensing import (
     snr,
     subtraction_success_probability,
 )
-from .states import convolve, format_float, g2_from_pmf, pmf, thermal, write_csv
+from .states import convolve, g2_from_pmf, pmf, thermal
 
 __all__ = ["main"]
 
@@ -147,10 +147,15 @@ def _write_manifest(
     return path
 
 
+def _format_float(x: float) -> str:
+    """Decimal string with 17 significant digits; round-trips bit-exactly."""
+    return f"{float(x):.17g}"
+
+
 def _write_rows(path: Path, header: str, rows) -> None:
     lines = [header]
     for row in rows:
-        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(_format_float(v) if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -199,7 +204,7 @@ def _cmd_scatter(params: dict, out: Path) -> dict:
     cfg = ScatterConfig(params["n_s"], params["n_pl"], params["theta_deg"])
     dist = detected_pmf(cfg, tail_target=params["tail_target"])
     path = out / "scatter-pmf.csv"
-    write_csv(dist, str(path))
+    _write_rows(path, "n,prob", enumerate(dist.probs))
     return {"artifacts": [path.name], "g2": g2_from_pmf(dist), "n_max": dist.n_max,
             "tail_bound": dist.tail_bound}
 
@@ -399,10 +404,10 @@ def _cmd_oracle_check(params: dict, out: Path) -> dict:
     arms = TwoArmDetection(math.pi / 4.0, DetectorModel(0.55, 0.3), DetectorModel(0.55, 0.3))
     table = joint_pmf_noisy(0.8, arms, *np.indices((25, 25)))
     for name, primary, oracle in (
-        ("post_vs_noisy_law", _post_probability, table.sum(axis=1)),
+        ("post_vs_noisy_law", arm_a_marginal, table.sum(axis=1)),
         ("subtract_vs_noisy_law", _conditional_mean, np.arange(25) @ table / table.sum(axis=0)),
     ):
-        got = np.concatenate([primary(0.8, arms, big_n) for big_n in range(8)])
+        got = np.concatenate([primary([0.8], arms, big_n) for big_n in range(8)])
         err = float(np.max(np.abs(got / oracle[:8] - 1.0)))
         checks.append((name, err <= 1e-12, err))
 

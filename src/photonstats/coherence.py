@@ -8,8 +8,9 @@ slit:
   of angle θ, and the wavepacket correlation g̃²(N,M) built from them, the
   quantity that dips below 1 for very unequal (N,M) even though the source is
   classical;
-* the far-field single-detector fringe and the two-detector second-order
-  correlation g²(k₁,k₂) of the polarization-mixed double slit;
+* the far-field single-detector fringe (``farfield_intensity``, public as
+  the paper's fringe) and the two-detector second-order correlation
+  g²(k₁,k₂) of the polarization-mixed double slit;
 * the conditional spatial correlation map: g̃²(N,M) riding the interference
   modulation under a diffraction envelope;
 * a classical Gaussian-field oracle that produces the same fringe physics by
@@ -391,7 +392,8 @@ def modulation_frequency(x: np.ndarray, y: np.ndarray) -> float:
 
     Mean and linear trend are removed, a Hann window applied, and the FFT
     magnitude peak refined by quadratic interpolation in log magnitude.
-    Returns ω in radians per unit of x; the grid step must be finite and > 0.
+    Returns ω in radians per unit of x; the grid step must be finite and > 0,
+    and large enough that ω is finite.
     """
     grid, y = np.asarray(x), _real(y, "y", grid=True)
     if grid.ndim != 1 or grid.shape != y.shape or grid.size < 8:
@@ -403,7 +405,10 @@ def modulation_frequency(x: np.ndarray, y: np.ndarray) -> float:
         if not (0.0 < dx[0] < math.inf and np.allclose(dx, dx[0], rtol=1e-9, atol=0.0)):
             raise ContractError(f"x grid must be uniform with a finite step > 0, got step {dx[0]:g}")
     x = _real(x, "x", grid=True)  # refuses a grid of anything but numbers
-    detrended = y - np.polyval(np.polyfit(x, y, 1), x)
+    # the grid is uniform, so the trend is a line in the sample index, and the
+    # step enters only the final division: no power of it can over- or underflow
+    index = np.arange(x.size)
+    detrended = y - np.polyval(np.polyfit(index, y, 1), index)
     windowed = detrended * np.hanning(x.size)
     mag = np.abs(np.fft.rfft(windowed))
     peak = int(np.argmax(mag[1:])) + 1
@@ -417,7 +422,11 @@ def modulation_frequency(x: np.ndarray, y: np.ndarray) -> float:
         )
     denom = la - 2.0 * lc + lb
     shift = 0.0 if denom == 0.0 else 0.5 * (la - lb) / denom
-    return 2.0 * math.pi * (peak + shift) / (x.size * float(x[1] - x[0]))
+    step = float(x[1] - x[0])
+    omega = 2.0 * math.pi * (peak + shift) / (x.size * step)
+    if not math.isfinite(omega):
+        raise ContractError(f"x grid step {step:g} is too small: its frequency overflows")
+    return omega
 
 
 # ===================================================================

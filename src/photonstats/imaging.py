@@ -17,9 +17,10 @@ the dark-count floor; measurement vectors y from any of the three modes feed
 a total-variation-regularized least-squares reconstruction.
 
 ``joint_pmf_noisy`` is that double sum on whole (n, m) grids: the oracle. The
-primaries, vectorized over projections, are ``_post_probability``
-(``arm_a_marginal``, ``snr_post``, exact post(N)) and ``_conditional_mean``
-(``snr_sub``, exact subtract(N)); their count weights are the `states` kernels.
+primaries, vectorized over projections, are ``arm_a_marginal`` (``snr_post``,
+exact post(N)) and ``_conditional_mean`` (``snr_sub``, exact subtract(N));
+their count weights are the `states` kernels. ``tv_prox`` stays public as the
+prox layer's entry point, the one its bit-for-bit tests call.
 """
 
 from __future__ import annotations
@@ -302,13 +303,17 @@ def _count_weights(signal: np.ndarray, dark_rate: float, big_n: int) -> np.ndarr
     return _negbin_pmf(i, 0, signal[:, None]) * _poisson_pmf(big_n - i, dark_rate)
 
 
-def _post_probability(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
-    """P(N counts in arm a) for each projection n̄_t: the thinned thermal
-    signal BE(i; A_t), A_t = η_a cos²θ n̄_t, convolved with the dark counts
-    Poisson(N−i; ν_a)."""
+def arm_a_marginal(n_t, arms: TwoArmDetection, n: int):
+    """P(n counts in arm a), the joint law summed over arm b, for each
+    projection n̄_t: the thinned thermal signal BE(i; A_t), A_t = η_a cos²θ
+    n̄_t, convolved with the dark counts Poisson(n−i; ν_a). An array of n̄_t
+    gives an array of its shape, a scalar a float."""
+    n = _count(n, "n")
+    n_t = _real(n_t, "n_t", 0, grid=True)
     c2, _ = arms.arm_fractions
-    signal = arms.det_a.efficiency * c2 * np.atleast_1d(_real(n_t, "n_t", 0, grid=True))
-    return _count_weights(signal, arms.det_a.dark_rate, big_n).sum(axis=1)
+    signal = arms.det_a.efficiency * c2 * n_t.ravel()
+    probs = _count_weights(signal, arms.det_a.dark_rate, n).sum(axis=1)
+    return float(probs[0]) if n_t.ndim == 0 else probs.reshape(n_t.shape)
 
 
 def _conditional_mean(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
@@ -329,12 +334,6 @@ def _conditional_mean(n_t, arms: TwoArmDetection, big_n: int) -> np.ndarray:
     return arms.det_a.dark_rate + a / (1.0 + b) * (1.0 + weights @ np.arange(big_n + 1) / total)
 
 
-def arm_a_marginal(n_t: float, arms: TwoArmDetection, n: int) -> float:
-    """Marginal probability of n counts in arm a (the joint law summed over
-    arm b): thinned thermal signal convolved with Poisson dark counts."""
-    return float(_post_probability(n_t, arms, _count(n, "n"))[0])
-
-
 def snr_post(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
     """Post-selected signal-to-noise: probability of an N-count in arm a
     relative to the dark-count-only Poisson probability of the same count.
@@ -350,7 +349,7 @@ def snr_post(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
     if noise == 0.0:
         why = "is zero (no dark counts)" if nu == 0.0 else f"Poisson(N; ν) underflows to zero at N {big_n}, ν {nu!r}"
         raise SaturationError(f"noise floor {why}; post-selected SNR saturates")
-    return float(_post_probability(n_t, arms, big_n)[0] / noise)
+    return arm_a_marginal(n_t, arms, big_n) / noise
 
 
 def snr_sub(n_t: float, arms: TwoArmDetection, big_n: int) -> float:
@@ -443,7 +442,7 @@ def acquire(
 
     if shots is None:
         if kind == "post":
-            return _post_probability(projections, arms, big_n)
+            return arm_a_marginal(projections, arms, big_n)
         if kind == "subtract":
             return _conditional_mean(projections, arms, big_n)
         c2, _ = arms.arm_fractions
@@ -746,7 +745,8 @@ def cs_reconstruct(
     gradient mapping ½·L·‖x⁺ − z‖²_M, ‖d‖²_M = ‖d‖² + β(Σd)²/n, relative to
     the scaled objective F(x⁺) (Beck & Teboulle, SIAM J. Imaging Sci. 2009).
     The solve stops as "converged" once that is ≤ tol, else as "max_iter";
-    its value at the last step is the result's gradient_mapping.
+    its value at the last step is the result's gradient_mapping. A μ so
+    small that the step 1/(μλ) is not finite raises DomainError naming mu.
     """
     q = masks.matrix if isinstance(masks, SensingMatrix) else _real(masks, "masks", grid=True)
     y = _real(y, "y", grid=True)
@@ -780,6 +780,8 @@ def cs_reconstruct(
     beta, lam = masks.metric if isinstance(masks, SensingMatrix) else _rank_one_metric(q)
     if lam == 0.0:
         raise DomainError("sensing matrix is identically zero")
+    if mu * lam == 0.0 or 1.0 / (mu * lam) == math.inf:
+        raise DomainError(f"mu {mu!r} is too small: the step 1/(mu·λ), λ = {lam!r}, is not finite")
     base_step = 1.0 / (mu * lam)
     mean_share = beta / (1.0 + beta)
 

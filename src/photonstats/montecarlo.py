@@ -29,7 +29,9 @@ Binomial(n, p) at k = 0..N, plus one cell for k > N, splits a class by its
 kept photons k, and Bin(·, Poisson(N − k; ν)) shots of each cell read
 exactly N counts; both laws are the `states` kernels, tabled once by
 `_class_split` for every class a caller draws. `sample_source` and
-`split_and_detect` per shot stay the oracle.
+`split_and_detect` per shot stay the oracle, and ``estimate_pmf`` stays
+public as the estimator that turns their samples into a pmf with standard
+errors.
 
 Every count is an int64. A draw whose mean, per shot or summed over the
 shots, passes 2^57 could overflow it, and is refused with DomainError before

@@ -45,10 +45,9 @@ take whole count grids, so each check is one call.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -77,12 +76,6 @@ __all__ = [
     "g2_from_pmf",
     "convolve",
     "binomial_thin",
-    "visibility",
-    "format_float",
-    "write_csv",
-    "read_csv",
-    "to_json_array",
-    "from_json_array",
 ]
 
 DEFAULT_TAIL_TARGET = 1e-10
@@ -306,12 +299,6 @@ def _grow_cutoff(
     return n_max, current
 
 
-def _deficit_bound(probs: np.ndarray) -> float:
-    """Tail bound of a pmf read back without one: its mass deficit plus the
-    float slack of the sum, kept below 1."""
-    return min(max(0.0, 1.0 - float(probs.sum())) + _SUM_SLACK, 1.0 - 1e-15)
-
-
 def pmf(
     source: SourceSpec,
     cutoff: int | None = None,
@@ -474,109 +461,3 @@ def binomial_thin(
         probs[k0 : k0 + k.size] = rows
     tail = dist.tail_bound + _THIN_DELTA * p.sum()
     return PhotonNumberDistribution(probs, min(tail, 1.0 - 1e-15))
-
-
-def visibility(intensity_samples: Iterable[Sequence[float]]) -> float:
-    """Fringe visibility (I_max − I_min)/(I_max + I_min) of sampled points.
-
-    Input is a sequence of (k, I) pairs; only the intensities matter, the
-    abscissa is kept for symmetry with the CSV artifacts. Sampling densely
-    enough to catch the extremes is the caller's job.
-    """
-    arr = _real(list(intensity_samples), "intensity_samples", grid=True)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
-        raise ContractError("expected a non-empty sequence of (k, I) pairs")
-    intensities = arr[:, 1]
-    if np.any(intensities < 0.0):
-        raise DomainError("intensities must be non-negative")
-    hi = float(intensities.max())
-    lo = float(intensities.min())
-    if hi == 0.0:
-        raise DomainError("visibility undefined for an all-zero fringe")
-    return (hi - lo) / (hi + lo)
-
-
-# ===================================================================
-# Serialization (CSV `n,prob`, JSON arrays; 17 significant digits)
-# ===================================================================
-
-def format_float(x: float) -> str:
-    """Decimal string with 17 significant digits; round-trips bit-exactly."""
-    return f"{float(x):.17g}"
-
-
-def write_csv(dist: PhotonNumberDistribution, dest: str | IO[str]) -> None:
-    """Write `n,prob` rows. Note the tail bound is not stored; reading back
-    reconstructs it as the observed mass deficit."""
-    own = isinstance(dest, str)
-    fh: IO[str] = open(dest, "w", encoding="ascii") if own else dest
-    try:
-        fh.write("n,prob\n")
-        for n, p in enumerate(dist.probs):
-            fh.write(f"{n},{format_float(p)}\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def read_csv(src: str | IO[str]) -> PhotonNumberDistribution:
-    """Read `n,prob` rows written by `write_csv`; a bad header, a row that is
-    not an integer and a number, or a gapped index raises ContractError, and
-    a NaN, infinite or negative probability DomainError, each naming the
-    source (the path, or the stream's name) and the data row."""
-    own = isinstance(src, str)
-    fh: IO[str] = open(src, "r", encoding="ascii") if own else src
-    name = src if own else getattr(src, "name", "<stream>")
-    try:
-        header = fh.readline().strip()
-        if header != "n,prob":
-            raise ContractError(f"{name}: expected header 'n,prob', got {header!r}")
-        values: list[float] = []
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                n_str, p_str = line.split(",")
-                n, p = int(n_str), float(p_str)
-            except ValueError:
-                raise ContractError(
-                    f"{name}: data row {line_no} is not 'n,prob': {line!r}"
-                ) from None
-            if n != len(values):
-                raise ContractError(f"{name}: non-contiguous index at data row {line_no}")
-            if not (math.isfinite(p) and p >= 0.0):
-                raise DomainError(
-                    f"{name}: data row {line_no}: probability {p_str!r} is not finite and >= 0"
-                )
-            values.append(p)
-    finally:
-        if own:
-            fh.close()
-    probs = np.asarray(values)
-    return PhotonNumberDistribution(probs, _deficit_bound(probs))
-
-
-def to_json_array(dist: PhotonNumberDistribution) -> str:
-    """JSON array of probabilities, 17 significant digits each."""
-    return "[" + ", ".join(format_float(p) for p in dist.probs) + "]"
-
-
-def from_json_array(text: str) -> PhotonNumberDistribution:
-    """Read a JSON array written by `to_json_array`. Text that is not JSON,
-    or an entry that is not a JSON number (a string, true or false, null, an
-    array or an object), raises ContractError."""
-    try:
-        values = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ContractError(f"not a JSON array: {exc}") from None
-    if not isinstance(values, list) or not values:
-        raise ContractError("expected a non-empty JSON array")
-    for i, v in enumerate(values):
-        if type(v) not in (int, float):  # json gives bool for true/false
-            raise ContractError(f"entry {i} is not a JSON number: {v!r}")
-    try:
-        probs = np.asarray(values, dtype=float)
-    except OverflowError:  # an integer past the float range, as 1e400 is inf
-        raise DomainError("probs must be finite") from None
-    return PhotonNumberDistribution(probs, _deficit_bound(probs))

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonstats import SensingMatrix, random_sensing_matrix, read_pgm
-from photonstats.cli import _HANDLERS, _write_masks, _write_rows, main
+from photonstats import ScatterConfig, SensingMatrix, detected_pmf, random_sensing_matrix, read_pgm
+from photonstats.cli import _HANDLERS, _format_float, _write_masks, _write_rows, main
 
 
 def run(capsys, *argv):
@@ -379,6 +379,27 @@ class TestMaskTable:
         written = (tmp_path / "run" / "image-sim-masks.csv").read_bytes()
         self.assert_written_as_per_cell(masks, tmp_path)
         assert written == (tmp_path / "cells.csv").read_bytes()
+
+
+class TestPmfTable:
+    """`scatter`'s `n,prob` table, the one place a pmf is written out."""
+
+    @pytest.mark.parametrize(("flags", "cfg"), [
+        ((), ScatterConfig(1.0, 1.0 / 3.0, 45.0)),
+        (("--n-s", "30", "--n-pl", "2", "--theta-deg", "10"), ScatterConfig(30.0, 2.0, 10.0)),
+    ], ids=["defaults", "n_max-833"])
+    def test_scatter_pmf_parses_back_bit_for_bit(self, flags, cfg, tmp_path, capsys):
+        assert run(capsys, "scatter", *flags, "--out", str(tmp_path))[0] == 0
+        path = tmp_path / "scatter-pmf.csv"
+        assert path.read_text().splitlines()[0] == "n,prob"
+        rows = load_csv(path, ndmin=2)
+        probs = detected_pmf(cfg).probs
+        assert np.array_equal(rows[:, 0], np.arange(probs.size))
+        assert rows[:, 1].tobytes() == probs.tobytes()
+
+    def test_format_float_round_trips_exactly(self):
+        for x in (1.0 / 3.0, 0.1, 2.0**-52, 1234567.89, 6.02e23):
+            assert float(_format_float(x)) == x
 
 
 def test_cli_import_leaves_scipy_stats_out():

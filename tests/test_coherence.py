@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from photonstats import (
     pmf,
     preselection_distribution,
     thermal,
-    visibility,
 )
 from photonstats import coherence
 from photonstats.coherence import _detected_vacuum_sum, _envelope_oracle, _gauss_legendre
@@ -220,9 +220,10 @@ class TestFarField:
         cfg = self.make_cfg(gamma_fringe=1.0)
         period = math.pi / cfg.beta
         k = np.linspace(-period / 2.0, period / 2.0, 4001)
-        samples = np.column_stack([k, farfield_intensity(cfg, k)])
+        intensity = farfield_intensity(cfg, k)
+        hi, lo = intensity.max(), intensity.min()
         expected = cfg.mean_h / (cfg.mean_h + cfg.mean_v)
-        assert visibility(samples) == pytest.approx(expected, rel=1e-3)
+        assert (hi - lo) / (hi + lo) == pytest.approx(expected, rel=1e-3)
 
     def test_g2_peak_without_vertical_background(self):
         cfg = self.make_cfg(mean_v=0.0)
@@ -568,6 +569,21 @@ class TestModulationFrequency:
         x = np.linspace(0.0, 40.0, 512)
         y = 0.05 * x + np.cos(3.0 * x)
         assert modulation_frequency(x, y) == pytest.approx(3.0, rel=1e-3)
+
+    @pytest.mark.parametrize("step", [5e-324, 1e-300, 1e-200, 6.25e298])
+    def test_extreme_steps_warn_nothing(self, step):
+        """The trend is fitted against the sample index, so no power of the
+        step is formed: ω·step is the frequency per sample, or a ContractError
+        names x where ω overflows."""
+        x = np.arange(129) * step
+        y = np.cos(0.7 * np.arange(129))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if 0.7 / step == math.inf:
+                with pytest.raises(ContractError, match="^x grid step"):
+                    modulation_frequency(x, y)
+            else:
+                assert modulation_frequency(x, y) * step == pytest.approx(0.7, rel=1e-2)
 
     def test_nonuniform_grid_rejected(self):
         x = np.array([0.0, 0.1, 0.25, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,14 @@ class TestJointLaw:
         ref = np.convolve(signal, noise)[:10]
         got = np.array([arm_a_marginal(n_t, arms, n) for n in range(10)])
         assert np.max(np.abs(got - ref)) < 1e-10
+
+    def test_marginal_of_an_array_has_its_shape_and_each_scalar_value(self):
+        n_t = np.array([[0.0, 0.3, 0.7], [1.2, 2.5, 40.0]])
+        got = arm_a_marginal(n_t, NOISY, 3)
+        assert got.shape == n_t.shape
+        cells = [arm_a_marginal(float(v), NOISY, 3) for v in n_t.ravel()]
+        assert all(type(cell) is float for cell in cells)
+        assert got.tobytes() == np.array(cells).reshape(n_t.shape).tobytes()
 
 
 class TestSnrModes:
@@ -802,6 +811,18 @@ class TestReconstruction:
         error = ContractError if "shape" in kwargs else DomainError
         with pytest.raises(error):
             cs_reconstruct(masks, np.ones(10), **{"shape": (4, 4), **kwargs})
+
+    @pytest.mark.parametrize(("masks", "mu"), [
+        (random_sensing_matrix(3, 16, seed=0), 5e-324),
+        (random_sensing_matrix(3, 16, seed=0), 1e-320),
+        (random_sensing_matrix(3, 16, seed=0), 1e-310),
+        (0.1 * np.eye(3, 16), 5e-324),  # μ·λ rounds to 0
+    ], ids=["5e-324", "1e-320", "1e-310", "product-0"])
+    def test_a_mu_whose_step_is_not_finite_is_refused_by_name(self, masks, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^mu {mu!r} is too small"):
+                cs_reconstruct(masks, np.ones(3), mu=mu, max_iter=4, shape=(4, 4))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_trace_rejected(self, value):

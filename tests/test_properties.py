@@ -21,6 +21,7 @@ from photonstats import (
     ThermalSplitterState,
     TwoArmDetection,
     acquire,
+    arm_a_marginal,
     binary_phantom,
     binomial_thin,
     coherent,
@@ -40,7 +41,7 @@ from photonstats import (
     subtracted_pmf,
     thermal,
 )
-from photonstats.imaging import _conditional_mean, _post_probability
+from photonstats.imaging import _conditional_mean
 from photonstats.sensing import _kept_arm
 from photonstats.states import _binomial_pmf, _grow_cutoff
 
@@ -75,7 +76,7 @@ def test_post_probability_is_the_marginal_of_the_joint_law(n_t, arms, big_n):
     # most (N+1)·B; twice the default cutoff leaves out less than 1e-17.
     cut = 2 * default_cutoff((big_n + 1) * b + arms.det_b.dark_rate)
     oracle = joint_pmf_noisy(n_t, arms, big_n, np.arange(cut + 1)).sum()
-    got = _post_probability(n_t, arms, big_n)[0]
+    got = arm_a_marginal(n_t, arms, big_n)
     assert np.isclose(got, oracle, rtol=1e-10, atol=1e-300)
 
 
@@ -157,7 +158,7 @@ def test_preselection_methods_agree(angles, mean, counts):
 @SETTINGS
 @given(n_t=st.lists(means, min_size=1, max_size=8), arms=two_arms(), big_n=st.integers(0, 40))
 def test_post_probabilities_lie_in_the_unit_interval(n_t, arms, big_n):
-    probs = _post_probability(np.array(n_t), arms, big_n)
+    probs = arm_a_marginal(np.array(n_t), arms, big_n)
     assert probs.shape == (len(n_t),)
     assert np.all((probs >= 0.0) & (probs <= 1.0))
 

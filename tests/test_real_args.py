@@ -48,7 +48,6 @@ from photonstats import (
     split_and_detect,
     thermal,
     tv_prox,
-    visibility,
 )
 from photonstats.errors import DomainError
 from photonstats.sensing import conditional_state_pmf, preset, subtracted_pmf
@@ -165,7 +164,7 @@ GRID_TABLE = [
     (lambda v: cs_reconstruct(MASKS, v, max_iter=4), "y", ANY, np.array([1.0, 3.0, 2.0])),
     (lambda v: image_snr(v, np.arange(4) < 2), "s_hat", ANY, np.array([2.0, 3.0, 1.0, 0.0])),
     (lambda v: empirical_g2(v), "samples", ANY, np.array([0.0, 1.0, 2.0, 3.0, 1.0])),
-    (lambda v: visibility(v), "intensity_samples", ANY, np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 2.0]])),
+    (lambda v: arm_a_marginal(v, ARMS, 2), "n_t", NONNEG, np.array([[0.0, 0.8, 2.0], [0.5, 1.0, 3.0]])),
 ]
 GRID_IDS = [f"{i}-{name}" for i, (_, name, *_) in enumerate(GRID_TABLE)]
 
@@ -221,10 +220,7 @@ def test_real_grid_rule(call, name, bounds, good):
     with_bool = good.tolist()
     row = with_bool[-1] if good.ndim > 1 else with_bool
     row[-1] = True
-    bads = [good.astype(bool), with_bool, good.astype(str), "0.5"]
-    if name != "intensity_samples":  # an iterable, where list(None) is a TypeError
-        bads.append(None)
-    for bad in bads:
+    for bad in [good.astype(bool), with_bool, good.astype(str), "0.5", None]:
         with _refused(name):
             call(bad)
     want = call(good)

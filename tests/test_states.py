@@ -1,6 +1,5 @@
-"""Photon-number distribution construction, moments, and serialization."""
+"""Photon-number distribution construction, moments, and validation."""
 
-import io
 import math
 import time
 import tracemalloc
@@ -23,7 +22,6 @@ from photonstats import (
     moments,
     pmf,
     thermal,
-    visibility,
 )
 from photonstats.states import (
     _binomial_pmf,
@@ -31,11 +29,6 @@ from photonstats.states import (
     _negbin_tail,
     _poisson_pmf,
     _thin_kernel,
-    format_float,
-    from_json_array,
-    read_csv,
-    to_json_array,
-    write_csv,
 )
 
 
@@ -302,24 +295,7 @@ def test_negbin_tail_matches_mpmath(mean, level, n_max):
     assert abs(_negbin_tail(mean, level, n_max) - exact) / exact <= 1e-12
 
 
-class TestVisibility:
-    def test_two_point_fringe(self):
-        assert visibility([(0.0, 1.0), (1.0, 3.0)]) == pytest.approx(0.5)
-
-    def test_flat_intensity_has_zero_visibility(self):
-        samples = [(float(k), 2.0) for k in range(5)]
-        assert visibility(samples) == 0.0
-
-    def test_negative_intensity_rejected(self):
-        with pytest.raises(DomainError):
-            visibility([(0.0, 1.0), (1.0, -0.1)])
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ContractError):
-            visibility([])
-
-
-class TestValidationAndSerialization:
+class TestValidation:
     def test_probability_mass_must_reach_one_minus_tail(self):
         with pytest.raises(ContractError, match="mass"):
             PhotonNumberDistribution(np.array([0.5, 0.2]), tail_bound=0.0)
@@ -367,50 +343,3 @@ class TestValidationAndSerialization:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 2**20
-
-    def test_csv_round_trip(self):
-        dist = pmf(thermal(1.3), tail_target=1e-11)
-        buf = io.StringIO()
-        write_csv(dist, buf)
-        buf.seek(0)
-        back = read_csv(buf)
-        assert np.array_equal(back.probs, dist.probs)
-        assert back.tail_bound >= 1.0 - dist.probs.sum()
-
-    def test_json_round_trip(self):
-        dist = pmf(coherent(0.7))
-        back = from_json_array(to_json_array(dist))
-        assert np.array_equal(back.probs, dist.probs)
-
-    def test_format_float_round_trips_exactly(self):
-        for x in (1.0 / 3.0, 0.1, 2.0**-52, 1234567.89, 6.02e23):
-            assert float(format_float(x)) == x
-
-    @pytest.mark.parametrize("row", ["x,0.5", "0,0.5,1", "0,abc"])
-    def test_csv_rejects_malformed_row_naming_source_and_row(self, tmp_path, row):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"n,prob\n{row}\n", encoding="ascii")
-        with pytest.raises(ContractError, match=rf"bad\.csv: data row 0 .*{row}"):
-            read_csv(str(path))
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
-    def test_csv_rejects_a_bad_probability_naming_source_and_row(self, tmp_path, value):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"n,prob\n0,0.5\n1,{value}\n", encoding="ascii")
-        with pytest.raises(DomainError, match=rf"bad\.csv: data row 1: probability '{value}'"):
-            read_csv(str(path))
-
-    @pytest.mark.parametrize("text", ['["0.5", 0.5]', "[true, 0.0]", "[0.5, null]", "[[0.5], 0.5]",
-                                      '[{"p": 1.0}]', "[0.5, 0.5"])
-    def test_json_rejects_entries_that_are_not_numbers(self, text):
-        with pytest.raises(ContractError):
-            from_json_array(text)
-
-    def test_json_integer_past_the_float_range_is_not_finite(self):
-        with pytest.raises(DomainError, match="finite"):
-            from_json_array("[1" + "0" * 400 + "]")
-
-    def test_csv_rejects_gapped_index(self):
-        bad = io.StringIO("n,prob\n0,0.5\n2,0.5\n")
-        with pytest.raises(ContractError, match="contiguous"):
-            read_csv(bad)

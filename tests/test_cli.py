@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, reproducibility, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -397,9 +398,29 @@ class TestPmfTable:
         assert np.array_equal(rows[:, 0], np.arange(probs.size))
         assert rows[:, 1].tobytes() == probs.tobytes()
 
+    @pytest.mark.parametrize(("flags", "cfg"), [
+        ((), ScatterConfig(1.0, 1.0 / 3.0, 45.0)),
+        (("--n-s", "30", "--n-pl", "2", "--theta-deg", "10"), ScatterConfig(30.0, 2.0, 10.0)),
+    ], ids=["defaults", "n_max-833"])
+    def test_scatter_pmf_mass_is_one_within_its_tail_bound(self, flags, cfg, tmp_path, capsys):
+        assert run(capsys, "scatter", *flags, "--out", str(tmp_path))[0] == 0
+        probs = load_csv(tmp_path / "scatter-pmf.csv", ndmin=2)[:, 1]
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        assert 1.0 - probs.sum() <= detected_pmf(cfg).tail_bound + 1e-15
+
+    def test_write_rows_prints_ints_bare_and_floats_in_17_digits(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        _write_rows(path, "n,prob", [(0, 0.1), (1, 1.0 / 3.0), (2, 0.0)])
+        assert path.read_text() == "n,prob\n0,0.10000000000000001\n1,0.33333333333333331\n2,0\n"
+
     def test_format_float_round_trips_exactly(self):
         for x in (1.0 / 3.0, 0.1, 2.0**-52, 1234567.89, 6.02e23):
             assert float(_format_float(x)) == x
+
+    def test_format_float_keeps_sign_subnormals_and_the_largest_float(self):
+        for x in (-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308):
+            back = float(_format_float(x))
+            assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
 
 
 def test_cli_import_leaves_scipy_stats_out():

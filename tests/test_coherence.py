@@ -225,6 +225,28 @@ class TestFarField:
         expected = cfg.mean_h / (cfg.mean_h + cfg.mean_v)
         assert (hi - lo) / (hi + lo) == pytest.approx(expected, rel=1e-3)
 
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
+    def test_fringe_visibility_scales_with_coherence(self, gamma):
+        """With the slit's sinc² divided out, the fringe over one period,
+        from its crest at k = 0 to its troughs at ±π/2β, has visibility
+        γ n̄_H / (n̄_H + n̄_V)."""
+        cfg = self.make_cfg(gamma_fringe=gamma)
+        period = math.pi / cfg.beta
+        k = np.linspace(-period / 2.0, period / 2.0, 4001)
+        fringe = farfield_intensity(cfg, k) / np.sinc(k / (math.pi * cfg.alpha)) ** 2
+        hi, lo = fringe.max(), fringe.min()
+        expected = gamma * cfg.mean_h / (cfg.mean_h + cfg.mean_v)
+        assert (hi - lo) / (hi + lo) == pytest.approx(expected, rel=1e-12)
+
+    def test_incoherent_field_is_the_bare_envelope(self):
+        """γ = 0 leaves no fringe: the intensity is the slit's sinc² times
+        n̄_H + n̄_V at every k."""
+        cfg = self.make_cfg(gamma_fringe=0.0)
+        k = np.linspace(-4.0 * cfg.alpha, 4.0 * cfg.alpha, 1001)
+        envelope = np.sinc(k / (math.pi * cfg.alpha)) ** 2
+        got = farfield_intensity(cfg, k)
+        assert np.allclose(got, (cfg.mean_h + cfg.mean_v) * envelope, rtol=0.0, atol=1e-15)
+
     def test_g2_peak_without_vertical_background(self):
         cfg = self.make_cfg(mean_v=0.0)
         assert farfield_g2(cfg, 0.01, 0.01) == 2.0

@@ -158,6 +158,15 @@ class TestJointLaw:
         assert all(type(cell) is float for cell in cells)
         assert got.tobytes() == np.array(cells).reshape(n_t.shape).tobytes()
 
+    def test_marginal_of_an_empty_grid_is_empty(self):
+        got = arm_a_marginal(np.array([]), NOISY, 2)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    def test_marginal_of_a_zero_d_array_is_a_float(self):
+        got = arm_a_marginal(np.array(0.7), NOISY, 2)
+        assert type(got) is float
+        assert got == arm_a_marginal(0.7, NOISY, 2)
+
 
 class TestSnrModes:
     ARMS_POST = TwoArmDetection(0.0, DetectorModel(0.15, 0.8), DetectorModel(0.15, 0.8))

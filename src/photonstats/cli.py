@@ -372,68 +372,84 @@ def _cmd_reconstruct(params: dict, out: Path) -> dict:
     }
 
 
-def _cmd_oracle_check(params: dict, out: Path) -> dict:
-    checks: list[tuple[str, bool, float]] = []
+def _route_error(primary, twin, relative: bool) -> float:
+    """max|p − t|, or if relative max|p/t − 1| over the cells where |p − t| > 1e-300."""
+    primary, twin = np.asarray(primary, dtype=float), np.asarray(twin, dtype=float)
+    if not relative:
+        return float(np.max(np.abs(primary - twin)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(np.abs(primary - twin) <= 1e-300, 0.0, np.abs(primary / twin - 1.0))))
 
-    dist = p_function_convolution_check(0.7, 1.4)
-    ref = pmf(thermal(2.1), cutoff=dist.n_max)
-    err = float(np.max(np.abs(dist.probs - ref.probs)))
-    checks.append(("p_function_vs_thermal", err <= 1e-12, err))
 
-    cfg = ScatterConfig(1.0, 1.0 / 3.0, 45.0)
-    d = detected_pmf(cfg)
-    a, b = cfg.mode_means
-    conv = convolve(pmf(thermal(a), cutoff=d.n_max), pmf(thermal(b), cutoff=d.n_max))
-    err = float(np.max(np.abs(d.probs - conv.probs[: d.n_max + 1])))
-    checks.append(("scatter_vs_convolution", err <= 1e-12, err))
+def _p_function_route(mean_1, mean_2):
+    dist = p_function_convolution_check(mean_1, mean_2)
+    return dist.probs, pmf(thermal(mean_1 + mean_2), cutoff=dist.n_max).probs
 
-    n = np.arange(21)  # 20! < 2^63, so the int64 product is exact
-    err = float(np.max(np.abs(gamma_sum(n) / np.cumprod(n.clip(1)) - 1.0)))
-    checks.append(("gamma_sum_identity", err <= 1e-9, err))
 
+def _scatter_route(cfg):
+    d, (a, b) = detected_pmf(cfg), cfg.mode_means
+    return d.probs, convolve(pmf(thermal(a), cutoff=d.n_max), pmf(thermal(b), cutoff=d.n_max)).probs[: d.n_max + 1]
+
+
+def _joint_route(state, size):
     # with perfect detectors the noisy law is joint_pmf in its own arithmetic
-    st = ThermalSplitterState(1.0, math.pi / 4.0)
-    perfect = TwoArmDetection(st.split_angle, DetectorModel(), DetectorModel())
-    grid = np.indices((60, 60))
-    oracle = joint_pmf_noisy(st.mean_total, perfect, *grid)
-    err = float(np.max(np.abs(joint_pmf(st, *grid) / oracle - 1.0)))
-    checks.append(("joint_pmf_vs_noisy_law", err <= 1e-12, err))
+    perfect = TwoArmDetection(state.split_angle, DetectorModel(), DetectorModel())
+    grid = np.indices((size, size))
+    return joint_pmf(state, *grid), joint_pmf_noisy(state.mean_total, perfect, *grid)
 
-    # exact post(N) and subtract(N) rows against the noisy law's row sums and
-    # conditional column means; counts past 24 carry < 1e-20 of the mass
-    arms = TwoArmDetection(math.pi / 4.0, DetectorModel(0.55, 0.3), DetectorModel(0.55, 0.3))
-    table = joint_pmf_noisy(0.8, arms, *np.indices((25, 25)))
-    for name, primary, oracle in (
-        ("post_vs_noisy_law", arm_a_marginal, table.sum(axis=1)),
-        ("subtract_vs_noisy_law", _conditional_mean, np.arange(25) @ table / table.sum(axis=0)),
-    ):
-        got = np.concatenate([primary([0.8], arms, big_n) for big_n in range(8)])
-        err = float(np.max(np.abs(got / oracle[:8] - 1.0)))
-        checks.append((name, err <= 1e-12, err))
 
-    # the heralded sensing state given L counts, L = 0..3, against the arm-a
-    # column at arm b = L of a perfect-detector table with arm means A = Kc
-    # and B = Bc, normalized by its own sum
-    sensor = preset("thesis-ch5")
+# exact post(N) and subtract(N) rows, N < levels, against the noisy law on that count grid
+def _post_route(n_t, arms, levels, shape):
+    table = joint_pmf_noisy(n_t, arms, *np.indices(shape))
+    return [arm_a_marginal(n_t, arms, n) for n in range(levels)], table.sum(axis=1)[:levels]
+
+
+def _subtract_route(n_t, arms, levels, shape):
+    table = joint_pmf_noisy(n_t, arms, *np.indices(shape))
+    means = np.arange(shape[0]) @ table / table.sum(axis=0)
+    return [_conditional_mean([n_t], arms, n)[0] for n in range(levels)], means[:levels]
+
+
+def _sensing_route(sensor, support_multiple):
+    # the heralded state given L = 0..3 counts against the arm-a column at arm
+    # b = L of a perfect-detector table with arm means A = Kc and B = Bc, over
+    # support_multiple times the states' support, normalized by its sum
+    heralded = [conditional_state_pmf(sensor, level) for level in range(4)]
     big_k, big_b, c = _kept_arm(sensor)
     a, b = big_k * c, big_b * c
-    heralded = [conditional_state_pmf(sensor, level) for level in range(4)]
     split = TwoArmDetection(math.atan(math.sqrt(b / a)), DetectorModel(), DetectorModel())
-    table = joint_pmf_noisy(a + b, split, *np.indices((max(d.n_max for d in heralded) + 1, 4)))
+    table = joint_pmf_noisy(a + b, split, *np.indices((support_multiple * (max(d.n_max for d in heralded) + 1), 4)))
     columns = table / table.sum(axis=0)
-    err = max(
-        float(np.max(np.abs(d.probs / columns[: d.n_max + 1, level] - 1.0))) for level, d in enumerate(heralded)
-    )
-    checks.append(("sensing_vs_noisy_law", err <= 1e-12, err))
+    return (np.concatenate([d.probs for d in heralded]),
+            np.concatenate([columns[: d.n_max + 1, level] for level, d in enumerate(heralded)]))
 
-    net = PreselectionNetwork(_PRESELECT_ANGLES, 0.3)
-    oracle = _detected_vacuum_sum(net)
-    err = abs(detected_vacuum_probability(net) - oracle) / oracle
-    checks.append(("vacuum_closed_form_vs_sum", err <= 1e-9, err))
 
+_PRESELECT_ANGLES = (0.3, 0.7, 0.4, 0.6, 0.5)
+_NOISY = dict(n_t=0.8, arms=TwoArmDetection(math.pi / 4.0, DetectorModel(0.55, 0.3), DetectorModel(0.55, 0.3)),
+              levels=8, shape=(25, 25))  # counts past 24 carry < 1e-20 of this law's mass
+# One row per law, by name: (a function from a point, as keywords, to its primary
+# and twin values; the reference point oracle-check uses; tolerance; relative?)
+_ROUTES = {
+    "p_function_vs_thermal": (_p_function_route, dict(mean_1=0.7, mean_2=1.4), 1e-12, False),
+    "scatter_vs_convolution": (_scatter_route, dict(cfg=ScatterConfig(1.0, 1.0 / 3.0, 45.0)), 1e-12, False),
+    "gamma_sum_identity": (lambda n: (gamma_sum(n), [float(math.factorial(k)) for k in n]), dict(n=range(21)),
+                           1e-9, True),
+    "joint_pmf_vs_noisy_law": (_joint_route, dict(state=ThermalSplitterState(1.0, math.pi / 4.0), size=60), 1e-12,
+                               True),
+    "post_vs_noisy_law": (_post_route, _NOISY, 1e-12, True),
+    "subtract_vs_noisy_law": (_subtract_route, _NOISY, 1e-12, True),
+    "sensing_vs_noisy_law": (_sensing_route, dict(sensor=preset("thesis-ch5"), support_multiple=1), 1e-12, True),
+    "vacuum_closed_form_vs_sum": (lambda net: (detected_vacuum_probability(net), _detected_vacuum_sum(net)),
+                                  dict(net=PreselectionNetwork(_PRESELECT_ANGLES, 0.3)), 1e-9, True),
+}
+
+
+def _cmd_oracle_check(params: dict, out: Path) -> dict:
+    checks = [(name, _route_error(*values(**point), relative), tol)
+              for name, (values, point, tol, relative) in _ROUTES.items()]
     path = out / "oracle-check.csv"
-    _write_rows(path, "check,passed,error", [(name, int(ok), float(e)) for name, ok, e in checks])
-    failed = [name for name, ok, _ in checks if not ok]
+    _write_rows(path, "check,passed,error", [(name, int(err <= tol), err) for name, err, tol in checks])
+    failed = [name for name, err, tol in checks if not err <= tol]
     if failed:
         raise AccuracyError(f"oracle checks failed: {failed}")
     return {"artifacts": [path.name], "checks": len(checks), "all_passed": True}
@@ -442,9 +458,6 @@ def _cmd_oracle_check(params: dict, out: Path) -> dict:
 # ===================================================================
 # Parser assembly
 # ===================================================================
-
-_PRESELECT_ANGLES = (0.3, 0.7, 0.4, 0.6, 0.5)
-
 
 def non_negative_int(text: str) -> int:
     """Type of the grid-size flags."""

@@ -23,9 +23,7 @@ The split-thermal laws, the conditional map, the classical oracle,
 positions broadcast, and scalars give ``np.float64``.
 
 Primary routes and their oracles: far-field fringes vs
-``classical_envelope_oracle``; the "factored" vs "gamma-sum" forms of
-``preselection_distribution``; the closed-form ``detected_vacuum_probability``
-vs ``_detected_vacuum_sum``, which sums the factored law over the loss modes.
+``classical_envelope_oracle``; ``gamma_sum`` and the vacuum rate in ``cli._ROUTES``.
 """
 
 from __future__ import annotations
@@ -452,10 +450,13 @@ def gamma_sum(n):
 
     Evaluated term by term in log space; the identity (not assumed here) is
     what reduces the routed multiparticle distribution to a Bose–Einstein
-    weight times a multinomial. n broadcasts.
+    weight times a multinomial. n broadcasts; an n past 170, whose n!
+    overflows a float, raises DomainError naming n.
     """
     n = np.expand_dims(_count(n, "n", grid=True), -1)
-    k = np.arange(np.max(n, initial=0) + 1)
+    if (top := np.max(n, initial=0)) > 170:
+        raise DomainError(f"n {top} is past 170: n! overflows a float")
+    k = np.arange(top + 1)
     log_terms = (
         special.gammaln(n + 1)
         - special.gammaln(k + 1)
@@ -467,35 +468,21 @@ def gamma_sum(n):
     return np.exp(special.logsumexp(np.where(k <= n, log_terms, -np.inf), axis=-1))
 
 
-def preselection_distribution(net: PreselectionNetwork, counts, method: str = "gamma-sum"):
-    """Probability of the joint outcome (n₁..n₆) across the six modes.
-
-    Two algebraically equivalent evaluations are kept deliberately separate:
-
-    * ``"gamma-sum"`` follows the sum-over-splittings form, a Γ-term
-      sum times the Bose–Einstein weight and per-mode angle powers;
-    * ``"factored"`` uses Bose–Einstein(n) times a multinomial over the mode
-      probabilities.
-
-    Their agreement (relative 1e-9) is asserted in tests, not silently merged.
-    The six counts broadcast against each other.
+def preselection_distribution(net: PreselectionNetwork, counts):
+    """Probability of the joint outcome (n₁..n₆) across the six modes, in log
+    space: the Bose–Einstein weight of n = Σnᵢ times a multinomial over the
+    mode probabilities. The six counts broadcast against each other.
     """
     if len(counts) != 6:
         raise ContractError("counts must have exactly six entries")
     per_mode = [_count(c, "counts", grid=True) for c in counts]
-    if method not in ("gamma-sum", "factored"):
-        raise DomainError(f"unknown method {method!r}")
-    probs = mode_probabilities(net)
     n = sum(per_mode)
     log_p = (
         special.xlogy(n, net.mean / (1.0 + net.mean))
         - math.log1p(net.mean)
-        + sum(special.xlogy(c, p) - special.gammaln(c + 1) for c, p in zip(per_mode, probs))
+        + sum(special.xlogy(c, p) - special.gammaln(c + 1) for c, p in zip(per_mode, mode_probabilities(net)))
+        + special.gammaln(n + 1)
     )
-    if method == "gamma-sum":
-        log_p += np.log(gamma_sum(n))
-    else:
-        log_p += special.gammaln(n + 1)
     return np.exp(log_p)
 
 
@@ -515,4 +502,4 @@ def _detected_vacuum_sum(net: PreselectionNetwork) -> float:
     cutoff = default_cutoff(net.mean)
     n4, n5, n6 = np.ogrid[: cutoff + 1, : cutoff + 1, : cutoff + 1]
     loss = np.nonzero(n4 + n5 + n6 <= cutoff)
-    return float(preselection_distribution(net, (0, 0, 0, *loss), method="factored").sum())
+    return float(preselection_distribution(net, (0, 0, 0, *loss)).sum())

@@ -746,7 +746,8 @@ def cs_reconstruct(
     the scaled objective F(x⁺) (Beck & Teboulle, SIAM J. Imaging Sci. 2009).
     The solve stops as "converged" once that is ≤ tol, else as "max_iter";
     its value at the last step is the result's gradient_mapping. A μ so
-    small that the step 1/(μλ) is not finite raises DomainError naming mu.
+    small that the step 1/(μλ) is not finite, or so large that μ·max(1,
+    λ(1+β)) times Q's entry count is not, raises DomainError naming mu.
     """
     q = masks.matrix if isinstance(masks, SensingMatrix) else _real(masks, "masks", grid=True)
     y = _real(y, "y", grid=True)
@@ -782,6 +783,8 @@ def cs_reconstruct(
         raise DomainError("sensing matrix is identically zero")
     if mu * lam == 0.0 or 1.0 / (mu * lam) == math.inf:
         raise DomainError(f"mu {mu!r} is too small: the step 1/(mu·λ), λ = {lam!r}, is not finite")
+    if mu * max(1.0, lam * (1.0 + beta)) * q.size == math.inf:  # bounds the objective and the gradient's sums
+        raise DomainError(f"mu {mu!r} is too large: mu·max(1, λ(1+β))·{q.size} entries overflows, λ = {lam!r}")
     base_step = 1.0 / (mu * lam)
     mean_share = beta / (1.0 + beta)
 

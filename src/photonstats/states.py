@@ -36,11 +36,8 @@ law) and ``_binomial_pmf`` (loss, splitting), whose log sum
 ``_binomial_terms`` also takes ``binomial_thin``'s tabled pieces. Every
 primary law calls them; ``scipy.special`` is the only scipy import. The
 oracles keep their own arithmetic, so one kernel fault cannot pass both
-sides of a dual-route check: ``imaging.joint_pmf_noisy``,
-``scatter.p_function_convolution_check`` and ``detected_pmf``'s two-mode
-law, ``coherence.preselection_distribution``, ``gamma_sum`` and
-``_detected_vacuum_sum``, and the per-shot Monte Carlo. The count oracles
-take whole count grids, so each check is one call.
+sides of a dual-route check (``cli._ROUTES`` and the per-shot Monte Carlo).
+The count oracles take whole count grids, so each check is one call.
 """
 
 from __future__ import annotations

@@ -595,6 +595,8 @@ class TestEnvelopeOracle:
         manifest = json.loads((tmp_path / "envelope-oracle-manifest.json").read_text())
         # the defaults settle at the second rule tried, 64 → 128 points per axis
         assert summary["quadrature_order"] == manifest["summary"]["quadrature_order"] == 128
+        # and the fitted fringe frequency is 2β within 2%
+        assert summary["relative_error"] == manifest["summary"]["relative_error"] <= 0.02
 
     def test_default_scale_is_recorded_as_null(self, tmp_path, capsys):
         default, explicit = tmp_path / "default", tmp_path / "explicit"

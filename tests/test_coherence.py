@@ -129,18 +129,17 @@ class TestWholeGrids:
         assert np.max(np.abs(grid - cells) / cells) <= 1e-15
         assert type(gamma_sum(3)) is np.float64
 
-    @pytest.mark.parametrize("method", ["gamma-sum", "factored"])
-    def test_preselection_counts_broadcast(self, method):
+    def test_preselection_counts_broadcast(self):
         net = PreselectionNetwork((0.3, 0.7, 0.4, 0.6, 0.5), 0.9)
         counts = (0, 2, np.arange(3)[:, None], 1, np.arange(4), 0)
-        grid = preselection_distribution(net, counts, method)
+        grid = preselection_distribution(net, counts)
         cells = np.array(
-            [[preselection_distribution(net, (0, 2, a, 1, b, 0), method) for b in range(4)]
+            [[preselection_distribution(net, (0, 2, a, 1, b, 0)) for b in range(4)]
              for a in range(3)]
         )
         assert grid.shape == (3, 4)
         assert np.max(np.abs(grid - cells) / cells) <= 1e-15
-        assert type(preselection_distribution(net, (0, 2, 1, 1, 3, 0), method)) is np.float64
+        assert type(preselection_distribution(net, (0, 2, 1, 1, 3, 0))) is np.float64
 
     def test_envelope_oracle_on_a_separation_grid(self):
         cfg = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
@@ -542,9 +541,10 @@ class TestSlitKernelCache:
     def test_each_kernel_is_built_once_per_process(self):
         dks, scale = self.cli_grid()
         for _ in range(2):
-            classical_envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)
-            for dk in dks:
-                classical_envelope_oracle(self.CFG, scale, -dk / 2.0, dk / 2.0)
+            grid = classical_envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)
+            cells = [classical_envelope_oracle(self.CFG, scale, -dk / 2.0, dk / 2.0) for dk in dks]
+            # a caller looping over Δk gets the grid call's values bit for bit
+            assert np.array_equal(cells, grid)
         info = coherence._slit_kernel.cache_info()
         assert info.misses == 2  # orders 64 and 128, once each
         assert info.hits == 2 * 2 * (1 + dks.size) - 2
@@ -631,7 +631,7 @@ class TestPreselection:
             (math.sin(t1) * math.cos(t4)) ** 2, rel=1e-12
         )
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20, 170])
     def test_gamma_sum_collapses_to_factorial(self, n):
         assert gamma_sum(n) == pytest.approx(math.factorial(n), rel=1e-9)
 
@@ -639,29 +639,41 @@ class TestPreselection:
         with pytest.raises(DomainError):
             gamma_sum(-1)
 
-    def test_both_evaluation_routes_agree(self):
-        counts = (1, 0, 2, 0, 1, 1)
-        a = preselection_distribution(NET, counts, method="gamma-sum")
-        b = preselection_distribution(NET, counts, method="factored")
-        assert a == pytest.approx(b, rel=1e-9)
+    @pytest.mark.parametrize("n", [171, [3, 171], np.array([[0], [200]])])
+    def test_gamma_sum_refuses_a_factorial_past_the_float_range_by_name(self, n):
+        # 171! passes the largest float: a DomainError, never exp's overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^n \d+ is past 170"):
+                gamma_sum(n)
+
+    @pytest.mark.parametrize("counts", [(171, 0, 0, 0, 0, 0), (100, 71, 0, 0, 0, 0), (30, 40, 50, 60, 70, 80)])
+    def test_a_total_past_170_is_the_finite_factored_law(self, counts):
+        """BE(n)·multinomial at 40 digits; a Γ-sum of n! would overflow past 170."""
+        mpmath = pytest.importorskip("mpmath")
+        probs = mode_probabilities(NET)
+        with mpmath.workdps(40):
+            n, mean = sum(counts), mpmath.mpf(NET.mean)
+            ref = mean**n / (1 + mean) ** (n + 1) * mpmath.factorial(n)
+            for c, p in zip(counts, probs):
+                ref *= mpmath.mpf(p) ** c / mpmath.factorial(c)
+        got = preselection_distribution(NET, counts)
+        assert math.isfinite(got) and got > 0.0
+        assert got == pytest.approx(float(ref), rel=1e-12)
 
     def test_fixed_total_sums_to_thermal_weight(self):
         """Summed over all ways to distribute n photons, the joint law gives
         back the Bose-Einstein weight of n."""
         n = 3
         placements = np.array(list(_compositions(n, 6))).T
-        total = preselection_distribution(NET, placements, method="factored").sum()
+        total = preselection_distribution(NET, placements).sum()
         n_bar = NET.mean
         expected = n_bar**n / (1.0 + n_bar) ** (n + 1)
         assert total == pytest.approx(expected, rel=1e-9)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(DomainError):
-            preselection_distribution(NET, (0, 0, 0, 0, 0, 0), method="exact")
-
     def test_wrong_count_arity_rejected(self):
         with pytest.raises(ContractError):
-            preselection_distribution(NET, (0, 0, 0), method="factored")
+            preselection_distribution(NET, (0, 0, 0))
 
     def test_detected_vacuum_matches_closed_form(self):
         probs = mode_probabilities(NET)

@@ -1,6 +1,7 @@
 """Single-pixel acquisition model and TV-regularized reconstruction."""
 
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -832,6 +833,20 @@ class TestReconstruction:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=rf"^mu {mu!r} is too small"):
                 cs_reconstruct(masks, np.ones(3), mu=mu, max_iter=4, shape=(4, 4))
+
+    @pytest.mark.parametrize("mu", [1e306, 1e307, 1.7e308])
+    def test_a_mu_whose_objective_can_overflow_is_refused_by_name(self, mu):
+        # 1e307 overflowed the gradient's sum and 1.7e308 the gradient itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^mu {re.escape(repr(mu))} is too large"):
+                cs_reconstruct(random_sensing_matrix(3, 16, seed=0), np.ones(3), mu=mu, max_iter=4)
+
+    def test_a_large_mu_in_range_still_solves(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = cs_reconstruct(random_sensing_matrix(3, 16, seed=0), np.ones(3), mu=1e300, max_iter=4)
+        assert res.iterations == 4 and np.all(np.isfinite(res.s_hat))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_trace_rejected(self, value):

@@ -1,6 +1,6 @@
-"""Property tests: the vectorized counting-law primaries against the
-cell-by-cell joint law, and the mass/tail contract of truncated pmfs, over
-random parameters rather than frozen points."""
+"""Property tests: each dual route of `cli._ROUTES` over its parameter box,
+and the mass/tail contract of truncated pmfs, over random parameters rather
+than frozen points."""
 
 import math
 import time
@@ -31,18 +31,14 @@ from photonstats import (
     default_cutoff,
     detected_pmf,
     fock,
-    joint_pmf,
-    joint_pmf_noisy,
     p_function_convolution_check,
     pmf,
-    preselection_distribution,
     preset,
     random_sensing_matrix,
     subtracted_pmf,
     thermal,
 )
-from photonstats.imaging import _conditional_mean
-from photonstats.sensing import _kept_arm
+from photonstats.cli import _ROUTES, _route_error
 from photonstats.states import _binomial_pmf, _grow_cutoff
 
 # Derandomized so a failure reproduces bit for bit, like the frozen Monte
@@ -68,91 +64,86 @@ def _arm_means(n_t, arms):
     return arms.det_a.efficiency * c2 * n_t, arms.det_b.efficiency * s2 * n_t
 
 
-@SETTINGS
-@given(n_t=means, arms=two_arms(), big_n=st.integers(0, 6))
-def test_post_probability_is_the_marginal_of_the_joint_law(n_t, arms, big_n):
-    _, b = _arm_means(n_t, arms)
-    # Given N counts in arm a, arm b's signal is negative binomial with mean at
-    # most (N+1)·B; twice the default cutoff leaves out less than 1e-17.
-    cut = 2 * default_cutoff((big_n + 1) * b + arms.det_b.dark_rate)
-    oracle = joint_pmf_noisy(n_t, arms, big_n, np.arange(cut + 1)).sum()
-    got = arm_a_marginal(n_t, arms, big_n)
-    assert np.isclose(got, oracle, rtol=1e-10, atol=1e-300)
-
-
-@SETTINGS
-@given(n_t=means, arms=two_arms(), big_n=st.integers(0, 6))
-# A bright arm a: a cutoff of default_cutoff(A) alone would be off by ~1e-9.
-@example(
-    n_t=3.0,
-    arms=TwoArmDetection(0.0, DetectorModel(1.0, 1.0), DetectorModel(0.0, 0.0)),
-    big_n=0,
-)
-def test_conditional_mean_is_the_joint_law_conditioned(n_t, arms, big_n):
+@st.composite
+def noisy_tables(draw, post):
+    """A post(N) or subtract(N) point: N < levels ≤ 7 and a count grid that
+    leaves out less than 1e-17 of the summed arm's mass. Given N counts in
+    one arm, the other arm's signal is negative binomial with mean at most
+    (N+1) times its arm mean, so twice the default cutoff of that plus its
+    dark rate suffices."""
+    n_t, arms, levels = draw(means), draw(two_arms()), draw(st.integers(1, 7))
     a, b = _arm_means(n_t, arms)
-    assume(big_n == 0 or b > 0.0 or arms.det_b.dark_rate > 0.0)
-    # Likewise for arm a's signal given N counts in arm b.
-    cut = 2 * default_cutoff((big_n + 1) * a + arms.det_a.dark_rate)
-    counts = np.arange(cut + 1)
-    column = joint_pmf_noisy(n_t, arms, counts, big_n)
-    oracle = float(counts @ column) / float(column.sum())
-    got = _conditional_mean(n_t, arms, big_n)[0]
-    assert np.isclose(got, oracle, rtol=1e-10, atol=1e-300)
+    if post:
+        cut = 2 * default_cutoff(levels * b + arms.det_b.dark_rate)
+        return dict(n_t=n_t, arms=arms, levels=levels, shape=(levels, cut + 1))
+    if b == 0.0 and arms.det_b.dark_rate == 0.0:
+        levels = 1  # arm b never counts: only N = 0 can be conditioned on
+    cut = 2 * default_cutoff(levels * a + arms.det_a.dark_rate)
+    return dict(n_t=n_t, arms=arms, levels=levels, shape=(cut + 1, levels))
 
 
-@settings(SETTINGS, max_examples=200)
-@given(
-    mean=st.one_of(st.just(0.0), st.floats(1e-3, 30.0)),
-    angle=st.floats(0.0, math.pi / 2.0),
-)
-def test_joint_pmf_is_the_noisy_law_with_perfect_detectors(mean, angle):
-    """oracle-check's `joint_pmf_vs_noisy_law` row at its 1e-12 relative
-    gate, over a 41 × 41 count grid. Budget: under 2 s for the 200 draws
-    (0.8 s on a 2-vCPU box)."""
-    perfect = TwoArmDetection(angle, DetectorModel(), DetectorModel())
-    grid = np.indices((41, 41))
-    oracle = joint_pmf_noisy(mean, perfect, *grid)
-    got = joint_pmf(ThermalSplitterState(mean, angle), *grid)
-    assert np.allclose(got, oracle, rtol=1e-12, atol=1e-300)
+angles = st.floats(0.0, math.pi / 2.0)
+
+# The parameter box each dual route of `cli._ROUTES` is drawn from.
+ROUTE_BOXES = {
+    # a combined mean from 28 up needs a Gauss–Laguerre rule past the largest that builds
+    "p_function_vs_thermal": st.fixed_dictionaries({"mean_1": st.floats(0.0, 10.0), "mean_2": st.floats(0.0, 10.0)}),
+    "scatter_vs_convolution": st.fixed_dictionaries(
+        {"cfg": st.builds(ScatterConfig, st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 90.0))}
+    ),
+    # up to 170!, the largest factorial below the float maximum
+    "gamma_sum_identity": st.fixed_dictionaries({"n": st.lists(st.integers(0, 170), min_size=1, max_size=16)}),
+    "joint_pmf_vs_noisy_law": st.fixed_dictionaries(
+        {"state": st.builds(ThermalSplitterState, st.one_of(st.just(0.0), st.floats(1e-3, 30.0)), angles),
+         "size": st.integers(1, 60)}
+    ),
+    "post_vs_noisy_law": noisy_tables(post=True),
+    "subtract_vs_noisy_law": noisy_tables(post=False),
+    # twice the states' support, so the column's own normalization misses < 1e-12
+    "sensing_vs_noisy_law": st.fixed_dictionaries(
+        {"sensor": st.builds(preset, st.just("thesis-ch5"), mean=st.floats(1e-3, 50.0),
+                             phase=st.floats(0.1, math.pi - 0.1)),
+         "support_multiple": st.just(2)}
+    ),
+    # the oracle sums a (cutoff + 1)³ grid, cubic in the mean: 8 ms at 2
+    "vacuum_closed_form_vs_sum": st.fixed_dictionaries(
+        {"net": st.builds(PreselectionNetwork, st.tuples(*[angles] * 5), st.floats(0.0, 2.0))}
+    ),
+}
+
+# Edges a box holds but rarely draws.
+BRIGHT_ARM_A = TwoArmDetection(0.0, DetectorModel(1.0, 1.0), DetectorModel(0.0, 0.0))
+ROUTE_EDGES = [
+    # a bright arm a: a grid of default_cutoff(A) rows alone would be off by ~1e-9
+    ("subtract_vs_noisy_law", dict(n_t=3.0, arms=BRIGHT_ARM_A, levels=1, shape=(2 * default_cutoff(4.0) + 1, 1))),
+    ("gamma_sum_identity", dict(n=range(171))),
+]
 
 
+def _route_error_at(name, point):
+    values, _, tol, relative = _ROUTES[name]
+    return _route_error(*values(**point), relative), tol
+
+
+def test_every_dual_route_has_a_box():
+    assert list(ROUTE_BOXES) == list(_ROUTES)
+
+
+@pytest.mark.parametrize("name", list(_ROUTES))
 @settings(SETTINGS, max_examples=100)
-@given(
-    mean=st.floats(1e-3, 50.0),
-    phase=st.floats(0.1, math.pi - 0.1),
-    level=st.integers(0, 3),
-)
-def test_conditional_state_pmf_is_the_noisy_table_column(mean, phase, level):
-    """oracle-check's `sensing_vs_noisy_law` row at its 1e-12 relative gate:
-    the heralded state given L counts against the arm-a column at arm b = L of
-    a perfect-detector table with arm means A = Kc and B = Bc, normalized by
-    its own sum over twice the state's support. Budget: under 1 s for the 100
-    draws (0.3 s on a 2-vCPU box)."""
-    sensor = preset("thesis-ch5", mean=mean, phase=phase)
-    dist = conditional_state_pmf(sensor, level)
-    big_k, big_b, c = _kept_arm(sensor)
-    a, b = big_k * c, big_b * c
-    split = TwoArmDetection(math.atan(math.sqrt(b / a)), DetectorModel(), DetectorModel())
-    column = joint_pmf_noisy(a + b, split, np.arange(2 * dist.n_max + 2), level)
-    oracle = column[: dist.n_max + 1] / column.sum()
-    assert np.allclose(dist.probs, oracle, rtol=1e-12, atol=1e-300)
+@given(data=st.data())
+def test_dual_routes_agree_over_their_boxes(name, data):
+    """Each row of `cli._ROUTES` at its own gate over its box, as
+    oracle-check checks it at its reference point. Budget: about 3 s for the
+    eight rows on a 2-vCPU box."""
+    error, tol = _route_error_at(name, data.draw(ROUTE_BOXES[name], label="point"))
+    assert error <= tol
 
 
-@settings(SETTINGS, max_examples=200)
-@given(
-    angles=st.tuples(*[st.floats(0.0, math.pi / 2.0)] * 5),
-    mean=st.floats(0.0, 10.0),
-    counts=st.lists(st.tuples(*[st.integers(0, 7)] * 6), min_size=1, max_size=16),
-)
-def test_preselection_methods_agree(angles, mean, counts):
-    """The two `preselection_distribution` evaluations at the 1e-9 relative
-    agreement its docstring states, on up to 16 count tuples below 8 a
-    draw. Budget: under 2 s for the 200 draws (1.2 s on a 2-vCPU box)."""
-    net = PreselectionNetwork(angles, mean)
-    per_mode = tuple(np.array(c) for c in zip(*counts))
-    gamma = preselection_distribution(net, per_mode, method="gamma-sum")
-    factored = preselection_distribution(net, per_mode, method="factored")
-    assert np.allclose(gamma, factored, rtol=1e-9, atol=1e-300)
+@pytest.mark.parametrize(("name", "point"), ROUTE_EDGES, ids=[name for name, _ in ROUTE_EDGES])
+def test_dual_routes_agree_at_their_edges(name, point):
+    error, tol = _route_error_at(name, point)
+    assert error <= tol
 
 
 @SETTINGS

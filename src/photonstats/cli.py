@@ -355,7 +355,7 @@ def _cmd_reconstruct(params: dict, out: Path) -> dict:
         mu=params["mu"],
         max_iter=params["max_iter"],
         tol=params["tol"],
-        nonneg=params["nonneg"],
+        nonneg=bool(params["nonneg"]),
         shape=(height, width),
     )
     img_path = out / "reconstruct.pgm"

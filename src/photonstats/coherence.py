@@ -1,6 +1,6 @@
 """Wavepacket correlations of split thermal light and double-slit far fields.
 
-Four related pieces live here because they share one physical setting, a
+Five related pieces live here because they share one physical setting, a
 thermal field split between a photonic and a plasmonic path behind a double
 slit:
 
@@ -36,7 +36,7 @@ import numpy as np
 from scipy import special
 
 from .errors import AccuracyError, ContractError, DomainError, _count, _real, _real_fields
-from .states import _binomial_pmf, _log_choose, _negbin_pmf, default_cutoff
+from .states import _binomial_pmf, _log_choose, _negbin_pmf, pmf, thermal
 
 __all__ = [
     "ThermalSplitterState",
@@ -498,8 +498,12 @@ def detected_vacuum_probability(net: PreselectionNetwork) -> float:
 
 def _detected_vacuum_sum(net: PreselectionNetwork) -> float:
     """Oracle for :func:`detected_vacuum_probability`: the factored joint
-    distribution summed over the loss modes, n₄ + n₅ + n₆ ≤ the default cutoff."""
-    cutoff = default_cutoff(net.mean)
+    distribution summed over the loss modes, n₄ + n₅ + n₆ ≤ a cutoff c.
+
+    c is the cutoff of ``pmf(thermal(n̄), tail_target=1e-13)``: with all
+    light in the loss modes the sum leaves out the Bose–Einstein tail
+    (n̄/(1+n̄))^(c+1), so c keeps that at or below 1e-13 (c = 26 at n̄ = 0.3)."""
+    cutoff = pmf(thermal(net.mean), tail_target=1e-13).n_max
     n4, n5, n6 = np.ogrid[: cutoff + 1, : cutoff + 1, : cutoff + 1]
     loss = np.nonzero(n4 + n5 + n6 <= cutoff)
     return float(preselection_distribution(net, (0, 0, 0, *loss)).sum())

@@ -281,11 +281,16 @@ def joint_pmf_noisy(n_t: float, arms: TwoArmDetection, n, m):
         + special.xlogy(j, eta_b * s2 * n_t)
         - (1.0 + i + j) * math.log1p(n_t * (eta_a * c2 + eta_b * s2))
     )
-    # then each arm's Poisson dark counts, convolved in along its axis
-    for axis, nu in enumerate((arms.det_a.dark_rate, arms.det_b.dark_rate)):
-        k = np.arange(table.shape[axis])
+    # then each arm's Poisson dark counts down the rows (arm b's after a
+    # transpose): row i adds dark[s]·row (i − s) for s = 0, 1, … in order, so a
+    # cell has the same bits on any grid; a dark[s] that underflows adds nothing
+    for nu in (arms.det_a.dark_rate, arms.det_b.dark_rate):
+        k = np.arange(len(table))
         dark = np.exp(special.xlogy(k, nu) - nu - special.gammaln(k + 1))
-        table = np.apply_along_axis(np.convolve, axis, table, dark).take(k, axis)
+        counts = np.zeros_like(table)
+        for s in np.flatnonzero(dark):
+            counts[s:] += dark[s] * table[: len(table) - s]
+        table = counts.T
     return table[n, m]
 
 
@@ -687,6 +692,72 @@ def _metric_shift(w: np.ndarray, v: np.ndarray, beta: float) -> float:
     return beta * (kept - total_v) / (n + beta * k)
 
 
+class _Fista:
+    """The state of one `cs_reconstruct` solve from 0, y scaled to max 1, and
+    its step. ``s`` and ``candidate`` swap buffers when a candidate is
+    accepted, so no iterate is overwritten while in use."""
+
+    def __init__(self, q, y, mu, beta, lam, shape, nonneg) -> None:
+        self.q, self.y, self.shape, self.nonneg = q, y, shape, nonneg
+        self.mu, self.beta, self.lam = mu, beta, lam
+        self.work = _TvWorkspace(shape)
+        self.s, self.candidate, self.momentum, self.spare = np.zeros((4, q.shape[1] + q.shape[0]))
+        # the image views of the two buffers that never swap, made once
+        self.momentum_img, self.spare_img = (b[: q.shape[1]].reshape(shape) for b in (self.momentum, self.spare))
+        # the gradient, then the gradient-step point v; candidate − s, for the restart test
+        self.moved, self.ahead = np.empty((2, *shape))
+        self.resid = np.empty(q.shape[0])  # Q·image − y
+        self.t, self.trace, self.restarts = 1.0, [0.5 * mu * float(y @ y)], 0  # F(0): TV(0) = 0, Q·0 = 0
+
+    def step(self) -> float:
+        """One step of `cs_reconstruct`; returns its relative gradient mapping."""
+        mu, beta, n = self.mu, self.beta, self.ahead.size
+        moved, ahead, resid = self.moved, self.ahead, self.resid
+        s, candidate, momentum, spare = self.s, self.candidate, self.momentum, self.spare
+        s_img, candidate_img = s[:n].reshape(self.shape), candidate[:n].reshape(self.shape)
+        base_step = 1.0 / (mu * self.lam)
+        np.subtract(momentum[n:], self.y, out=resid)
+        np.matmul(self.q.T, resid, out=moved.ravel())
+        np.multiply(mu, moved, out=moved)
+        np.subtract(moved, beta / (1.0 + beta) * (moved.sum() / n), out=moved)
+        np.multiply(base_step, moved, out=moved)
+        np.subtract(self.momentum_img, moved, out=moved)
+        self.work.prox(moved, base_step, _SOLVER_SWEEPS, candidate_img)
+        if self.nonneg:
+            np.subtract(candidate_img, _metric_shift(candidate_img, moved, beta), out=candidate_img)
+            np.maximum(candidate_img, 0.0, out=candidate_img)
+        np.matmul(self.q, candidate[:n], out=candidate[n:])
+        np.subtract(candidate[n:], self.y, out=resid)
+        value = _tv(candidate_img) + 0.5 * mu * float(resid @ resid)
+        # ½·L·‖x⁺ − z‖²_M, then relative to F(x⁺); 0 when x⁺ = z
+        delta = np.subtract(candidate_img, self.momentum_img, out=self.spare_img)  # x⁺ − z
+        total = float(delta.sum())
+        gap = 0.5 * (mu * self.lam) * (float(np.vdot(delta, delta)) + beta * total * total / n)
+        measure = gap / value if value > 0.0 else (0.0 if gap == 0.0 else math.inf)
+        # restart when ⟨z − x⁺, x⁺ − s⟩_M > 0, that is ⟨x⁺ − z, x⁺ − s⟩_M < 0
+        np.subtract(candidate_img, s_img, out=ahead)
+        if float(np.vdot(delta, ahead)) + beta * total * float(ahead.sum()) / n < 0.0:
+            self.t = 1.0
+            self.restarts += 1
+        t_k = self.t
+        accepted = value <= self.trace[-1]  # monotone guard: extrapolation may overshoot
+        s_next = candidate if accepted else s
+        self.t = t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+        # momentum = s_next + (t_k / t_next)·(candidate − s_next)
+        #            + ((t_k − 1) / t_next)·(s_next − s), in that order, and
+        # in the same buffers Q·momentum the same combination of Q products
+        np.subtract(candidate, s_next, out=momentum)
+        np.multiply(t_k / t_next, momentum, out=momentum)
+        np.add(s_next, momentum, out=momentum)
+        np.subtract(s_next, s, out=spare)
+        np.multiply((t_k - 1.0) / t_next, spare, out=spare)
+        np.add(momentum, spare, out=momentum)
+        if accepted:
+            self.s, self.candidate = candidate, s
+        self.trace.append(value if accepted else self.trace[-1])
+        return measure
+
+
 def cs_reconstruct(
     masks: SensingMatrix | np.ndarray,
     y: np.ndarray,
@@ -732,14 +803,15 @@ def cs_reconstruct(
     is always on; the result's restarts counts the steps it fired.
     Measurements are scaled to max 1 before solving and scaled back.
 
-    A solve makes its iterates and the prox's buffers once: one
-    `_TvWorkspace`, whose dual is carried from each prox call to the next,
-    four [image | Q·image] buffers and a few image-sized arrays, all updated
-    with ``out=``. A step still allocates small temporaries: the objective's
-    residual, `_tv`'s differences, and `_metric_shift`'s sorted copy and
-    sums. The iterates, objective trace and iteration count equal, bit for
-    bit, those of the same loop written with fresh arrays and the textbook
-    `tv_prox` sweep (the tests keep that loop as the oracle).
+    A solve's state is one `_Fista`, made once: a `_TvWorkspace`, whose dual
+    is carried from each prox call to the next, the four [image | Q·image]
+    buffers and a few image-sized arrays, all updated with ``out=``, t, the
+    objective trace and the restart count; the solve calls its ``step``
+    until the stop below. A step still allocates `_tv`'s differences and
+    `_metric_shift`'s sorted copy and sums. The iterates, objective trace,
+    iteration count and restart count equal, bit for bit, those of the same
+    loop written with fresh arrays and the textbook `tv_prox` sweep (the
+    tests keep that loop as the oracle).
 
     Each step measures its candidate x⁺ from the momentum point z by the
     gradient mapping ½·L·‖x⁺ − z‖²_M, ‖d‖²_M = ‖d‖² + β(Σd)²/n, relative to
@@ -747,23 +819,22 @@ def cs_reconstruct(
     The solve stops as "converged" once that is ≤ tol, else as "max_iter";
     its value at the last step is the result's gradient_mapping. A μ so
     small that the step 1/(μλ) is not finite, or so large that μ·max(1,
-    λ(1+β)) times Q's entry count is not, raises DomainError naming mu.
+    λ(1+β)) times Q's entry count is not, raises DomainError naming mu, and
+    a nonneg that is not a Python or NumPy bool one naming nonneg.
     """
     q = masks.matrix if isinstance(masks, SensingMatrix) else _real(masks, "masks", grid=True)
     y = _real(y, "y", grid=True)
     if q.ndim != 2 or y.ndim != 1 or q.shape[0] != y.size:
-        raise ContractError(
-            f"incompatible shapes: Q is {q.shape}, y has {y.size} entries"
-        )
+        raise ContractError(f"incompatible shapes: Q is {q.shape}, y has {y.size} entries")
     mu, tol = _real(mu, "mu", 0, strict=True), _real(tol, "tol", 0)
     max_iter = _count(max_iter, "max_iter", 1)
+    if not isinstance(nonneg, (bool, np.bool_)):
+        raise DomainError(f"nonneg must be a bool, got {nonneg!r}")
     n_pixels = q.shape[1]
     if shape is None:
         side = math.isqrt(n_pixels)
         if side * side != n_pixels:
-            raise ContractError(
-                f"{n_pixels} pixels is not square; pass shape=(height, width)"
-            )
+            raise ContractError(f"{n_pixels} pixels is not square; pass shape=(height, width)")
         shape = (side, side)
     try:
         height, width = shape
@@ -774,9 +845,7 @@ def cs_reconstruct(
 
     scale = float(np.max(np.abs(y)))
     if scale == 0.0:
-        zeros = np.zeros(n_pixels)
-        return ReconstructionResult(zeros, 0, [0.0], float(np.linalg.norm(y)), "converged", 0.0)
-    y_scaled = y / scale
+        return ReconstructionResult(np.zeros(n_pixels), 0, [0.0], float(np.linalg.norm(y)), "converged", 0.0)
 
     beta, lam = masks.metric if isinstance(masks, SensingMatrix) else _rank_one_metric(q)
     if lam == 0.0:
@@ -785,81 +854,14 @@ def cs_reconstruct(
         raise DomainError(f"mu {mu!r} is too small: the step 1/(mu·λ), λ = {lam!r}, is not finite")
     if mu * max(1.0, lam * (1.0 + beta)) * q.size == math.inf:  # bounds the objective and the gradient's sums
         raise DomainError(f"mu {mu!r} is too large: mu·max(1, λ(1+β))·{q.size} entries overflows, λ = {lam!r}")
-    base_step = 1.0 / (mu * lam)
-    mean_share = beta / (1.0 + beta)
-
-    def objective(iterate: np.ndarray) -> float:
-        """The objective at iterate's image, writing its Q product into the
-        rest of the buffer."""
-        image, q_image = iterate[:n_pixels], iterate[n_pixels:]
-        np.matmul(q, image, out=q_image)
-        resid = q_image - y_scaled
-        return _tv(image.reshape(shape)) + 0.5 * mu * float(resid @ resid)
-
-    # One workspace per solve, and one buffer per iterate holding [image |
-    # Q·image], so a linear combination of iterates updates both in one
-    # call. `s` and `candidate` swap buffers when a candidate is accepted,
-    # so no iterate is overwritten while in use.
-    work = _TvWorkspace(shape)
-    s, candidate, momentum, spare = np.zeros((4, n_pixels + q.shape[0]))
-    s_img, candidate_img, momentum_img, spare_img = (
-        buffer[:n_pixels].reshape(shape) for buffer in (s, candidate, momentum, spare)
-    )
-    moved = np.empty(shape)  # the gradient, then the gradient-step point v
-    ahead = np.empty(shape)  # candidate − s, for the restart test
-    data_resid = np.empty(q.shape[0])
-    t_k = 1.0
-    trace = [objective(s)]
-    iterations = restarts = 0
-    stop_reason = "max_iter"
+    solve = _Fista(q, y / scale, mu, beta, lam, (height, width), nonneg)
     for _ in range(max_iter):
-        np.subtract(momentum[n_pixels:], y_scaled, out=data_resid)
-        np.matmul(q.T, data_resid, out=moved.ravel())
-        np.multiply(mu, moved, out=moved)
-        np.subtract(moved, mean_share * (moved.sum() / n_pixels), out=moved)
-        np.multiply(base_step, moved, out=moved)
-        np.subtract(momentum_img, moved, out=moved)
-        work.prox(moved, base_step, _SOLVER_SWEEPS, candidate_img)
-        if nonneg:
-            np.subtract(candidate_img, _metric_shift(candidate_img, moved, beta), out=candidate_img)
-            np.maximum(candidate_img, 0.0, out=candidate_img)
-        value = objective(candidate)
-        # ½·L·‖x⁺ − z‖²_M, then relative to F(x⁺); 0 when x⁺ = z
-        np.subtract(candidate_img, momentum_img, out=spare_img)
-        total = float(spare_img.sum())
-        gap = 0.5 * (mu * lam) * (float(np.vdot(spare_img, spare_img)) + beta * total * total / n_pixels)
-        measure = gap / value if value > 0.0 else (0.0 if gap == 0.0 else math.inf)
-        # restart when ⟨z − x⁺, x⁺ − s⟩_M > 0, that is ⟨x⁺ − z, x⁺ − s⟩_M < 0
-        np.subtract(candidate_img, s_img, out=ahead)
-        if float(np.vdot(spare_img, ahead)) + beta * total * float(ahead.sum()) / n_pixels < 0.0:
-            t_k = 1.0
-            restarts += 1
-        previous = trace[-1]
-        accepted = value <= previous  # monotone guard: extrapolation may overshoot
-        s_next = candidate if accepted else s
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-        # momentum = s_next + (t_k / t_next)·(candidate − s_next)
-        #            + ((t_k − 1) / t_next)·(s_next − s), in that order, and
-        # in the same buffers Q·momentum the same combination of Q products
-        np.subtract(candidate, s_next, out=momentum)
-        np.multiply(t_k / t_next, momentum, out=momentum)
-        np.add(s_next, momentum, out=momentum)
-        np.subtract(s_next, s, out=spare)
-        np.multiply((t_k - 1.0) / t_next, spare, out=spare)
-        np.add(momentum, spare, out=momentum)
-        if accepted:
-            s, candidate = candidate, s
-            s_img, candidate_img = candidate_img, s_img
-        t_k = t_next
-        iterations += 1
-        trace.append(value if accepted else previous)
-        if measure <= tol:
-            stop_reason = "converged"
+        if (measure := solve.step()) <= tol:
             break
-
-    s_hat = s_img.ravel() * scale
+    s_hat = solve.s[:n_pixels] * scale
     residual = float(np.linalg.norm(q @ s_hat - y))
-    return ReconstructionResult(s_hat, iterations, trace, residual, stop_reason, measure, restarts)
+    stop_reason = "converged" if measure <= tol else "max_iter"
+    return ReconstructionResult(s_hat, len(solve.trace) - 1, solve.trace, residual, stop_reason, measure, solve.restarts)
 
 
 def image_snr(s_hat: np.ndarray, object_mask: np.ndarray) -> float:

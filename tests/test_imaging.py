@@ -122,6 +122,14 @@ class TestJointLaw:
         assert type(joint_pmf_noisy(n_t, arms, 2, 3)) is np.float64
         assert joint_pmf_noisy(n_t, arms, np.array([], dtype=int), 1).shape == (0,)
 
+    def test_a_cell_holds_the_same_bits_on_any_grid(self):
+        # 7 cells of row 7 once moved by up to 2.2e-16 with the table's length
+        arms = TwoArmDetection(math.pi / 4, DetectorModel(0.55, 0.3), DetectorModel(0.55, 0.3))
+        rows = joint_pmf_noisy(0.8, arms, *np.indices((8, 25)))
+        for size in (25, 60):
+            grid = joint_pmf_noisy(0.8, arms, *np.indices((size, size)))
+            assert rows.tobytes() == grid[:8, :25].tobytes()
+
     def test_an_empty_list_is_an_empty_grid(self):
         assert joint_pmf_noisy(0.9, NOISY, [], 1).shape == (0,)
         assert joint_pmf_noisy(0.9, NOISY, 2, []).shape == (0,)
@@ -822,6 +830,24 @@ class TestReconstruction:
         with pytest.raises(error):
             cs_reconstruct(masks, np.ones(10), **{"shape": (4, 4), **kwargs})
 
+    @pytest.mark.parametrize("nonneg", ["no", 2, math.nan, [0], None])
+    def test_a_nonneg_that_is_not_a_bool_is_refused_by_name(self, nonneg):
+        # each of these once clipped at 0 or solved unclipped by its truth value
+        masks = random_sensing_matrix(10, 16, seed=0)
+        with pytest.raises(DomainError, match=r"^nonneg must be a bool"):
+            cs_reconstruct(masks, np.ones(10), nonneg=nonneg, shape=(4, 4))
+
+    @pytest.mark.parametrize("nonneg", [True, False])
+    def test_a_numpy_bool_nonneg_solves_as_the_python_bool(self, nonneg):
+        scene = binary_phantom(8, 8)
+        masks = random_sensing_matrix(40, 64, seed=8)
+        y = acquire(scene, masks, IDEAL, mode="intensity")
+        res, again = (cs_reconstruct(masks, y, mu=50.0, nonneg=flag) for flag in (nonneg, np.bool_(nonneg)))
+        assert res.s_hat.tobytes() == again.s_hat.tobytes()
+        assert res.objective_trace.tobytes() == again.objective_trace.tobytes()
+        assert (res.restarts, res.gradient_mapping) == (again.restarts, again.gradient_mapping)
+        assert (res.s_hat.min() < 0.0) is not nonneg
+
     @pytest.mark.parametrize(("masks", "mu"), [
         (random_sensing_matrix(3, 16, seed=0), 5e-324),
         (random_sensing_matrix(3, 16, seed=0), 1e-320),
@@ -1263,6 +1289,40 @@ class TestStopReason:
         res = ReconstructionResult(s_hat=np.zeros(4), iterations=1,
                                    objective_trace=np.array([1.0, 0.5]), residual=0.1)
         assert res.stop_reason == "max_iter"
+
+
+class TestSolverStep:
+    """`cs_reconstruct` is its checks plus a loop over `_Fista.step`, so a
+    solve's first steps do not depend on its budget or its stop."""
+
+    def test_a_shorter_budget_gives_the_first_steps_of_a_longer_solve(self):
+        scene = binary_phantom(8, 8)
+        masks = random_sensing_matrix(40, 64, seed=8)
+        y = acquire(scene, masks, IDEAL, mode="intensity")
+        full = cs_reconstruct(masks, y, mu=50.0)
+        assert full.stop_reason == "converged" and full.iterations > 10
+        for k in range(1, full.iterations):
+            res = cs_reconstruct(masks, y, mu=50.0, max_iter=k)
+            assert res.objective_trace.tobytes() == full.objective_trace[: k + 1].tobytes()
+            assert res.stop_reason == "max_iter" and res.restarts <= full.restarts
+
+    def test_steps_of_the_state_reproduce_a_budgeted_solve(self):
+        # The test_compressed_phantom_recovery problem, set up as
+        # cs_reconstruct sets it up: y scaled to max 1 and the masks' metric.
+        scene = binary_phantom(16, 16)
+        masks = random_sensing_matrix(154, 256, seed=3)
+        y = acquire(scene, masks, IDEAL, mode="intensity")
+        scale = float(np.max(np.abs(y)))
+        solve = imaging._Fista(masks.matrix, y / scale, 100.0, *masks.metric, (16, 16), True)
+        steps = 0
+        for k in (1, 2, 3, 10, 40, 70):
+            while steps < k:
+                measure = solve.step()
+                steps += 1
+            res = cs_reconstruct(masks, y, mu=100.0, max_iter=k)
+            assert np.array_equal(solve.trace, res.objective_trace)
+            assert (solve.s[:256] * scale).tobytes() == res.s_hat.tobytes()
+            assert (solve.restarts, measure) == (res.restarts, res.gradient_mapping)
 
 
 class TestImageSnr:

@@ -17,11 +17,13 @@ summarizing the run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -159,17 +161,40 @@ def _write_rows(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _mask_header(pixels: int) -> bytes:
+    return (",".join(f"p{i}" for i in range(pixels)) + "\n").encode()
+
+
 def _write_masks(path: Path, masks: SensingMatrix) -> None:
     """The mask table as `_write_rows` prints it, one 0/1 digit per cell,
-    filled into a byte buffer in place: every entry is exactly 0.0 or 1.0."""
+    filled into a byte buffer in place: every entry is exactly 0.0 or 1.0.
+    `_read_masks` is its inverse."""
     rows, pixels = masks.matrix.shape
     text = np.empty((rows, 2 * pixels), dtype=np.uint8)
     np.add(masks.matrix, ord("0"), out=text[:, 0::2], casting="unsafe")
     text[:, 1::2] = ord(",")
     text[:, -1] = ord("\n")
     with path.open("wb") as f:
-        f.write((",".join(f"p{i}" for i in range(pixels)) + "\n").encode())
+        f.write(_mask_header(pixels))
         f.write(text)
+
+
+def _read_masks(path: Path) -> np.ndarray | None:
+    """The matrix of a table in exactly `_write_masks`' layout, decoded from
+    its bytes: the header of c columns, then whole rows `d,d,…,d\\n` of c
+    digits 0 or 1. None for any other layout, which `np.loadtxt` reads; on
+    this layout both give the same matrix, bit for bit."""
+    data = path.read_bytes()
+    pixels = data.count(b",", 0, data.find(b"\n")) + 1
+    header = _mask_header(pixels)
+    rows, rest = divmod(len(data) - len(header), 2 * pixels)
+    if not data.startswith(header) or rows < 1 or rest:
+        return None
+    cells = np.frombuffer(data, dtype=np.uint8, offset=len(header)).reshape(rows, 2 * pixels)
+    bits = cells[:, 0::2] - np.uint8(ord("0"))  # any byte below "0" wraps past 1
+    if (bits > 1).any() or (cells[:, 1:-1:2] != ord(",")).any() or (cells[:, -1] != ord("\n")).any():
+        return None
+    return bits.astype(np.float64)
 
 
 def _gray_levels(img: np.ndarray) -> np.ndarray:
@@ -343,10 +368,13 @@ def _cmd_reconstruct(params: dict, out: Path) -> dict:
     for p, ndmin in ((Path(params["input"]), 1), (Path(params["masks"]), 2)):
         if not p.is_file():
             raise ConfigError(f"input file not found: {p}")
-        try:
-            tables.append(np.loadtxt(p, delimiter=",", skiprows=1, ndmin=ndmin))
-        except ValueError as exc:
-            raise ConfigError(f"cannot read {p}: {exc}") from None
+        table = _read_masks(p) if ndmin == 2 else None
+        if table is None:
+            try:
+                table = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=ndmin)
+            except ValueError as exc:
+                raise ConfigError(f"cannot read {p}: {exc}") from None
+        tables.append(table)
     y, matrix = tables
     width, height = params["width"], params["height"]
     result = cs_reconstruct(
@@ -495,7 +523,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=".", help="output directory for artifacts")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use and never changed
+    after: every default is a scalar, None or a tuple, and each subcommand's
+    defaults and actions are read-only mappings that every call shares."""
     parser = argparse.ArgumentParser(prog="photonstats", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"photonstats {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -581,16 +613,18 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_common(sub)
         params = [a for a in sub._actions if a.dest not in ("help", "config", "out")]
         defaults = {a.dest: a.default for a in params}
-        sub.set_defaults(_handler=_HANDLERS[name], _defaults=defaults, _actions={a.dest: a for a in params})
+        sub.set_defaults(_handler=_HANDLERS[name], _defaults=MappingProxyType(defaults),
+                         _actions=MappingProxyType({a.dest: a for a in params}))
         for action in params:
             action.default = argparse.SUPPRESS
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one subcommand and return its exit code (0, 2 or 3). The parser is
+    built by the first call and reused by every later call in the process."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         params = _resolve(args)

@@ -6,12 +6,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from photonstats import ScatterConfig, SensingMatrix, detected_pmf, random_sensing_matrix, read_pgm
-from photonstats.cli import _HANDLERS, _format_float, _write_masks, _write_rows, main
+from photonstats import ScatterConfig, SensingMatrix, __version__, detected_pmf, random_sensing_matrix, read_pgm
+from photonstats.cli import _HANDLERS, _build_parser, _format_float, _read_masks, _write_masks, _write_rows, main
 
 
 def run(capsys, *argv):
@@ -196,6 +199,78 @@ class TestManifestReplay:
         assert "g2-scan" in err
 
 
+class TestOneParserPerProcess:
+    """`main` builds its parser on its first call and every later call in
+    the process reuses it, so no call may leave anything in it behind."""
+
+    def test_import_builds_no_parser(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        code = "import sys, photonstats.cli as cli; sys.exit(cli._build_parser.cache_info().currsize)"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_every_subcommand_shares_read_only_immutable_defaults(self):
+        parser = _build_parser()
+        assert _build_parser() is parser
+        for sub in _HANDLERS:
+            args = parser.parse_args([sub])
+            assert isinstance(args._defaults, MappingProxyType) and isinstance(args._actions, MappingProxyType)
+            for value in args._defaults.values():
+                assert value is None or type(value) in (int, float, str) or (
+                    type(value) is tuple and all(type(v) is float for v in value)), (sub, value)
+
+    def test_reuse_leaks_nothing_into_later_calls(self, tmp_path, capsys):
+        """Non-default runs, then every subcommand at its defaults; then
+        --version, each --help, an unknown flag and a reconstruct without
+        --input; then the defaults again, which must write the same bytes."""
+        parser = _build_parser()
+        config = tmp_path / "subtract.json"
+        config.write_text(json.dumps({"phase": 3.0}))
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        other = tmp_path / "other"
+        flags = {**SMALL, "scatter": ["--theta-deg", "30"], "preselect": ["--angles", "0.1", "0.2", "0.3", "0.4", "0.5"],
+                 "subtract-table": ["--config", str(config)], "oracle-check": ["--config", str(empty)],
+                 "reconstruct": [*SMALL["reconstruct"], "--input", str(other / "image-sim-measurements.csv"),
+                                 "--masks", str(other / "image-sim-masks.csv")]}
+        for sub in _HANDLERS:
+            rc, _, err = run(capsys, sub, "--out", str(other), *flags[sub])
+            assert rc == 0, (sub, err)
+
+        first = tmp_path / "first"
+        read_back = ["--input", str(first / "image-sim-measurements.csv"), "--masks", str(first / "image-sim-masks.csv")]
+
+        def defaults_pass(out):
+            summaries = {}
+            for sub in _HANDLERS:
+                rc, summary, err = run(capsys, sub, "--out", str(out), *(read_back if sub == "reconstruct" else []))
+                assert rc == 0, (sub, err)
+                summaries[sub] = {k: v for k, v in summary.items() if k != "out"}
+            return summaries
+
+        summaries = defaults_pass(first)
+        rc, _, err = run(capsys, "reconstruct", "--out", str(tmp_path / "no-input"))
+        assert rc == 2 and "needs --input" in err
+
+        for argv, code in ([(["--version"], 0)] + [([sub, "--help"], 0) for sub in _HANDLERS]
+                           + [([sub, "--bogus"], 2) for sub in _HANDLERS]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code, argv
+            out = capsys.readouterr().out
+            if argv == ["--version"]:
+                assert out == f"photonstats {__version__}\n"
+            elif code == 0:
+                assert out.startswith(f"usage: photonstats {argv[0]}")
+
+        second = tmp_path / "second"
+        assert defaults_pass(second) == summaries
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+        assert _build_parser() is parser
+
+
 class TestSubtractTable:
     def test_every_cell_close_to_published(self, tmp_path, capsys):
         rc, summary, _ = run(capsys, "subtract-table", "--out", str(tmp_path))
@@ -353,8 +428,16 @@ class TestImageSim:
         assert "int64" in err
 
 
+def mask_text(matrix, cell="{:.0f}", sep=",", end="\n", extra_columns=0):
+    """A mask table in any layout: each cell through `cell`, joined by `sep`,
+    each line ended by `end`, the header naming `extra_columns` too many."""
+    header = ",".join(f"p{i}" for i in range(matrix.shape[1] + extra_columns))
+    return "".join(line + end for line in [header] + [sep.join(map(cell.format, row)) for row in matrix])
+
+
 class TestMaskTable:
-    """`image-sim`'s byte writer against the per-cell route it replaced."""
+    """`image-sim`'s byte writer against the per-cell route it replaced, and
+    `reconstruct`'s byte reader, its inverse, against `np.loadtxt`."""
 
     @staticmethod
     def assert_written_as_per_cell(masks, tmp_path):
@@ -363,9 +446,12 @@ class TestMaskTable:
         _write_rows(old, ",".join(f"p{i}" for i in range(masks.n_pixels)),
                     [tuple(int(v) for v in row) for row in masks.matrix])
         assert new.read_bytes() == old.read_bytes()
-        assert np.array_equal(load_csv(new, ndmin=2), masks.matrix)
+        loaded, decoded = load_csv(new, ndmin=2), _read_masks(new)
+        assert np.array_equal(loaded, masks.matrix)
+        assert decoded.dtype == loaded.dtype and decoded.shape == loaded.shape
+        assert decoded.tobytes() == loaded.tobytes()
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (3, 4), (256, 1024)])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (3, 4), (256, 1024), (7, 1)])
     def test_bytes_match_the_per_cell_writer(self, shape, tmp_path):
         self.assert_written_as_per_cell(random_sensing_matrix(*shape, 0.5, 0), tmp_path)
 
@@ -380,6 +466,63 @@ class TestMaskTable:
         written = (tmp_path / "run" / "image-sim-masks.csv").read_bytes()
         self.assert_written_as_per_cell(masks, tmp_path)
         assert written == (tmp_path / "cells.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda m: mask_text(m, cell="{:.1f}"),
+            lambda m: mask_text(m, end="\r\n"),
+            lambda m: mask_text(m, sep=", "),
+            lambda m: mask_text(m)[:-1],
+            lambda m: mask_text(m, extra_columns=1),
+            lambda m: mask_text(m, extra_columns=-1),
+        ],
+        ids=["float-cells", "crlf", "space-after-comma", "no-final-newline", "header-too-wide", "header-too-narrow"],
+    )
+    def test_other_layouts_go_to_loadtxt(self, layout, tmp_path):
+        matrix = random_sensing_matrix(5, 3, 0.5, 2).matrix
+        path = tmp_path / "masks.csv"
+        path.write_bytes(layout(matrix).encode())
+        assert _read_masks(path) is None
+        assert np.array_equal(load_csv(path, ndmin=2), matrix)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 5)),
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([b""] + [bytes([c]) for c in b"01,\n\r 2.#-p"]),
+                                 st.booleans()), max_size=3),
+    )
+    def test_a_decoded_table_is_what_loadtxt_reads(self, shape, edits, tmp_path_factory):
+        """A table of `_write_masks` with a few bytes replaced, inserted or
+        deleted: whatever the byte reader decodes, `np.loadtxt` reads as the
+        same matrix, bit for bit."""
+        data = bytearray(mask_text(random_sensing_matrix(*shape, 0.5, 3).matrix).encode())
+        for at, byte, insert in edits:
+            at %= len(data) + 1
+            data[at : at + (not insert)] = byte
+        path = tmp_path_factory.mktemp("masks") / "masks.csv"
+        path.write_bytes(bytes(data))
+        decoded = _read_masks(path)
+        if decoded is not None:
+            loaded = load_csv(path, ndmin=2)
+            assert decoded.shape == loaded.shape and decoded.tobytes() == loaded.tobytes()
+
+    def test_a_float_copy_of_image_sims_masks_reconstructs_byte_identically(self, tmp_path, capsys):
+        assert run(capsys, "image-sim", "--out", str(tmp_path))[0] == 0
+        masks = tmp_path / "image-sim-masks.csv"
+        floats = tmp_path / "float-masks.csv"
+        floats.write_bytes(mask_text(_read_masks(masks), cell="{:.1f}").encode())
+        assert _read_masks(floats) is None
+        summaries = []
+        for table in (masks, floats):
+            out = tmp_path / table.stem
+            rc, summary, _ = run(capsys, "reconstruct", "--input", str(tmp_path / "image-sim-measurements.csv"),
+                                 "--masks", str(table), "--out", str(out))
+            assert rc == 0
+            summaries.append({k: v for k, v in summary.items() if k != "out"})
+        assert summaries[0] == summaries[1]
+        for name in ("reconstruct.pgm", "reconstruct-trace.csv"):
+            assert (tmp_path / "float-masks" / name).read_bytes() == (tmp_path / "image-sim-masks" / name).read_bytes()
 
 
 class TestPmfTable:
@@ -531,6 +674,18 @@ class TestReconstructRoundTrip:
         rc, _, err = run(capsys, *small_run, flag, str(bad))
         assert rc == 2
         assert str(bad) in err
+
+    @pytest.mark.parametrize("cell, message", [(b"abc", None), (b"2", "entries must be 0 or 1")],
+                             ids=["abc", "digit-2"])
+    def test_a_bad_cell_in_image_sims_layout_exits_two(self, small_run, cell, message, tmp_path, capsys):
+        masks = tmp_path / "image-sim-masks.csv"
+        header, rows = masks.read_bytes().split(b"\n", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(header + b"\n" + cell + rows[1:])
+        assert _read_masks(bad) is None
+        rc, _, err = run(capsys, *small_run, "--masks", str(bad))
+        assert rc == 2
+        assert (message or str(bad)) in err
 
     def test_missing_input_is_a_config_error(self, tmp_path, capsys):
         rc, _, err = run(

@@ -198,20 +198,32 @@ def _sinc(x: np.ndarray | float) -> np.ndarray | float:
     return np.sinc(np.asarray(x) / np.pi)
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, computed with overflow ignored, or a DomainError saying
+    that ``what`` overflows a float: a sine, cosine or sinc of it is NaN."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} overflows a float")
+    return values
+
+
 def farfield_intensity(cfg: InterferenceConfig, k: np.ndarray | float):
     """Mean detected intensity at detector-plane position k (unnormalized).
 
     sinc²(k/α) · (n̄_V + n̄_H [1 + γ sin(2ψ) cos(2βk)]): the V component only
     feeds the envelope, the H component carries the fringe.
     """
-    out = _intensity(cfg, _real(k, "k", grid=True))
+    out = _intensity(cfg, _real(k, "k", grid=True), "k")
     return float(out) if out.ndim == 0 else out
 
 
-def _intensity(cfg: InterferenceConfig, k: np.ndarray) -> np.ndarray:
-    """`farfield_intensity` on a float64 grid that is already checked."""
-    envelope = _sinc(k / cfg.alpha) ** 2
-    fringe = 1.0 + cfg.gamma_fringe * math.sin(2.0 * cfg.psi) * np.cos(2.0 * cfg.beta * k)
+def _intensity(cfg: InterferenceConfig, k: np.ndarray, name: str) -> np.ndarray:
+    """`farfield_intensity` on a float64 grid that is already checked; a k
+    whose k/α or 2βk overflows is refused by ``name``."""
+    with np.errstate(over="ignore"):
+        arg, phase = k / cfg.alpha, 2.0 * cfg.beta * k
+    envelope = _sinc(_finite(arg, f"the envelope argument {name}/α")) ** 2
+    fringe = np.cos(_finite(phase, f"the fringe phase 2β·{name}"))
+    fringe = 1.0 + cfg.gamma_fringe * math.sin(2.0 * cfg.psi) * fringe
     return envelope * (cfg.mean_v + cfg.mean_h * fringe)
 
 
@@ -227,7 +239,9 @@ def farfield_g2(cfg: InterferenceConfig, k1, k2):
         raise DomainError("farfield_g2 undefined with no photons")
     k1, k2 = _real(k1, "k1", grid=True), _real(k2, "k2", grid=True)
     s2psi = math.sin(2.0 * cfg.psi) ** 2
-    mod = np.sin(cfg.beta * (k1 - k2)) ** 2
+    with np.errstate(over="ignore"):
+        phase = cfg.beta * (k1 - k2)
+    mod = np.sin(_finite(phase, "the fringe phase β(k1 − k2)")) ** 2
     num = (
         2.0 * cfg.mean_h**2 * (1.0 - 0.5 * s2psi * mod)
         + 4.0 * cfg.mean_h * cfg.mean_v * (1.0 - 0.5 * s2psi)
@@ -252,16 +266,18 @@ def conditional_g2_map(
     n1, n2 = _count(n1, "n1", grid=True), _count(n2, "n2", grid=True)
     k1, k2 = _real(k1, "k1", grid=True), _real(k2, "k2", grid=True)
     if state_params is None:
-        mean_a, mean_b = _intensity(cfg, k1), _intensity(cfg, k2)
+        mean_a, mean_b = _intensity(cfg, k1, "k1"), _intensity(cfg, k2, "k2")
         total = mean_a + mean_b
         if np.any(total <= 0.0):
             raise DomainError("cannot derive splitter state from zero intensities")
         g_th = _gtilde2(n1, n2, mean_a, mean_b, total)
     else:
         g_th = _gtilde2(n1, n2, *state_params.arm_means, state_params.mean_total)
-    delta = k1 - k2
-    envelope = _sinc((delta + cfg.envelope_offset) / cfg.sigma_env) ** 2
-    modulation = 1.0 - cfg.zeta * np.sin(cfg.beta * delta) ** 2
+    with np.errstate(over="ignore"):
+        delta = k1 - k2
+        arg, phase = (delta + cfg.envelope_offset) / cfg.sigma_env, cfg.beta * delta
+    envelope = _sinc(_finite(arg, "the envelope argument (k1 − k2 + k′)/σ")) ** 2
+    modulation = 1.0 - cfg.zeta * np.sin(_finite(phase, "the fringe phase β(k1 − k2)")) ** 2
     return envelope * (1.0 + modulation * (g_th - 1.0))
 
 
@@ -269,8 +285,9 @@ def conditional_g2_map(
 # Classical Gaussian-field oracle
 # ===================================================================
 
-# Pairs per block in `_slit_integral`: its working memory is
-# about 3 · _PAIR_BLOCK · order complex numbers, whatever the grid size.
+# Points per block in `_slit_integral`: its working memory is about
+# 8 · _PAIR_BLOCK floats per quadrature node of a pass (64 + 128 nodes in the
+# first), whatever the grid size.
 _PAIR_BLOCK = 128
 
 
@@ -286,41 +303,85 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+@functools.lru_cache(maxsize=None)
+def _half_rules(orders: tuple[int, ...]) -> tuple[np.ndarray, tuple[slice, ...], np.ndarray]:
+    """The nodes u > 0 of the Gauss–Legendre rules of ``orders`` side by side,
+    each rule's slice of them, and where each rule's cosines and then its
+    sines start in a row [cosines | sines] of `_slit_integral`; read-only.
+    The envelope oracle asks for (64, 128), (256,), (512,) and (1024,) only."""
+    halves = [order // 2 for order in orders]
+    nodes = np.concatenate([_gauss_legendre(order)[0][half:] for order, half in zip(orders, halves)])
+    ends = np.cumsum(halves)
+    starts = ends - halves
+    cuts = np.concatenate((starts, starts + nodes.size))
+    for arr in (nodes, cuts):
+        arr.setflags(write=False)
+    return nodes, tuple(slice(start, end) for start, end in zip(starts, ends)), cuts
+
+
 @functools.lru_cache(maxsize=5)
 def _slit_kernel(slit_width: float, coherence_scale: float, order: int) -> np.ndarray:
-    """The read-only real kernel exp(−(u−u')²/s) on the ``order``-point nodes
-    u of a centred slit of width w, built once per (w, s, order) while it
-    stays among the five most recently used: one full ladder 64, 128, …,
-    1024 for one (w, s), 10.7 MiB, and never more than five order-1024
-    kernels, 40 MiB. At a subnormal s, (u−u')²/s overflows to inf and the
-    kernel entry is exactly 0, its limit."""
-    nodes, _ = _gauss_legendre(order)
-    u = slit_width / 2.0 * nodes
-    diff = u[:, None] - u[None, :]
+    """The read-only weighted kernel of a centred slit of width w on the
+    ``order``-point Gauss–Legendre rule, built once per (w, s, order) while it
+    stays among the five most recently used.
+
+    The rule is symmetric under u ↦ −u, node for node and weight for weight,
+    so the kernel acts on the even (cosine) and odd (sine) part of a column
+    apart, over the nodes u > 0 alone. It is the stack [K₊, K₋] of two
+    (order/2)² blocks, K±[i, j] = ½ g_i g_j (exp(−(u_i−u_j)²/s) ±
+    exp(−(u_i+u_j)²/s)): the Gauss–Legendre weights g, the ¼ of (w/2)²/w² and
+    the 2 of the mirrored half are folded in, and each block is exactly
+    symmetric. One kernel holds order²/2 floats, so a full ladder 64, 128, …,
+    1024 for one (w, s) takes 5.3 MiB, and five order-1024 kernels 20 MiB,
+    within a 40 MiB ceiling. At a subnormal s the exponents overflow to −inf
+    and those terms are exactly 0, their limit."""
+    nodes, weights = _gauss_legendre(order)
+    half = order // 2
+    u, g = slit_width / 2.0 * nodes[half:], weights[half:]
     with np.errstate(over="ignore"):
-        kernel = np.exp(-(diff * diff) / coherence_scale)
+        near = np.exp(-np.square(u[:, None] - u) / coherence_scale)
+        far = np.exp(-np.square(u[:, None] + u) / coherence_scale)
+    kernel = np.stack((near + far, near - far))
+    kernel *= 0.5 * np.multiply.outer(g, g)
     kernel.setflags(write=False)
     return kernel
 
 
 def _slit_integral(
-    slit_width: float, coherence_scale: float, p_a: np.ndarray, p_b: np.ndarray, order: int
+    slit_width: float, coherence_scale: float, p1: np.ndarray, p2: np.ndarray, orders: tuple[int, ...]
 ) -> np.ndarray:
     """q(p_a, p_b) = ∫∫ exp(i(p_b u' − p_a u)) exp(−(u−u')²/s) du du' over one
-    slit of width w centred at 0, for each pair of the 1-D arrays p_a, p_b
-    (wavenumbers κk in the slit plane); normalized by the slit area w²."""
-    nodes, weights = _gauss_legendre(order)
+    slit of width w centred at 0, normalized by the slit area w², on the
+    Gauss–Legendre rule of each of ``orders``. p1 and p2 are 1-D arrays of
+    wavenumbers κk in the slit plane. Returns the rows q(p1, p1), q(p2, p2)
+    and q(p1, p2) for each order: shape (len(orders), 3, p1.size).
+
+    The slit is symmetric, so q is real: with c = cos(pu) and s = sin(pu) on
+    the nodes u > 0, q(p_a, p_b) = c_b·K₊c_a + s_b·K₋s_a (`_slit_kernel`).
+    Each wavenumber's c and s are evaluated once for all the orders, and
+    multiplied by each kernel once. Every sum runs along a contiguous row, so
+    a point gets the same bits alone as within a grid."""
+    kernels = [_slit_kernel(slit_width, coherence_scale, order) for order in orders]
+    nodes, spans, cuts = _half_rules(orders)
     u = slit_width / 2.0 * nodes
-    kernel = _slit_kernel(slit_width, coherence_scale, order)
-    out = np.empty(p_a.size, dtype=complex)
-    for lo in range(0, p_a.size, _PAIR_BLOCK):
+    out = np.empty((len(orders), 3, p1.size))
+    for lo in range(0, p1.size, _PAIR_BLOCK):
         rows = slice(lo, lo + _PAIR_BLOCK)
-        # One column per pair. The kernel is real and exactly symmetric, so
-        # it multiplies the float view of the columns: no complex copy of it.
-        left = weights[:, None] * np.exp(-1j * u[:, None] * p_a[rows])
-        right = weights[:, None] * np.exp(1j * u[:, None] * p_b[rows])
-        # (w/2)² from both substitutions; normalize by the slit area w².
-        out[rows] = ((kernel @ left.view(float)).view(complex) * right).sum(axis=0) * 0.25
+        b = p1[rows].size
+        theta = np.concatenate((p1[rows], p2[rows]))[:, None] * u
+        # one row per wavenumber: the cosines of every order, then the sines
+        parts = np.empty((2 * b, 2, u.size))
+        np.cos(theta, out=parts[:, 0])
+        np.sin(theta, out=parts[:, 1])
+        folded = np.empty_like(parts)
+        for kernel, span in zip(kernels, spans):
+            np.matmul(parts[:, :, span].transpose(1, 0, 2), kernel, out=folded[:, :, span].transpose(1, 0, 2))
+        # the autos q(p, p) of both columns, then the cross q(p1, p2)
+        terms = np.empty((3 * b, 2, u.size))
+        np.multiply(parts, folded, out=terms[: 2 * b])
+        np.multiply(parts[b:], folded[:b], out=terms[2 * b :])
+        sums = np.add.reduceat(terms.reshape(3 * b, -1), cuts, axis=1)
+        out[:, :, rows] = (sums[:, : len(orders)] + sums[:, len(orders) :]).T.reshape(len(orders), 3, b)
     return out
 
 
@@ -339,12 +400,18 @@ def classical_envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k
         g²(k₁,k₂) = 1 + |cross(k₁,k₂)|² / (cross(k₁,k₁)·cross(k₂,k₂)).
 
     κ·d/2 is never read from ``cfg.beta``, so the oracle shares nothing with
-    the fringe it checks. k₁ and k₂ broadcast. Gauss–Legendre order starts at
-    64 per axis and doubles, once for the whole grid, until q at every point
-    is stable to 1e-6 relative; failing to stabilize by order 1024 raises
-    AccuracyError. Each order's slit kernel comes from a cache of the five
-    most recently used (w, s, order), at most 40 MiB, so calls that repeat w
-    and s, such as one call per Δk, build it once.
+    the fringe it checks. k₁ and k₂ broadcast; a k whose slit-plane
+    wavenumber κk, or its phase κk·w/2 across a slit or κk·d/2 between them,
+    overflows a float is refused by name before any quadrature.
+
+    The Gauss–Legendre order starts at 64 per axis and doubles, once for the
+    whole grid, until q at every point is stable to 1e-6 relative; failing to
+    stabilize by order 1024 raises AccuracyError. Orders 64 and 128 go in one
+    pass, since every call compares them. Each wavenumber, k₁ and k₂ of each
+    point, is evaluated once per pass and multiplied by each order's weighted
+    slit kernel once. The kernels come from a cache of the five most recently
+    used (w, s, order), at most 20 MiB, so calls that repeat w and s, such as
+    one call per Δk, build each once.
     """
     return _envelope_oracle(cfg, coherence_scale, k1, k2)[0]
 
@@ -352,7 +419,9 @@ def classical_envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k
 def _envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k1, k2):
     """`classical_envelope_oracle` and the Gauss–Legendre order it settled at."""
     coherence_scale = _real(coherence_scale, "coherence_scale", 0, strict=True)
-    k1, k2 = np.broadcast_arrays(_real(k1, "k1", grid=True), _real(k2, "k2", grid=True))
+    k1, k2 = _real(k1, "k1", grid=True), _real(k2, "k2", grid=True)
+    if k1.shape != k2.shape:
+        k1, k2 = np.broadcast_arrays(k1, k2)
     theta_pl = cfg.polarization_angle
     c2 = math.cos(theta_pl) ** 2
     s2 = 1.0 - c2
@@ -361,28 +430,41 @@ def _envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k1, k2):
     if w_photonic + w_plasmonic <= 0.0:
         raise DomainError("slit weights vanish; no field reaches the screen")
 
-    # rows: the cross pairs (k₁, k₂), then the autos (k₁, k₁) and (k₂, k₂)
+    # the slit-plane wavenumbers of k₁ then k₂. The phases below, p·u across
+    # the slit and p·d/2 between the slits, stay within p·max(w/2, d).
     kappa = 2.0 * math.pi / (cfg.wavelength * cfg.distance)
-    p_a = kappa * np.concatenate((k1, k1, k2), axis=None)
-    p_b = kappa * np.concatenate((k2, k1, k2), axis=None)
-    order = 64
-    prev = _slit_integral(cfg.slit_width, coherence_scale, p_a, p_b, order)
-    while True:
+    ks = np.concatenate((k1, k2), axis=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = kappa * ks
+        finite = np.isfinite(p * max(0.5 * cfg.slit_width, cfg.slit_separation))
+    if not finite.all():
+        at = int(np.argmin(finite))
+        name = "k1" if at < k1.size else "k2"
+        raise DomainError(
+            f"{name} = {ks[at]:g}: its slit-plane wavenumber 2π/(λD)·{name} overflows a float "
+            "across the slits"
+        )
+    p1, p2 = p[: k1.size], p[k1.size :]
+    prev, cur = _slit_integral(cfg.slit_width, coherence_scale, p1, p2, (64, 128))
+    order = 128
+    while not np.all(np.abs(cur - prev) <= 1e-6 * np.maximum(np.abs(prev), 1e-300)):
         order *= 2
         if order > 1024:
             raise AccuracyError("slit quadrature did not stabilize by order 1024")
-        cur = _slit_integral(cfg.slit_width, coherence_scale, p_a, p_b, order)
-        scale = np.abs(prev)
-        if np.all(np.abs(cur - prev) <= 1e-6 * np.maximum(scale, 1e-300)):
-            break
-        prev = cur
+        prev, (cur,) = cur, _slit_integral(cfg.slit_width, coherence_scale, p1, p2, (order,))
 
-    phase = np.exp(0.5j * cfg.slit_separation * (p_b - p_a))  # exactly 1 on the autos
-    cross, auto1, auto2 = (cur * (w_photonic * phase + w_plasmonic * phase.conj())).reshape(3, -1)
-    denom = auto1.real * auto2.real
+    auto1, auto2, cross = cur
+    denom = auto1 * auto2
     if np.any(denom <= 0.0):
         raise AccuracyError("non-positive autocorrelation from quadrature")
-    return (1.0 + np.abs(cross) ** 2 / denom).reshape(k1.shape)[()], order
+    # |w_ph e^(iφ) + w_pl e^(−iφ)|² / (w_ph + w_pl)², φ = κΔk·d/2 the exact
+    # phase of each slit's position, is a + b·cos²φ
+    total = (w_photonic + w_plasmonic) ** 2
+    a, b = (w_photonic - w_plasmonic) ** 2 / total, 4.0 * w_photonic * w_plasmonic / total
+    half_d = 0.5 * cfg.slit_separation
+    mix = a + b * np.cos(half_d * p2 - half_d * p1) ** 2
+    g2 = 1.0 + cross**2 * mix / denom
+    return g2.reshape(k1.shape)[()], order
 
 
 def modulation_frequency(x: np.ndarray, y: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -742,6 +743,14 @@ class TestEnvelopeOracle:
             "--out", str(tmp_path),
         )
         assert rc == 2
+        assert not (tmp_path / "envelope-oracle-manifest.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_grid_whose_wavenumber_overflows_exits_two(self, tmp_path, capsys):
+        # ±Δk/2 reaches 4.3e301, and 2π/(λD)·k overflows past 2.2e301
+        rc, _, err = run(capsys, "envelope-oracle", "--periods", "1e303", "--out", str(tmp_path))
+        assert rc == 2
+        assert re.search(r"k[12] = \S+: its slit-plane wavenumber", err), err
         assert not (tmp_path / "envelope-oracle-manifest.json").exists()
 
     def test_summary_and_manifest_report_the_quadrature_order(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Split thermal correlations, far-field fringes, and vacuum preselection."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -266,6 +267,24 @@ class TestFarField:
         with pytest.raises(DomainError):
             farfield_g2(cfg, 0.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("law", "args", "names"),
+        [
+            (farfield_intensity, (3e307,), "2β·k"),
+            (farfield_g2, (3e307, 0.0), "β(k1 − k2)"),
+            (farfield_g2, (1e308, -1e308), "β(k1 − k2)"),  # k1 − k2 itself overflows
+            (conditional_g2_map, (BALANCED, 1, 1, 3e307, 0.0), "k1 − k2"),
+            (conditional_g2_map, (None, 1, 1, 3e307, 0.0), "2β·k1"),
+        ],
+    )
+    def test_a_phase_that_overflows_is_refused_by_name(self, law, args, names):
+        # β ≈ 36.45 at the CLI defaults, so 2βk overflows from |k| ≈ 2.5e306;
+        # a cosine of it would be NaN
+        cfg = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
+        with pytest.raises(DomainError, match=f"{re.escape(names)}.* overflows a float"):
+            law(cfg, *args)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(DomainError):
             self.make_cfg(mean_h=-0.1)
@@ -343,6 +362,22 @@ class TestClassicalOracle:
         cfg = InterferenceConfig(mean_h=0.5, mean_v=0.5, psi=0.4)
         with pytest.raises(DomainError):
             classical_envelope_oracle(cfg, 0.0, 0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("k1", "k2", "name"),
+        [(1e308, -1e308, "k1"), (0.0, -1e308, "k2"), (np.array([0.0, 3e301]), 0.0, "k1")],
+    )
+    def test_a_wavenumber_that_overflows_is_refused_by_name(self, k1, k2, name):
+        # κ = 2π/(λD) ≈ 8.06e6 at the CLI defaults, so κk overflows past
+        # |k| ≈ 2.2e301: refused before any quadrature, with no RuntimeWarning
+        cfg = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
+        scale = (cfg.slit_width / 8.0) ** 2
+        before = coherence._slit_kernel.cache_info()
+        with pytest.raises(DomainError, match=rf"^{name} = \S+: its slit-plane wavenumber"):
+            classical_envelope_oracle(cfg, scale, k1, k2)
+        after = coherence._slit_kernel.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
     def test_non_finite_k_rejected(self, k):
@@ -441,9 +476,14 @@ class TestCentredSlit:
         closed /= w**2
         zero = np.zeros(1)
         for order in (64, 128, 256, 512, 1024):
-            (q,) = coherence._slit_integral(w, s, zero, zero, order)
-            assert q.imag == 0.0
-            assert abs(q.real - closed) <= 1e-12 * closed, order
+            # both autos and the cross term are the same integral at p = 0
+            q = coherence._slit_integral(w, s, zero, zero, (order,)).ravel()
+            assert q.dtype == np.float64  # real by the slit's symmetry
+            assert np.all(np.abs(q - closed) <= 1e-12 * closed), order
+        # the first pass's two orders are those orders' own passes, bit for bit
+        both = coherence._slit_integral(w, s, zero, zero, (64, 128))
+        alone = [coherence._slit_integral(w, s, zero, zero, (order,))[0] for order in (64, 128)]
+        assert np.array_equal(both, alone)
 
     def test_the_oracle_never_reads_beta(self):
         # a fault in beta must still fail the fringe checks, so the oracle
@@ -494,7 +534,9 @@ class TestGaussLegendreCache:
             return roots(order)
 
         monkeypatch.setattr(coherence.special, "roots_legendre", counted)
-        _gauss_legendre.cache_clear()
+        # the caches built on the rules go too, so that the rules are asked for
+        for cache in (_gauss_legendre, coherence._half_rules, coherence._slit_kernel):
+            cache.cache_clear()
         dks, scale = self.cli_grid()
         for _ in range(2):
             classical_envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)
@@ -521,7 +563,9 @@ class TestSlitKernelCache:
         classical_envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)
         for order in (64, 128):
             kernel = coherence._slit_kernel(self.CFG.slit_width, scale, order)
-            assert kernel.shape == (order, order)
+            # [K₊, K₋] over the order/2 nodes u > 0, each block symmetric
+            assert kernel.shape == (2, order // 2, order // 2)
+            assert np.array_equal(kernel, kernel.transpose(0, 2, 1))
             with pytest.raises(ValueError, match="read-only"):
                 kernel[0, 0] = 0.0
 

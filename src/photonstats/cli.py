@@ -27,18 +27,15 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _routes
 from .coherence import (
     InterferenceConfig,
     PreselectionNetwork,
     ThermalSplitterState,
-    _detected_vacuum_sum,
     _envelope_oracle,
     conditional_g2_map,
     detected_vacuum_probability,
-    gamma_sum,
     gtilde2_thermal,
-    joint_pmf,
     mode_probabilities,
     modulation_frequency,
 )
@@ -47,28 +44,23 @@ from .imaging import (
     DetectorModel,
     SensingMatrix,
     TwoArmDetection,
-    _conditional_mean,
     acquire,
-    arm_a_marginal,
     binary_phantom,
     cs_reconstruct,
-    joint_pmf_noisy,
     random_sensing_matrix,
     scale_scene_to_projection,
 )
 from .montecarlo import RngSeed
 from .pgm import write_pgm
-from .scatter import ScatterConfig, detected_pmf, g2_vs_angle, p_function_convolution_check
+from .scatter import ScatterConfig, detected_pmf, g2_vs_angle
 from .sensing import (
     PUBLISHED_SUBTRACTION_TABLE,
-    _kept_arm,
-    conditional_state_pmf,
     phase_uncertainty,
     preset,
     snr,
     subtraction_success_probability,
 )
-from .states import convolve, g2_from_pmf, pmf, thermal
+from .states import g2_from_pmf
 
 __all__ = ["main"]
 
@@ -400,81 +392,9 @@ def _cmd_reconstruct(params: dict, out: Path) -> dict:
     }
 
 
-def _route_error(primary, twin, relative: bool) -> float:
-    """max|p − t|, or if relative max|p/t − 1| over the cells where |p − t| > 1e-300."""
-    primary, twin = np.asarray(primary, dtype=float), np.asarray(twin, dtype=float)
-    if not relative:
-        return float(np.max(np.abs(primary - twin)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.max(np.where(np.abs(primary - twin) <= 1e-300, 0.0, np.abs(primary / twin - 1.0))))
-
-
-def _p_function_route(mean_1, mean_2):
-    dist = p_function_convolution_check(mean_1, mean_2)
-    return dist.probs, pmf(thermal(mean_1 + mean_2), cutoff=dist.n_max).probs
-
-
-def _scatter_route(cfg):
-    d, (a, b) = detected_pmf(cfg), cfg.mode_means
-    return d.probs, convolve(pmf(thermal(a), cutoff=d.n_max), pmf(thermal(b), cutoff=d.n_max)).probs[: d.n_max + 1]
-
-
-def _joint_route(state, size):
-    # with perfect detectors the noisy law is joint_pmf in its own arithmetic
-    perfect = TwoArmDetection(state.split_angle, DetectorModel(), DetectorModel())
-    grid = np.indices((size, size))
-    return joint_pmf(state, *grid), joint_pmf_noisy(state.mean_total, perfect, *grid)
-
-
-# exact post(N) and subtract(N) rows, N < levels, against the noisy law on that count grid
-def _post_route(n_t, arms, levels, shape):
-    table = joint_pmf_noisy(n_t, arms, *np.indices(shape))
-    return [arm_a_marginal(n_t, arms, n) for n in range(levels)], table.sum(axis=1)[:levels]
-
-
-def _subtract_route(n_t, arms, levels, shape):
-    table = joint_pmf_noisy(n_t, arms, *np.indices(shape))
-    means = np.arange(shape[0]) @ table / table.sum(axis=0)
-    return [_conditional_mean([n_t], arms, n)[0] for n in range(levels)], means[:levels]
-
-
-def _sensing_route(sensor, support_multiple):
-    # the heralded state given L = 0..3 counts against the arm-a column at arm
-    # b = L of a perfect-detector table with arm means A = Kc and B = Bc, over
-    # support_multiple times the states' support, normalized by its sum
-    heralded = [conditional_state_pmf(sensor, level) for level in range(4)]
-    big_k, big_b, c = _kept_arm(sensor)
-    a, b = big_k * c, big_b * c
-    split = TwoArmDetection(math.atan(math.sqrt(b / a)), DetectorModel(), DetectorModel())
-    table = joint_pmf_noisy(a + b, split, *np.indices((support_multiple * (max(d.n_max for d in heralded) + 1), 4)))
-    columns = table / table.sum(axis=0)
-    return (np.concatenate([d.probs for d in heralded]),
-            np.concatenate([columns[: d.n_max + 1, level] for level, d in enumerate(heralded)]))
-
-
-_PRESELECT_ANGLES = (0.3, 0.7, 0.4, 0.6, 0.5)
-_NOISY = dict(n_t=0.8, arms=TwoArmDetection(math.pi / 4.0, DetectorModel(0.55, 0.3), DetectorModel(0.55, 0.3)),
-              levels=8, shape=(25, 25))  # counts past 24 carry < 1e-20 of this law's mass
-# One row per law, by name: (a function from a point, as keywords, to its primary
-# and twin values; the reference point oracle-check uses; tolerance; relative?)
-_ROUTES = {
-    "p_function_vs_thermal": (_p_function_route, dict(mean_1=0.7, mean_2=1.4), 1e-12, False),
-    "scatter_vs_convolution": (_scatter_route, dict(cfg=ScatterConfig(1.0, 1.0 / 3.0, 45.0)), 1e-12, False),
-    "gamma_sum_identity": (lambda n: (gamma_sum(n), [float(math.factorial(k)) for k in n]), dict(n=range(21)),
-                           1e-9, True),
-    "joint_pmf_vs_noisy_law": (_joint_route, dict(state=ThermalSplitterState(1.0, math.pi / 4.0), size=60), 1e-12,
-                               True),
-    "post_vs_noisy_law": (_post_route, _NOISY, 1e-12, True),
-    "subtract_vs_noisy_law": (_subtract_route, _NOISY, 1e-12, True),
-    "sensing_vs_noisy_law": (_sensing_route, dict(sensor=preset("thesis-ch5"), support_multiple=1), 1e-12, True),
-    "vacuum_closed_form_vs_sum": (lambda net: (detected_vacuum_probability(net), _detected_vacuum_sum(net)),
-                                  dict(net=PreselectionNetwork(_PRESELECT_ANGLES, 0.3)), 1e-9, True),
-}
-
-
 def _cmd_oracle_check(params: dict, out: Path) -> dict:
-    checks = [(name, _route_error(*values(**point), relative), tol)
-              for name, (values, point, tol, relative) in _ROUTES.items()]
+    checks = [(name, _routes.route_error(*values(**point), relative), tol)
+              for name, (values, point, tol, relative) in _routes.ROUTES.items()]
     path = out / "oracle-check.csv"
     _write_rows(path, "check,passed,error", [(name, int(err <= tol), err) for name, err, tol in checks])
     failed = [name for name, err, tol in checks if not err <= tol]
@@ -572,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dk-count", dest="dk_count", type=non_negative_int, default=129)
 
     p = subs.add_parser("preselect", help="five-splitter vacuum preselection")
-    p.add_argument("--angles", type=float, nargs=5, default=_PRESELECT_ANGLES)
+    p.add_argument("--angles", type=float, nargs=5, default=_routes.PRESELECT_ANGLES)
     p.add_argument("--mean", type=float, default=1.2)
 
     p = subs.add_parser("sensing-snr", help="phase-sensing SNR and uncertainty table")

@@ -22,8 +22,8 @@ The split-thermal laws, the conditional map, the classical oracle,
 ``gamma_sum`` and ``preselection_distribution`` take whole grids: counts and
 positions broadcast, and scalars give ``np.float64``.
 
-Primary routes and their oracles: far-field fringes vs
-``classical_envelope_oracle``; ``gamma_sum`` and the vacuum rate in ``cli._ROUTES``.
+Primary routes and their oracles: far-field fringes vs ``classical_envelope_oracle``;
+``gamma_sum`` and the vacuum rate in ``photonstats._routes``.
 """
 
 from __future__ import annotations
@@ -112,6 +112,11 @@ class InterferenceConfig:
         _real_fields(self, "gamma_fringe zeta", 0, 1)
         if self.envelope_width is not None:
             _real_fields(self, "envelope_width", 0, strict=True)
+        scale = self.wavelength * self.distance  # λD; β and α from the fields, as their properties form them
+        if not (0.0 < scale < math.inf and 0.0 < math.pi * self.slit_separation / scale < math.inf
+                and 0.0 < scale / (math.pi * self.slit_width) < math.inf):
+            raise DomainError(f"wavelength = {self.wavelength!r} and distance = {self.distance!r} give λD = "
+                              f"{scale!r}: λD, β = πd/(λD) and α = λD/(πw) must each be finite and > 0")
 
     @property
     def beta(self) -> float:
@@ -221,7 +226,7 @@ def _intensity(cfg: InterferenceConfig, k: np.ndarray, name: str) -> np.ndarray:
     whose k/α or 2βk overflows is refused by ``name``."""
     with np.errstate(over="ignore"):
         arg, phase = k / cfg.alpha, 2.0 * cfg.beta * k
-    envelope = _sinc(_finite(arg, f"the envelope argument {name}/α")) ** 2
+    envelope = np.square(_sinc(_finite(arg, f"the envelope argument {name}/α")))
     fringe = np.cos(_finite(phase, f"the fringe phase 2β·{name}"))
     fringe = 1.0 + cfg.gamma_fringe * math.sin(2.0 * cfg.psi) * fringe
     return envelope * (cfg.mean_v + cfg.mean_h * fringe)
@@ -241,7 +246,7 @@ def farfield_g2(cfg: InterferenceConfig, k1, k2):
     s2psi = math.sin(2.0 * cfg.psi) ** 2
     with np.errstate(over="ignore"):
         phase = cfg.beta * (k1 - k2)
-    mod = np.sin(_finite(phase, "the fringe phase β(k1 − k2)")) ** 2
+    mod = np.square(np.sin(_finite(phase, "the fringe phase β(k1 − k2)")))
     num = (
         2.0 * cfg.mean_h**2 * (1.0 - 0.5 * s2psi * mod)
         + 4.0 * cfg.mean_h * cfg.mean_v * (1.0 - 0.5 * s2psi)
@@ -276,8 +281,8 @@ def conditional_g2_map(
     with np.errstate(over="ignore"):
         delta = k1 - k2
         arg, phase = (delta + cfg.envelope_offset) / cfg.sigma_env, cfg.beta * delta
-    envelope = _sinc(_finite(arg, "the envelope argument (k1 − k2 + k′)/σ")) ** 2
-    modulation = 1.0 - cfg.zeta * np.sin(_finite(phase, "the fringe phase β(k1 − k2)")) ** 2
+    envelope = np.square(_sinc(_finite(arg, "the envelope argument (k1 − k2 + k′)/σ")))
+    modulation = 1.0 - cfg.zeta * np.square(np.sin(_finite(phase, "the fringe phase β(k1 − k2)")))
     return envelope * (1.0 + modulation * (g_th - 1.0))
 
 

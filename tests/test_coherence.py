@@ -124,6 +124,28 @@ class TestWholeGrids:
         )
         assert np.array_equal(grid, cells)
 
+    FAR_FIELD = {
+        "farfield_intensity": lambda cfg, k1, k2: farfield_intensity(cfg, k1),
+        "farfield_g2": farfield_g2,
+        "conditional_g2_map-state": lambda cfg, k1, k2: conditional_g2_map(cfg, BALANCED, 1, 2, k1, k2),
+        "conditional_g2_map-None": lambda cfg, k1, k2: conditional_g2_map(cfg, None, 1, 1, k1, k2),
+    }
+
+    @pytest.mark.parametrize("law", FAR_FIELD.values(), ids=FAR_FIELD)
+    @pytest.mark.parametrize(
+        ("shape", "span"), [((1,), 1e5), ((2,), 1.0), ((7,), 1e-3), ((33, 33), 1e5), ((4000,), 1e5)],
+        ids=["1", "2", "7", "33x33", "4000"],
+    )
+    def test_a_far_field_point_alone_has_its_grid_bits(self, law, shape, span):
+        """Seeded positions in ±span: each cell of the grid equals the law at
+        that point alone, bit for bit. A square written as ``** 2`` took
+        NumPy's scalar pow for the point, 1 ulp off in ~1 of 1000 cells."""
+        cfg = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
+        k1, k2 = np.random.default_rng(math.prod(shape)).uniform(-span, span, (2, *shape))
+        grid = law(cfg, k1, k2)
+        cells = np.array([law(cfg, k1[i], k2[i]) for i in np.ndindex(shape)]).reshape(shape)
+        assert np.array_equal(grid, cells)
+
     def test_gamma_sum_on_a_count_grid(self):
         grid = gamma_sum(np.arange(25))
         cells = np.array([gamma_sum(n) for n in range(25)])
@@ -292,6 +314,24 @@ class TestFarField:
             self.make_cfg(gamma_fringe=1.5)
         with pytest.raises(DomainError):
             self.make_cfg(slit_width=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            dict(wavelength=1e-200, distance=1e-200),  # λD underflows to 0
+            dict(wavelength=1e200, distance=1e200),  # λD overflows
+            dict(slit_separation=1e300, wavelength=1e-300),  # β overflows
+            dict(slit_separation=1e-300, wavelength=1e100, distance=1e100),  # β underflows to 0
+            dict(slit_width=1e-10, wavelength=1e200, distance=1e100),  # α overflows
+            dict(slit_separation=1e-310, slit_width=1.0, wavelength=5e-324),  # α underflows to 0
+        ],
+    )
+    def test_a_scale_that_is_zero_or_not_finite_is_refused_by_name(self, geometry):
+        # the laws divide by λD, β and α: accepted, such a config raised a bare
+        # ZeroDivisionError or a divide-by-zero RuntimeWarning in them
+        with pytest.raises(DomainError, match=r"^wavelength = \S+ and distance = \S+ give λD = "):
+            self.make_cfg(**geometry)
 
 
 class TestConditionalMap:

@@ -1,6 +1,6 @@
-"""Property tests: each dual route of `cli._ROUTES` over its parameter box,
-and the mass/tail contract of truncated pmfs, over random parameters rather
-than frozen points."""
+"""Property tests: each dual route of `photonstats._routes` over its
+parameter box, and the mass/tail contract of truncated pmfs, over random
+parameters rather than frozen points."""
 
 import math
 import time
@@ -38,7 +38,7 @@ from photonstats import (
     subtracted_pmf,
     thermal,
 )
-from photonstats.cli import _ROUTES, _route_error
+from photonstats._routes import ROUTES, route_error
 from photonstats.states import _binomial_pmf, _grow_cutoff
 
 # Derandomized so a failure reproduces bit for bit, like the frozen Monte
@@ -84,7 +84,7 @@ def noisy_tables(draw, post):
 
 angles = st.floats(0.0, math.pi / 2.0)
 
-# The parameter box each dual route of `cli._ROUTES` is drawn from.
+# The parameter box each dual route of `photonstats._routes` is drawn from.
 ROUTE_BOXES = {
     # a combined mean from 28 up needs a Gauss–Laguerre rule past the largest that builds
     "p_function_vs_thermal": st.fixed_dictionaries({"mean_1": st.floats(0.0, 10.0), "mean_2": st.floats(0.0, 10.0)}),
@@ -121,19 +121,19 @@ ROUTE_EDGES = [
 
 
 def _route_error_at(name, point):
-    values, _, tol, relative = _ROUTES[name]
-    return _route_error(*values(**point), relative), tol
+    values, _, tol, relative = ROUTES[name]
+    return route_error(*values(**point), relative), tol
 
 
 def test_every_dual_route_has_a_box():
-    assert list(ROUTE_BOXES) == list(_ROUTES)
+    assert list(ROUTE_BOXES) == list(ROUTES)
 
 
-@pytest.mark.parametrize("name", list(_ROUTES))
+@pytest.mark.parametrize("name", list(ROUTES))
 @settings(SETTINGS, max_examples=100)
 @given(data=st.data())
 def test_dual_routes_agree_over_their_boxes(name, data):
-    """Each row of `cli._ROUTES` at its own gate over its box, as
+    """Each row of `photonstats._routes` at its own gate over its box, as
     oracle-check checks it at its reference point. Budget: about 3 s for the
     eight rows on a 2-vCPU box."""
     error, tol = _route_error_at(name, data.draw(ROUTE_BOXES[name], label="point"))

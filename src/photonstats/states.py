@@ -32,9 +32,9 @@ never silent and never slow. The default construction honors tail_bound ≤
 Each count law has one kernel here, in log space and broadcast over integer
 counts: ``_poisson_pmf`` (coherent light, dark counts), ``_negbin_pmf`` and
 its exact tail ``_negbin_tail`` (Bose–Einstein, the L-subtracted thermal
-law) and ``_binomial_pmf`` (loss, splitting), whose log sum
-``_binomial_terms`` also takes ``binomial_thin``'s tabled pieces. Every
-primary law calls them; ``scipy.special`` is the only scipy import. The
+law) and ``_binomial_pmf`` (loss, splitting). Every primary law calls
+them; ``scipy.special`` is the only scipy import. ``binomial_thin`` needs
+none of them: it thins by sums of products of non-negative numbers. The
 oracles keep their own arithmetic, so one kernel fault cannot pass both
 sides of a dual-route check (``photonstats._routes`` and the per-shot Monte
 Carlo). The count oracles take whole count grids, so each check is one call.
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .errors import (
@@ -85,8 +84,7 @@ _SUM_SLACK = 1e-12
 # array is made.
 _ENTRY_BUDGET = 2**27
 
-_THIN_BLOCK = 128  # kernel rows per block, and columns per step, in binomial_thin
-_THIN_DELTA = 1e-17  # relative mass each binomial_thin row may leave out
+_THIN_BLOCK = 128  # photons per Horner step in binomial_thin
 
 
 # ===================================================================
@@ -219,21 +217,15 @@ def _negbin_tail(mean: float, level: int, n_max: int) -> float:
     return float((1.0 + mean) * _negbin_pmf(n_max + level + 1 - j, j, mean).sum())
 
 
-def _binomial_terms(log_n, log_k, log_rest, xlog_k, xlog_rest) -> np.ndarray:
-    """The binomial law as one log sum, log n! − log k! − log (n−k)! +
-    k·log p + (n−k)·log1p(−p), exponentiated: exactly 0 where k > n, at
-    log-gamma's pole. The pieces broadcast, so ``binomial_thin`` can pass
-    table views."""
-    return np.exp(log_n - log_k - log_rest + xlog_k + xlog_rest)
-
-
 def _binomial_pmf(k, n, p: float) -> np.ndarray:
-    """Binomial(n, p) probability of k; 0 where k > n. p = 0 and p = 1 are
-    exact (n − k is clipped at 0 in (n−k)·log1p(−p), whose +inf at p = 1
-    would meet the pole). Log-gamma loses ~n·log n·ε: 1e-12 near n = 700."""
-    return _binomial_terms(
-        special.gammaln(n + 1), special.gammaln(k + 1), special.gammaln(n - k + 1),
-        special.xlogy(k, p), special.xlog1py(np.maximum(n - k, 0), -p),
+    """Binomial(n, p) probability of k as one log sum, log n! − log k! −
+    log (n−k)! + k·log p + (n−k)·log1p(−p), exponentiated: exactly 0 where
+    k > n, at log-gamma's pole. p = 0 and p = 1 are exact (n − k is clipped
+    at 0 in (n−k)·log1p(−p), whose +inf at p = 1 would meet the pole).
+    Log-gamma loses ~n·log n·ε: 1e-12 near n = 700."""
+    return np.exp(
+        special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
+        + special.xlogy(k, p) + special.xlog1py(np.maximum(n - k, 0), -p)
     )
 
 
@@ -370,91 +362,38 @@ def convolve(
     return PhotonNumberDistribution(out, min(a.tail_bound + b.tail_bound, 1.0 - 1e-15))
 
 
-def _thin_kernel(size: int, efficiency: float) -> Callable[[np.ndarray, int, int], np.ndarray]:
-    """``kernel(k, lo, hi)``, bit for bit ``_binomial_pmf(k[:, None],
-    np.arange(lo, hi), efficiency)`` for a block k of at most 128 consecutive
-    counts below ``size`` and k[0] ≤ lo ≤ hi ≤ ``size``, read from tables
-    built once (see `binomial_thin`)."""
-    gap = np.arange(1 - _THIN_BLOCK, size)  # n − k over every block's band
-    log_rest = special.gammaln(gap + 1)  # +inf where k > n
-    log_fact = log_rest[_THIN_BLOCK - 1 :]  # log n! for n = 0..size−1
-    xlog_k = special.xlogy(np.arange(size), efficiency)
-
-    def toeplitz(table):  # [i, x] = table at n − k = x − i, for i < 128 and 0 ≤ x < size
-        return sliding_window_view(table, size)[::-1]
-
-    log_rest = toeplitz(log_rest)
-    xlog_rest = toeplitz(special.xlog1py(np.maximum(gap, 0), -efficiency))  # as _binomial_pmf clips it
-
-    def kernel(k, lo, hi):  # row i, column j at n − k = (lo − k[0] + j) − i
-        rows, cols = slice(k[0], k[0] + k.size), slice(lo - k[0], hi - k[0])
-        return _binomial_terms(
-            log_fact[lo:hi], log_fact[rows, None], log_rest[: k.size, cols],
-            xlog_k[rows, None], xlog_rest[: k.size, cols],
-        )
-
-    return kernel
-
-
 def binomial_thin(
     dist: PhotonNumberDistribution, efficiency: float
 ) -> PhotonNumberDistribution:
     """Random deletion of photons: each survives independently with
     probability ``efficiency``. p'(k) = Σ_n p(n) C(n,k) η^k (1−η)^(n−k).
 
-    Each block of 128 output rows k sums the kernel only where its mass is.
-    In n, row k's terms rise while n + 1 ≤ k/η and fall after, so the band
-    starts on the block's [⌊k0/η⌋, ⌈k_last/η⌉] (on the last 128 columns
-    when k0 ≥ N·η, where every row still rises at N − 1) and grows outward,
-    128 columns at a time. A side stops once, for every row, the band's
-    edge column, which bounds every term beyond it, times the input mass
-    past the edge is at most δ/2 of the row's running sum (δ = 1e-17). So
-    each row is short by at most δ of itself and the thinned law by at most
-    δ·Σp, which is added to the tail bound. A row whose terms are all 0
-    stays exactly 0, and η = 0, η = 1 and a subnormal η take the same path.
-    At η = 0.55 that is 1.37M kernel terms instead of the full triangle's
-    3.2M for thermal(100) (N = 2534 entries), and 31.6M instead of 313M for
-    thermal(1000).
-
-    A kernel term has O(N) distinct pieces: log n! by column, log k! and
-    k·log η by row, and log (n−k)! and (n−k)·log1p(−η) by diagonal. They
-    are tabled once per call, the diagonal ones over n − k = −127…N−1 with
-    the entries ``_binomial_pmf`` gives there and seen through one 128 × N
-    Toeplitz view each, which a block reads by slicing, so a term costs
-    four adds and one exp instead of three log-gamma and two log calls.
-    ``_binomial_terms`` sums the same pieces in the same order and the
-    block product is the same matrix-vector product, so the result is bit
-    for bit what ``_binomial_pmf`` over the band gives. Memory stays linear
-    in N.
+    The result is the exact thinning of the truncated input, Σ_n p(n)·Kⁿδ₀,
+    where K adds one photon kept with probability η: (Kq)(k) = (1−η)·q(k) +
+    η·q(k−1). Horner's rule sums it 128 photons at a time, from the last
+    nonzero count down: q ← K¹²⁸q + Σ_{j<128} p(lo+j)·Kʲδ₀. Kʲδ₀ is
+    Binomial(j, η), tabled once for j ≤ 128 by the two-term recurrence, and
+    K¹²⁸ is one convolution with its last row, summed directly (an FFT would
+    lose the tails' relative digits). Every term added is a product of
+    non-negative numbers, so nothing cancels and the tails keep their
+    relative digits; the tail bound is the input's. Rows past the last
+    nonzero count are exactly 0, η = 1 returns the input bit for bit and
+    η = 0 puts all the mass at 0. The cost is about top²/2 multiply-adds for
+    the last nonzero count top, and memory stays linear in it.
     """
     efficiency = _real(efficiency, "efficiency", 0, 1)
     p, size = dist.probs, dist.probs.size
-    kernel = _thin_kernel(size, efficiency)
-
-    def band(k, lo, hi, rows=0.0):  # rows + Σ p(n)·C(n,k) η^k (1−η)^(n−k) over lo ≤ n < hi, per k
-        block = kernel(k, lo, hi)  # and its edge columns, copied: a view keeps the block alive
-        return rows + block @ p[lo:hi], block[:, 0].copy(), block[:, -1].copy()
-
-    probs = np.empty(size)
-    for k0 in range(0, size, _THIN_BLOCK):
-        k = np.arange(k0, min(k0 + _THIN_BLOCK, size))
-        # the columns k/η of the block, written so that η = 0 and a subnormal η
-        # do not overflow; terms at n < k0 are 0
-        lo = max(k0, math.floor(k0 / efficiency) if k0 < size * efficiency else size - _THIN_BLOCK)
-        hi = min(size, math.ceil(k[-1] / efficiency) + 1) if k[-1] < size * efficiency else size
-        rows, first, last = band(k, lo, hi)
-        while True:
-            slack = 0.5 * _THIN_DELTA * rows
-            grow_left = lo > k0 and not np.all(first * p[k0:lo].sum() <= slack)
-            grow_right = hi < size and not np.all(last * p[hi:].sum() <= slack)
-            if not (grow_left or grow_right):
-                break
-            if grow_left:
-                lo, edge = max(k0, lo - _THIN_BLOCK), lo
-                rows, first, _ = band(k, lo, edge, rows)
-            if grow_right:
-                edge, hi = hi, min(size, hi + _THIN_BLOCK)
-                rows, _, last = band(k, edge, hi, rows)
-        probs[k0 : k0 + k.size] = rows
-    tail = dist.tail_bound + _THIN_DELTA * p.sum()
-    return PhotonNumberDistribution(probs, min(tail, 1.0 - 1e-15))
+    table = np.zeros((_THIN_BLOCK + 1, _THIN_BLOCK + 1))  # row j is K^j δ0 = Binomial(j, η)
+    table[0, 0] = 1.0
+    for j in range(1, _THIN_BLOCK + 1):
+        table[j] = (1.0 - efficiency) * table[j - 1]
+        table[j, 1:] += efficiency * table[j - 1, :-1]
+    top = int(np.flatnonzero(p).max(initial=0))
+    q = np.zeros(1)
+    for lo in range(top - top % _THIN_BLOCK, -1, -_THIN_BLOCK):
+        q = np.convolve(q, table[_THIN_BLOCK])
+        block = p[lo : lo + _THIN_BLOCK]
+        q[: _THIN_BLOCK + 1] += block @ table[: block.size]
+    probs = np.zeros(size)
+    probs[: q.size] = q[:size]
+    return PhotonNumberDistribution(probs, dist.tail_bound)

@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 from photonstats import (
     AccuracyError,
     ContractError,
+    DetectorModel,
     DomainError,
     InterferenceConfig,
     PreselectionNetwork,
     ThermalSplitterState,
+    TwoArmDetection,
+    arm_a_marginal,
     classical_envelope_oracle,
     conditional_g2_map,
     detected_vacuum_probability,
@@ -25,6 +28,7 @@ from photonstats import (
     gamma_sum,
     gtilde2_thermal,
     joint_pmf,
+    joint_pmf_noisy,
     mode_probabilities,
     modulation_frequency,
     pmf,
@@ -97,6 +101,38 @@ class TestWavepacketCorrelation:
         assert gtilde2_thermal(BALANCED, 0, 3) < 1.0
 
 
+FAR = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
+SPLIT = ThermalSplitterState(1.3, 0.6)
+ARMS = TwoArmDetection(0.7, DetectorModel(0.8, 0.3), DetectorModel(0.6, 0.1))
+NET = PreselectionNetwork((0.3, 0.7, 0.4, 0.6, 0.5), 0.9)
+
+
+def _positions(rng, shape, span):
+    return rng.uniform(-span, span, (2, *shape))
+
+
+def _counts(top, laws=2):
+    return lambda rng, shape, span: rng.integers(0, top + 1, (laws, *shape))
+
+
+# Each law that broadcasts, over its grid arguments, and how they are drawn:
+# wavenumbers in ±span, counts and means from the route boxes.
+POINT_LAWS = {
+    "farfield_intensity": (lambda k1, k2: farfield_intensity(FAR, k1), _positions),
+    "farfield_g2": (lambda k1, k2: farfield_g2(FAR, k1, k2), _positions),
+    "conditional_g2_map-state": (lambda k1, k2: conditional_g2_map(FAR, BALANCED, 1, 2, k1, k2), _positions),
+    "conditional_g2_map-None": (lambda k1, k2: conditional_g2_map(FAR, None, 1, 1, k1, k2), _positions),
+    "joint_pmf": (lambda n, m: joint_pmf(SPLIT, n, m), _counts(60)),
+    "gtilde2_thermal": (lambda n, m: gtilde2_thermal(SPLIT, n, m), _counts(60)),
+    "joint_pmf_noisy": (lambda n, m: joint_pmf_noisy(1.3, ARMS, n, m), _counts(30)),
+    "arm_a_marginal": (
+        lambda n_t: arm_a_marginal(n_t, ARMS, 3), lambda rng, shape, span: rng.uniform(0.0, 3.0, (1, *shape))
+    ),
+    "gamma_sum": (gamma_sum, _counts(170, laws=1)),
+    "preselection_distribution": (lambda *counts: preselection_distribution(NET, counts), _counts(8, laws=6)),
+}
+
+
 class TestWholeGrids:
     """Each law called on a grid equals its cell-by-cell scalar calls."""
 
@@ -124,26 +160,18 @@ class TestWholeGrids:
         )
         assert np.array_equal(grid, cells)
 
-    FAR_FIELD = {
-        "farfield_intensity": lambda cfg, k1, k2: farfield_intensity(cfg, k1),
-        "farfield_g2": farfield_g2,
-        "conditional_g2_map-state": lambda cfg, k1, k2: conditional_g2_map(cfg, BALANCED, 1, 2, k1, k2),
-        "conditional_g2_map-None": lambda cfg, k1, k2: conditional_g2_map(cfg, None, 1, 1, k1, k2),
-    }
-
-    @pytest.mark.parametrize("law", FAR_FIELD.values(), ids=FAR_FIELD)
+    @pytest.mark.parametrize(("law", "draw"), POINT_LAWS.values(), ids=POINT_LAWS)
     @pytest.mark.parametrize(
         ("shape", "span"), [((1,), 1e5), ((2,), 1.0), ((7,), 1e-3), ((33, 33), 1e5), ((4000,), 1e5)],
         ids=["1", "2", "7", "33x33", "4000"],
     )
-    def test_a_far_field_point_alone_has_its_grid_bits(self, law, shape, span):
-        """Seeded positions in ±span: each cell of the grid equals the law at
-        that point alone, bit for bit. A square written as ``** 2`` took
-        NumPy's scalar pow for the point, 1 ulp off in ~1 of 1000 cells."""
-        cfg = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
-        k1, k2 = np.random.default_rng(math.prod(shape)).uniform(-span, span, (2, *shape))
-        grid = law(cfg, k1, k2)
-        cells = np.array([law(cfg, k1[i], k2[i]) for i in np.ndindex(shape)]).reshape(shape)
+    def test_a_point_alone_has_its_grid_bits(self, law, draw, shape, span):
+        """Seeded arguments: each cell of the grid equals the law at that
+        point alone, bit for bit. A square written as ``** 2`` took NumPy's
+        scalar pow for the point, 1 ulp off in ~1 of 1000 cells."""
+        args = draw(np.random.default_rng(math.prod(shape)), shape, span)
+        grid = law(*args)
+        cells = np.array([law(*(a[i] for a in args)) for i in np.ndindex(shape)]).reshape(shape)
         assert np.array_equal(grid, cells)
 
     def test_gamma_sum_on_a_count_grid(self):

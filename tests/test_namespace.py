@@ -56,7 +56,7 @@ TWINS = {
     "moments": "checked by test_states.py::TestMomentsAndCoherence::test_thermal_moments",
     "g2_from_pmf": "checked by test_states.py::TestMomentsAndCoherence::test_g2_reference_points",
     "convolve": "scatter_vs_convolution",
-    "binomial_thin": "checked by test_states.py::TestCombinators::test_thinned_thermal_stays_thermal",
+    "binomial_thin": "checked by test_properties.py::test_binomial_thin_matches_mpmath",
     "make_generator": "constructor: a seeded NumPy Generator",
     "sample_source": "checked by test_montecarlo.py::test_thermal_classes_follow_the_bose_einstein_law",
     "split_and_detect": "checked by test_acceptance.py::test_07_noisy_counting_law_vs_pipeline",

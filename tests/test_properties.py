@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from photonstats import (
     AccuracyError,
@@ -39,7 +40,7 @@ from photonstats import (
     thermal,
 )
 from photonstats._routes import ROUTES, route_error
-from photonstats.states import _binomial_pmf, _grow_cutoff
+from photonstats.states import _grow_cutoff
 
 # Derandomized so a failure reproduces bit for bit, like the frozen Monte
 # Carlo seeds elsewhere in the suite.
@@ -224,13 +225,18 @@ def test_pmf_mass_honors_the_tail_bound(kind, mean, tail_target):
     mean=st.floats(0.0, 40.0),
     efficiency=st.floats(0.0, 1.0),
 )
-# Total loss and no loss: both go through the log-space kernel unbranched.
+# Total loss and no loss: the exact edges.
 @example(kind=thermal, mean=40.0, efficiency=0.0)
 @example(kind=coherent, mean=40.0, efficiency=1.0)
-# Subnormal η and η one ulp below 1: the band starts at k/η without overflowing.
+# Subnormal η and η one ulp below 1.
 @example(kind=thermal, mean=40.0, efficiency=2.2e-311)
 @example(kind=coherent, mean=40.0, efficiency=5e-324)
 @example(kind=thermal, mean=40.0, efficiency=1.0 - 2.0**-53)
+# Large coherent means: a kernel summed from log-gamma differences, which lose
+# ~n·log n·ε, left the mass 1.9e-12 short at 3000 and 6.2e-12 over 1 at 5000.
+@example(kind=coherent, mean=3000.0, efficiency=0.5)
+@example(kind=coherent, mean=5000.0, efficiency=0.5)
+@example(kind=coherent, mean=5000.0, efficiency=0.3)
 def test_binomial_thin_is_the_thinned_law_short_by_at_most_the_tail(kind, mean, efficiency):
     """Thinning keeps a canonical source canonical, with mean ηn̄. The
     truncated input misses only its tail, so the thinned pmf lies between
@@ -262,20 +268,51 @@ def two_peaked_pmfs(draw):
     dist=two_peaked_pmfs(),
     efficiency=st.one_of(st.sampled_from([0.0, 1.0, 2.2e-311, 1.0 - 2.0**-53]), st.floats(0.0, 1.0)),
 )
-def test_binomial_thin_stops_where_the_dense_sum_is_complete(dist, efficiency):
-    """The band of each block of rows stops on its edge columns; the rows
-    must still be the dense kernel sum over every column, to 1e-13, with the
-    same zeros. The reference is the same kernel (`_binomial_pmf`) summed in
-    128-row slabs over every column n ≥ k0 (terms at n < k are exactly 0),
-    so only the stop rule is under test. Budget: about 2 s for the 40
-    derandomized examples (N up to ~1500 entries, a dense sum of up to 1.2M
-    terms each)."""
+def test_binomial_thin_is_the_dense_binomial_sum(dist, efficiency):
+    """The Horner sum against the dense kernel sum of scipy's
+    `stats.binom.pmf` over every column n ≥ k, in 128-row slabs (terms at
+    n < k are exactly 0), to 1e-12 relative: scipy's own error reaches
+    2.4e-13. Subnormal cells are not compared, as scipy's lose their digits
+    (at η = 2.2e-311 its k = 1 row is 0 or ~1000× small). Rows past the
+    input's last nonzero count, and every row k ≥ 1 at η = 0, are exactly
+    0. Budget: about 2 s for the 40 derandomized examples (N up to ~1500
+    entries, a dense sum of up to 1.2M terms each)."""
     thinned = binomial_thin(dist, efficiency).probs
     n, p = np.arange(dist.probs.size), dist.probs
     slabs = np.split(n, n[128::128])
-    dense = np.concatenate([_binomial_pmf(k[:, None], n[k[0] :], efficiency) @ p[k[0] :] for k in slabs])
-    assert np.array_equal(thinned == 0.0, dense == 0.0)
-    assert np.allclose(thinned, dense, rtol=1e-13, atol=0.0)
+    dense = np.concatenate([stats.binom.pmf(k[:, None], n[k[0] :], efficiency) @ p[k[0] :] for k in slabs])
+    assert not np.any(thinned[np.flatnonzero(p).max(initial=0) + 1 :])
+    assert efficiency != 0.0 or not np.any(thinned[1:])
+    assert np.allclose(thinned, dense, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize(
+    ("source", "efficiency"),
+    [(lambda: pmf(thermal(100.0)), 0.55), (lambda: convolve(pmf(thermal(30.0)), pmf(coherent(30.0))), 0.37)],
+    ids=["thermal-100", "thermal-30+coherent-30"],
+)
+def test_binomial_thin_matches_mpmath(source, efficiency):
+    """`binomial_thin` against Σ_n p(n) C(n,k) η^k (1−η)^(n−k) of the same
+    float pmf and η in 40-digit mpmath, each term from the last by the ratio
+    (n+1)/(n+1−k)·(1−η): within 1e-13 relative at the mode and 9 counts
+    spread over the cells ≥ 1e-300, from k = 0 through the bulk into the
+    deep tail (k = 2235 of thermal(100)'s 2534). A kernel summed from
+    log-gamma differences was 3.5e-12 off. Budget: about 0.3 s."""
+    mpmath = pytest.importorskip("mpmath")
+    dist = source()
+    probs, p = binomial_thin(dist, efficiency).probs, dist.probs.tolist()
+    cells = np.flatnonzero(probs >= 1e-300)
+    counts = np.unique(np.r_[cells[(np.linspace(0.0, 1.0, 9) * (cells.size - 1)).astype(int)], np.argmax(probs)])
+    exact = []
+    with mpmath.workdps(40):
+        eta = mpmath.mpf(efficiency)
+        for k in counts.tolist():
+            term, total = eta**k, mpmath.mpf(0)
+            for n in range(k, len(p)):
+                total += p[n] * term
+                term *= (n + 1) * (1 - eta) / (n + 1 - k)
+            exact.append(float(total))
+    assert np.max(np.abs(probs[counts] / np.array(exact) - 1.0)) <= 1e-13
 
 
 # The other truncating constructors: every one grows its cutoff by the shared

@@ -17,8 +17,10 @@ solver settings, positions, sample grids) obeys `_real`, the float twin: a
 Python or NumPy integer or float, never a bool, a string or None, finite and
 in its range, used as a Python float, and entry by entry a float64 array
 where a law broadcasts. So a NumPy float32 gives the result of the Python
-float of its value, bit for bit. Anything else raises DomainError naming the
-parameter.
+float of its value, bit for bit. A grid parameter given a scalar takes it by
+the scalar rule, as a 0-d float64 array, and an integer past int64 is taken
+as a float there too, alone or in a list. Anything else raises DomainError
+naming the parameter.
 """
 
 from __future__ import annotations
@@ -79,12 +81,21 @@ def _holds_bool(value) -> bool:
     )
 
 
+def _is_real_scalar(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer or float, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _shown(value) -> str:
     """``value``'s repr for a message, but an integer of 2**64 or more by its
-    bit length: Python refuses the repr of one past 4300 digits."""
+    bit length: Python refuses the repr of one past 4300 digits, also inside
+    a list, a tuple or an array, which is then named by its type."""
     if isinstance(value, int) and abs(value) >= 2**64:
         return f"{'a negative' if value < 0 else 'an'} integer of {abs(value).bit_length()} bits"
-    return repr(value)
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} holding an integer past 4300 digits"
 
 
 def _count(value, name: str, low: int = 0, *, grid: bool = False):
@@ -109,17 +120,24 @@ def _real(value, name: str, low=-math.inf, high=math.inf, *, strict: bool = Fals
     (low, high) with ``strict``; with ``grid=True`` as a float64 array, which
     is 0-d for a scalar."""
     real, extremes = None, [math.nan]  # refused, unless value is a number
-    if grid:
-        arr = np.asarray(value)
-        if arr.dtype.kind in "iuf" and not _holds_bool(value):
-            real = arr.astype(float, copy=False)
-            extremes = [real.min(), real.max()] if real.size else []  # a NaN is both
-    elif isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+    if _is_real_scalar(value):
         try:
             real = float(value)
         except OverflowError:  # an int past the float range
             real = math.inf
         extremes = [real]
+        if grid:
+            real = np.asarray(real)
+    elif grid:
+        arr = np.asarray(value)
+        if arr.dtype == object and all(map(_is_real_scalar, arr.flat)):  # ints past int64
+            try:
+                arr = arr.astype(float)
+            except OverflowError:  # an int past the float range
+                arr = np.asarray(math.inf)
+        if arr.dtype.kind in "iuf" and not _holds_bool(value):
+            real = arr.astype(float, copy=False)
+            extremes = [real.min(), real.max()] if real.size else []  # a NaN is both
     if all(math.isfinite(x) and (low < x < high if strict else low <= x <= high) for x in extremes):
         return real
     bounds = f"{'(' if strict else '['}{low!r}, {high!r}{')' if strict else ']'}"

@@ -33,8 +33,12 @@ Each count law has one kernel here, in log space and broadcast over integer
 counts: ``_poisson_pmf`` (coherent light, dark counts), ``_negbin_pmf`` and
 its exact tail ``_negbin_tail`` (Bose–Einstein, the L-subtracted thermal
 law) and ``_binomial_pmf`` (loss, splitting). Every primary law calls
-them; ``scipy.special`` is the only scipy import. ``binomial_thin`` needs
-none of them: it thins by sums of products of non-negative numbers. The
+them; ``scipy.special`` is the only scipy import. The first two share
+ρ(k) = log k! − k·log k + k, defined for whole k ≥ 0 only: read from a
+50-entry table, formed once at import, below k = 50, and the Stirling series
+at and above. At a scalar L = 0 ``_negbin_pmf`` forms no binomial
+coefficient, as log C(n, n) is exactly 0. ``binomial_thin`` needs none of
+the kernels: it thins by sums of products of non-negative numbers. The
 oracles keep their own arithmetic, so one kernel fault cannot pass both
 sides of a dual-route check (``photonstats._routes`` and the per-shot Monte
 Carlo). The count oracles take whole count grids, so each check is one call.
@@ -169,12 +173,28 @@ def thermal(mean: float) -> SourceSpec:
 # Count-law kernels (log space, broadcast over integer counts)
 # ===================================================================
 
+def _rho_by_difference(k) -> np.ndarray:
+    """ρ(k) as the difference log k! − k·log k + k itself."""
+    return special.gammaln(k + 1.0) - special.xlogy(k, k) + k
+
+
+_RHO_TABLE = _rho_by_difference(np.arange(50.0))  # ρ(0..49), formed once at import
+_RHO_TABLE.setflags(write=False)
+
+
 def _log_factorial_rest(k) -> np.ndarray:
-    """ρ(k) = log k! − k·log k + k, 0 at k = 0: the difference itself below
-    k = 50, and the Stirling series above, where it would lose k·log k·ε."""
-    s = np.maximum(k, 50.0)
-    series = 0.5 * np.log(2.0 * math.pi * s) + (1 / 12 - (1 / 360 - 1 / (1260 * s * s)) / (s * s)) / s
-    return np.where(k < 50.0, special.gammaln(k + 1.0) - special.xlogy(k, k) + k, series)
+    """ρ(k) = log k! − k·log k + k, 0 at k = 0, for whole counts k ≥ 0 (any
+    integer or float dtype, any shape): read from `_RHO_TABLE`, the
+    difference itself, below k = 50, and the Stirling series at and above,
+    where the difference would lose k·log k·ε. The series is formed only
+    when some k reaches 50."""
+    k = np.asarray(k)
+    rest = _RHO_TABLE[np.minimum(k, 49).astype(np.intp)]
+    if k.size and k.max() >= 50:
+        s = np.maximum(k, 50.0)
+        series = 0.5 * np.log(2.0 * math.pi * s) + (1 / 12 - (1 / 360 - 1 / (1260 * s * s)) / (s * s)) / s
+        rest = np.where(k < 50, rest, series)
+    return rest
 
 
 def _poisson_pmf(k, mean: float) -> np.ndarray:
@@ -205,15 +225,24 @@ def _log_choose(n, level):
 def _negbin_pmf(n, level, mean) -> np.ndarray:
     """L-subtracted thermal law C(n+L, n)·rⁿ·(1−r)^(L+1), r = n̄/(1+n̄), of mean
     (L+1)n̄ (Bose–Einstein at L = 0); L and n̄ broadcast too. n·log r uses r up
-    to n̄ = 1 and log1p(−1/(1+n̄)) above, where rounding r ≈ 1 costs n·ε."""
-    xlog_r = np.where(mean > 1.0, special.xlog1py(n, -1.0 / (1.0 + mean)), special.xlogy(n, mean / (1.0 + mean)))
-    return np.exp(_log_choose(n, level) + xlog_r - (level + 1) * np.log1p(mean))
+    to n̄ = 1 and log1p(−1/(1+n̄)) above, where rounding r ≈ 1 costs n·ε; a
+    scalar n̄ forms only the form it takes, an array both. A scalar L = 0
+    forms no binomial coefficient: log C(n, n) is exactly 0."""
+    if np.ndim(mean):
+        xlog_r = np.where(mean > 1.0, special.xlog1py(n, -1.0 / (1.0 + mean)), special.xlogy(n, mean / (1.0 + mean)))
+    elif mean > 1.0:
+        xlog_r = special.xlog1py(n, -1.0 / (1.0 + mean))
+    else:
+        xlog_r = special.xlogy(n, mean / (1.0 + mean))
+    if np.ndim(level) or level:
+        xlog_r = _log_choose(n, level) + xlog_r
+    return np.exp(xlog_r - (level + 1) * np.log1p(mean))
 
 
 def _negbin_tail(mean: float, level: int, n_max: int) -> float:
     """Mass of `_negbin_pmf` past ``n_max``: fewer than L+1 successes in
     T = n_max+L+1 trials, (1+n̄)·Σ_{j≤L} NB(T−j; j); r^(n_max+1) at L = 0."""
-    j = np.arange(level + 1)
+    j = np.arange(level + 1) if level else 0  # a scalar L = 0 forms no coefficient
     return float((1.0 + mean) * _negbin_pmf(n_max + level + 1 - j, j, mean).sum())
 
 

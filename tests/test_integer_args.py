@@ -154,7 +154,8 @@ def test_a_level_past_2_64_is_refused_by_name(law):
 
 
 # Python refuses the repr of an integer past 4300 digits, so a message that
-# showed one escaped as a bare ValueError; such a value is named by its size.
+# showed one escaped as a bare ValueError; such a value is named by its size,
+# and a list or tuple holding one by its type.
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -164,6 +165,14 @@ def test_a_level_past_2_64_is_refused_by_name(law):
         (
             lambda: random_sensing_matrix(4, 4, 10**5000),
             "fill_fraction must be a finite real in (0, 1), got an integer of 16610 bits",
+        ),
+        (
+            lambda: joint_pmf(STATE, [1, 10**5000], 1),
+            "big_n must be an integer >= 0, got a list holding an integer past 4300 digits",
+        ),
+        (
+            lambda: arm_a_marginal((10**5000,), ARMS, 1),
+            "n_t must be a finite real in [0, inf], got a tuple holding an integer past 4300 digits",
         ),
         (
             lambda: acquire(SCENE, MASKS, ARMS, mode="post(1" + "0" * 5000 + ")", shots=None),

@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonstats import (
     DetectorModel,
@@ -49,7 +51,7 @@ from photonstats import (
     thermal,
     tv_prox,
 )
-from photonstats.errors import DomainError
+from photonstats.errors import DomainError, _real
 from photonstats.sensing import conditional_state_pmf, preset, subtracted_pmf
 
 HALF_PI = math.pi / 2.0
@@ -272,3 +274,37 @@ def test_configs_store_python_floats():
     net = PreselectionNetwork(np.float32([0.3, 0.7, 0.4, 0.6, 0.5]), np.int8(1))
     assert all(type(a) is float for a in net.angles) and type(net.mean) is float
     assert type(snr_sub(0.8, TwoArmDetection(math.pi / 4.0, det, det), 2)) is float
+
+
+SCALARS = [
+    0, 0.0, -0.0, 5e-324, 2.2e-308, 1e300, 2**62, 2**64 - 1, 2**70, -(2**70), 10**5000, math.nan, math.inf,
+    -math.inf, True, np.True_, np.float32(3), np.float16(0.5), np.int64(-7), np.uint64(2**64 - 1), "0.5", None,
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(st.sampled_from(SCALARS), st.floats(), st.integers()),
+    st.sampled_from([-math.inf, -1.0, 0, 2**62]),
+    st.sampled_from([math.inf, 1.0, 1e300]),
+    st.booleans(),
+)
+def test_a_grid_parameter_takes_a_scalar_by_the_scalar_rule(value, low, high, strict):
+    """A grid parameter given a scalar returns the scalar rule's float as a
+    0-d float64 array, or raises its DomainError."""
+    try:
+        want = np.asarray(_real(value, "x", low, high, strict=strict))
+    except DomainError as refusal:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(refusal))}$"):
+            _real(value, "x", low, high, strict=strict, grid=True)
+        assert str(refusal).startswith("x must be")
+    else:
+        assert _same(_real(value, "x", low, high, strict=strict, grid=True), want)
+
+
+def test_an_integer_past_int64_is_a_float_in_a_grid():
+    assert arm_a_marginal(2**70, ARMS, 1) == arm_a_marginal(float(2**70), ARMS, 1)
+    assert _same(arm_a_marginal([2**70, 3], ARMS, 1), arm_a_marginal([float(2**70), 3.0], ARMS, 1))
+    for bad in ([10**400], [2**70, None], [2**70, True]):
+        with _refused("n_t"):
+            arm_a_marginal(bad, ARMS, 1)

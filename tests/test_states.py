@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from photonstats import (
     ContractError,
@@ -23,8 +23,10 @@ from photonstats import (
     pmf,
     thermal,
 )
+from photonstats import states
 from photonstats.states import (
     _binomial_pmf,
+    _log_factorial_rest,
     _negbin_pmf,
     _negbin_tail,
     _poisson_pmf,
@@ -277,6 +279,62 @@ def test_negbin_tail_matches_mpmath(mean, level, n_max):
         p, trials = 1 / (1 + mpmath.mpf(mean)), n_max + level + 1
         exact = sum(mpmath.binomial(trials, j) * p**j * (1 - p) ** (trials - j) for j in range(level + 1))
     assert abs(_negbin_tail(mean, level, n_max) - exact) / exact <= 1e-12
+
+
+def _rho_before(k):
+    """ρ(k) formed as before its table: the difference and the Stirling
+    series over every entry, one of them picked by np.where."""
+    s = np.maximum(k, 50.0)
+    series = 0.5 * np.log(2.0 * math.pi * s) + (1 / 12 - (1 / 360 - 1 / (1260 * s * s)) / (s * s)) / s
+    return np.where(k < 50.0, special.gammaln(k + 1.0) - special.xlogy(k, k) + k, series)
+
+
+def _negbin_before(n, level, mean):
+    """`_negbin_pmf` formed as before its shortcuts: log C(n+L, n) at every
+    L, and both forms of n·log r under np.where at every n̄."""
+    log_choose = (
+        _rho_before(n + level) - _rho_before(n) - _rho_before(level)
+        + special.xlog1py(n, level / np.maximum(n, 1.0)) + special.xlog1py(level, n / np.maximum(level, 1.0))
+    )
+    xlog_r = np.where(mean > 1.0, special.xlog1py(n, -1.0 / (1.0 + mean)), special.xlogy(n, mean / (1.0 + mean)))
+    return np.exp(log_choose + xlog_r - (level + 1) * np.log1p(mean))
+
+
+class TestKernelShortcuts:
+    """ρ's table, the scalar-n̄ branch and the L = 0 shortcut of
+    `_negbin_pmf` give the bits of the forms they replace."""
+
+    def test_rho_is_the_difference_and_series_bit_for_bit(self):
+        k = np.arange(10_001)
+        for grid in (k, k.astype(float), k.reshape(73, 137), np.array([[49, 50], [50, 49]]), k[:50], k[:0]):
+            assert np.array_equal(_log_factorial_rest(grid), _rho_before(grid)), grid.shape
+        for whole in map(np.asarray, k):  # 0-d arrays
+            assert np.array_equal(_log_factorial_rest(whole), _rho_before(whole)), whole
+        for whole in (0, 49, 50, 10_000, 49.0, 50.0, np.int64(49), np.int64(50)):
+            assert np.array_equal(_log_factorial_rest(whole), _rho_before(whole)), whole
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-3, 1.0, float(np.nextafter(1.0, 2.0)), 100.0])
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_negbin_at_a_scalar_mean_bit_for_bit(self, mean, level):
+        n = np.arange(3000)
+        assert np.array_equal(_negbin_pmf(n, level, mean), _negbin_before(n, level, mean))
+        assert np.array_equal(_negbin_pmf(7, level, mean), _negbin_before(7, level, mean))
+        assert _negbin_tail(mean, level, 40) == float(
+            (1.0 + mean) * _negbin_before(41 + level - np.arange(level + 1), np.arange(level + 1), mean).sum()
+        )
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_negbin_at_a_mean_column_bit_for_bit(self, level):
+        means = np.array([0.0, 1e-3, 0.5, 1.0, np.nextafter(1.0, 2.0), 1.5, 100.0])[:, None]
+        n = np.arange(400)
+        assert np.array_equal(_negbin_pmf(n, level, means), _negbin_before(n, level, means))
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-300, 0.3, 37.0, 64.0, 64.5, 2500.0])
+    def test_poisson_on_the_table_bit_for_bit(self, mean, monkeypatch):
+        k = np.arange(int(2 * mean) + 80)
+        got = _poisson_pmf(k, mean)
+        monkeypatch.setattr(states, "_log_factorial_rest", _rho_before)
+        assert np.array_equal(got, _poisson_pmf(k, mean))
 
 
 class TestValidation:

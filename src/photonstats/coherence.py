@@ -36,7 +36,7 @@ import numpy as np
 from scipy import special
 
 from .errors import AccuracyError, ContractError, DomainError, _count, _real, _real_fields
-from .states import _binomial_pmf, _log_choose, _negbin_pmf, pmf, thermal
+from .states import _binomial_pmf, _log_factorial_rest, _negbin_pmf, pmf, thermal
 
 __all__ = [
     "ThermalSplitterState",
@@ -168,13 +168,15 @@ def joint_pmf(state: ThermalSplitterState, big_n, big_m):
     """
     big_n, big_m = _count(big_n, "big_n", grid=True), _count(big_m, "big_m", grid=True)
     total, c2 = big_n + big_m, math.cos(state.split_angle) ** 2
-    return _negbin_pmf(total, 0, state.mean_total) * _binomial_pmf(big_n, total, c2)
+    return _negbin_pmf(total, 0, state.mean_total) * _binomial_pmf(big_n, total, c2, 1.0 - c2)
 
 
 def _gtilde2(big_n, big_m, mean_a, mean_b, n_bar):
-    """g̃²(N,M) from the arm means and the total mean, all broadcasting."""
+    """g̃²(N,M) from the arm means and the total mean, all broadcasting; log C(N+M, N) from ρ."""
     log_g = (
-        _log_choose(big_n, big_m)
+        _log_factorial_rest(big_n + big_m) - _log_factorial_rest(big_n) - _log_factorial_rest(big_m)
+        + special.xlog1py(big_n, big_m / np.maximum(big_n, 1.0))
+        + special.xlog1py(big_m, big_n / np.maximum(big_m, 1.0))
         + (big_n + 1) * np.log1p(mean_a)
         + (big_m + 1) * np.log1p(mean_b)
         - (big_n + big_m + 1) * np.log1p(n_bar)

@@ -108,8 +108,13 @@ def _count(value, name: str, low: int = 0, *, grid: bool = False):
             return int(value)
     elif grid:
         arr = np.asarray(value)
-        if isinstance(value, (list, tuple)) and arr.size == 0:
-            arr = arr.astype(int)  # np.asarray([]) is float64
+        if isinstance(value, (list, tuple)) and arr.dtype.kind not in "iu":
+            entries = list(np.asarray(value, dtype=object).flat)  # [] and ints past int64 come back float64 or object
+            if all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries):
+                if max(entries, default=0) >= 2**64:
+                    raise DomainError(f"{name} must be below 2**64, got {_shown(value)}")
+                if min(entries, default=0) >= 0:
+                    arr = np.asarray(value, dtype=np.uint64 if entries else int)
         if arr.dtype.kind in "iu" and not _holds_bool(value) and not np.any(arr < low):
             return arr
     raise DomainError(f"{name} must be an integer >= {low}, got {_shown(value)}")

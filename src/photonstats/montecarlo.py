@@ -311,7 +311,7 @@ def _class_split(
     budget raises DomainError naming N."""
     _check_budget(numbers.size * (big_n + 2), f"N {big_n}", f"its {numbers.size} × (N+2) class-split table")
     k = np.arange(big_n + 1)
-    split = _binomial_pmf(k, numbers[:, None], keep)
+    split = _binomial_pmf(k, numbers[:, None], keep, 1.0 - keep)
     split = np.hstack([split, np.maximum(1.0 - split.sum(axis=1, keepdims=True), 0.0)])
     return split, _poisson_pmf(big_n - k, dark_rate)
 

@@ -17,8 +17,8 @@ L quanta in the subtraction arm (efficiency η_pl) conditions the kept arm
 * closed forms for its mean (L+1)μ, standard deviation, signal-to-noise
   ratio and the phase uncertainty Δφ = Δn/|d⟨n⟩/dφ|.
 
-The subtracted and conditional pmfs are `states._negbin_pmf`, the one kernel
-of this law, truncated by the policy stated in `photonstats.states`.
+The subtracted and conditional pmfs are `states._negbin_pmf`, the binomial
+kernel at L > 0, truncated by the policy stated in `photonstats.states`.
 
 Two phase conventions coexist deliberately: the subtraction arm's success
 probability carries sin²(φ/2) while the kept arm's conditional moments carry

@@ -31,17 +31,19 @@ never silent and never slow. The default construction honors tail_bound ≤
 
 Each count law has one kernel here, in log space and broadcast over integer
 counts: ``_poisson_pmf`` (coherent light, dark counts), ``_negbin_pmf`` and
-its exact tail ``_negbin_tail`` (Bose–Einstein, the L-subtracted thermal
-law) and ``_binomial_pmf`` (loss, splitting). Every primary law calls
-them; ``scipy.special`` is the only scipy import. The first two share
-ρ(k) = log k! − k·log k + k, defined for whole k ≥ 0 only: read from a
-50-entry table, formed once at import, below k = 50, and the Stirling series
-at and above. At a scalar L = 0 ``_negbin_pmf`` forms no binomial
-coefficient, as log C(n, n) is exactly 0. ``binomial_thin`` needs none of
-the kernels: it thins by sums of products of non-negative numbers. The
-oracles keep their own arithmetic, so one kernel fault cannot pass both
-sides of a dual-route check (``photonstats._routes`` and the per-shot Monte
-Carlo). The count oracles take whole count grids, so each check is one call.
+its exact tail ``_negbin_tail`` (Bose–Einstein, the L-subtracted thermal law)
+and ``_binomial_pmf`` (loss, splitting; q = 1 − p from its caller), in
+Loader's form from one ρ(k) = log k! − k·log k + k and one deviance
+bd0(k, M) = k·log(k/M) + M − k, so nothing of size n·log n cancels. ρ, for
+whole k ≥ 0 only, is read from a 50-entry table, formed once at import, below
+k = 50, and is the Stirling series at and above. The negative binomial at
+L > 0 is the binomial of L+1 successes in n+L+1 trials with q = n̄/(1+n̄), and
+at a scalar L = 0 the Bose–Einstein law itself. Every primary law calls the
+kernels; ``scipy.special`` is the only scipy import. ``binomial_thin`` needs
+none: it thins by sums of products of non-negative numbers. The oracles keep
+their own arithmetic, so one kernel fault cannot pass both sides of a
+dual-route check (``photonstats._routes`` and the per-shot Monte Carlo). The
+count oracles take whole count grids, so each check is one call.
 """
 
 from __future__ import annotations
@@ -173,12 +175,7 @@ def thermal(mean: float) -> SourceSpec:
 # Count-law kernels (log space, broadcast over integer counts)
 # ===================================================================
 
-def _rho_by_difference(k) -> np.ndarray:
-    """ρ(k) as the difference log k! − k·log k + k itself."""
-    return special.gammaln(k + 1.0) - special.xlogy(k, k) + k
-
-
-_RHO_TABLE = _rho_by_difference(np.arange(50.0))  # ρ(0..49), formed once at import
+_RHO_TABLE = special.gammaln(np.arange(1.0, 51.0)) - special.xlogy(np.arange(50.0), np.arange(50.0)) + np.arange(50.0)
 _RHO_TABLE.setflags(write=False)
 
 
@@ -197,65 +194,61 @@ def _log_factorial_rest(k) -> np.ndarray:
     return rest
 
 
-def _poisson_pmf(k, mean: float) -> np.ndarray:
-    """Poisson(ν) probability of k in Loader's saddle-point form
-    exp(−ρ(k) − bd0), bd0 = k·log(k/ν) + ν − k: nothing of size ν·log ν
-    cancels, so large means keep their digits. Exact at k = 0 and ν = 0."""
-    k = np.asarray(k, dtype=float)
+def _bd0(k, mean) -> np.ndarray:
+    """Loader's deviance bd0(k, M) = k·log(k/M) + M − k ≥ 0, k and M broadcast, with
+    nothing of size M·log M to cancel. Exactly 0 at k = M = 0, +inf at k > M = 0."""
+    k, mean = np.asarray(k, dtype=float), np.asarray(mean, dtype=float)
     gap = k - mean
-    with np.errstate(over="ignore"):  # k/ν is inf at a subnormal ν, as p(k ≥ 1) is 0
-        bd0 = np.asarray(special.xlog1py(k, gap / mean if mean > 0.0 else math.inf) - gap)
-    if mean > 64.0:
-        # The difference loses |k − ν|·ε near the mode: sum (k−ν)·v + 2k·(atanh v − v) there.
-        near = np.abs(gap) < 0.3 * (k + mean)
-        v = gap[near] / (k[near] + mean)
+    # k/M is +inf at M = 0 or a subnormal M, and 0/0 NaN at k = M = 0; k − M rounds to −M at 1 ≤ k < M·ε/2.
+    # fmax takes NaN and −1 to the float above −1: log1p stays finite, xlog1py(0, ·) is 0, and bd0 ≈ M there.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bd0 = np.asarray(special.xlog1py(k, np.fmax(gap / mean, -1.0 + 2.0**-53)) - gap)
+    near = mean > 64.0
+    if near.any():  # the difference loses |k − M|·ε near the mode: sum (k−M)·v + 2k·(atanh v − v) there
+        near = near & (np.abs(gap) < 0.3 * (k + mean))
+        k, mean = np.broadcast_to(k, gap.shape), np.broadcast_to(mean, gap.shape)
+        v = gap[near] / (k[near] + mean[near])
         bd0[near] = gap[near] * v + 2.0 * k[near] * v**3 * np.polyval(1.0 / np.arange(33.0, 1.0, -2.0), v * v)
-    return np.exp(-_log_factorial_rest(k) - bd0)
+    return bd0
 
 
-def _log_choose(n, level):
-    """log C(n+L, n) = ρ(n+L) − ρ(n) − ρ(L) + n·log1p(L/n) + L·log1p(n/L),
-    whose terms stay small where log-gamma differences would cancel."""
-    return (
-        _log_factorial_rest(n + level) - _log_factorial_rest(n) - _log_factorial_rest(level)
-        + special.xlog1py(n, level / np.maximum(n, 1.0)) + special.xlog1py(level, n / np.maximum(level, 1.0))
-    )
+def _poisson_pmf(k, mean: float) -> np.ndarray:
+    """Poisson(ν) probability of k, exp(−ρ(k) − bd0(k, ν)); exact at k = 0 and ν = 0."""
+    return np.exp(-_log_factorial_rest(k) - _bd0(k, mean))
+
+
+def _binomial_pmf(k, n, p, q) -> np.ndarray:
+    """Binomial(n, p) probability of k, exp(ρ(n) − ρ(k) − ρ(n−k) − bd0(k, n·p)
+    − bd0(n−k, n·q)), with q = 1 − p given by the caller, as in Loader's
+    dbinom_raw. Exactly 0 where k > n; p = 0 and q = 0 give exact 0s and 1s."""
+    rest = np.maximum(n - k, 0)
+    rho = _log_factorial_rest(n) - _log_factorial_rest(k) - _log_factorial_rest(rest)
+    return np.exp(rho - _bd0(k, n * p) - _bd0(rest, n * q)) * (k <= n)
 
 
 def _negbin_pmf(n, level, mean) -> np.ndarray:
     """L-subtracted thermal law C(n+L, n)·rⁿ·(1−r)^(L+1), r = n̄/(1+n̄), of mean
-    (L+1)n̄ (Bose–Einstein at L = 0); L and n̄ broadcast too. n·log r uses r up
-    to n̄ = 1 and log1p(−1/(1+n̄)) above, where rounding r ≈ 1 costs n·ε; a
-    scalar n̄ forms only the form it takes, an array both. A scalar L = 0
-    forms no binomial coefficient: log C(n, n) is exactly 0."""
+    (L+1)n̄; L and n̄ broadcast too. At L > 0 it is (L+1)/(n+L+1)·Binomial(L+1;
+    n+L+1, 1−r) with q = r, as R's dnbinom forms it. A scalar L = 0 is
+    Bose–Einstein: n·log r uses r up to n̄ = 1 and log1p(−1/(1+n̄)) above, where
+    rounding r ≈ 1 costs n·ε; a scalar n̄ forms only the form it takes, an array both."""
+    if np.ndim(level) or level:
+        trials = n + level + 1
+        return (level + 1) / trials * _binomial_pmf(level + 1, trials, 1.0 / (1.0 + mean), mean / (1.0 + mean))
     if np.ndim(mean):
         xlog_r = np.where(mean > 1.0, special.xlog1py(n, -1.0 / (1.0 + mean)), special.xlogy(n, mean / (1.0 + mean)))
     elif mean > 1.0:
         xlog_r = special.xlog1py(n, -1.0 / (1.0 + mean))
     else:
         xlog_r = special.xlogy(n, mean / (1.0 + mean))
-    if np.ndim(level) or level:
-        xlog_r = _log_choose(n, level) + xlog_r
-    return np.exp(xlog_r - (level + 1) * np.log1p(mean))
+    return np.exp(xlog_r - np.log1p(mean))
 
 
 def _negbin_tail(mean: float, level: int, n_max: int) -> float:
     """Mass of `_negbin_pmf` past ``n_max``: fewer than L+1 successes in
     T = n_max+L+1 trials, (1+n̄)·Σ_{j≤L} NB(T−j; j); r^(n_max+1) at L = 0."""
-    j = np.arange(level + 1) if level else 0  # a scalar L = 0 forms no coefficient
+    j = np.arange(level + 1) if level else 0  # a scalar L = 0 forms no binomial
     return float((1.0 + mean) * _negbin_pmf(n_max + level + 1 - j, j, mean).sum())
-
-
-def _binomial_pmf(k, n, p: float) -> np.ndarray:
-    """Binomial(n, p) probability of k as one log sum, log n! − log k! −
-    log (n−k)! + k·log p + (n−k)·log1p(−p), exponentiated: exactly 0 where
-    k > n, at log-gamma's pole. p = 0 and p = 1 are exact (n − k is clipped
-    at 0 in (n−k)·log1p(−p), whose +inf at p = 1 would meet the pole).
-    Log-gamma loses ~n·log n·ε: 1e-12 near n = 700."""
-    return np.exp(
-        special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
-        + special.xlogy(k, p) + special.xlog1py(np.maximum(n - k, 0), -p)
-    )
 
 
 # ===================================================================

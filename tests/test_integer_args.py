@@ -168,7 +168,7 @@ def test_a_level_past_2_64_is_refused_by_name(law):
         ),
         (
             lambda: joint_pmf(STATE, [1, 10**5000], 1),
-            "big_n must be an integer >= 0, got a list holding an integer past 4300 digits",
+            "big_n must be below 2**64, got a list holding an integer past 4300 digits",
         ),
         (
             lambda: arm_a_marginal((10**5000,), ARMS, 1),
@@ -247,6 +247,18 @@ def test_count_lists_reject_bools_among_ints(call, name, data):
             call(bad)
     assert _same(call(ints), call(np.array(ints)))
     assert _same(call(tuple(ints)), call(np.array(ints)))
+
+
+def test_a_count_list_past_int64_is_the_uint64_grid():
+    # np.asarray makes [2**63, 1] float64, which the rule once refused
+    as_array = joint_pmf(STATE, np.array([2**63, 1], dtype=np.uint64), 1)
+    for listed in ([2**63, 1], (2**63, 1), [np.uint64(2**63), np.int64(1)]):
+        assert np.array_equal(joint_pmf(STATE, listed, 1), as_array)
+
+
+def test_a_count_list_entry_past_2_64_is_refused_by_that_bound():
+    with pytest.raises(DomainError, match=r"^big_n must be below 2\*\*64, got \[18446744073709551616, 1\]$"):
+        joint_pmf(STATE, [2**64, 1], 1)
 
 
 def test_seed_keys_do_not_depend_on_the_integer_type():

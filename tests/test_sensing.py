@@ -203,6 +203,12 @@ class TestConditionalState:
         assert float(d.probs.sum()) <= 1.0
         assert d.tail_bound <= 1e-8
 
+    def test_a_level_of_a_million_meets_the_mass_contract(self):
+        # the subtracted law's binomial coefficient once lost ~L·ε, and the
+        # rows summed to 1 + 1.5e-11: PhotonNumberDistribution raised
+        # ContractError past its 1e-12 mass slack
+        conditional_state_pmf(preset("thesis-ch5"), 10**6)
+
 
 def _chi2_statistic(samples, probs):
     """Pearson statistic of a histogram against a pmf and its degrees of

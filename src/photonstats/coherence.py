@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,8 +172,13 @@ def joint_pmf(state: ThermalSplitterState, big_n, big_m):
     return _negbin_pmf(total, 0, state.mean_total) * _binomial_pmf(big_n, total, c2, 1.0 - c2)
 
 
+# The largest x whose exp is a finite float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _gtilde2(big_n, big_m, mean_a, mean_b, n_bar):
-    """g̃²(N,M) from the arm means and the total mean, all broadcasting; log C(N+M, N) from ρ."""
+    """g̃²(N,M) from the arm means and the total mean, all broadcasting; log C(N+M, N) from ρ.
+    Counts whose g̃² passes the float range are refused by their values."""
     log_g = (
         _log_factorial_rest(big_n + big_m) - _log_factorial_rest(big_n) - _log_factorial_rest(big_m)
         + special.xlog1py(big_n, big_m / np.maximum(big_n, 1.0))
@@ -181,6 +187,10 @@ def _gtilde2(big_n, big_m, mean_a, mean_b, n_bar):
         + (big_m + 1) * np.log1p(mean_b)
         - (big_n + big_m + 1) * np.log1p(n_bar)
     )
+    if (over := log_g > _LOG_FLOAT_MAX).any():
+        n, m, _ = np.broadcast_arrays(big_n, big_m, over)
+        at = np.argmax(over)
+        raise DomainError(f"g̃² at counts (N, M) = ({n.flat[at]}, {m.flat[at]}) overflows a float")
     return np.exp(log_g)
 
 
@@ -190,7 +200,8 @@ def gtilde2_thermal(state: ThermalSplitterState, big_n, big_m):
     g̃²(N,M) = C(N+M,N) (1+n̄cos²θ)^(N+1) (1+n̄sin²θ)^(M+1) / (1+n̄)^(N+M+1),
     equal to joint_pmf / (marginal_a(N)·marginal_b(M)). It exceeds 1 near the
     diagonal N=M and drops below 1 when N and M differ strongly. N and M
-    broadcast.
+    broadcast; counts whose g̃² passes the float range (N = M = 1000 at n̄ = 1,
+    θ = π/4) raise DomainError naming them.
     """
     big_n, big_m = _count(big_n, "big_n", grid=True), _count(big_m, "big_m", grid=True)
     return _gtilde2(big_n, big_m, *state.arm_means, state.mean_total)
@@ -268,7 +279,7 @@ def conditional_g2_map(
 
     With ``state_params=None`` the arm means are read off the detector
     intensities: n̄cos²θ = ⟨n̂(k₁)⟩, n̄sin²θ = ⟨n̂(k₂)⟩. n₁, n₂, k₁ and k₂
-    broadcast.
+    broadcast; counts whose g̃² overflows are refused as in `gtilde2_thermal`.
     """
     n1, n2 = _count(n1, "n1", grid=True), _count(n2, "n2", grid=True)
     k1, k2 = _real(k1, "k1", grid=True), _real(k2, "k2", grid=True)
@@ -302,56 +313,53 @@ _PAIR_BLOCK = 128
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the Gauss–Legendre rule of ``order``
     points, built once per order. The envelope oracle asks only for 64, 128,
-    …, 1024, so at most five rules are kept. The slit kernels built on these
-    nodes have their own cache, `_slit_kernel`, bounded at five kernels."""
+    …, 1024, so at most five rules are kept. The slit plans built on these
+    nodes have their own cache, `_slit_plan`, bounded at five plans."""
     rule = special.roots_legendre(order)
     for arr in rule:
         arr.setflags(write=False)
     return rule
 
 
-@functools.lru_cache(maxsize=None)
-def _half_rules(orders: tuple[int, ...]) -> tuple[np.ndarray, tuple[slice, ...], np.ndarray]:
-    """The nodes u > 0 of the Gauss–Legendre rules of ``orders`` side by side,
-    each rule's slice of them, and where each rule's cosines and then its
-    sines start in a row [cosines | sines] of `_slit_integral`; read-only.
-    The envelope oracle asks for (64, 128), (256,), (512,) and (1024,) only."""
-    halves = [order // 2 for order in orders]
-    nodes = np.concatenate([_gauss_legendre(order)[0][half:] for order, half in zip(orders, halves)])
-    ends = np.cumsum(halves)
-    starts = ends - halves
-    cuts = np.concatenate((starts, starts + nodes.size))
-    for arr in (nodes, cuts):
-        arr.setflags(write=False)
-    return nodes, tuple(slice(start, end) for start, end in zip(starts, ends)), cuts
-
-
 @functools.lru_cache(maxsize=5)
-def _slit_kernel(slit_width: float, coherence_scale: float, order: int) -> np.ndarray:
-    """The read-only weighted kernel of a centred slit of width w on the
-    ``order``-point Gauss–Legendre rule, built once per (w, s, order) while it
-    stays among the five most recently used.
+def _slit_plan(
+    slit_width: float, coherence_scale: float, orders: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a pass of `_slit_integral` over ``orders`` needs, read-only and
+    built once per (w, s, orders) while it stays among the five most recently
+    used: the nodes u > 0 of each order's Gauss–Legendre rule, scaled to the
+    half-width w/2 and set side by side; the weighted slit kernel of the
+    pass; and where each order's nodes start.
 
-    The rule is symmetric under u ↦ −u, node for node and weight for weight,
+    Each rule is symmetric under u ↦ −u, node for node and weight for weight,
     so the kernel acts on the even (cosine) and odd (sine) part of a column
-    apart, over the nodes u > 0 alone. It is the stack [K₊, K₋] of two
-    (order/2)² blocks, K±[i, j] = ½ g_i g_j (exp(−(u_i−u_j)²/s) ±
-    exp(−(u_i+u_j)²/s)): the Gauss–Legendre weights g, the ¼ of (w/2)²/w² and
-    the 2 of the mirrored half are folded in, and each block is exactly
-    symmetric. One kernel holds order²/2 floats, so a full ladder 64, 128, …,
-    1024 for one (w, s) takes 5.3 MiB, and five order-1024 kernels 20 MiB,
-    within a 40 MiB ceiling. At a subnormal s the exponents overflow to −inf
-    and those terms are exactly 0, their limit."""
-    nodes, weights = _gauss_legendre(order)
-    half = order // 2
-    u, g = slit_width / 2.0 * nodes[half:], weights[half:]
-    with np.errstate(over="ignore"):
-        near = np.exp(-np.square(u[:, None] - u) / coherence_scale)
-        far = np.exp(-np.square(u[:, None] + u) / coherence_scale)
-    kernel = np.stack((near + far, near - far))
-    kernel *= 0.5 * np.multiply.outer(g, g)
-    kernel.setflags(write=False)
-    return kernel
+    apart, over the nodes u > 0 alone. It is the stack [K₊, K₋], each block
+    diagonal with one (order/2)² block per order, K±[i, j] = ½ g_i g_j
+    (exp(−(u_i−u_j)²/s) ± exp(−(u_i+u_j)²/s)): the Gauss–Legendre weights g,
+    the ¼ of (w/2)²/w² and the 2 of the mirrored half are folded in, and each
+    block is exactly symmetric. The oracle asks for (64, 128), (256,), (512,)
+    and (1024,): an order-1024 kernel holds 1024²/2 floats (4 MiB) and the
+    (64, 128) one 2·96², so a full ladder for one (w, s) takes 5.4 MiB and the
+    kernels of five plans at most 20 MiB. At a subnormal s the exponents
+    overflow to −inf and those terms are exactly 0, their limit."""
+    rules = [_gauss_legendre(order) for order in orders]
+    halves = [order // 2 for order in orders]
+    starts = np.cumsum([0, *halves[:-1]])
+    u = np.concatenate([slit_width / 2.0 * nodes[half:] for (nodes, _), half in zip(rules, halves)])
+    kernel = np.zeros((2, u.size, u.size))
+    for (_, weights), half, start in zip(rules, halves, starts):
+        span = slice(start, start + half)
+        v, g = u[span], weights[half:]
+        with np.errstate(over="ignore"):
+            near = np.exp(-np.square(v[:, None] - v) / coherence_scale)
+            far = np.exp(-np.square(v[:, None] + v) / coherence_scale)
+        block = kernel[:, span, span]
+        np.add(near, far, out=block[0])
+        np.subtract(near, far, out=block[1])
+        block *= 0.5 * np.multiply.outer(g, g)
+    for arr in (u, kernel, starts):
+        arr.setflags(write=False)
+    return u, kernel, starts
 
 
 def _slit_integral(
@@ -364,31 +372,27 @@ def _slit_integral(
     and q(p1, p2) for each order: shape (len(orders), 3, p1.size).
 
     The slit is symmetric, so q is real: with c = cos(pu) and s = sin(pu) on
-    the nodes u > 0, q(p_a, p_b) = c_b·K₊c_a + s_b·K₋s_a (`_slit_kernel`).
-    Each wavenumber's c and s are evaluated once for all the orders, and
-    multiplied by each kernel once. Every sum runs along a contiguous row, so
-    a point gets the same bits alone as within a grid."""
-    kernels = [_slit_kernel(slit_width, coherence_scale, order) for order in orders]
-    nodes, spans, cuts = _half_rules(orders)
-    u = slit_width / 2.0 * nodes
+    the nodes u > 0, q(p_a, p_b) = c_b·K₊c_a + s_b·K₋s_a (`_slit_plan`).
+    Each block of wavenumbers is laid out as its cosine rows and its sine rows
+    over the nodes of every order, and multiplied by the pass's kernel in one
+    product. Every sum runs along a contiguous row, so a point gets the same
+    bits alone as within a grid."""
+    u, kernel, starts = _slit_plan(slit_width, coherence_scale, orders)
     out = np.empty((len(orders), 3, p1.size))
     for lo in range(0, p1.size, _PAIR_BLOCK):
         rows = slice(lo, lo + _PAIR_BLOCK)
         b = p1[rows].size
         theta = np.concatenate((p1[rows], p2[rows]))[:, None] * u
-        # one row per wavenumber: the cosines of every order, then the sines
-        parts = np.empty((2 * b, 2, u.size))
-        np.cos(theta, out=parts[:, 0])
-        np.sin(theta, out=parts[:, 1])
-        folded = np.empty_like(parts)
-        for kernel, span in zip(kernels, spans):
-            np.matmul(parts[:, :, span].transpose(1, 0, 2), kernel, out=folded[:, :, span].transpose(1, 0, 2))
+        parts = np.empty((2, 2 * b, u.size))
+        np.cos(theta, out=parts[0])
+        np.sin(theta, out=parts[1])
+        folded = parts @ kernel
         # the autos q(p, p) of both columns, then the cross q(p1, p2)
-        terms = np.empty((3 * b, 2, u.size))
-        np.multiply(parts, folded, out=terms[: 2 * b])
-        np.multiply(parts[b:], folded[:b], out=terms[2 * b :])
-        sums = np.add.reduceat(terms.reshape(3 * b, -1), cuts, axis=1)
-        out[:, :, rows] = (sums[:, : len(orders)] + sums[:, len(orders) :]).T.reshape(len(orders), 3, b)
+        terms = np.empty((2, 3 * b, u.size))
+        np.multiply(parts, folded, out=terms[:, : 2 * b])
+        np.multiply(parts[:, b:], folded[:, :b], out=terms[:, 2 * b :])
+        sums = np.add.reduceat(terms, starts, axis=2)
+        out[:, :, rows] = (sums[0] + sums[1]).T.reshape(len(orders), 3, b)
     return out
 
 
@@ -415,10 +419,12 @@ def classical_envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k
     whole grid, until q at every point is stable to 1e-6 relative; failing to
     stabilize by order 1024 raises AccuracyError. Orders 64 and 128 go in one
     pass, since every call compares them. Each wavenumber, k₁ and k₂ of each
-    point, is evaluated once per pass and multiplied by each order's weighted
-    slit kernel once. The kernels come from a cache of the five most recently
-    used (w, s, order), at most 20 MiB, so calls that repeat w and s, such as
-    one call per Δk, build each once.
+    point, is evaluated once per pass and multiplied by the pass's weighted
+    slit kernel in one product. A pass reads its nodes and kernel from one
+    slit plan per (w, s, orders); a cache keeps the five most recently used,
+    whose kernels take at most 20 MiB (a full ladder 64 … 1024 for one (w, s)
+    takes 5.4 MiB), so calls that repeat w and s, such as one call per Δk,
+    build each plan once. A point alone gets its grid bits.
     """
     return _envelope_oracle(cfg, coherence_scale, k1, k2)[0]
 
@@ -439,22 +445,23 @@ def _envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k1, k2):
 
     # the slit-plane wavenumbers of k₁ then k₂. The phases below, p·u across
     # the slit and p·d/2 between the slits, stay within p·max(w/2, d).
+    # Rounding is monotone, so the largest |k| decides for the whole grid.
     kappa = 2.0 * math.pi / (cfg.wavelength * cfg.distance)
+    reach = max(0.5 * cfg.slit_width, cfg.slit_separation)
     ks = np.concatenate((k1, k2), axis=None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = kappa * ks
-        finite = np.isfinite(p * max(0.5 * cfg.slit_width, cfg.slit_separation))
-    if not finite.all():
-        at = int(np.argmin(finite))
+    if not math.isfinite(kappa * float(np.abs(ks).max(initial=0.0)) * reach):
+        with np.errstate(over="ignore", invalid="ignore"):
+            at = int(np.argmin(np.isfinite(kappa * ks * reach)))
         name = "k1" if at < k1.size else "k2"
         raise DomainError(
             f"{name} = {ks[at]:g}: its slit-plane wavenumber 2π/(λD)·{name} overflows a float "
             "across the slits"
         )
+    p = kappa * ks
     p1, p2 = p[: k1.size], p[k1.size :]
     prev, cur = _slit_integral(cfg.slit_width, coherence_scale, p1, p2, (64, 128))
     order = 128
-    while not np.all(np.abs(cur - prev) <= 1e-6 * np.maximum(np.abs(prev), 1e-300)):
+    while not (np.abs(cur - prev) <= 1e-6 * np.maximum(np.abs(prev), 1e-300)).all():
         order *= 2
         if order > 1024:
             raise AccuracyError("slit quadrature did not stabilize by order 1024")
@@ -462,7 +469,7 @@ def _envelope_oracle(cfg: InterferenceConfig, coherence_scale: float, k1, k2):
 
     auto1, auto2, cross = cur
     denom = auto1 * auto2
-    if np.any(denom <= 0.0):
+    if (denom <= 0.0).any():
         raise AccuracyError("non-positive autocorrelation from quadrature")
     # |w_ph e^(iφ) + w_pl e^(−iφ)|² / (w_ph + w_pl)², φ = κΔk·d/2 the exact
     # phase of each slit's position, is a + b·cos²φ

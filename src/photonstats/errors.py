@@ -120,19 +120,23 @@ def _count(value, name: str, low: int = 0, *, grid: bool = False):
     raise DomainError(f"{name} must be an integer >= {low}, got {_shown(value)}")
 
 
+def _within(x, low, high, strict: bool) -> bool:
+    """Whether the float ``x`` is finite and in [low, high], or in (low,
+    high) with ``strict``."""
+    return math.isfinite(x) and (low < x < high if strict else low <= x <= high)
+
+
 def _real(value, name: str, low=-math.inf, high=math.inf, *, strict: bool = False, grid: bool = False):
     """The real rule above: ``value`` as a float in [low, high], or in
     (low, high) with ``strict``; with ``grid=True`` as a float64 array, which
     is 0-d for a scalar."""
-    real, extremes = None, [math.nan]  # refused, unless value is a number
     if _is_real_scalar(value):
         try:
             real = float(value)
         except OverflowError:  # an int past the float range
             real = math.inf
-        extremes = [real]
-        if grid:
-            real = np.asarray(real)
+        if _within(real, low, high, strict):
+            return np.asarray(real) if grid else real
     elif grid:
         arr = np.asarray(value)
         if arr.dtype == object and all(map(_is_real_scalar, arr.flat)):  # ints past int64
@@ -143,8 +147,8 @@ def _real(value, name: str, low=-math.inf, high=math.inf, *, strict: bool = Fals
         if arr.dtype.kind in "iuf" and not _holds_bool(value):
             real = arr.astype(float, copy=False)
             extremes = [real.min(), real.max()] if real.size else []  # a NaN is both
-    if all(math.isfinite(x) and (low < x < high if strict else low <= x <= high) for x in extremes):
-        return real
+            if all(_within(x, low, high, strict) for x in extremes):
+                return real
     bounds = f"{'(' if strict else '['}{low!r}, {high!r}{')' if strict else ']'}"
     raise DomainError(f"{name} must be a finite real in {bounds}, got {_shown(value)}")
 

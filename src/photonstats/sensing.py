@@ -139,7 +139,10 @@ def subtracted_pmf(
 
     Negative-binomial with mean (L+1)n̄ and variance (L+1)n̄(1+n̄). Its
     exact tail sums L + 1 terms, so L + 1 past the 2**27-entry budget raises
-    DomainError naming the inputs, as a cutoff past it does."""
+    DomainError naming the inputs, as a cutoff past it does. Far from the
+    mode at large L it is up to ~5e-12 relative off exact at L = 10⁶,
+    wherever 1/(1+n̄) rounds (`states._negbin_pmf`); it is held to 1e-12 up
+    to L = 10⁴."""
     level, mean = _count(level, "level"), _real(mean, "mean", 0)
     what = f"mean {mean!r} at level {level}"
     _check_budget(level + 1, what, "its tail sum")

@@ -231,7 +231,12 @@ def _negbin_pmf(n, level, mean) -> np.ndarray:
     (L+1)n̄; L and n̄ broadcast too. At L > 0 it is (L+1)/(n+L+1)·Binomial(L+1;
     n+L+1, 1−r) with q = r, as R's dnbinom forms it. A scalar L = 0 is
     Bose–Einstein: n·log r uses r up to n̄ = 1 and log1p(−1/(1+n̄)) above, where
-    rounding r ≈ 1 costs n·ε; a scalar n̄ forms only the form it takes, an array both."""
+    rounding r ≈ 1 costs n·ε; a scalar n̄ forms only the form it takes, an array both.
+
+    At large L the float inputs set a floor: wherever 1/(1+n̄) rounds, its
+    error ε moves log NB by (n − (L+1)n̄)/(1+n̄)·ε, up to ~5e-12 relative at
+    L = 10⁶ far from the mode (n̄ = 10). The 1e-12 mpmath property box stops at
+    L = 10⁴."""
     if np.ndim(level) or level:
         trials = n + level + 1
         return (level + 1) / trials * _binomial_pmf(level + 1, trials, 1.0 / (1.0 + mean), mean / (1.0 + mean))

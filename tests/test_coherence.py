@@ -100,6 +100,21 @@ class TestWavepacketCorrelation:
         assert gtilde2_thermal(BALANCED, 3, 0) < 1.0
         assert gtilde2_thermal(BALANCED, 0, 3) < 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_counts_whose_value_overflows_are_refused_by_name(self):
+        # g̃²(500, 500) is 3.5e174; at (1000, 1000) log g̃² passes the float
+        # range, and the law refuses before exp could warn
+        state = ThermalSplitterState(1.0, math.pi / 4.0)
+        assert gtilde2_thermal(state, 500, 500) == 3.501410792192428e174
+        cfg = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=0.3)
+        for call in (
+            lambda: gtilde2_thermal(state, 1000, 1000),
+            lambda: gtilde2_thermal(state, [1, 1000], 1000),
+            lambda: conditional_g2_map(cfg, state, 1000, 1000, np.zeros(3), 0.0),
+        ):
+            with pytest.raises(DomainError, match=r"^g̃² at counts \(N, M\) = \(1000, 1000\) overflows a float$"):
+                call()
+
 
 FAR = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
 SPLIT = ThermalSplitterState(1.3, 0.6)
@@ -441,10 +456,10 @@ class TestClassicalOracle:
         # |k| ≈ 2.2e301: refused before any quadrature, with no RuntimeWarning
         cfg = InterferenceConfig(mean_h=1.0, mean_v=0.5, psi=math.pi / 4.0)
         scale = (cfg.slit_width / 8.0) ** 2
-        before = coherence._slit_kernel.cache_info()
+        before = coherence._slit_plan.cache_info()
         with pytest.raises(DomainError, match=rf"^{name} = \S+: its slit-plane wavenumber"):
             classical_envelope_oracle(cfg, scale, k1, k2)
-        after = coherence._slit_kernel.cache_info()
+        after = coherence._slit_plan.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
@@ -603,7 +618,7 @@ class TestGaussLegendreCache:
 
         monkeypatch.setattr(coherence.special, "roots_legendre", counted)
         # the caches built on the rules go too, so that the rules are asked for
-        for cache in (_gauss_legendre, coherence._half_rules, coherence._slit_kernel):
+        for cache in (_gauss_legendre, coherence._slit_plan):
             cache.cache_clear()
         dks, scale = self.cli_grid()
         for _ in range(2):
@@ -613,59 +628,63 @@ class TestGaussLegendreCache:
         assert sorted(built) == [64, 128]
 
 
-class TestSlitKernelCache:
-    """The envelope oracle reads each slit kernel from a bounded cache keyed
-    by (slit width, coherence scale, order)."""
+class TestSlitPlanCache:
+    """The envelope oracle reads each pass's slit plan from a bounded cache
+    keyed by (slit width, coherence scale, orders)."""
 
     CFG = TestGaussLegendreCache.CFG
 
     def setup_method(self):
-        coherence._slit_kernel.cache_clear()
+        coherence._slit_plan.cache_clear()
 
     def cli_grid(self):
         dks = np.linspace(0.0, 4.0 * math.pi / self.CFG.beta, 129)
         return dks, (self.CFG.slit_width / 8.0) ** 2
 
-    def test_cached_kernel_is_read_only(self):
+    def test_cached_plan_is_read_only_with_symmetric_blocks(self):
         dks, scale = self.cli_grid()
         classical_envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)
-        for order in (64, 128):
-            kernel = coherence._slit_kernel(self.CFG.slit_width, scale, order)
-            # [K₊, K₋] over the order/2 nodes u > 0, each block symmetric
-            assert kernel.shape == (2, order // 2, order // 2)
-            assert np.array_equal(kernel, kernel.transpose(0, 2, 1))
+        u, kernel, starts = coherence._slit_plan(self.CFG.slit_width, scale, (64, 128))
+        # [K₊, K₋] over the 32 + 64 nodes u > 0, block diagonal by order
+        assert u.shape == (96,) and kernel.shape == (2, 96, 96)
+        assert np.all(u > 0.0) and list(starts) == [0, 32]
+        assert np.array_equal(kernel, kernel.transpose(0, 2, 1))
+        assert not kernel[:, :32, 32:].any() and not kernel[:, 32:, :32].any()
+        for block in (kernel[:, :32, :32], kernel[:, 32:, 32:]):
+            assert np.all(block[0] != 0.0)
+        for arr in (u, kernel, starts):
             with pytest.raises(ValueError, match="read-only"):
-                kernel[0, 0] = 0.0
+                arr[0] = 0
 
     def test_alternating_scales_equal_cold_calls_bit_for_bit(self):
-        # s₁, s₂, s₁: a stale key would hand s₂'s kernel to the last call
+        # s₁, s₂, s₁: a stale key would hand s₂'s plan to the last call
         dks, base = self.cli_grid()
         cold = {}
         for scale in (base, 4.0 * base):
-            coherence._slit_kernel.cache_clear()
+            coherence._slit_plan.cache_clear()
             cold[scale] = _envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)[0]
-        coherence._slit_kernel.cache_clear()
+        coherence._slit_plan.cache_clear()
         for scale in (base, 4.0 * base, base):
             warm = _envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)[0]
             assert np.array_equal(warm, cold[scale])
         assert not np.array_equal(cold[base], cold[4.0 * base])
 
-    def test_each_kernel_is_built_once_per_process(self):
+    def test_each_plan_is_built_once_per_process(self):
         dks, scale = self.cli_grid()
         for _ in range(2):
             grid = classical_envelope_oracle(self.CFG, scale, -dks / 2.0, dks / 2.0)
             cells = [classical_envelope_oracle(self.CFG, scale, -dk / 2.0, dk / 2.0) for dk in dks]
             # a caller looping over Δk gets the grid call's values bit for bit
             assert np.array_equal(cells, grid)
-        info = coherence._slit_kernel.cache_info()
-        assert info.misses == 2  # orders 64 and 128, once each
-        assert info.hits == 2 * 2 * (1 + dks.size) - 2
+        info = coherence._slit_plan.cache_info()
+        assert info.misses == 1  # the (64, 128) pass, once
+        assert info.hits == 2 * (1 + dks.size) - 1
 
-    def test_a_sweep_over_scales_keeps_at_most_five_kernels(self):
+    def test_a_sweep_over_scales_keeps_at_most_five_plans(self):
         w = self.CFG.slit_width
         for length in np.linspace(0.1, 2.0, 20):
             classical_envelope_oracle(self.CFG, (length * w) ** 2, 0.0, 1.0 / self.CFG.beta)
-        info = coherence._slit_kernel.cache_info()
+        info = coherence._slit_plan.cache_info()
         assert info.misses >= 20
         assert info.currsize <= 5
 

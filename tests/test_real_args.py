@@ -308,3 +308,42 @@ def test_an_integer_past_int64_is_a_float_in_a_grid():
     for bad in ([10**400], [2**70, None], [2**70, True]):
         with _refused("n_t"):
             arm_a_marginal(bad, ARMS, 1)
+
+
+# value, low, high, strict, and the Python float taken (None: refused)
+SCALAR_RULE = [
+    (0.25, 0.0, 1.0, False, 0.25),
+    (np.float64(0.25), 0.0, 1.0, False, 0.25),
+    (np.float32(0.1), 0.0, 1.0, False, 0.10000000149011612),
+    (1.0, 0.0, 1.0, False, 1.0),
+    (-0.0, 0, math.inf, False, -0.0),
+    (-0.0, 0, math.inf, True, None),
+    (0.0, 0.0, 1.0, True, None),
+    (1.0, 0.0, 1.0, True, None),
+    (5e-324, 0.0, 1.0, True, 5e-324),
+    (math.nan, -math.inf, math.inf, False, None),
+    (np.float64(math.nan), -math.inf, math.inf, False, None),
+    (math.inf, -math.inf, math.inf, False, None),
+    (-math.inf, -math.inf, math.inf, False, None),
+    (np.float32(-math.inf), -math.inf, math.inf, False, None),
+]
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["scalar", "grid"])
+@pytest.mark.parametrize("value, low, high, strict, want", SCALAR_RULE)
+def test_a_float_scalar_is_taken_by_direct_comparisons(value, low, high, strict, want, grid):
+    """A Python or NumPy float gives a Python float, or a 0-d float64 array
+    with ``grid=True``, keeping the sign of −0.0; a refusal names the
+    parameter, its bounds and the value."""
+    if want is None:
+        bounds = f"{'(' if strict else '['}{low!r}, {high!r}{')' if strict else ']'}"
+        message = f"width must be a finite real in {bounds}, got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            _real(value, "width", low, high, strict=strict, grid=grid)
+        return
+    got = _real(value, "width", low, high, strict=strict, grid=grid)
+    if grid:
+        assert type(got) is np.ndarray and got.shape == () and got.dtype == np.float64
+        got = got.item()
+    assert type(got) is float
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
